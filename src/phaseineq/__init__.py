@@ -26,7 +26,6 @@ from .semigroups import (
     GaussianDensity,
     Heat,
     QOU,
-    SolverOptions,
     convolve,
     entropy_rate,
     evolve,

@@ -23,6 +23,9 @@ from .verify import SUITE_NAMES, default_config, run_suite, threshold_solve
 
 ENV_CONFIG = "PHASEINEQ_CONFIG"
 _DEFAULTS = {"dim": 128, "seed": 0, "cases": 5, "tol": None, "format": "json"}
+_FLAGS = {"--dim": {"type": int}, "--seed": {"type": int},
+          "--cases": {"type": int}, "--tol": {"type": float}, "--out": {},
+          "--format": {"choices": ["json", "csv"]}}
 
 
 def _sig12(x):
@@ -222,17 +225,15 @@ def _build_parser() -> argparse.ArgumentParser:
                         f"${ENV_CONFIG})")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--dim", type=int)
-        p.add_argument("--seed", type=int)
-        p.add_argument("--cases", type=int)
-        p.add_argument("--tol", type=float)
-        p.add_argument("--out")
-        p.add_argument("--format", choices=["json", "csv"])
+    # Each subcommand registers only the flags it reads, so a flag it would
+    # ignore is a usage error.
+    def flags(p, *names):
+        for name in names:
+            p.add_argument(name, **_FLAGS[name])
 
     pv = sub.add_parser("verify", help="run a verification suite")
     pv.add_argument("suite", choices=sorted(SUITE_NAMES))
-    common(pv)
+    flags(pv, "--dim", "--seed", "--cases", "--tol", "--out")
     pv.set_defaults(fn=_cmd_verify)
 
     pt = sub.add_parser("trajectory", help="closed-form thermal trajectory")
@@ -242,7 +243,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pt.add_argument("--lambda", dest="lam", type=float, default=1.0)
     pt.add_argument("--tmax", type=float, default=2.0)
     pt.add_argument("--steps", type=int, default=40)
-    common(pt)
+    flags(pt, "--out", "--format")
     pt.set_defaults(fn=_cmd_trajectory)
 
     pd = sub.add_parser("death-process", help="pure-death process trajectory")
@@ -250,7 +251,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pd.add_argument("--K", type=int, default=256)
     pd.add_argument("--tmax", type=float, default=2.0)
     pd.add_argument("--steps", type=int, default=20)
-    common(pd)
+    flags(pd, "--out", "--format")
     pd.set_defaults(fn=_cmd_death_process)
 
     pc = sub.add_parser("closed-forms", help="closed-form tables")
@@ -260,18 +261,18 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="start:stop:count grid spec")
     pc.add_argument("--mu", type=float, default=math.sqrt(2.0))
     pc.add_argument("--lambda", dest="lam", type=float, default=1.0)
-    common(pc)
+    flags(pc, "--out", "--format")
     pc.set_defaults(fn=_cmd_closed_forms)
 
     pth = sub.add_parser("thresholds", help="fast-convergence thresholds")
     pth.add_argument("--which", choices=["entropy", "photon"], required=True)
-    common(pth)
+    flags(pth, "--out")
     pth.set_defaults(fn=_cmd_thresholds)
 
     pm = sub.add_parser("minimize-rate", help="constrained entropy-rate minimum")
     pm.add_argument("--n", type=float, required=True)
     pm.add_argument("--K", type=int, default=64)
-    common(pm)
+    flags(pm, "--seed", "--out")
     pm.set_defaults(fn=_cmd_minimize_rate)
     return parser
 

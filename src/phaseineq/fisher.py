@@ -99,11 +99,11 @@ def gaussian_density_entropy(cov) -> float:
 
 
 def stam_margin(f: PhaseDensity, rho: DensityMatrix, t: float,
-                quad_order: int = 20, h: float = DEFAULT_STENCIL_H) -> float:
+                h: float = DEFAULT_STENCIL_H) -> float:
     """Signed slack J(f *_t rho)^-1 - J(rho)^-1 - t J(f)^-1 (>= 0 expected)."""
     if not isinstance(f, GaussianDensity):
         raise ValueError("Stam margin is computed for Gaussian densities only")
-    conv = convolve(f, rho, t, quad_order=quad_order)
+    conv = convolve(f, rho, t)
     j_conv = quantum_fisher(conv, h).value
     j_rho = quantum_fisher(rho, h).value
     j_f = classical_fisher_gaussian(f.cov)

@@ -111,8 +111,8 @@ def quadrature_operators(dim: int) -> tuple[np.ndarray, np.ndarray]:
     return q, p
 
 
-# Weyl operators are the hot path of the finite-difference Fisher and
-# quadrature convolution loops; memoize recently used displacements.
+# Weyl operators are the hot path of the finite-difference Fisher stencils
+# and atom-mixture convolutions; memoize recently used displacements.
 _WEYL_CACHE: dict[tuple[int, bytes], np.ndarray] = {}
 _WEYL_CACHE_MAX = 600
 

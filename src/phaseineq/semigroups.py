@@ -1,11 +1,12 @@
 """Heat, attenuator, amplifier and quantum Ornstein-Uhlenbeck semigroups.
 
-Generators act on truncated Fock-space states; time evolution is fixed-step
-RK4 with a stability-capped step.  Thermal (diagonal-geometric) inputs take
-the closed-form photon-number maps unless the integrator is forced, which
-keeps the two paths available for cross-validation.  The classical-quantum
-convolution f *_t rho is evaluated by Gauss-Hermite quadrature for Gaussian
-densities and exactly for finite atom mixtures.
+Every flow here is the exponential of a sparse generator on row-major
+vec(rho): the four semigroups are mu^2 L_- + lam^2 L_+, with three
+diagonals, and the classical-quantum convolution of a Gaussian density is
+the quantum heat semigroup with that density's covariance as diffusion
+matrix, followed by a translation by its mean.  One helper applies the
+exponential exactly (to double precision) on the truncated space; finite
+atom mixtures are exact weighted sums of displaced states.
 """
 
 from __future__ import annotations
@@ -14,20 +15,23 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.linalg import expm_multiply
 
 from .fock_core import (
     DensityMatrix,
     TruncationError,
     IllConditionedError,
-    ladder_operators,
     quadrature_operators,
     state_edge_mass,
     thermal_state,
-    thermal_tail_mass,
     von_neumann_entropy,
-    relative_entropy,
     weyl_operator,
 )
+
+# The generators conserve trace exactly; a larger drift means the
+# exponential's action lost accuracy.
+_TRACE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -70,21 +74,6 @@ class QOU:
 
 
 SemigroupKind = Heat | Attenuator | Amplifier | QOU
-
-
-@dataclass(frozen=True)
-class SolverOptions:
-    step: float = 1e-3
-    method: str = "rk4_fixed"
-    trace_tolerance: float = 1e-9
-    edge_mass_tolerance: float = 1e-6
-    force_integrator: bool = False
-
-    def __post_init__(self):
-        if self.step <= 0:
-            raise ValueError(f"step must be positive, got {self.step}")
-        if self.method != "rk4_fixed":
-            raise ValueError(f"unknown method {self.method!r}")
 
 
 @dataclass(frozen=True)
@@ -137,171 +126,122 @@ def standard_gaussian() -> GaussianDensity:
     return GaussianDensity(mean=np.zeros(2), cov=np.eye(2))
 
 
-class QuadratureError(RuntimeError):
-    """Raised when the convolution quadrature fails to conserve trace."""
+def _semigroup_generator(kind: SemigroupKind, dim: int) -> sp.csr_matrix:
+    """mu^2 L_- + lam^2 L_+ as a sparse matrix on row-major vec(rho).
 
-
-class StepSizeError(RuntimeError):
-    """Raised when RK4 trace drift exceeds the configured tolerance."""
-
-
-class _Generators:
-    """Cached operator products for one truncation size."""
-
-    def __init__(self, dim: int):
-        self.a, self.a_dag, self.n_op = ladder_operators(dim)
-        self.q, self.p = quadrature_operators(dim)
-        self.q2 = self.q @ self.q
-        self.p2 = self.p @ self.p
-        self.ad_a = self.a_dag @ self.a
-        self.a_ad = self.a @ self.a_dag
-
-
-_GEN_CACHE: dict[int, _Generators] = {}
-
-
-def _gens(dim: int) -> _Generators:
-    g = _GEN_CACHE.get(dim)
-    if g is None:
-        g = _Generators(dim)
-        _GEN_CACHE[dim] = g
-    return g
-
-
-def _attenuator_apply(g: _Generators, x: np.ndarray) -> np.ndarray:
-    return g.a @ x @ g.a_dag - 0.5 * (g.ad_a @ x + x @ g.ad_a)
-
-
-def _amplifier_apply(g: _Generators, x: np.ndarray) -> np.ndarray:
-    return g.a_dag @ x @ g.a - 0.5 * (g.a_ad @ x + x @ g.a_ad)
-
-
-def _heat_apply(g: _Generators, x: np.ndarray) -> np.ndarray:
-    out = g.q2 @ x - 2.0 * (g.q @ x @ g.q) + x @ g.q2
-    out += g.p2 @ x - 2.0 * (g.p @ x @ g.p) + x @ g.p2
-    return -math.pi * out
-
-
-def _apply_raw(kind: SemigroupKind, x: np.ndarray) -> np.ndarray:
-    g = _gens(x.shape[0])
+    a rho a_dag moves entry (i+1, j+1) to (i, j) with weight
+    sqrt((i+1)(j+1)), a_dag rho a moves (i-1, j-1) to (i, j) with weight
+    sqrt(i j), and the anticommutators are diagonal, so the matrix has the
+    three diagonals 0 and +-(dim+1).  The truncated a a_dag is
+    diag(1, ..., dim-1, 0), which makes Heat = 2 pi (L_- + L_+) equal to
+    -pi sum_j [R_j, [R_j, .]] on the truncated space.
+    """
     if isinstance(kind, Heat):
-        return _heat_apply(g, x)
-    if isinstance(kind, Attenuator):
-        return _attenuator_apply(g, x)
-    if isinstance(kind, Amplifier):
-        return _amplifier_apply(g, x)
-    if isinstance(kind, QOU):
-        return kind.mu**2 * _attenuator_apply(g, x) + kind.lam**2 * _amplifier_apply(g, x)
-    raise TypeError(f"unknown semigroup kind {kind!r}")
+        mu2 = lam2 = 2.0 * math.pi
+    elif isinstance(kind, Attenuator):
+        mu2, lam2 = 1.0, 0.0
+    elif isinstance(kind, Amplifier):
+        mu2, lam2 = 0.0, 1.0
+    elif isinstance(kind, QOU):
+        mu2, lam2 = kind.mu**2, kind.lam**2
+    else:
+        raise TypeError(f"unknown semigroup kind {kind!r}")
+    n = np.arange(dim, dtype=float)
+    up = n + 1.0
+    up[-1] = 0.0
+    diag = -0.5 * (mu2 * np.add.outer(n, n) + lam2 * np.add.outer(up, up))
+    loss = mu2 * np.sqrt(np.outer(up, up)).ravel()[:-(dim + 1)]
+    gain = lam2 * np.sqrt(np.outer(n, n)).ravel()[dim + 1:]
+    return sp.diags([gain, diag.ravel(), loss], [-(dim + 1), 0, dim + 1],
+                    format="csr")
+
+
+def _gaussian_generator(cov: np.ndarray, dim: int) -> sp.csr_matrix:
+    """L_C = -pi sum_jk C_jk [G_j, [G_k, .]] on row-major vec(rho), G = (P, -Q).
+
+    G = sigma R is the generator of W(xi) = exp(i sqrt(2 pi) xi . G), so
+    averaging W(sqrt(t) eta) . W(sqrt(t) eta)^dag over eta ~ N(0, C) gives
+    e^{t L_C}.
+    """
+    q, p = quadrature_operators(dim)
+    g = (sp.csr_matrix(p), sp.csr_matrix(-q))
+    eye = sp.identity(dim, format="csr")
+
+    def double_commutator(a, b):
+        # X -> [a, [b, X]], using vec(A X B) = (A kron B^T) vec(X).
+        return (sp.kron(a @ b, eye) - sp.kron(a, b.T) - sp.kron(b, a.T)
+                + sp.kron(eye, (b @ a).T))
+
+    return -math.pi * sum(cov[j, k] * double_commutator(g[j], g[k])
+                          for j in range(2) for k in range(2))
+
+
+def _propagate(gen: sp.spmatrix, x: np.ndarray, t: float) -> np.ndarray:
+    """e^{t gen} applied to x flattened row-major, reshaped like x.
+
+    Uses the Al-Mohy-Higham action of the matrix exponential, which picks
+    its Taylor degree and step count to reach double-precision accuracy.
+    That choice rests on norm estimates drawn with numpy's global random
+    generator, and a different step count moves the result by roundoff;
+    a fixed seed, with the caller's state restored afterwards, makes the
+    result repeat bit for bit.
+    """
+    saved = np.random.get_state()
+    np.random.seed(0)
+    try:
+        out = expm_multiply(t * gen, x.ravel())
+    finally:
+        np.random.set_state(saved)
+    return out.reshape(x.shape)
+
+
+def _checked_state(x: np.ndarray, edge_tol: float, what: str) -> DensityMatrix:
+    x = 0.5 * (x + x.conj().T)
+    trace = np.trace(x).real
+    drift = abs(trace - 1.0)
+    if drift > _TRACE_TOL:
+        raise RuntimeError(f"{what}: trace drift {drift:.3e} exceeds "
+                           f"{_TRACE_TOL:.1e}")
+    edge = state_edge_mass(x)
+    if edge > edge_tol:
+        raise TruncationError(
+            f"{what} pushed edge mass {edge:.3e} beyond {edge_tol:.1e}; "
+            f"increase dim or reduce t"
+        )
+    return DensityMatrix(x / trace)
 
 
 def liouvillian_apply(kind: SemigroupKind, rho: DensityMatrix) -> np.ndarray:
     """L(rho) for the requested semigroup; Hermitian and traceless."""
     if rho.dim < 4:
         raise ValueError(f"dim must be >= 4, got {rho.dim}")
-    out = _apply_raw(kind, rho.mat)
+    out = (_semigroup_generator(kind, rho.dim) @ rho.mat.ravel()).reshape(
+        rho.mat.shape)
     return 0.5 * (out + out.conj().T)
 
 
-def _rate_bound(kind: SemigroupKind, dim: int) -> float:
-    # Gershgorin-style spectral-radius bound of the superoperator (decay
-    # rates plus the comparable inflow couplings); caps the RK4 step.
-    if isinstance(kind, Heat):
-        return 8.0 * math.pi * (dim + 1.0)
-    if isinstance(kind, Attenuator):
-        return 4.0 * dim
-    if isinstance(kind, Amplifier):
-        return 4.0 * (dim + 1.0)
-    return 4.0 * (kind.mu**2 * dim + kind.lam**2 * (dim + 1.0))
-
-
-def _is_geometric_diagonal(mat: np.ndarray, tol: float = 1e-12) -> float | None:
-    """Mean photon number if mat is a diagonal-geometric state, else None."""
-    dim = mat.shape[0]
-    off = mat - np.diag(np.diag(mat))
-    if np.max(np.abs(off)) > tol:
-        return None
-    d = np.real(np.diag(mat))
-    if np.any(d < -tol) or d[0] <= tol:
-        return None
-    if np.max(d[1:]) <= tol:  # vacuum
-        return 0.0
-    r = d[1] / d[0]
-    if not 0 < r < 1:
-        return None
-    expected = d[0] * r ** np.arange(dim)
-    if np.max(np.abs(d - expected)) > tol:
-        return None
-    return r / (1.0 - r)
-
-
-def _thermal_photon_map(kind: SemigroupKind, n0: float, t: float) -> float:
-    if isinstance(kind, Heat):
-        return n0 + 2.0 * math.pi * t
-    if isinstance(kind, Attenuator):
-        return math.exp(-t) * n0
-    if isinstance(kind, Amplifier):
-        return math.exp(t) * (n0 + 1.0) - 1.0
-    decay = math.exp(-kind.zeta * t)
-    return decay * n0 + (1.0 - decay) * kind.n_fixed
-
-
 def evolve(rho: DensityMatrix, kind: SemigroupKind, t: float,
-           opts: SolverOptions = SolverOptions()) -> DensityMatrix:
-    """e^{tL}(rho) by fixed-step RK4 (closed form for thermal inputs)."""
+           edge_tol: float = 1e-6) -> DensityMatrix:
+    """e^{tL}(rho) by the exact action of the sparse generator's exponential.
+
+    Raises TruncationError when the returned state holds more than
+    edge_tol in the top edge band of the basis.
+    """
     if t < 0:
         raise ValueError(f"t must be >= 0, got {t}")
     if t == 0:
         return rho
-    dim = rho.dim
-    if not opts.force_integrator:
-        n0 = _is_geometric_diagonal(rho.mat)
-        if n0 is not None:
-            nt = _thermal_photon_map(kind, n0, t)
-            if thermal_tail_mass(nt, dim) > opts.edge_mass_tolerance:
-                raise TruncationError(
-                    f"thermal fast path: n_t = {nt:.4g} does not fit dim {dim}"
-                )
-            return thermal_state(nt, dim, leakage_tol=opts.edge_mass_tolerance)
-    h = min(opts.step, 2.0 / _rate_bound(kind, dim))
-    nsteps = max(1, int(math.ceil(t / h)))
-    h = t / nsteps
-    x = np.array(rho.mat, dtype=complex)
-    for _ in range(nsteps):
-        k1 = _apply_raw(kind, x)
-        k2 = _apply_raw(kind, x + 0.5 * h * k1)
-        k3 = _apply_raw(kind, x + 0.5 * h * k2)
-        k4 = _apply_raw(kind, x + h * k3)
-        x += (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if state_edge_mass(x) > opts.edge_mass_tolerance:
-            raise TruncationError(
-                f"edge mass exceeded {opts.edge_mass_tolerance:.1e} during "
-                f"evolution; increase dim"
-            )
-    drift = abs(np.trace(x).real - 1.0)
-    if drift > opts.trace_tolerance:
-        raise StepSizeError(
-            f"trace drift {drift:.3e} exceeds {opts.trace_tolerance:.1e}; "
-            f"reduce step below {h:.2e}"
-        )
-    x = 0.5 * (x + x.conj().T)
-    x /= np.trace(x).real
-    return DensityMatrix(x)
+    x = _propagate(_semigroup_generator(kind, rho.dim), rho.mat, t)
+    return _checked_state(x, edge_tol, "evolution")
 
 
-def convolve(f: PhaseDensity, rho: DensityMatrix, t: float,
-             quad_order: int = 20) -> DensityMatrix:
+def convolve(f: PhaseDensity, rho: DensityMatrix, t: float) -> DensityMatrix:
     """Classical-quantum convolution f *_t rho.
 
-    Gaussian densities use tensor Gauss-Hermite quadrature of order
-    quad_order per axis; atom mixtures are exact weighted sums of
-    displaced states.
-
-    The Weyl matrix elements oscillate in the displacement at a rate that
-    grows like sqrt(dim * t), so a fixed-order rule under-resolves large
-    t * dim.  Gaussian convolutions compose exactly (means and covariances
-    add), so the integral is split into sequential steps small enough for
-    the rule, each at the same quad_order.
+    Atom mixtures are exact weighted sums of displaced states.  For a
+    Gaussian density with mean m and covariance C,
+    f *_t rho = W(sqrt(t) m) e^{t L_C}(rho) W(sqrt(t) m)^dag, the quantum
+    heat semigroup with diffusion matrix C followed by a translation.
     """
     if t < 0:
         raise ValueError(f"t must be >= 0, got {t}")
@@ -315,42 +255,12 @@ def convolve(f: PhaseDensity, rho: DensityMatrix, t: float,
             w = weyl_operator(st * pt, dim)
             out += wgt * (w @ rho.mat @ w.conj().T)
     elif isinstance(f, GaussianDensity):
-        if quad_order < 8:
-            raise ValueError(f"quad_order must be >= 8, got {quad_order}")
-        nodes, weights = np.polynomial.hermite.hermgauss(quad_order)
-        u = math.sqrt(2.0) * nodes
-        wn = weights / math.sqrt(math.pi)
-        lam_max = float(np.linalg.eigvalsh(f.cov)[-1])
-        # Empirically, order-20 tensor quadrature resolves the integrand
-        # up to dim * t * lam_max ~ 3; scale the split count to that.
-        nsteps = max(1, math.ceil(dim * t * lam_max * (20.0 / quad_order) / 3.0))
-        chol = np.linalg.cholesky(f.cov / nsteps)
-        mean_step = f.mean / nsteps
-        out = np.array(rho.mat, dtype=complex)
-        for _ in range(nsteps):
-            acc = np.zeros((dim, dim), dtype=complex)
-            for i in range(quad_order):
-                for j in range(quad_order):
-                    xi = mean_step + chol @ np.array([u[i], u[j]])
-                    w = weyl_operator(st * xi, dim)
-                    acc += (wn[i] * wn[j]) * (w @ out @ w.conj().T)
-            out = acc
+        spread = _propagate(_gaussian_generator(f.cov, dim), rho.mat, t)
+        w = weyl_operator(st * f.mean, dim)
+        out = w @ spread @ w.conj().T
     else:
         raise TypeError(f"unknown phase density {f!r}")
-    out = 0.5 * (out + out.conj().T)
-    trace = np.trace(out).real
-    if abs(trace - 1.0) >= 1e-8:
-        raise QuadratureError(
-            f"convolution trace deviates by {abs(trace - 1.0):.3e}; increase "
-            f"quad_order or dim"
-        )
-    edge = state_edge_mass(out)
-    if edge > 1e-6:
-        raise TruncationError(
-            f"convolution pushed edge mass {edge:.3e} beyond 1e-06; "
-            f"increase dim or reduce t"
-        )
-    return DensityMatrix(out / trace)
+    return _checked_state(out, 1e-6, "convolution")
 
 
 def _log_density(rho: DensityMatrix) -> np.ndarray:
@@ -366,7 +276,6 @@ def _log_density(rho: DensityMatrix) -> np.ndarray:
 
 
 def entropy_rate(rho: DensityMatrix, kind: SemigroupKind, h: float = 1e-4,
-                 opts: SolverOptions = SolverOptions(),
                  method: str = "exact") -> float:
     """2 dS/dt at t = 0 under e^{tL}.
 
@@ -386,16 +295,15 @@ def entropy_rate(rho: DensityMatrix, kind: SemigroupKind, h: float = 1e-4,
         raise ValueError(f"h must lie in [1e-5, 1e-2], got {h}")
     _log_density(rho)  # full-rank precondition
     s0 = von_neumann_entropy(rho)
-    rho_half = evolve(rho, kind, 0.5 * h, opts)
-    rho_full = evolve(rho_half, kind, 0.5 * h, opts)
+    rho_half = evolve(rho, kind, 0.5 * h)
+    rho_full = evolve(rho_half, kind, 0.5 * h)
     d_half = (von_neumann_entropy(rho_half) - s0) / (0.5 * h)
     d_full = (von_neumann_entropy(rho_full) - s0) / h
     return 2.0 * (2.0 * d_half - d_full)
 
 
-def relent_decay_rate(rho: DensityMatrix, mu: float, lam: float,
-                      h: float = 1e-4,
-                      opts: SolverOptions = SolverOptions()) -> tuple[float, float]:
+def relent_decay_rate(rho: DensityMatrix, mu: float,
+                      lam: float) -> tuple[float, float]:
     """(d/dt D(e^{tL}rho || sigma) at 0, assembled decay-identity RHS).
 
     The rate is the algebraic derivative tr(L(rho)(log rho - log sigma)).
@@ -408,8 +316,8 @@ def relent_decay_rate(rho: DensityMatrix, mu: float, lam: float,
     lind = liouvillian_apply(kind, rho)
     rate = float(np.trace(lind @ (_log_density(rho) - _log_density(sigma))).real)
 
-    j_minus = entropy_rate(rho, Attenuator(), h, opts)
-    j_plus = entropy_rate(rho, Amplifier(), h, opts)
+    j_minus = entropy_rate(rho, Attenuator())
+    j_plus = entropy_rate(rho, Amplifier())
     zeta, nu = kind.zeta, kind.nu
     rhs = (0.5 * mu**2 * j_minus + 0.5 * lam**2 * j_plus
            + zeta * von_neumann_entropy(rho)

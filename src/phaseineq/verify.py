@@ -18,11 +18,9 @@ import numpy as np
 from scipy.optimize import brentq
 
 from . import classical as cl
-from . import fock_core as fc
 from . import gaussian as ga
 from .fisher import (
     classical_fisher_gaussian,
-    gaussian_density_entropy,
     quantum_fisher,
     stam_margin,
 )
@@ -38,15 +36,11 @@ from .fock_core import (
     relative_entropy,
     thermal_state,
     truncation_health,
-    von_neumann_entropy,
 )
 from .semigroups import (
-    Amplifier,
     Attenuator,
     GaussianDensity,
     Heat,
-    QOU,
-    SolverOptions,
     convolve,
     entropy_rate,
     evolve,
@@ -202,7 +196,7 @@ def _suite_stam(cfg: SuiteConfig) -> list[CaseRecord]:
         for t in grid:
             params = {"case": i, "t": t}
             try:
-                m = stam_margin(f, rho, t, quad_order=cfg.extra.get("quad_order", 20))
+                m = stam_margin(f, rho, t)
                 out.append(_case("stam-random", m, tol, params=params,
                                  health=_state_health(rho)))
             except Exception as exc:
@@ -260,17 +254,6 @@ def _suite_fisher_isoperimetry(cfg: SuiteConfig) -> list[CaseRecord]:
         except Exception as exc:
             out.append(_error_case("fisher-isoperimetry-random", exc, params))
     return out
-
-
-def _entropy_power_along_heat(rho: DensityMatrix, ts, opts=SolverOptions()):
-    vals = []
-    state = rho
-    prev_t = 0.0
-    for t in ts:
-        state = evolve(state, Heat(), t - prev_t, opts)
-        prev_t = t
-        vals.append(entropy_power(state))
-    return vals
 
 
 def _suite_concavity(cfg: SuiteConfig) -> list[CaseRecord]:
@@ -362,7 +345,6 @@ def _suite_majorization(cfg: SuiteConfig) -> list[CaseRecord]:
     grid = cfg.time_grid or (0.1, 0.5, 1.0)
     # Photon loss maps the truncated space into itself, so random states
     # occupying the whole small basis are legitimate: disable the edge guard.
-    opts = SolverOptions(force_integrator=True, edge_mass_tolerance=math.inf)
     out = []
     for i in range(cfg.cases):
         rho = random_state(dim, cfg.seed + i, StateFamily.FULL_RANK)
@@ -373,8 +355,9 @@ def _suite_majorization(cfg: SuiteConfig) -> list[CaseRecord]:
         for t in grid:
             params = {"case": i, "t": t}
             try:
-                evolved = evolve(rho, Attenuator(), t, opts)
-                evolved_arr = evolve(arranged, Attenuator(), t, opts)
+                evolved = evolve(rho, Attenuator(), t, edge_tol=math.inf)
+                evolved_arr = evolve(arranged, Attenuator(), t,
+                                     edge_tol=math.inf)
                 ok, margins = majorizes(evolved_arr, evolved,
                                         MajorizationMode.FULL, tol=tol)
                 out.append(_case("attenuator-majorization",

@@ -68,6 +68,20 @@ class TestDeathEvolve:
         with pytest.raises(ValueError):
             death_evolve(geometric_pmf(1.0, 32), -0.1)
 
+    def test_matches_binomial_thinning(self):
+        # Each particle survives to time t independently with probability
+        # e^{-t}: p_m(t) = sum_n p_n C(n, m) e^{-mt} (1 - e^{-t})^{n-m}.
+        K, t = 40, 0.7
+        p = np.random.default_rng(5).random(K + 1)
+        p /= p.sum()
+        keep = math.exp(-t)
+        target = np.array([
+            sum(p[n] * math.comb(n, m) * keep**m * (1.0 - keep) ** (n - m)
+                for n in range(m, K + 1))
+            for m in range(K + 1)])
+        out = death_evolve(ClassicalPMF(p), t)
+        assert np.max(np.abs(out.probs - target)) <= 1e-13
+
 
 class TestDeathEntropyRate:
     def test_geometric_closed_form(self):

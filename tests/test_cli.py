@@ -35,6 +35,17 @@ class TestVerifyCommand:
         code, _, _ = run_cli(capsys, "verify", "cou", "--tol", "0")
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ("verify", "cou", "--format", "csv"),
+        ("thresholds", "--which", "photon", "--format", "csv"),
+        ("closed-forms", "lsi2", "--dim", "64"),
+        ("minimize-rate", "--n", "1", "--cases", "3"),
+    ])
+    def test_ignored_flag_exits_two(self, capsys, argv):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+
 
 class TestTrajectoryCommand:
     def test_csv_format(self, capsys):

@@ -68,7 +68,7 @@ def _emit(payload, out_path: str | None, fmt: str = "json",
         sys.stdout.write(text)
 
 
-def _load_file_config(path: str | None) -> dict:
+def _load_file_config(path: str | None, args) -> dict:
     path = path or os.environ.get(ENV_CONFIG)
     if not path:
         return {}
@@ -76,6 +76,15 @@ def _load_file_config(path: str | None) -> dict:
         data = json.load(fh)
     if not isinstance(data, dict):
         raise ValueError("config file must hold a JSON object")
+    # Like a flag, a key the subcommand would ignore is a usage error: the
+    # subcommand reads exactly the keys it registered as flags.
+    accepted = [k for k in _DEFAULTS if hasattr(args, k)]
+    for key in data:
+        if key not in accepted:
+            why = ("is unknown" if key not in _DEFAULTS
+                   else f"is not read by {args.command}")
+            raise ValueError(f"config key {key!r} {why}; accepted keys: "
+                             f"{', '.join(accepted) or 'none'}")
     return data
 
 
@@ -284,7 +293,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        file_cfg = _load_file_config(args.config)
+        file_cfg = _load_file_config(args.config, args)
         return args.fn(args, file_cfg)
     except (ValueError, KeyError, OSError, TruncationError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,8 +1,16 @@
-"""Divergence-based quantum Fisher information and classical Gaussian calculus.
+"""Quantum Fisher information of phase-space translations, and classical
+Gaussian calculus.
 
 J(rho) is the trace of the Hessian of theta -> D(rho || W(theta) rho
-W(theta)^dag) at theta = 0, estimated by symmetric displacement stencils
-with one Richardson step.  Only the trace of the Fisher matrix is computed.
+W(theta)^dag) at theta = 0.  That Hessian is the Bogoliubov-Kubo-Mori
+metric of the generators (Petz, "Monotone metrics on matrix spaces",
+Lin. Alg. Appl. 244, 1996), so with rho = V diag(lambda) V^dag
+
+    J(rho) = 2 pi sum_{R in {Q, P}} sum_{a,b} |(V^dag R V)_ab|^2
+             (lambda_a - lambda_b)(log lambda_a - log lambda_b),
+
+exact on the truncated space.  Only the trace of the Fisher matrix is
+computed.
 """
 
 from __future__ import annotations
@@ -16,69 +24,43 @@ from .fock_core import (
     DensityMatrix,
     IllConditionedError,
     TruncationError,
-    displace,
     state_edge_mass,
-    weyl_operator,
 )
 from .semigroups import GaussianDensity, PhaseDensity, convolve
-
-DEFAULT_STENCIL_H = 1e-2
 
 
 @dataclass(frozen=True)
 class FisherEstimate:
     value: float
-    stencil_h: float
-    error_estimate: float
 
 
-def _divergence_sum(rho: DensityMatrix, h: float) -> float:
-    # [D(+h) + D(-h)]/h^2 per axis estimates J_jj + O(h^2): the divergence
-    # vanishes to first order at theta = 0.  Since the reference is the
-    # unitary conjugation W rho W^dag, use log(W rho W^dag) = W log(rho) W^dag
-    # and rho's own eigenbasis: this avoids re-diagonalizing near-singular
-    # displaced matrices (thermal tails underflow) and is exact.
-    lam, vecs = np.linalg.eigh(rho.mat)
-    lam = np.clip(lam, 1e-300, None)
-    log_lam = np.log(lam)
-    tr_rho_log_rho = float(lam @ log_lam)
-    total = 0.0
-    for axis in range(2):
-        theta = np.zeros(2)
-        for sign in (1.0, -1.0):
-            theta[axis] = sign * h
-            w = weyl_operator(theta, rho.dim)
-            conj = w.conj().T @ rho.mat @ w
-            overlaps = np.real(np.einsum("ji,jk,ki->i", vecs.conj(), conj, vecs))
-            total += tr_rho_log_rho - float(overlaps @ log_lam)
-        theta[axis] = 0.0
-    return total / h**2
-
-
-def quantum_fisher(rho: DensityMatrix, h: float = DEFAULT_STENCIL_H,
-                   edge_tol: float = 1e-6) -> FisherEstimate:
+def quantum_fisher(rho: DensityMatrix, edge_tol: float = 1e-6) -> FisherEstimate:
     """Fisher information of the phase-space translation family of rho."""
-    if not 1e-4 <= h <= 1e-1:
-        raise ValueError(f"h must lie in [1e-4, 1e-1], got {h}")
-    evals = np.linalg.eigvalsh(rho.mat)
-    # Only rank deficiency is fatal (the divergence Hessian blows up): an
+    lam, vecs = np.linalg.eigh(rho.mat)
+    # Only rank deficiency is fatal (the log weight diverges): an
     # exactly-zero smallest eigenvalue, or a negative one beyond roundoff.
-    # Tiny negatives from unitary conjugation of deep thermal tails are
-    # roundoff images of positive eigenvalues and are harmless.
-    if evals[0] == 0.0 or evals[0] <= -1e-12:
+    # Tiny negatives in deep thermal tails are roundoff images of positive
+    # eigenvalues and are harmless.
+    if lam[0] == 0.0 or lam[0] <= -1e-12:
         raise IllConditionedError(
-            f"quantum_fisher needs a full-rank state (min eigenvalue {evals[0]:.3e})"
+            f"quantum_fisher needs a full-rank state (min eigenvalue {lam[0]:.3e})"
         )
-    probe = displace(rho, np.array([h, 0.0]))
-    if state_edge_mass(probe.mat) > edge_tol:
+    # The truncated quadratures act on rho itself, so rho's own edge band
+    # bounds the truncation error.
+    if state_edge_mass(rho.mat) > edge_tol:
         raise TruncationError(
-            f"displaced state edge mass exceeds {edge_tol:.1e}; increase dim"
+            f"state edge mass exceeds {edge_tol:.1e}; increase dim"
         )
-    coarse = _divergence_sum(rho, h)
-    fine = _divergence_sum(rho, 0.5 * h)
-    value = (4.0 * fine - coarse) / 3.0
-    return FisherEstimate(value=value, stencil_h=h,
-                          error_estimate=abs(fine - coarse) / 3.0)
+    log_lam = np.log(np.clip(lam, 1e-300, None))
+    weight = (lam[:, None] - lam[None, :]) * (log_lam[:, None] - log_lam[None, :])
+    # With A = V^dag a V, |Q_ab|^2 + |P_ab|^2 = |A_ab|^2 + |A_ba|^2 and the
+    # weight is symmetric, so one basis change of the annihilator suffices.
+    # a|n> = sqrt(n)|n-1>: row n-1 of aV is sqrt(n) times row n of V.
+    a_vecs = np.zeros_like(vecs)
+    a_vecs[:-1] = np.sqrt(np.arange(1, rho.dim))[:, None] * vecs[1:]
+    amp = vecs.conj().T @ a_vecs
+    value = 4.0 * math.pi * float(np.sum((amp.real**2 + amp.imag**2) * weight))
+    return FisherEstimate(value=value)
 
 
 def classical_fisher_gaussian(cov) -> float:
@@ -98,13 +80,12 @@ def gaussian_density_entropy(cov) -> float:
     return 1.0 + math.log(2.0 * math.pi) + 0.5 * math.log(det)
 
 
-def stam_margin(f: PhaseDensity, rho: DensityMatrix, t: float,
-                h: float = DEFAULT_STENCIL_H) -> float:
+def stam_margin(f: PhaseDensity, rho: DensityMatrix, t: float) -> float:
     """Signed slack J(f *_t rho)^-1 - J(rho)^-1 - t J(f)^-1 (>= 0 expected)."""
     if not isinstance(f, GaussianDensity):
         raise ValueError("Stam margin is computed for Gaussian densities only")
     conv = convolve(f, rho, t)
-    j_conv = quantum_fisher(conv, h).value
-    j_rho = quantum_fisher(rho, h).value
+    j_conv = quantum_fisher(conv).value
+    j_rho = quantum_fisher(rho).value
     j_f = classical_fisher_gaussian(f.cov)
     return 1.0 / j_conv - 1.0 / j_rho - t / j_f

@@ -111,12 +111,6 @@ def quadrature_operators(dim: int) -> tuple[np.ndarray, np.ndarray]:
     return q, p
 
 
-# Weyl operators are the hot path of the finite-difference Fisher stencils
-# and atom-mixture convolutions; memoize recently used displacements.
-_WEYL_CACHE: dict[tuple[int, bytes], np.ndarray] = {}
-_WEYL_CACHE_MAX = 600
-
-
 def weyl_operator(xi, dim: int) -> np.ndarray:
     """Displacement unitary W(xi) = exp(i sqrt(2 pi) (xi_1 P - xi_2 Q)).
 
@@ -126,19 +120,10 @@ def weyl_operator(xi, dim: int) -> np.ndarray:
     xi = np.asarray(xi, dtype=float)
     if xi.shape != (2,) or not np.all(np.isfinite(xi)):
         raise ValueError(f"xi must be a finite 2-vector, got {xi!r}")
-    key = (dim, xi.tobytes())
-    cached = _WEYL_CACHE.get(key)
-    if cached is not None:
-        return cached
     q, p = quadrature_operators(dim)
     gen = SQRT_2PI * (xi[0] * p - xi[1] * q)
     evals, vecs = np.linalg.eigh(gen)
-    w = (vecs * np.exp(1j * evals)) @ vecs.conj().T
-    if len(_WEYL_CACHE) >= _WEYL_CACHE_MAX:
-        _WEYL_CACHE.pop(next(iter(_WEYL_CACHE)))
-    w.flags.writeable = False
-    _WEYL_CACHE[key] = w
-    return w
+    return (vecs * np.exp(1j * evals)) @ vecs.conj().T
 
 
 def displace(rho: DensityMatrix, theta) -> DensityMatrix:

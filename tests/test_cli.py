@@ -1,8 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import phaseineq
 from phaseineq.cli import main
 
 
@@ -161,10 +166,49 @@ class TestConfigPrecedence:
         code, out, _ = run_cli(capsys, "verify", "cou")
         assert json.loads(out)["config"]["cases"] == 2
 
+    @pytest.mark.parametrize("cfg, argv, named", [
+        ({"dmi": 16}, ("verify", "cou"), "'dmi' is unknown"),
+        ({"format": "csv"}, ("verify", "cou"), "'format' is not read by verify"),
+        ({"format": "csv"}, ("thresholds", "--which", "photon"),
+         "'format' is not read by thresholds"),
+    ])
+    def test_unread_config_key_exits_two(self, capsys, tmp_path, cfg, argv,
+                                         named):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        code, out, err = run_cli(capsys, "--config", str(path), *argv)
+        assert code == 2
+        assert out == ""
+        assert named in err and "accepted keys:" in err
+
     def test_missing_config_exits_two(self, capsys):
         code, _, _ = run_cli(capsys, "--config", "/nonexistent.json",
                              "verify", "cou")
         assert code == 2
+
+
+class TestCrossProcessDeterminism:
+    def test_report_identical_under_any_global_seed(self):
+        # Fresh interpreters whose global numpy RNG and string hashing start
+        # in different states must still write the same report outside
+        # metadata.
+        src = str(Path(phaseineq.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + [p for p in [env.get("PYTHONPATH")] if p])
+        script = ("import sys, numpy; numpy.random.seed(int(sys.argv[1])); "
+                  "from phaseineq.cli import main; "
+                  "sys.exit(main(['verify', 'stam', '--cases', '1']))")
+        reports = []
+        for seed in ("1", "2"):
+            proc = subprocess.run([sys.executable, "-c", script, seed],
+                                  env=env | {"PYTHONHASHSEED": seed},
+                                  capture_output=True, text=True, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            report = json.loads(proc.stdout)
+            report.pop("metadata")
+            reports.append(report)
+        assert reports[0] == reports[1]
 
 
 class TestOutputRounding:

@@ -12,13 +12,34 @@ from phaseineq.fisher import (
 from phaseineq.fock_core import (
     IllConditionedError,
     StateFamily,
+    TruncationError,
     displace,
     number_state,
     random_state,
     thermal_state,
+    weyl_operator,
 )
 from phaseineq.gaussian import thermal_fisher_closed
-from phaseineq.semigroups import AtomMixture, standard_gaussian
+from phaseineq.semigroups import AtomMixture, Heat, entropy_rate, standard_gaussian
+
+
+def stencil_fisher(rho, h=1e-2):
+    """Reference J(rho) from the definition: the trace of the Hessian of
+    theta -> D(rho || W(theta) rho W(theta)^dag), by symmetric displaced
+    divergences [D(+h) + D(-h)]/h^2 per axis and one Richardson step."""
+    lam, vecs = np.linalg.eigh(rho.mat)
+    log_lam = np.log(lam)
+
+    def divergence_sum(step):
+        total = 0.0
+        for theta in ((step, 0.0), (-step, 0.0), (0.0, step), (0.0, -step)):
+            w = weyl_operator(np.array(theta), rho.dim)
+            conj = w.conj().T @ rho.mat @ w
+            overlaps = np.real(np.einsum("ji,jk,ki->i", vecs.conj(), conj, vecs))
+            total += float(lam @ log_lam - overlaps @ log_lam)
+        return total / step**2
+
+    return (4.0 * divergence_sum(0.5 * h) - divergence_sum(h)) / 3.0
 
 
 class TestQuantumFisher:
@@ -26,12 +47,22 @@ class TestQuantumFisher:
         for n in (0.5, 1.0, 2.0):
             est = quantum_fisher(thermal_state(n, 128))
             target = 4.0 * math.pi * math.log((n + 1) / n)
-            assert est.value == pytest.approx(target, rel=1e-6)
+            assert est.value == pytest.approx(target, rel=1e-12)
 
-    def test_error_estimate_brackets_truth(self):
-        est = quantum_fisher(thermal_state(1.0, 128))
-        target = 4.0 * math.pi * math.log(2.0)
-        assert abs(est.value - target) <= max(10.0 * est.error_estimate, 1e-8)
+    @pytest.mark.parametrize("rho", [
+        thermal_state(1.0, 64),
+        random_state(64, 3, StateFamily.FULL_RANK),
+    ], ids=["thermal", "random"])
+    def test_matches_displaced_divergence_definition(self, rho):
+        assert quantum_fisher(rho).value == pytest.approx(
+            stencil_fisher(rho), rel=1e-5)
+
+    @pytest.mark.parametrize("family", list(StateFamily), ids=lambda f: f.value)
+    def test_de_bruijn_identity(self, family):
+        # J(rho) = 2 dS/dt along the heat flow at t = 0, both sides exact.
+        rho = random_state(128, 5, family)
+        assert quantum_fisher(rho).value == pytest.approx(
+            entropy_rate(rho, Heat()), rel=1e-12)
 
     def test_displacement_invariance(self):
         rho = thermal_state(1.0, 128)
@@ -42,18 +73,17 @@ class TestQuantumFisher:
     def test_matches_gaussian_closed_form_helper(self):
         n = 2.0
         assert quantum_fisher(thermal_state(n, 128)).value == pytest.approx(
-            thermal_fisher_closed(n), rel=1e-6)
-
-    def test_stencil_bounds_enforced(self):
-        rho = thermal_state(1.0, 64)
-        with pytest.raises(ValueError):
-            quantum_fisher(rho, h=1e-5)
-        with pytest.raises(ValueError):
-            quantum_fisher(rho, h=0.5)
+            thermal_fisher_closed(n), rel=1e-12)
 
     def test_rejects_rank_deficient(self):
         with pytest.raises(IllConditionedError):
             quantum_fisher(number_state(0, 32))
+
+    def test_rejects_edge_heavy_state(self):
+        # Full rank, but 1.4% of the mass sits in the top edge band.
+        rho = thermal_state(8.0, 32, leakage_tol=1.0)
+        with pytest.raises(TruncationError):
+            quantum_fisher(rho)
 
     def test_random_states_beat_vacuum_bound(self):
         # The Fisher information of any state dominates the thermal value

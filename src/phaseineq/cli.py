@@ -8,6 +8,7 @@ violation, 2 = usage or numerical-backend error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -131,7 +132,7 @@ def _cmd_verify(args, file_cfg) -> int:
     if tol is not None:
         overrides["tolerance"] = float(tol)
     report = run_suite(default_config(args.suite, **overrides))
-    _emit(report.to_dict(), args.out, "json")
+    _emit(dataclasses.asdict(report), args.out, "json")
     return 0 if report.passed else 1
 
 
@@ -216,7 +217,7 @@ def _cmd_thresholds(args, file_cfg) -> int:
 def _cmd_minimize_rate(args, file_cfg) -> int:
     seed = int(_resolve(args, file_cfg, "seed"))
     p_star, j_star = cl.min_entropy_rate_constrained(args.n, args.K, seed=seed)
-    closed = -2.0 * args.n * math.log(1.0 + 1.0 / args.n)
+    closed = ga.j_pm_gaussian(2.0 * args.n + 1.0)[0]
     geo = cl.geometric_pmf(args.n, args.K)
     tv = 0.5 * float(np.abs(p_star.probs - geo.probs).sum())
     _emit({"n": args.n, "K": args.K, "j_star": j_star,

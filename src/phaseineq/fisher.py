@@ -22,8 +22,8 @@ import numpy as np
 
 from .fock_core import (
     DensityMatrix,
-    IllConditionedError,
     TruncationError,
+    full_rank_eigh,
     state_edge_mass,
 )
 from .semigroups import GaussianDensity, PhaseDensity, convolve
@@ -36,15 +36,7 @@ class FisherEstimate:
 
 def quantum_fisher(rho: DensityMatrix, edge_tol: float = 1e-6) -> FisherEstimate:
     """Fisher information of the phase-space translation family of rho."""
-    lam, vecs = np.linalg.eigh(rho.mat)
-    # Only rank deficiency is fatal (the log weight diverges): an
-    # exactly-zero smallest eigenvalue, or a negative one beyond roundoff.
-    # Tiny negatives in deep thermal tails are roundoff images of positive
-    # eigenvalues and are harmless.
-    if lam[0] == 0.0 or lam[0] <= -1e-12:
-        raise IllConditionedError(
-            f"quantum_fisher needs a full-rank state (min eigenvalue {lam[0]:.3e})"
-        )
+    lam, vecs = full_rank_eigh(rho, "quantum_fisher")
     # The truncated quadratures act on rho itself, so rho's own edge band
     # bounds the truncation error.
     if state_edge_mass(rho.mat) > edge_tol:

@@ -237,6 +237,23 @@ def clamped_spectrum(rho: DensityMatrix) -> np.ndarray:
     return np.clip(evals, 0.0, None)
 
 
+def full_rank_eigh(rho: DensityMatrix, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition of rho for a log weight; IllConditionedError unless
+    rho is full rank.
+
+    Only rank deficiency is fatal (the log diverges): an exactly-zero
+    smallest eigenvalue, or a negative one beyond roundoff.  Tiny negatives
+    in deep thermal tails are roundoff images of positive eigenvalues and
+    contribute finitely once clipped.
+    """
+    lam, vecs = np.linalg.eigh(rho.mat)
+    if lam[0] == 0.0 or lam[0] <= -1e-12:
+        raise IllConditionedError(
+            f"{what} needs a full-rank state (min eigenvalue {lam[0]:.3e})"
+        )
+    return lam, vecs
+
+
 def von_neumann_entropy(rho: DensityMatrix) -> float:
     """S(rho) = -sum lambda log lambda in nats, with 0 log 0 = 0."""
     lam = clamped_spectrum(rho)

@@ -21,7 +21,7 @@ from scipy.sparse.linalg import expm_multiply
 from .fock_core import (
     DensityMatrix,
     TruncationError,
-    IllConditionedError,
+    full_rank_eigh,
     quadrature_operators,
     state_edge_mass,
     thermal_state,
@@ -264,42 +264,16 @@ def convolve(f: PhaseDensity, rho: DensityMatrix, t: float) -> DensityMatrix:
 
 
 def _log_density(rho: DensityMatrix) -> np.ndarray:
-    lam, vecs = np.linalg.eigh(rho.mat)
-    # Exactly-zero eigenvalues make the entropy derivative diverge; tiny
-    # positive ones (thermal tails) contribute finitely through the log,
-    # and tiny negatives beneath roundoff are images of positive tails.
-    if lam[0] == 0.0 or lam[0] <= -1e-12:
-        raise IllConditionedError(
-            f"entropy rate needs a full-rank state (min eigenvalue {lam[0]:.3e})"
-        )
+    lam, vecs = full_rank_eigh(rho, "entropy rate")
     return (vecs * np.log(np.clip(lam, 1e-300, None))) @ vecs.conj().T
 
 
-def entropy_rate(rho: DensityMatrix, kind: SemigroupKind, h: float = 1e-4,
-                 method: str = "exact") -> float:
-    """2 dS/dt at t = 0 under e^{tL}.
-
-    The default evaluates the algebraic derivative -2 tr(L(rho) log rho),
-    which is exact at t = 0.  method="fd" instead uses Richardson-
-    extrapolated forward differences of step h over the integrated flow
-    (for cross-validation; it cannot resolve the derivative when the
-    spectrum reaches far below h's resolution scale).
-    """
-    if method == "exact":
-        log_rho = _log_density(rho)
-        lind = liouvillian_apply(kind, rho)
-        return -2.0 * float(np.trace(lind @ log_rho).real)
-    if method != "fd":
-        raise ValueError(f"unknown method {method!r}")
-    if not 1e-5 <= h <= 1e-2:
-        raise ValueError(f"h must lie in [1e-5, 1e-2], got {h}")
-    _log_density(rho)  # full-rank precondition
-    s0 = von_neumann_entropy(rho)
-    rho_half = evolve(rho, kind, 0.5 * h)
-    rho_full = evolve(rho_half, kind, 0.5 * h)
-    d_half = (von_neumann_entropy(rho_half) - s0) / (0.5 * h)
-    d_full = (von_neumann_entropy(rho_full) - s0) / h
-    return 2.0 * (2.0 * d_half - d_full)
+def entropy_rate(rho: DensityMatrix, kind: SemigroupKind) -> float:
+    """2 dS/dt at t = 0 under e^{tL}: the algebraic derivative
+    -2 tr(L(rho) log rho), exact at t = 0."""
+    log_rho = _log_density(rho)
+    lind = liouvillian_apply(kind, rho)
+    return -2.0 * float(np.trace(lind @ log_rho).real)
 
 
 def relent_decay_rate(rho: DensityMatrix, mu: float,

@@ -136,7 +136,7 @@ def test_criterion_05_de_bruijn_identity():
         j = quantum_fisher(rho).value
         rate = entropy_rate(rho, Heat())
         worst = max(worst, abs(rate - j) / j)
-    _report(5, worst <= 2e-2,
+    _report(5, worst <= 1e-12,
             f"worst relative de Bruijn deviation: {worst:.3e}")
 
 

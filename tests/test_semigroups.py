@@ -14,6 +14,7 @@ from phaseineq.fock_core import (
     random_state,
     relative_entropy,
     thermal_state,
+    von_neumann_entropy,
 )
 from phaseineq.semigroups import (
     Amplifier,
@@ -30,6 +31,18 @@ from phaseineq.semigroups import (
     relent_decay_rate,
     standard_gaussian,
 )
+
+
+def forward_difference_rate(rho, kind, h=1e-4):
+    """Reference 2 dS/dt at t = 0 from the integrated flow: Richardson-
+    extrapolated forward differences of step h (it cannot resolve the
+    derivative when the spectrum reaches far below h's resolution scale)."""
+    s0 = von_neumann_entropy(rho)
+    rho_half = evolve(rho, kind, 0.5 * h)
+    rho_full = evolve(rho_half, kind, 0.5 * h)
+    d_half = (von_neumann_entropy(rho_half) - s0) / (0.5 * h)
+    d_full = (von_neumann_entropy(rho_full) - s0) / h
+    return 2.0 * (2.0 * d_half - d_full)
 
 
 class TestLiouvillian:
@@ -259,13 +272,13 @@ class TestEntropyRates:
         heat = entropy_rate(rho, Heat())
         assert heat == pytest.approx(j_sum, rel=1e-8)
 
-    def test_fd_method_cross_validates_on_smooth_state(self):
+    def test_matches_forward_difference_oracle_on_smooth_state(self):
         # On a well-conditioned state the integrated-flow stencil agrees
         # with the algebraic derivative.
         rho = thermal_state(1.0, 64)
         exact = entropy_rate(rho, Attenuator())
-        fd = entropy_rate(rho, Attenuator(), h=1e-4, method="fd")
-        assert fd == pytest.approx(exact, rel=1e-3)
+        assert forward_difference_rate(rho, Attenuator()) == pytest.approx(
+            exact, rel=1e-3)
 
     def test_rejects_rank_deficient(self):
         from phaseineq.fock_core import IllConditionedError

@@ -4,6 +4,8 @@ import math
 
 import pytest
 
+import phaseineq.classical as cl
+import phaseineq.verify as verify
 from phaseineq.verify import (
     SUITE_NAMES,
     SuiteConfig,
@@ -53,7 +55,7 @@ class TestReports:
 
     def test_report_structure(self):
         report = run_suite(_fast_config("concavity"))
-        d = report.to_dict()
+        d = dataclasses.asdict(report)
         assert d["suite"] == "concavity"
         assert d["summary"]["failures"] == 0
         assert d["summary"]["cases"] == len(d["cases"])
@@ -63,8 +65,8 @@ class TestReports:
 
     def test_report_deterministic_outside_metadata(self):
         cfg = _fast_config("geometric-optimality")
-        d1 = run_suite(cfg).to_dict()
-        d2 = run_suite(cfg).to_dict()
+        d1 = dataclasses.asdict(run_suite(cfg))
+        d2 = dataclasses.asdict(run_suite(cfg))
         d1.pop("metadata")
         d2.pop("metadata")
         assert d1 == d2
@@ -79,6 +81,60 @@ class TestReports:
     def test_wall_time_recorded(self):
         report = run_suite(_fast_config("cou"))
         assert report.metadata["wall_time_s"] > 0
+
+
+class TestErrorPolicy:
+    def test_numerical_failure_becomes_error_case(self):
+        # At dim 16 the heat flow pushes the random state into the edge band.
+        report = run_suite(default_config("stam", dim=16, cases=1))
+        errors = [c for c in report.cases if c.error is not None]
+        assert len(errors) == 3
+        for c in errors:
+            assert c.error.startswith(
+                "TruncationError: convolution pushed edge mass")
+            assert c.margin == -math.inf and not c.passed
+        assert not report.passed
+
+    def test_programming_error_propagates(self, monkeypatch):
+        def broken(f, rho, t):
+            raise TypeError("broken margin")
+
+        monkeypatch.setattr(verify, "stam_margin", broken)
+        with pytest.raises(TypeError, match="broken margin"):
+            run_suite(default_config("stam", dim=32, cases=1))
+
+    def test_minimizer_runs_once_per_n(self, monkeypatch):
+        calls = []
+
+        def geometric_minimum(n, *args, **kwargs):
+            calls.append(n)
+            return None, -2.0 * n * math.log(1.0 + 1.0 / n)
+
+        monkeypatch.setattr(cl, "min_entropy_rate_constrained",
+                            geometric_minimum)
+        report = run_suite(_fast_config("geometric-optimality"))
+        assert calls == [0.5, 1.0, 2.0]
+        assert [c.descriptor for c in report.cases].count(
+            "no-start-beats-geometric") == 3
+
+    def test_minimizer_failure_emits_only_its_error_case(self, monkeypatch):
+        calls = []
+
+        def failing(n, *args, **kwargs):
+            calls.append(n)
+            raise RuntimeError("minimizer diverged")
+
+        monkeypatch.setattr(cl, "min_entropy_rate_constrained", failing)
+        report = run_suite(_fast_config("geometric-optimality"))
+        assert calls == [0.5, 1.0, 2.0]
+        assert [c.descriptor for c in report.cases] == [
+            "constrained-minimum-value", "fock-attenuator-rate"] * 3
+        errors = [c for c in report.cases if c.error is not None]
+        assert [c.error for c in errors] == [
+            "RuntimeError: minimizer diverged"] * 3
+        assert [c.params for c in errors] == [
+            {"n": n, "K": 64} for n in (0.5, 1.0, 2.0)]
+        assert not report.passed
 
 
 class TestSlowSuites:

@@ -30,7 +30,6 @@ from .semigroups import (
     entropy_rate,
     evolve,
     liouvillian_apply,
-    photon_trajectory,
     relent_decay_rate,
     standard_gaussian,
 )

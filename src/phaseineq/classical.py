@@ -16,7 +16,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.optimize import minimize_scalar
 
-from .fock_core import TruncationError
+from .fock_core import LEAKAGE_TOL, TruncationError
 from .gaussian import g_entropy, g_inverse
 from .semigroups import _propagate
 
@@ -99,7 +99,7 @@ def death_entropy_rate(p: ClassicalPMF) -> float:
     return -2.0 * total
 
 
-def geometric_pmf(n: float, K: int, tail_tol: float = 1e-9) -> ClassicalPMF:
+def geometric_pmf(n: float, K: int) -> ClassicalPMF:
     """Geometric distribution with mean n on {0, ..., K}, renormalized."""
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
@@ -109,10 +109,10 @@ def geometric_pmf(n: float, K: int, tail_tol: float = 1e-9) -> ClassicalPMF:
         return ClassicalPMF(v)
     r = n / (n + 1.0)
     tail = r ** (K + 1)
-    if tail > tail_tol:
-        min_k = math.ceil(math.log(tail_tol) / math.log(r))
+    if tail > LEAKAGE_TOL:
+        min_k = math.ceil(math.log(LEAKAGE_TOL) / math.log(r))
         raise TruncationError(
-            f"geometric tail mass {tail:.3e} exceeds {tail_tol:.1e}; "
+            f"geometric tail mass {tail:.3e} exceeds {LEAKAGE_TOL:.1e}; "
             f"need K >= {min_k}",
             min_adequate_dim=min_k,
         )

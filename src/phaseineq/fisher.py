@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fock_core import (
+    EDGE_TOL,
     DensityMatrix,
     TruncationError,
     full_rank_eigh,
@@ -34,14 +35,14 @@ class FisherEstimate:
     value: float
 
 
-def quantum_fisher(rho: DensityMatrix, edge_tol: float = 1e-6) -> FisherEstimate:
+def quantum_fisher(rho: DensityMatrix) -> FisherEstimate:
     """Fisher information of the phase-space translation family of rho."""
     lam, vecs = full_rank_eigh(rho, "quantum_fisher")
     # The truncated quadratures act on rho itself, so rho's own edge band
     # bounds the truncation error.
-    if state_edge_mass(rho.mat) > edge_tol:
+    if state_edge_mass(rho.mat) > EDGE_TOL:
         raise TruncationError(
-            f"state edge mass exceeds {edge_tol:.1e}; increase dim"
+            f"state edge mass exceeds {EDGE_TOL:.1e}; increase dim"
         )
     log_lam = np.log(np.clip(lam, 1e-300, None))
     weight = (lam[:, None] - lam[None, :]) * (log_lam[:, None] - log_lam[None, :])

@@ -22,7 +22,11 @@ TRACE_TOL = 1e-10
 PSD_TOL = 1e-10
 # Eigenvalues in [-PSD_TOL, 0) are treated as roundoff and clamped to 0
 # before logs; anything more negative is a hard invariant violation.
-DEFAULT_LEAKAGE_TOL = 1e-9
+# Largest geometric tail mass a truncated thermal state may drop.
+LEAKAGE_TOL = 1e-9
+# Largest mass a state may hold in the top edge band of the basis before
+# the truncated operators acting on it count as inaccurate.
+EDGE_TOL = 1e-6
 FULL_RANK_EPS = 1e-6
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -164,19 +168,18 @@ def thermal_tail_mass(nbar: float, dim: int) -> float:
     return r**dim
 
 
-def thermal_state(nbar: float, dim: int,
-                  leakage_tol: float = DEFAULT_LEAKAGE_TOL) -> DensityMatrix:
+def thermal_state(nbar: float, dim: int) -> DensityMatrix:
     """Gaussian thermal state with mean photon number nbar, renormalized.
 
     Raises TruncationError (with the minimal adequate dim) when the
-    geometric tail beyond the truncation exceeds leakage_tol.
+    geometric tail beyond the truncation exceeds LEAKAGE_TOL.
     """
     tail = thermal_tail_mass(nbar, dim)
-    if tail > leakage_tol:
+    if tail > LEAKAGE_TOL:
         r = nbar / (nbar + 1.0)
-        min_dim = int(math.ceil(math.log(leakage_tol) / math.log(r)))
+        min_dim = int(math.ceil(math.log(LEAKAGE_TOL) / math.log(r)))
         raise TruncationError(
-            f"thermal tail mass {tail:.3e} exceeds {leakage_tol:.1e} at "
+            f"thermal tail mass {tail:.3e} exceeds {LEAKAGE_TOL:.1e} at "
             f"dim {dim}; need dim >= {min_dim}",
             min_adequate_dim=min_dim,
         )

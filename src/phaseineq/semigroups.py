@@ -1,12 +1,20 @@
 """Heat, attenuator, amplifier and quantum Ornstein-Uhlenbeck semigroups.
 
-Every flow here is the exponential of a sparse generator on row-major
-vec(rho): the four semigroups are mu^2 L_- + lam^2 L_+, with three
-diagonals, and the classical-quantum convolution of a Gaussian density is
-the quantum heat semigroup with that density's covariance as diffusion
-matrix, followed by a translation by its mean.  One helper applies the
-exponential exactly (to double precision) on the truncated space; finite
-atom mixtures are exact weighted sums of displaced states.
+Every flow here is the exponential of one sparse generator on row-major
+vec(rho),
+
+    mu^2 L_- + lam^2 L_+ + pi conj(s) [a, [a, .]] + pi s [a_dag, [a_dag, .]],
+
+built from its diagonals.  The four semigroups have s = 0 and
+(mu^2, lam^2) = (2 pi, 2 pi) for Heat, (1, 0) for the attenuator, (0, 1)
+for the amplifier and (mu^2, lam^2) for the qOU.  The classical-quantum
+convolution of a Gaussian density with mean m and covariance C is
+e^{t L_C} followed by a translation by sqrt(t) m, where
+L_C = -pi sum_jk C_jk [G_j, [G_k, .]] with G = (P, -Q) splits into the
+isotropic part pi tr C (L_- + L_+) and the traceless part with
+s = (C_11 - C_22)/2 + i C_12.  One helper applies the exponential exactly
+(to double precision) on the truncated space; finite atom mixtures are
+exact weighted sums of displaced states.
 """
 
 from __future__ import annotations
@@ -19,10 +27,10 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import expm_multiply
 
 from .fock_core import (
+    EDGE_TOL,
     DensityMatrix,
     TruncationError,
     full_rank_eigh,
-    quadrature_operators,
     state_edge_mass,
     thermal_state,
     von_neumann_entropy,
@@ -126,54 +134,69 @@ def standard_gaussian() -> GaussianDensity:
     return GaussianDensity(mean=np.zeros(2), cov=np.eye(2))
 
 
-def _semigroup_generator(kind: SemigroupKind, dim: int) -> sp.csr_matrix:
-    """mu^2 L_- + lam^2 L_+ as a sparse matrix on row-major vec(rho).
+def _rates(kind: SemigroupKind) -> tuple[float, float]:
+    """(mu^2, lam^2) of the semigroup as mu^2 L_- + lam^2 L_+."""
+    if isinstance(kind, Heat):
+        return 2.0 * math.pi, 2.0 * math.pi
+    if isinstance(kind, Attenuator):
+        return 1.0, 0.0
+    if isinstance(kind, Amplifier):
+        return 0.0, 1.0
+    if isinstance(kind, QOU):
+        return kind.mu**2, kind.lam**2
+    raise TypeError(f"unknown semigroup kind {kind!r}")
+
+
+def _generator(mu2: float, lam2: float, dim: int,
+               s: complex = 0.0) -> sp.csr_matrix:
+    """mu^2 L_- + lam^2 L_+ + pi conj(s) [a, [a, .]] + pi s [a_dag, [a_dag, .]]
+    as a sparse matrix on row-major vec(rho), built from its diagonals.
 
     a rho a_dag moves entry (i+1, j+1) to (i, j) with weight
     sqrt((i+1)(j+1)), a_dag rho a moves (i-1, j-1) to (i, j) with weight
-    sqrt(i j), and the anticommutators are diagonal, so the matrix has the
-    three diagonals 0 and +-(dim+1).  The truncated a a_dag is
-    diag(1, ..., dim-1, 0), which makes Heat = 2 pi (L_- + L_+) equal to
-    -pi sum_j [R_j, [R_j, .]] on the truncated space.
+    sqrt(i j), and the anticommutators are diagonal: the diagonals 0 and
+    +-(dim+1).  The truncated a a_dag is diag(1, ..., dim-1, 0), which makes
+    Heat = 2 pi (L_- + L_+) equal to -pi sum_j [R_j, [R_j, .]] on the
+    truncated space.  [a, [a, rho]] = a^2 rho - 2 a rho a + rho a^2 adds the
+    diagonals 2 dim, dim-1 and -2, and its adjoint counterpart -2 dim,
+    -(dim-1) and 2; at dim 3 the offsets dim-1 and 2 coincide and add.
+
+    L_C = -pi sum_jk C_jk [G_j, [G_k, .]] with G = (P, -Q) is this generator
+    at mu^2 = lam^2 = pi tr C and s = (C_11 - C_22)/2 + i C_12, exactly on
+    the truncated space, because P^2 - Q^2 = -(a^2 + a_dag^2) and
+    PQ + QP = -i (a^2 - a_dag^2) hold for the truncated matrices too.
     """
-    if isinstance(kind, Heat):
-        mu2 = lam2 = 2.0 * math.pi
-    elif isinstance(kind, Attenuator):
-        mu2, lam2 = 1.0, 0.0
-    elif isinstance(kind, Amplifier):
-        mu2, lam2 = 0.0, 1.0
-    elif isinstance(kind, QOU):
-        mu2, lam2 = kind.mu**2, kind.lam**2
-    else:
-        raise TypeError(f"unknown semigroup kind {kind!r}")
     n = np.arange(dim, dtype=float)
     up = n + 1.0
     up[-1] = 0.0
+    size = dim * dim
+
+    def band(coef: np.ndarray, offset: int) -> np.ndarray:
+        # coef[i, j] weighs entry (i, j) + offset of vec(rho) into entry (i, j).
+        flat = np.broadcast_to(coef, (dim, dim)).ravel()
+        return flat[:size - offset] if offset >= 0 else flat[-offset:]
+
     diag = -0.5 * (mu2 * np.add.outer(n, n) + lam2 * np.add.outer(up, up))
-    loss = mu2 * np.sqrt(np.outer(up, up)).ravel()[:-(dim + 1)]
-    gain = lam2 * np.sqrt(np.outer(n, n)).ravel()[dim + 1:]
-    return sp.diags([gain, diag.ravel(), loss], [-(dim + 1), 0, dim + 1],
+    bands = {
+        -(dim + 1): band(lam2 * np.sqrt(np.outer(n, n)), -(dim + 1)),
+        0: band(diag, 0),
+        dim + 1: band(mu2 * np.sqrt(np.outer(up, up)), dim + 1),
+    }
+    if s:
+        # (a^2)_{i,i+2} and (a_dag^2)_{i,i-2}.
+        two_down = np.sqrt(up * np.append(up[1:], 0.0))
+        two_up = np.sqrt(n * np.append(0.0, n[:-1]))
+        lower, raise_ = math.pi * np.conj(s), math.pi * s
+        for coef, offset in (
+                (lower * two_down[:, None], 2 * dim),
+                (-2.0 * lower * np.sqrt(np.outer(up, n)), dim - 1),
+                (lower * two_up[None, :], -2),
+                (raise_ * two_up[:, None], -2 * dim),
+                (-2.0 * raise_ * np.sqrt(np.outer(n, up)), -(dim - 1)),
+                (raise_ * two_down[None, :], 2)):
+            bands[offset] = bands.get(offset, 0.0) + band(coef, offset)
+    return sp.diags(list(bands.values()), list(bands), shape=(size, size),
                     format="csr")
-
-
-def _gaussian_generator(cov: np.ndarray, dim: int) -> sp.csr_matrix:
-    """L_C = -pi sum_jk C_jk [G_j, [G_k, .]] on row-major vec(rho), G = (P, -Q).
-
-    G = sigma R is the generator of W(xi) = exp(i sqrt(2 pi) xi . G), so
-    averaging W(sqrt(t) eta) . W(sqrt(t) eta)^dag over eta ~ N(0, C) gives
-    e^{t L_C}.
-    """
-    q, p = quadrature_operators(dim)
-    g = (sp.csr_matrix(p), sp.csr_matrix(-q))
-    eye = sp.identity(dim, format="csr")
-
-    def double_commutator(a, b):
-        # X -> [a, [b, X]], using vec(A X B) = (A kron B^T) vec(X).
-        return (sp.kron(a @ b, eye) - sp.kron(a, b.T) - sp.kron(b, a.T)
-                + sp.kron(eye, (b @ a).T))
-
-    return -math.pi * sum(cov[j, k] * double_commutator(g[j], g[k])
-                          for j in range(2) for k in range(2))
 
 
 def _propagate(gen: sp.spmatrix, x: np.ndarray, t: float) -> np.ndarray:
@@ -215,13 +238,13 @@ def liouvillian_apply(kind: SemigroupKind, rho: DensityMatrix) -> np.ndarray:
     """L(rho) for the requested semigroup; Hermitian and traceless."""
     if rho.dim < 4:
         raise ValueError(f"dim must be >= 4, got {rho.dim}")
-    out = (_semigroup_generator(kind, rho.dim) @ rho.mat.ravel()).reshape(
+    out = (_generator(*_rates(kind), rho.dim) @ rho.mat.ravel()).reshape(
         rho.mat.shape)
     return 0.5 * (out + out.conj().T)
 
 
 def evolve(rho: DensityMatrix, kind: SemigroupKind, t: float,
-           edge_tol: float = 1e-6) -> DensityMatrix:
+           edge_tol: float = EDGE_TOL) -> DensityMatrix:
     """e^{tL}(rho) by the exact action of the sparse generator's exponential.
 
     Raises TruncationError when the returned state holds more than
@@ -231,7 +254,7 @@ def evolve(rho: DensityMatrix, kind: SemigroupKind, t: float,
         raise ValueError(f"t must be >= 0, got {t}")
     if t == 0:
         return rho
-    x = _propagate(_semigroup_generator(kind, rho.dim), rho.mat, t)
+    x = _propagate(_generator(*_rates(kind), rho.dim), rho.mat, t)
     return _checked_state(x, edge_tol, "evolution")
 
 
@@ -255,12 +278,15 @@ def convolve(f: PhaseDensity, rho: DensityMatrix, t: float) -> DensityMatrix:
             w = weyl_operator(st * pt, dim)
             out += wgt * (w @ rho.mat @ w.conj().T)
     elif isinstance(f, GaussianDensity):
-        spread = _propagate(_gaussian_generator(f.cov, dim), rho.mat, t)
+        c = f.cov
+        iso = math.pi * np.trace(c)
+        gen = _generator(iso, iso, dim, 0.5 * (c[0, 0] - c[1, 1]) + 1j * c[0, 1])
+        spread = _propagate(gen, rho.mat, t)
         w = weyl_operator(st * f.mean, dim)
         out = w @ spread @ w.conj().T
     else:
         raise TypeError(f"unknown phase density {f!r}")
-    return _checked_state(out, 1e-6, "convolution")
+    return _checked_state(out, EDGE_TOL, "convolution")
 
 
 def _log_density(rho: DensityMatrix) -> np.ndarray:
@@ -297,12 +323,3 @@ def relent_decay_rate(rho: DensityMatrix, mu: float,
            + zeta * von_neumann_entropy(rho)
            + lam**2 * math.log(nu) + zeta * math.log(1.0 - nu))
     return rate, rhs
-
-
-def photon_trajectory(n0: float, mu: float, lam: float, t: float) -> float:
-    """Mean photon number at time t under the qOU semigroup (closed form)."""
-    kind = QOU(mu, lam)
-    if t < 0:
-        raise ValueError(f"t must be >= 0, got {t}")
-    decay = math.exp(-kind.zeta * t)
-    return decay * n0 + (1.0 - decay) * kind.n_fixed

@@ -165,3 +165,9 @@ class TestConstrainedMinimizer:
     def test_rejects_nonpositive_mean(self):
         with pytest.raises(ValueError):
             min_entropy_rate_constrained(0.0, 32)
+
+    def test_repeats_bit_for_bit(self):
+        pmf1, rate1 = min_entropy_rate_constrained(0.5, 24, starts=2, seed=3)
+        pmf2, rate2 = min_entropy_rate_constrained(0.5, 24, starts=2, seed=3)
+        assert np.array_equal(pmf1.probs, pmf2.probs)
+        assert rate1 == rate2

@@ -10,10 +10,12 @@ from phaseineq.fisher import (
     stam_margin,
 )
 from phaseineq.fock_core import (
+    DensityMatrix,
     IllConditionedError,
     StateFamily,
     TruncationError,
     displace,
+    geometric_weights,
     number_state,
     random_state,
     thermal_state,
@@ -81,7 +83,8 @@ class TestQuantumFisher:
 
     def test_rejects_edge_heavy_state(self):
         # Full rank, but 1.4% of the mass sits in the top edge band.
-        rho = thermal_state(8.0, 32, leakage_tol=1.0)
+        w = geometric_weights(8.0, 32)
+        rho = DensityMatrix(np.diag(w / w.sum()).astype(complex))
         with pytest.raises(TruncationError):
             quantum_fisher(rho)
 

@@ -5,7 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phaseineq.fock_core import thermal_state, von_neumann_entropy, relative_entropy
+from phaseineq.fock_core import (
+    StateFamily,
+    mean_photon,
+    random_state,
+    relative_entropy,
+    thermal_state,
+    von_neumann_entropy,
+)
 from phaseineq.gaussian import (
     ClassicalOUParams,
     GaussianStateSpec,
@@ -21,7 +28,7 @@ from phaseineq.gaussian import (
     thermal_fisher_closed,
     zeta_optimality_witness,
 )
-from phaseineq.semigroups import Amplifier, Attenuator, Heat, QOU
+from phaseineq.semigroups import Amplifier, Attenuator, Heat, QOU, evolve
 
 
 class TestEntropyFunction:
@@ -105,6 +112,18 @@ class TestGaussianEvolve:
         spec = GaussianStateSpec(mean=np.zeros(2), kappa=2 * kind.n_fixed + 1)
         out = gaussian_evolve(spec, kind, 1.7)
         assert out.nbar == pytest.approx(kind.n_fixed)
+
+    def test_qou_initial_value(self):
+        spec = GaussianStateSpec(mean=np.zeros(2), kappa=2 * 3.0 + 1)
+        assert gaussian_evolve(spec, QOU(math.sqrt(2.0), 1.0), 0.0).nbar == 3.0
+
+    def test_qou_nbar_matches_fock_evolution(self):
+        kind = QOU(math.sqrt(2.0), 1.0)
+        rho = random_state(48, 3, StateFamily.DIAGONAL)
+        n0 = mean_photon(rho)
+        spec = GaussianStateSpec(mean=np.zeros(2), kappa=2 * n0 + 1)
+        assert gaussian_evolve(spec, kind, 0.3).nbar == pytest.approx(
+            mean_photon(evolve(rho, kind, 0.3)), abs=1e-6)
 
     def test_squeezing_relaxes_under_heat(self):
         spec = GaussianStateSpec(mean=np.zeros(2), kappa=1.0, z=2.0)

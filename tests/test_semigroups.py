@@ -16,6 +16,8 @@ from phaseineq.fock_core import (
     thermal_state,
     von_neumann_entropy,
 )
+from phaseineq.gaussian import GaussianStateSpec, gaussian_evolve
+from phaseineq import semigroups
 from phaseineq.semigroups import (
     Amplifier,
     AtomMixture,
@@ -27,7 +29,6 @@ from phaseineq.semigroups import (
     entropy_rate,
     evolve,
     liouvillian_apply,
-    photon_trajectory,
     relent_decay_rate,
     standard_gaussian,
 )
@@ -98,8 +99,9 @@ class TestEvolve:
         n0 = mean_photon(rho)
         for t in (0.2, 0.7):
             out = evolve(rho, QOU(mu, lam), t)
-            assert mean_photon(out) == pytest.approx(
-                photon_trajectory(n0, mu, lam, t), abs=1e-6)
+            closed = gaussian_evolve(GaussianStateSpec(np.zeros(2), 2 * n0 + 1),
+                                     QOU(mu, lam), t).nbar
+            assert mean_photon(out) == pytest.approx(closed, abs=1e-6)
 
     def test_semigroup_property(self):
         rho = random_state(48, 1, StateFamily.FULL_RANK)
@@ -111,17 +113,26 @@ class TestEvolve:
     def test_qou_thermal_closed_form(self):
         mu, lam = math.sqrt(2.0), 1.0
         out = evolve(thermal_state(0.8, 64), QOU(mu, lam), 0.4)
-        target = thermal_state(photon_trajectory(0.8, mu, lam, 0.4), 64)
+        closed = gaussian_evolve(GaussianStateSpec(np.zeros(2), 2 * 0.8 + 1),
+                                 QOU(mu, lam), 0.4).nbar
+        target = thermal_state(closed, 64)
         assert np.max(np.abs(out.mat - target.mat)) <= 1e-10
 
-    @pytest.mark.parametrize("kind", [Heat(), Attenuator(), Amplifier(),
-                                      QOU(math.sqrt(2.0), 1.0)],
-                             ids=["heat", "attenuator", "amplifier", "qou"])
-    def test_matches_dense_exponential(self, kind):
+    @pytest.mark.parametrize(
+        "kind, dim",
+        [(Heat(), 12), (Attenuator(), 12), (Amplifier(), 12),
+         (QOU(math.sqrt(2.0), 1.0), 12)]
+        + [(GaussianDensity(mean=np.zeros(2),
+                            cov=np.array([[1.0, 0.3], [0.3, 0.6]])), d)
+           for d in (3, 12)],
+        ids=["heat", "attenuator", "amplifier", "qou", "gaussian-d3",
+             "gaussian-d12"])
+    def test_matches_dense_exponential(self, kind, dim, monkeypatch):
         # Superoperators on row-major vec(rho), vec(A X B) = (A kron B^T) vec(X),
         # assembled from the ladder operators alone.
-        dim = 12
         a, a_dag, _ = ladder_operators(dim)
+        q = (a + a_dag) / math.sqrt(2.0)
+        p = (a - a_dag) / (1j * math.sqrt(2.0))
         eye = np.eye(dim)
 
         def dissipator(jump):
@@ -129,24 +140,33 @@ class TestEvolve:
             return (np.kron(jump, jd.T) - 0.5 * np.kron(jd @ jump, eye)
                     - 0.5 * np.kron(eye, (jd @ jump).T))
 
-        def double_commutator(r):
-            return (np.kron(r @ r, eye) - 2.0 * np.kron(r, r.T)
-                    + np.kron(eye, (r @ r).T))
+        def double_commutator(x, y):
+            # X -> [x, [y, X]]
+            return (np.kron(x @ y, eye) - np.kron(x, y.T) - np.kron(y, x.T)
+                    + np.kron(eye, (y @ x).T))
 
         if isinstance(kind, Heat):
-            q = (a + a_dag) / math.sqrt(2.0)
-            p = (a - a_dag) / (1j * math.sqrt(2.0))
-            sup = -math.pi * (double_commutator(q) + double_commutator(p))
+            sup = -math.pi * (double_commutator(q, q) + double_commutator(p, p))
         elif isinstance(kind, Attenuator):
             sup = dissipator(a)
         elif isinstance(kind, Amplifier):
             sup = dissipator(a_dag)
-        else:
+        elif isinstance(kind, QOU):
             sup = kind.mu**2 * dissipator(a) + kind.lam**2 * dissipator(a_dag)
+        else:
+            # L_C = -pi sum_jk C_jk [G_j, [G_k, .]] with G = (P, -Q).
+            g = (p, -q)
+            sup = -math.pi * sum(kind.cov[j, k] * double_commutator(g[j], g[k])
+                                 for j in range(2) for k in range(2))
         rho = random_state(dim, 3, StateFamily.FULL_RANK)
         t = 0.05
         target = (expm(t * sup) @ rho.mat.ravel()).reshape(dim, dim)
-        out = evolve(rho, kind, t, edge_tol=math.inf)
+        if isinstance(kind, GaussianDensity):
+            # At these dims the random state fills the edge band.
+            monkeypatch.setattr(semigroups, "EDGE_TOL", math.inf)
+            out = convolve(kind, rho, t)
+        else:
+            out = evolve(rho, kind, t, edge_tol=math.inf)
         assert np.max(np.abs(out.mat - target)) <= 1e-12
 
     def test_repeats_bit_for_bit_under_any_global_seed(self):
@@ -178,6 +198,14 @@ class TestConvolve:
         f = AtomMixture(points=np.zeros((1, 2)), weights=np.ones(1))
         out = convolve(f, rho, 1.0)
         assert np.max(np.abs(out.mat - rho.mat)) <= 1e-12
+
+    @pytest.mark.parametrize("dim", [64, 128])
+    def test_standard_gaussian_is_heat_flow_bit_for_bit(self, dim):
+        # f_Z *_t rho and e^{t L_heat}(rho) share one generator.
+        rho = random_state(dim, 11, StateFamily.FULL_RANK)
+        for t in (0.02, 0.05, 0.1):
+            assert np.array_equal(convolve(standard_gaussian(), rho, t).mat,
+                                  evolve(rho, Heat(), t).mat)
 
     def test_gaussian_convolution_equals_heat_flow(self):
         rho = thermal_state(1.0, 128)
@@ -306,19 +334,3 @@ class TestRelentDecay:
         rate, _ = relent_decay_rate(rho, mu, lam)
         d = relative_entropy(rho, thermal_state(1.0, 128))
         assert rate <= -(mu**2 - lam**2) * d + 1e-6
-
-
-class TestPhotonTrajectory:
-    def test_initial_value(self):
-        assert photon_trajectory(3.0, math.sqrt(2), 1.0, 0.0) == 3.0
-
-    def test_limit_is_fixed_point(self):
-        assert photon_trajectory(5.0, math.sqrt(2), 1.0, 50.0) == pytest.approx(1.0)
-
-    def test_matches_evolution_oracle(self):
-        rho = random_state(48, 3, StateFamily.DIAGONAL)
-        n0 = mean_photon(rho)
-        out = evolve(rho, QOU(math.sqrt(2), 1.0), 0.3)
-        assert photon_trajectory(n0, math.sqrt(2), 1.0, 0.3) == pytest.approx(
-            mean_photon(out), abs=1e-6)
-

@@ -64,7 +64,7 @@ class TestReports:
         json.dumps(d)  # serializable end to end
 
     def test_report_deterministic_outside_metadata(self):
-        cfg = _fast_config("geometric-optimality")
+        cfg = _fast_config("concavity")
         d1 = dataclasses.asdict(run_suite(cfg))
         d2 = dataclasses.asdict(run_suite(cfg))
         d1.pop("metadata")

@@ -58,6 +58,7 @@ from .gaussian import (
 from .classical import (
     ClassicalPMF,
     F_of_S0,
+    certified_rate_bound,
     death_entropy_rate,
     death_evolve,
     death_generator,

@@ -3,8 +3,8 @@
 The process p_dot_n = -n p_n + (n+1) p_{n+1} is the number-basis diagonal
 restriction of the photon-loss semigroup.  Includes the entropy rate
 J_-(p) = -2 sum_n (C p)_n log p_n, the geometric family, the f/F threshold
-machinery, and a projected-gradient oracle for the energy-constrained
-minimum of J_-.
+machinery, a convex-duality certificate for the energy-constrained minimum
+of J_-, and the projected-gradient minimizer kept as its reference oracle.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.optimize import minimize_scalar
 
-from .fock_core import LEAKAGE_TOL, TruncationError
+from .fock_core import geometric_law
 from .gaussian import g_entropy, g_inverse
 from .semigroups import _propagate
 
@@ -100,24 +100,10 @@ def death_entropy_rate(p: ClassicalPMF) -> float:
 
 
 def geometric_pmf(n: float, K: int) -> ClassicalPMF:
-    """Geometric distribution with mean n on {0, ..., K}, renormalized."""
+    """Geometric law with mean n on {0, ..., K}: geometric_law, size K + 1."""
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    if n == 0:
-        v = np.zeros(K + 1)
-        v[0] = 1.0
-        return ClassicalPMF(v)
-    r = n / (n + 1.0)
-    tail = r ** (K + 1)
-    if tail > LEAKAGE_TOL:
-        min_k = math.ceil(math.log(LEAKAGE_TOL) / math.log(r))
-        raise TruncationError(
-            f"geometric tail mass {tail:.3e} exceeds {LEAKAGE_TOL:.1e}; "
-            f"need K >= {min_k}",
-            min_adequate_dim=min_k,
-        )
-    v = (1.0 - r) * r ** np.arange(K + 1)
-    return ClassicalPMF(v / v.sum())
+    return ClassicalPMF(geometric_law(n, K + 1))
 
 
 def f_of_H(s: float) -> float:
@@ -201,6 +187,25 @@ def _rate_and_grad(v: np.ndarray,
     return rate, grad
 
 
+def certified_rate_bound(n: float, K: int) -> float:
+    """Certified lower bound on min J_-(p) over p on {0,...,K} with E[N] <= n.
+
+    J_-(p) = 2 sum_{m>=1} m p_m log(p_m / p_{m-1}) is a sum of perspectives
+    (log-sum inequality), so it is convex and positively 1-homogeneous: with
+    q = geometric(n) and g = grad J_-(q), g.q = J_-(q) and J_-(p) >= g.p.
+    The minimum of g.p over the feasible polytope sits at a vertex: a point
+    mass at m <= n, or the mix of m1 <= n < m2 with mean n.
+    """
+    if n <= 0:
+        raise ValueError(f"n must be > 0, got {n}")
+    g = _rate_and_grad(geometric_pmf(n, K).probs, _death_matrix(K + 1))[1]
+    m = np.arange(K + 1, dtype=float)
+    lo, hi = m <= n, m > n
+    w = (m[hi] - n) / (m[hi] - m[lo][:, None])
+    mixes = w * g[lo][:, None] + (1.0 - w) * g[hi]
+    return float(min(g[lo].min(), mixes.min(initial=math.inf)))
+
+
 def min_entropy_rate_constrained(n: float, K: int, starts: int = 8,
                                  iters: int = 600, seed: int = 0,
                                  ) -> tuple[ClassicalPMF, float]:
@@ -208,8 +213,8 @@ def min_entropy_rate_constrained(n: float, K: int, starts: int = 8,
 
     Projected gradient with backtracking line search and multi-start
     (geometric(n) plus random interior points); returns the best iterate
-    and its rate.  The minimum is expected at the geometric distribution
-    with value -2 n log(1 + 1/n).
+    and its rate.  The tests' reference oracle for certified_rate_bound; it
+    stays in the package because the benchmark probes time it.
     """
     if n <= 0:
         raise ValueError(f"n must be > 0, got {n}")

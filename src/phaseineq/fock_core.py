@@ -149,42 +149,36 @@ def number_state(n: int, dim: int) -> DensityMatrix:
 
 
 def geometric_weights(nbar: float, dim: int) -> np.ndarray:
-    """Unnormalized geometric populations (1/(nbar+1)) (nbar/(nbar+1))^j."""
+    """Unnormalized geometric populations (1/(nbar+1)) (nbar/(nbar+1))^j;
+    at nbar = 0, 0**0 = 1 gives the vacuum."""
     if nbar < 0:
         raise ValueError(f"nbar must be >= 0, got {nbar}")
-    if nbar == 0:
-        w = np.zeros(dim)
-        w[0] = 1.0
-        return w
     r = nbar / (nbar + 1.0)
     return (1.0 / (nbar + 1.0)) * r ** np.arange(dim)
 
 
-def thermal_tail_mass(nbar: float, dim: int) -> float:
-    """Probability mass of the geometric state beyond level dim-1."""
-    if nbar == 0:
-        return 0.0
+def geometric_law(nbar: float, dim: int) -> np.ndarray:
+    """Geometric populations with mean nbar on {0, ..., dim-1}, renormalized.
+
+    Raises TruncationError (with the minimal adequate dim, the support
+    size) when the geometric tail beyond level dim-1 exceeds LEAKAGE_TOL.
+    """
+    w = geometric_weights(nbar, dim)
     r = nbar / (nbar + 1.0)
-    return r**dim
+    tail = r**dim
+    if tail > LEAKAGE_TOL:
+        min_dim = int(math.ceil(math.log(LEAKAGE_TOL) / math.log(r)))
+        raise TruncationError(
+            f"geometric tail mass {tail:.3e} exceeds {LEAKAGE_TOL:.1e} at "
+            f"support size {dim}; need support size >= {min_dim}",
+            min_adequate_dim=min_dim,
+        )
+    return w / w.sum()
 
 
 def thermal_state(nbar: float, dim: int) -> DensityMatrix:
-    """Gaussian thermal state with mean photon number nbar, renormalized.
-
-    Raises TruncationError (with the minimal adequate dim) when the
-    geometric tail beyond the truncation exceeds LEAKAGE_TOL.
-    """
-    tail = thermal_tail_mass(nbar, dim)
-    if tail > LEAKAGE_TOL:
-        r = nbar / (nbar + 1.0)
-        min_dim = int(math.ceil(math.log(LEAKAGE_TOL) / math.log(r)))
-        raise TruncationError(
-            f"thermal tail mass {tail:.3e} exceeds {LEAKAGE_TOL:.1e} at "
-            f"dim {dim}; need dim >= {min_dim}",
-            min_adequate_dim=min_dim,
-        )
-    w = geometric_weights(nbar, dim)
-    return DensityMatrix(np.diag(w / w.sum()).astype(complex))
+    """Thermal state with mean photon number nbar; see geometric_law."""
+    return DensityMatrix(np.diag(geometric_law(nbar, dim)).astype(complex))
 
 
 def _full_rank_floor(dim: int) -> np.ndarray:

@@ -22,6 +22,7 @@ import math
 import time
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
+from functools import cache, partial
 
 import numpy as np
 from scipy.optimize import brentq
@@ -301,21 +302,19 @@ def _suite_correspondence(cfg: SuiteConfig) -> Iterator[_Check]:
 
 
 def _suite_geometric_optimality(cfg: SuiteConfig) -> Iterator[_Check]:
+    # J_-(geometric) and the certified bound bracket the constrained minimum.
     tol, K = cfg.tolerance, 64
     for n in (0.5, 1.0, 2.0):
         closed = ga.j_pm_gaussian(2.0 * n + 1.0)[0]
         params = {"n": n, "K": K}
-        found = []
-        def minimum():
-            _, j_star = cl.min_entropy_rate_constrained(n, K, starts=8,
-                                                        seed=cfg.seed)
-            found.append(j_star)
-            return -abs(j_star - closed), {"j_star": j_star}
-        yield _Check("constrained-minimum-value", params, minimum, tol)
-        if found:
-            # The minimizer must never beat the geometric value.
-            yield _Check("no-start-beats-geometric", params,
-                         found[0] - closed, 1e-6)
+        bound = cache(partial(cl.certified_rate_bound, n, K))
+        def bracket():
+            j_geo = cl.death_entropy_rate(cl.geometric_pmf(n, K))
+            return (-max(abs(j_geo - closed), abs(bound() - closed)),
+                    {"j_geometric": j_geo, "bound": bound()})
+        yield _Check("constrained-minimum-value", params, bracket, tol)
+        yield _Check("no-feasible-beats-closed", params,
+                     lambda: bound() - closed, 1e-12)
         rate = entropy_rate(thermal_state(n, cfg.dim), Attenuator())
         yield _Check("fock-attenuator-rate", {"n": n},
                      -abs(0.5 * rate - 0.5 * closed), tol)

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -11,12 +12,19 @@ from phaseineq.classical import (
     death_entropy_rate,
     death_evolve,
     death_generator,
+    _death_matrix,
+    _rate_and_grad,
+    certified_rate_bound,
     f_of_H,
     geometric_pmf,
     min_entropy_rate_constrained,
 )
 from phaseineq.fock_core import TruncationError
 from phaseineq.gaussian import g_entropy
+
+# The minimizer is deterministic and slow (about 1 s per call at K = 64), so
+# the tests that read its default 8-start result share one run per n.
+_oracle = functools.cache(min_entropy_rate_constrained)
 
 
 class TestClassicalPMF:
@@ -112,7 +120,12 @@ class TestGeometricPMF:
     def test_truncation_guard(self):
         with pytest.raises(TruncationError) as exc:
             geometric_pmf(10.0, 32)
-        assert exc.value.min_adequate_dim is not None
+        d = exc.value.min_adequate_dim
+        assert "support size 33; need support size >= 218" in str(exc.value)
+        # d is the minimal support size, so K = d - 1 is the smallest K.
+        geometric_pmf(10.0, d - 1)
+        with pytest.raises(TruncationError):
+            geometric_pmf(10.0, d - 2)
 
     def test_entropy_matches_g(self):
         assert geometric_pmf(2.0, 256).entropy() == pytest.approx(
@@ -142,16 +155,49 @@ class TestThresholdFunctions:
         assert F_of_S0(4.0, 2.0, 1.0) > F_of_S0(3.0, 2.0, 1.0)
 
 
+class TestCertifiedRateBound:
+    @pytest.mark.parametrize("n", [0.5, 1.0, 2.0])
+    def test_gradient_pairs_to_rate(self, n):
+        # Euler's identity for the 1-homogeneous J_-: g.q = J_-(q).
+        q = geometric_pmf(n, 64).probs
+        rate, grad = _rate_and_grad(q, _death_matrix(65))
+        assert abs(grad @ q - rate) <= 1e-14
+
+    @pytest.mark.parametrize("n", [0.5, 1.0, 2.0])
+    def test_oracle_sits_just_above_bound(self, n):
+        bound = certified_rate_bound(n, 64)
+        _, j_star = _oracle(n, 64)
+        assert bound <= j_star <= bound + 1e-8
+
+    @pytest.mark.parametrize("n", [0.5, 1.0, 2.0])
+    def test_random_feasible_laws_stay_above_bound(self, n):
+        # Dirichlet draws mixed with a point mass at 0 to meet the cap.
+        K = 64
+        bound = certified_rate_bound(n, K)
+        rng = np.random.default_rng(11)
+        levels = np.arange(K + 1)
+        for _ in range(2000):
+            p = rng.dirichlet(np.full(K + 1, rng.uniform(0.05, 2.0)))
+            p *= min(1.0, n / (levels @ p))
+            p[0] += 1.0 - p.sum()
+            assert death_entropy_rate(ClassicalPMF(p)) >= bound - 1e-12
+
+    @pytest.mark.parametrize("n", [0.0, -1.0])
+    def test_rejects_nonpositive_mean(self, n):
+        with pytest.raises(ValueError):
+            certified_rate_bound(n, 32)
+
+
 class TestConstrainedMinimizer:
     @pytest.mark.parametrize("n", [0.5, 1.0, 2.0])
     def test_geometric_attains_minimum(self, n):
-        pmf, rate = min_entropy_rate_constrained(n, 64)
+        pmf, rate = _oracle(n, 64)
         target = -2.0 * n * math.log(1.0 + 1.0 / n)
         assert rate == pytest.approx(target, abs=1e-3)
         assert pmf.mean() <= n + 1e-6
 
     def test_minimizer_is_geometric(self):
-        pmf, _ = min_entropy_rate_constrained(1.0, 64)
+        pmf, _ = _oracle(1.0, 64)
         target = geometric_pmf(1.0, 64)
         tv = 0.5 * np.abs(pmf.probs - target.probs).sum()
         assert tv <= 1e-3
@@ -159,7 +205,7 @@ class TestConstrainedMinimizer:
     def test_energy_constraint_active(self):
         # Without the cap, spreading mass upward lowers the rate without
         # bound, so the optimum must sit on the energy boundary.
-        pmf, _ = min_entropy_rate_constrained(1.0, 64)
+        pmf, _ = _oracle(1.0, 64)
         assert pmf.mean() == pytest.approx(1.0, abs=1e-3)
 
     def test_rejects_nonpositive_mean(self):

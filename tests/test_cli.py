@@ -45,6 +45,7 @@ class TestVerifyCommand:
         ("thresholds", "--which", "photon", "--format", "csv"),
         ("closed-forms", "lsi2", "--dim", "64"),
         ("minimize-rate", "--n", "1", "--cases", "3"),
+        ("minimize-rate", "--n", "1", "--seed", "3"),
     ])
     def test_ignored_flag_exits_two(self, capsys, argv):
         code, out, _ = run_cli(capsys, *argv)
@@ -140,8 +141,8 @@ class TestMinimizeRateCommand:
         code, out, _ = run_cli(capsys, "minimize-rate", "--n", "1", "--K", "64")
         payload = json.loads(out)
         assert code == 0
-        assert abs(payload["gap"]) <= 1e-3
-        assert payload["tv_to_geometric"] <= 1e-3
+        assert payload["gap"] <= 1e-8
+        assert payload["certified_lower_bound"] <= payload["j_geometric"]
 
 
 class TestConfigPrecedence:
@@ -171,6 +172,8 @@ class TestConfigPrecedence:
         ({"format": "csv"}, ("verify", "cou"), "'format' is not read by verify"),
         ({"format": "csv"}, ("thresholds", "--which", "photon"),
          "'format' is not read by thresholds"),
+        ({"seed": 1}, ("minimize-rate", "--n", "1"),
+         "'seed' is not read by minimize-rate"),
     ])
     def test_unread_config_key_exits_two(self, capsys, tmp_path, cfg, argv,
                                          named):

@@ -103,37 +103,37 @@ class TestErrorPolicy:
         with pytest.raises(TypeError, match="broken margin"):
             run_suite(default_config("stam", dim=32, cases=1))
 
-    def test_minimizer_runs_once_per_n(self, monkeypatch):
+    def test_certificate_runs_once_per_n(self, monkeypatch):
         calls = []
 
-        def geometric_minimum(n, *args, **kwargs):
+        def geometric_bound(n, K):
             calls.append(n)
-            return None, -2.0 * n * math.log(1.0 + 1.0 / n)
+            return -2.0 * n * math.log(1.0 + 1.0 / n)
 
-        monkeypatch.setattr(cl, "min_entropy_rate_constrained",
-                            geometric_minimum)
-        report = run_suite(_fast_config("geometric-optimality"))
-        assert calls == [0.5, 1.0, 2.0]
-        assert [c.descriptor for c in report.cases].count(
-            "no-start-beats-geometric") == 3
-
-    def test_minimizer_failure_emits_only_its_error_case(self, monkeypatch):
-        calls = []
-
-        def failing(n, *args, **kwargs):
-            calls.append(n)
-            raise RuntimeError("minimizer diverged")
-
-        monkeypatch.setattr(cl, "min_entropy_rate_constrained", failing)
+        monkeypatch.setattr(cl, "certified_rate_bound", geometric_bound)
         report = run_suite(_fast_config("geometric-optimality"))
         assert calls == [0.5, 1.0, 2.0]
         assert [c.descriptor for c in report.cases] == [
-            "constrained-minimum-value", "fock-attenuator-rate"] * 3
+            "constrained-minimum-value", "no-feasible-beats-closed",
+            "fock-attenuator-rate"] * 3
+
+    def test_certificate_failure_becomes_error_cases(self, monkeypatch):
+        def failing(n, K):
+            raise RuntimeError("certificate failed")
+
+        monkeypatch.setattr(cl, "certified_rate_bound", failing)
+        report = run_suite(_fast_config("geometric-optimality"))
+        assert [c.descriptor for c in report.cases] == [
+            "constrained-minimum-value", "no-feasible-beats-closed",
+            "fock-attenuator-rate"] * 3
         errors = [c for c in report.cases if c.error is not None]
         assert [c.error for c in errors] == [
-            "RuntimeError: minimizer diverged"] * 3
+            "RuntimeError: certificate failed"] * 6
         assert [c.params for c in errors] == [
-            {"n": n, "K": 64} for n in (0.5, 1.0, 2.0)]
+            {"n": n, "K": 64} for n in (0.5, 1.0, 2.0) for _ in range(2)]
+        fock = [c for c in report.cases
+                if c.descriptor == "fock-attenuator-rate"]
+        assert all(c.passed and c.error is None for c in fock)
         assert not report.passed
 
 

@@ -4,7 +4,6 @@ from .fock_core import (
     DensityMatrix,
     HealthMetrics,
     IllConditionedError,
-    MajorizationMode,
     StateFamily,
     TruncationError,
     entropy_power,
@@ -36,7 +35,6 @@ from .semigroups import (
 from .fisher import (
     FisherEstimate,
     classical_fisher_gaussian,
-    gaussian_density_entropy,
     quantum_fisher,
     stam_margin,
 )
@@ -67,9 +65,7 @@ from .classical import (
     min_entropy_rate_constrained,
 )
 from .verify import (
-    SuiteConfig,
     VerificationReport,
-    default_config,
     run_suite,
     threshold_solve,
 )

@@ -81,22 +81,22 @@ def death_evolve(p: ClassicalPMF, t: float) -> ClassicalPMF:
     return ClassicalPMF(np.maximum(v, 0.0) / v.sum())
 
 
+def _entropy_rate(v: np.ndarray, flux: np.ndarray) -> float:
+    """-2 sum_n flux_n log v_n over the levels that carry flux."""
+    moving = flux != 0.0
+    empty = moving & (v <= 0.0)
+    if empty.any():
+        return math.copysign(math.inf, flux[empty][0])
+    return -2.0 * float(flux[moving] @ np.log(v[moving]))
+
+
 def death_entropy_rate(p: ClassicalPMF) -> float:
     """J_-(p) = 2 dH/dt = -2 sum_n (C p)_n log p_n.
 
     Returns +inf when mass flows into an empty level (the entropy
     derivative genuinely diverges there).
     """
-    flux = death_generator(p)
-    v = p.probs
-    total = 0.0
-    for n in range(v.size):
-        if flux[n] == 0.0:
-            continue
-        if v[n] <= 0.0:
-            return math.inf if flux[n] > 0 else -math.inf
-        total += flux[n] * math.log(v[n])
-    return -2.0 * total
+    return _entropy_rate(p.probs, death_generator(p))
 
 
 def geometric_pmf(n: float, K: int) -> ClassicalPMF:
@@ -179,12 +179,10 @@ def _project_constraints(y: np.ndarray, n_cap: float, floor: float) -> np.ndarra
 def _rate_and_grad(v: np.ndarray,
                    c: sp.csr_matrix) -> tuple[float, np.ndarray]:
     flux = c @ v
-    logv = np.log(v)
-    rate = -2.0 * float(flux @ logv)
     # d/dp_n of -2 sum_m (Cp)_m log p_m:
     #   flux enters through C^T log p, plus the diagonal term (Cp)_n / p_n.
-    grad = -2.0 * (c.T @ logv + flux / v)
-    return rate, grad
+    grad = -2.0 * (c.T @ np.log(v) + flux / v)
+    return _entropy_rate(v, flux), grad
 
 
 def certified_rate_bound(n: float, K: int) -> float:

@@ -64,15 +64,6 @@ def classical_fisher_gaussian(cov) -> float:
     return float(np.trace(np.linalg.inv(cov)))
 
 
-def gaussian_density_entropy(cov) -> float:
-    """Differential entropy of a 2D Gaussian: 1 + log(2 pi) + log(det cov)/2."""
-    cov = np.asarray(cov, dtype=float)
-    det = float(np.linalg.det(cov))
-    if det <= 0 or np.linalg.eigvalsh(cov)[0] <= 0:
-        raise ValueError("covariance must be positive definite")
-    return 1.0 + math.log(2.0 * math.pi) + 0.5 * math.log(det)
-
-
 def stam_margin(f: PhaseDensity, rho: DensityMatrix, t: float) -> float:
     """Signed slack J(f *_t rho)^-1 - J(rho)^-1 - t J(f)^-1 (>= 0 expected)."""
     if not isinstance(f, GaussianDensity):

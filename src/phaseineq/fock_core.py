@@ -73,17 +73,10 @@ class DensityMatrix:
 
 @dataclass(frozen=True)
 class HealthMetrics:
-    """Truncation diagnostics for a state or operator."""
+    """Truncation diagnostics for a state."""
 
     edge_mass: float
-    unitarity_defect: float | None = None
-    trace_drift: float | None = None
-
-
-class MajorizationMode(Enum):
-    WEAK_SUB = "weak_sub"
-    FULL = "full"
-    FOCK = "fock"
+    trace_drift: float
 
 
 class StateFamily(Enum):
@@ -310,32 +303,18 @@ def _decreasing_spectrum(x) -> np.ndarray:
     return np.sort(arr)[::-1]
 
 
-def majorizes(p, q, mode: MajorizationMode,
-              tol: float = 1e-10) -> tuple[bool, np.ndarray]:
-    """Does p majorize q in the requested mode?  Returns (verdict, margins).
+def majorizes(p, q, tol: float = 1e-10) -> tuple[bool, np.ndarray]:
+    """Does p majorize q?  Returns (verdict, margins).
 
-    WEAK_SUB / FULL compare partial sums of decreasing-sorted spectra
-    (margins[n] = sum_{i<=n} p_i - sum_{i<=n} q_i); FULL additionally
-    requires equal traces.  FOCK compares cumulative number-basis
-    populations tr(Pi_n .) of two DensityMatrix arguments.
+    Compares partial sums of decreasing-sorted spectra (margins[n] =
+    sum_{i<=n} p_i - sum_{i<=n} q_i) and requires equal traces.
     """
-    if mode is MajorizationMode.FOCK:
-        if not (isinstance(p, DensityMatrix) and isinstance(q, DensityMatrix)):
-            raise ValueError("Fock mode requires DensityMatrix inputs")
-        if p.dim != q.dim:
-            raise ValueError(f"dim mismatch: {p.dim} vs {q.dim}")
-        cp = np.cumsum(np.real(np.diag(p.mat)))
-        cq = np.cumsum(np.real(np.diag(q.mat)))
-        margins = cp - cq
-        return bool(margins.min() >= -tol), margins
     ps = _decreasing_spectrum(p)
     qs = _decreasing_spectrum(q)
     if ps.shape != qs.shape:
         raise ValueError(f"length mismatch: {ps.shape} vs {qs.shape}")
     margins = np.cumsum(ps) - np.cumsum(qs)
-    ok = bool(margins.min() >= -tol)
-    if mode is MajorizationMode.FULL:
-        ok = ok and abs(margins[-1]) <= tol
+    ok = bool(margins.min() >= -tol) and abs(margins[-1]) <= tol
     return ok, margins
 
 
@@ -344,21 +323,10 @@ def edge_band(dim: int) -> int:
     return int(math.ceil(dim / 8))
 
 
-def truncation_health(x) -> HealthMetrics:
-    """Edge-mass / unitarity / trace diagnostics for states and operators."""
-    if isinstance(x, DensityMatrix):
-        k = edge_band(x.dim)
-        edge = float(np.real(np.diag(x.mat)[-k:]).sum())
-        drift = abs(np.trace(x.mat).real - 1.0)
-        return HealthMetrics(edge_mass=edge, trace_drift=drift)
-    m = np.asarray(x, dtype=complex)
-    dim = m.shape[0]
-    k = edge_band(dim)
-    total = float(np.sum(np.abs(m) ** 2))
-    edge = float(np.sum(np.abs(m[-k:, :]) ** 2) + np.sum(np.abs(m[:-k, -k:]) ** 2))
-    edge = edge / total if total > 0 else 0.0
-    defect = float(np.linalg.norm(m.conj().T @ m - np.eye(dim), 2))
-    return HealthMetrics(edge_mass=edge, unitarity_defect=defect)
+def truncation_health(rho: DensityMatrix) -> HealthMetrics:
+    """Edge mass and trace drift of a state."""
+    return HealthMetrics(edge_mass=state_edge_mass(rho.mat),
+                         trace_drift=abs(np.trace(rho.mat).real - 1.0))
 
 
 def state_edge_mass(mat: np.ndarray) -> float:

@@ -7,6 +7,12 @@ Cases are "asserted" when the underlying statement is proved (a violation is
 a build failure) and "reported" when it probes a conjecture or an
 indeterminate regime.
 
+Each suite takes, as keyword-only parameters, exactly those of dim, cases,
+seed and tolerance that it reads; run_suite fills them from one table of
+defaults, rejects a parameter the suite does not read (seed excepted: every
+suite accepts it, and the suites without random states ignore it), and
+records in the report's config only the values the suite read.
+
 Each suite yields one check per case and a single runner evaluates them.
 Only numerical failures while a check's margin is computed become error
 cases (margin -inf, counted as failures): RuntimeError, which covers
@@ -17,7 +23,7 @@ Any other exception propagates out of run_suite.
 
 from __future__ import annotations
 
-import dataclasses
+import inspect
 import math
 import time
 from collections.abc import Callable, Iterator
@@ -31,7 +37,7 @@ from . import classical as cl
 from . import gaussian as ga
 from .fisher import classical_fisher_gaussian, quantum_fisher, stam_margin
 from .fock_core import (
-    DensityMatrix, IllConditionedError, MajorizationMode, StateFamily,
+    DensityMatrix, IllConditionedError, StateFamily,
     entropy_power, fock_rearrangement, majorizes, mean_photon, random_state,
     relative_entropy, thermal_state, truncation_health)
 from .semigroups import (
@@ -42,19 +48,9 @@ TWO_PI_E = 2.0 * math.pi * math.e
 FOUR_PI_E = 4.0 * math.pi * math.e
 
 
-@dataclass(frozen=True)
-class SuiteConfig:
-    suite_name: str
-    dim: int = 128
-    cases: int = 5
-    seed: int = 0
-    tolerance: float = 1e-3
-
-    def __post_init__(self):
-        if self.tolerance <= 0:
-            raise ValueError(f"tolerance must be > 0, got {self.tolerance}")
-        if self.cases < 1:
-            raise ValueError(f"cases must be >= 1, got {self.cases}")
+# The parameters a suite may read, in report order, with the values used
+# when the caller sets none.
+_DEFAULTS = {"dim": 128, "cases": 5, "seed": 0, "tolerance": 1e-3}
 
 
 @dataclass
@@ -134,12 +130,12 @@ def _gaussian_kl(f: GaussianDensity, g: GaussianDensity) -> float:
 # suites
 
 
-def _suite_data_processing(cfg: SuiteConfig) -> Iterator[_Check]:
-    rng = np.random.default_rng(cfg.seed)
+def _suite_data_processing(*, dim, cases, seed, tolerance) -> Iterator[_Check]:
+    rng = np.random.default_rng(seed)
     t = 0.1
-    for i in range(cfg.cases):
-        rho = random_state(cfg.dim, cfg.seed + 101 + i, StateFamily.FULL_RANK)
-        sigma = random_state(cfg.dim, cfg.seed + 501 + i, StateFamily.FULL_RANK)
+    for i in range(cases):
+        rho = random_state(dim, seed + 101 + i, StateFamily.FULL_RANK)
+        sigma = random_state(dim, seed + 501 + i, StateFamily.FULL_RANK)
         f = GaussianDensity(mean=0.15 * rng.standard_normal(2),
                             cov=np.diag(1.0 + 0.3 * rng.random(2)))
         g = standard_gaussian()
@@ -147,10 +143,10 @@ def _suite_data_processing(cfg: SuiteConfig) -> Iterator[_Check]:
             lhs = relative_entropy(convolve(f, rho, t), convolve(g, sigma, t))
             return _gaussian_kl(f, g) + relative_entropy(rho, sigma) - lhs
         yield _Check("data-processing", {"case": i, "t": t}, margin,
-                     cfg.tolerance, state=rho)
+                     tolerance, state=rho)
 
 
-def _suite_stam(cfg: SuiteConfig) -> Iterator[_Check]:
+def _suite_stam(*, dim, cases, seed, tolerance) -> Iterator[_Check]:
     grid = (0.02, 0.05, 0.1)
     f = standard_gaussian()
     # Closed-form sentinel: thermal input, where J before/after the heat
@@ -161,33 +157,34 @@ def _suite_stam(cfg: SuiteConfig) -> Iterator[_Check]:
         jt = ga.thermal_fisher_closed(n + 2.0 * math.pi * t)
         margin = 1.0 / jt - 1.0 / j0 - t / classical_fisher_gaussian(f.cov)
         yield _Check("stam-thermal-closed", {"n": n, "t": t}, margin,
-                     cfg.tolerance)
-    for i in range(cfg.cases):
-        rho = random_state(cfg.dim, cfg.seed + i, StateFamily.FULL_RANK)
+                     tolerance)
+    for i in range(cases):
+        rho = random_state(dim, seed + i, StateFamily.FULL_RANK)
         for t in grid:
             yield _Check("stam-random", {"case": i, "t": t},
-                         lambda: stam_margin(f, rho, t), cfg.tolerance,
+                         lambda: stam_margin(f, rho, t), tolerance,
                          state=rho)
 
 
-def _suite_de_bruijn(cfg: SuiteConfig) -> Iterator[_Check]:
+def _suite_de_bruijn(*, dim, cases, seed, tolerance) -> Iterator[_Check]:
     for n in (0.5, 1.0, 2.0, 4.0):
-        rate = entropy_rate(thermal_state(n, cfg.dim), Heat())
+        rate = entropy_rate(thermal_state(n, dim), Heat())
         closed = ga.thermal_fisher_closed(n)
         yield _Check("de-bruijn-thermal", {"n": n},
-                     -abs(rate - closed) / closed, cfg.tolerance)
-    for i in range(cfg.cases):
-        rho = random_state(cfg.dim, cfg.seed + i, StateFamily.FULL_RANK)
+                     -abs(rate - closed) / closed, tolerance)
+    for i in range(cases):
+        rho = random_state(dim, seed + i, StateFamily.FULL_RANK)
         def margin():
             rate = entropy_rate(rho, Heat())
             j = quantum_fisher(rho).value
             return -abs(rate - j) / j
-        yield _Check("de-bruijn-random", {"case": i}, margin, cfg.tolerance,
+        yield _Check("de-bruijn-random", {"case": i}, margin, tolerance,
                      state=rho)
 
 
-def _suite_fisher_isoperimetry(cfg: SuiteConfig) -> Iterator[_Check]:
-    # Margins are forward-difference slopes of 2/J along the heat flow.
+def _suite_fisher_isoperimetry(*, dim, cases, seed, tolerance) -> Iterator[_Check]:
+    # Margins are secants of 2/J over [0, h] along the heat flow, minus 1:
+    # a slope >= 1 integrates to a secant >= 1, so no O(h) error enters.
     h = 5e-3
     for n in (0.5, 1.0, 2.0):
         # Closed-form slope of 2/J(omega_{n + 2 pi t}) at t = 0.
@@ -197,44 +194,44 @@ def _suite_fisher_isoperimetry(cfg: SuiteConfig) -> Iterator[_Check]:
         slope = (2.0 / jh - 2.0 / j0) / h
         yield _Check("fisher-isoperimetry-thermal",
                      {"n": n, "closed_form_slope": expected}, slope - 1.0,
-                     cfg.tolerance)
-    for i in range(cfg.cases):
-        rho = random_state(cfg.dim, cfg.seed + i, StateFamily.FULL_RANK)
+                     tolerance)
+    for i in range(cases):
+        rho = random_state(dim, seed + i, StateFamily.FULL_RANK)
         def margin():
             j0 = quantum_fisher(rho).value
             jh = quantum_fisher(evolve(rho, Heat(), h)).value
             return (2.0 / jh - 2.0 / j0) / h - 1.0
         yield _Check("fisher-isoperimetry-random", {"case": i}, margin,
-                     cfg.tolerance, state=rho)
+                     tolerance, state=rho)
 
 
-def _suite_concavity(cfg: SuiteConfig) -> Iterator[_Check]:
+def _suite_concavity(*, dim, cases, seed, tolerance) -> Iterator[_Check]:
     h = 5e-3
     for n in (0.5, 1.0, 2.0):
         ns = [n, n + 2.0 * math.pi * h, n + 4.0 * math.pi * h]
         n0, n1, n2 = (math.exp(ga.g_entropy(x)) for x in ns)
         second = (n2 - 2.0 * n1 + n0) / h**2
         yield _Check("concavity-thermal", {"n": n, "second_difference": second},
-                     -second, cfg.tolerance)
-    for i in range(cfg.cases):
-        rho = random_state(cfg.dim, cfg.seed + i, StateFamily.FULL_RANK)
+                     -second, tolerance)
+    for i in range(cases):
+        rho = random_state(dim, seed + i, StateFamily.FULL_RANK)
         def margin():
             n0 = entropy_power(rho)
             n1 = entropy_power(evolve(rho, Heat(), h))
             n2 = entropy_power(evolve(rho, Heat(), 2.0 * h))
             second = (n2 - 2.0 * n1 + n0) / h**2
             return -second, {"second_difference": second}
-        yield _Check("concavity-random", {"case": i}, margin, cfg.tolerance,
+        yield _Check("concavity-random", {"case": i}, margin, tolerance,
                      state=rho)
 
 
-def _suite_epi_heat(cfg: SuiteConfig) -> Iterator[_Check]:
+def _suite_epi_heat(*, dim, cases, seed, tolerance) -> Iterator[_Check]:
     for n in (0.5, 1.0, 2.0):
         for t in (0.05, 0.1, 0.5):
             n0 = math.exp(ga.g_entropy(n))
             nt = math.exp(ga.g_entropy(n + 2.0 * math.pi * t))
             yield _Check("epi-heat-thermal-closed", {"n": n, "t": t},
-                         nt - n0 - TWO_PI_E * t, cfg.tolerance)
+                         nt - n0 - TWO_PI_E * t, tolerance)
     # Asymptotic slope of N(omega_{n + 2 pi t}) over t in [2, 4].
     n = 1.0
     slope = (math.exp(ga.g_entropy(n + 8.0 * math.pi))
@@ -242,8 +239,8 @@ def _suite_epi_heat(cfg: SuiteConfig) -> Iterator[_Check]:
     yield _Check("epi-heat-asymptotic-slope",
                  {"n": n, "slope": slope, "target": TWO_PI_E},
                  -abs(slope / TWO_PI_E - 1.0), 1e-2)
-    for i in range(cfg.cases):
-        rho = random_state(cfg.dim, cfg.seed + i, StateFamily.FULL_RANK)
+    for i in range(cases):
+        rho = random_state(dim, seed + i, StateFamily.FULL_RANK)
         for t in (0.05, 0.1):
             yield _Check("epi-heat-random", {"case": i, "t": t},
                          lambda: (entropy_power(evolve(rho, Heat(), t))
@@ -251,7 +248,7 @@ def _suite_epi_heat(cfg: SuiteConfig) -> Iterator[_Check]:
                          1e-2, state=rho)
 
 
-def _suite_entropy_isoperimetry(cfg: SuiteConfig) -> Iterator[_Check]:
+def _suite_entropy_isoperimetry(*, dim, cases, seed) -> Iterator[_Check]:
     tol = 0.1
     # Tightness sentinel at n = 100 via closed forms (within 1% of 4 pi e).
     n = 100.0
@@ -262,19 +259,19 @@ def _suite_entropy_isoperimetry(cfg: SuiteConfig) -> Iterator[_Check]:
         prod = ga.thermal_fisher_closed(nth) * math.exp(ga.g_entropy(nth))
         yield _Check("entropy-isoperimetry-thermal", {"n": nth},
                      prod - FOUR_PI_E, tol)
-    for i in range(cfg.cases):
-        rho = random_state(cfg.dim, cfg.seed + i, StateFamily.FULL_RANK)
+    for i in range(cases):
+        rho = random_state(dim, seed + i, StateFamily.FULL_RANK)
         yield _Check("entropy-isoperimetry-random", {"case": i},
                      lambda: quantum_fisher(rho).value * entropy_power(rho)
                      - FOUR_PI_E, tol, state=rho)
 
 
-def _suite_majorization(cfg: SuiteConfig) -> Iterator[_Check]:
+def _suite_majorization(*, cases, seed) -> Iterator[_Check]:
     dim, tol = 12, 1e-10
     # Photon loss maps the truncated space into itself, so random states
     # occupying the whole small basis are legitimate: disable the edge guard.
-    for i in range(cfg.cases):
-        rho = random_state(dim, cfg.seed + i, StateFamily.FULL_RANK)
+    for i in range(cases):
+        rho = random_state(dim, seed + i, StateFamily.FULL_RANK)
         arranged = fock_rearrangement(rho)
         yield _Check("rearrangement-photon-number", {"case": i},
                      mean_photon(rho) - mean_photon(arranged), tol)
@@ -283,27 +280,26 @@ def _suite_majorization(cfg: SuiteConfig) -> Iterator[_Check]:
                 evolved = evolve(rho, Attenuator(), t, edge_tol=math.inf)
                 evolved_arr = evolve(arranged, Attenuator(), t,
                                      edge_tol=math.inf)
-                _, margins = majorizes(evolved_arr, evolved,
-                                        MajorizationMode.FULL, tol=tol)
+                _, margins = majorizes(evolved_arr, evolved, tol=tol)
                 return float(margins.min())
             yield _Check("attenuator-majorization", {"case": i, "t": t},
                          margin, tol)
 
 
-def _suite_correspondence(cfg: SuiteConfig) -> Iterator[_Check]:
+def _suite_correspondence(*, dim, tolerance) -> Iterator[_Check]:
     for n in (0.5, 1.0, 2.0):
         closed = ga.j_pm_gaussian(2.0 * n + 1.0)[0]
         j_class = cl.death_entropy_rate(cl.geometric_pmf(n, 256))
         yield _Check("death-process-vs-closed", {"n": n},
                      -abs(j_class - closed) / abs(closed), 1e-6)
-        j_fock = entropy_rate(thermal_state(n, cfg.dim), Attenuator())
+        j_fock = entropy_rate(thermal_state(n, dim), Attenuator())
         yield _Check("fock-vs-classical-rate", {"n": n},
-                     -abs(j_fock - j_class) / abs(j_class), cfg.tolerance)
+                     -abs(j_fock - j_class) / abs(j_class), tolerance)
 
 
-def _suite_geometric_optimality(cfg: SuiteConfig) -> Iterator[_Check]:
+def _suite_geometric_optimality(*, dim, tolerance) -> Iterator[_Check]:
     # J_-(geometric) and the certified bound bracket the constrained minimum.
-    tol, K = cfg.tolerance, 64
+    K = 64
     for n in (0.5, 1.0, 2.0):
         closed = ga.j_pm_gaussian(2.0 * n + 1.0)[0]
         params = {"n": n, "K": K}
@@ -312,17 +308,17 @@ def _suite_geometric_optimality(cfg: SuiteConfig) -> Iterator[_Check]:
             j_geo = cl.death_entropy_rate(cl.geometric_pmf(n, K))
             return (-max(abs(j_geo - closed), abs(bound() - closed)),
                     {"j_geometric": j_geo, "bound": bound()})
-        yield _Check("constrained-minimum-value", params, bracket, tol)
+        yield _Check("constrained-minimum-value", params, bracket, tolerance)
         yield _Check("no-feasible-beats-closed", params,
                      lambda: bound() - closed, 1e-12)
-        rate = entropy_rate(thermal_state(n, cfg.dim), Attenuator())
+        rate = entropy_rate(thermal_state(n, dim), Attenuator())
         yield _Check("fock-attenuator-rate", {"n": n},
-                     -abs(0.5 * rate - 0.5 * closed), tol)
+                     -abs(0.5 * rate - 0.5 * closed), tolerance)
 
 
-def _suite_rate_decay_identity(cfg: SuiteConfig) -> Iterator[_Check]:
+def _suite_rate_decay_identity(*, dim, cases, seed, tolerance) -> Iterator[_Check]:
     mu, lam = math.sqrt(2.0), 1.0
-    dim = min(cfg.dim, 64)
+    dim = min(dim, 64)
 
     def check(rho: DensityMatrix, descriptor: str, params: dict) -> _Check:
         def margin():
@@ -335,16 +331,15 @@ def _suite_rate_decay_identity(cfg: SuiteConfig) -> Iterator[_Check]:
             scale = max(abs(lhs), abs(target), 1e-12)
             return -abs(lhs - target) / scale
 
-        return _Check(descriptor, params, margin, cfg.tolerance, state=rho)
+        return _Check(descriptor, params, margin, tolerance, state=rho)
 
     yield check(thermal_state(2.0, dim), "rate-decay-thermal", {"n": 2.0})
-    for i in range(cfg.cases):
-        rho = random_state(dim, cfg.seed + i, StateFamily.DIAGONAL)
+    for i in range(cases):
+        rho = random_state(dim, seed + i, StateFamily.DIAGONAL)
         yield check(rho, "rate-decay-diagonal", {"case": i})
 
 
-def _suite_log_sobolev(cfg: SuiteConfig) -> Iterator[_Check]:
-    tol = cfg.tolerance
+def _suite_log_sobolev(*, tolerance) -> Iterator[_Check]:
     mu, lam = math.sqrt(2.0), 1.0
     # h >= 0 across a thermal grid: -zeta D - dD/dt = h(n) for omega_n.
     for n in np.geomspace(0.1, 10.0, 12):
@@ -352,10 +347,16 @@ def _suite_log_sobolev(cfg: SuiteConfig) -> Iterator[_Check]:
                      ga.h_function(float(n), mu, lam), 1e-9)
     n_star, h_star = ga.h_minimize(mu, lam)
     yield _Check("h-minimum-zero", {"n_star": n_star}, -abs(h_star), 1e-12)
-    witness = ga.zeta_optimality_witness(mu, lam, epsilon=0.5)
+    # The rate zeta + epsilon fails at the witness, where epsilon D - h > 0;
+    # with no witness the case fails at -inf.
+    epsilon = 0.5
+    witness = ga.zeta_optimality_witness(mu, lam, epsilon)
+    excess = -math.inf
+    if witness is not None:
+        d = ga.relent_to_qou_fixed(ga.g_entropy(witness), witness, mu, lam)
+        excess = epsilon * d - ga.h_function(witness, mu, lam)
     yield _Check("zeta-optimality-witness",
-                 {"epsilon": 0.5, "witness_n": witness},
-                 1.0 if witness is not None else -1.0, tol)
+                 {"epsilon": epsilon, "witness_n": witness}, excess, 0.0)
     photon = threshold_solve("Photon067")
     entropy = threshold_solve("Entropy206")
     yield _Check("photon-threshold", {"root": photon}, -abs(photon - 0.67), 0.01)
@@ -366,10 +367,10 @@ def _suite_log_sobolev(cfg: SuiteConfig) -> Iterator[_Check]:
     for n in (0.8, 1.5):
         d = ga.relent_to_qou_fixed(ga.g_entropy(n), n, mu, lam)
         yield _Check("conjectured-rate-beyond-thresholds", {"n": n, "relent": d},
-                     ga.h_function(n, mu, lam), tol, asserted=False)
+                     ga.h_function(n, mu, lam), tolerance, asserted=False)
 
 
-def _suite_cou(cfg: SuiteConfig) -> Iterator[_Check]:
+def _suite_cou() -> Iterator[_Check]:
     tol = 1e-12
     for theta in (0.5, 1.0, 2.0):
         for sigma2 in (0.5, 1.0, 2.0):
@@ -388,9 +389,8 @@ def _suite_cou(cfg: SuiteConfig) -> Iterator[_Check]:
         ratios.append(margin / relent)
     yield _Check("cou-ratio-vanishes", {"ratios": ratios}, 1e-3 - ratios[-1],
                  0.0)
-    monotone = all(b < a for a, b in zip(ratios, ratios[1:]))
-    yield _Check("cou-ratio-monotone", {"ratios": ratios},
-                 1.0 if monotone else -1.0, 0.5)
+    decrease = min(a - b for a, b in zip(ratios, ratios[1:]))
+    yield _Check("cou-ratio-monotone", {"ratios": ratios}, decrease, 0.0)
 
 
 _SUITES = {
@@ -412,15 +412,27 @@ _SUITES = {
 SUITE_NAMES = tuple(_SUITES)
 
 
-def run_suite(config: SuiteConfig) -> VerificationReport:
-    """Execute a registered suite and aggregate its report."""
-    fn = _SUITES.get(config.suite_name)
+def run_suite(suite: str, **params) -> VerificationReport:
+    """Run a registered suite on the parameters it reads (unset ones from
+    _DEFAULTS; an unread one other than seed is an error) and aggregate its
+    report, whose config holds exactly those parameters."""
+    fn = _SUITES.get(suite)
     if fn is None:
         raise ValueError(
-            f"unknown suite {config.suite_name!r}; known: {', '.join(_SUITES)}"
-        )
+            f"unknown suite {suite!r}; known: {', '.join(_SUITES)}")
+    reads = [k for k in _DEFAULTS if k in inspect.signature(fn).parameters]
+    unread = [k for k in params if k not in reads and k != "seed"]
+    if unread:
+        raise ValueError(
+            f"suite {suite!r} does not read {', '.join(unread)}; it reads "
+            f"{', '.join(reads) or 'no parameters'}")
+    config = {k: params.get(k, _DEFAULTS[k]) for k in reads}
+    if config.get("tolerance", 1.0) <= 0:
+        raise ValueError(f"tolerance must be > 0, got {config['tolerance']}")
+    if config.get("cases", 1) < 1:
+        raise ValueError(f"cases must be >= 1, got {config['cases']}")
     start = time.perf_counter()
-    cases = _run_checks(fn(config))
+    cases = _run_checks(fn(**config))
     wall = time.perf_counter() - start
     margins = [c.margin for c in cases if math.isfinite(c.margin)]
     failures = sum(1 for c in cases if c.asserted and not c.passed)
@@ -431,27 +443,13 @@ def run_suite(config: SuiteConfig) -> VerificationReport:
         "failures": failures,
         "reported_failures": reported_failures,
     }
-    config_dict = dataclasses.asdict(config)
-    del config_dict["suite_name"]
     return VerificationReport(
-        suite=config.suite_name,
-        config=config_dict,
+        suite=suite,
+        config=config,
         cases=cases,
         summary=summary,
         metadata={"wall_time_s": wall},
     )
-
-
-def default_config(suite_name: str, **overrides) -> SuiteConfig:
-    """SuiteConfig with the suite's default tolerance applied.
-
-    The fisher-isoperimetry margins are forward-difference slopes of 2/J
-    along the heat flow (error O(h) at h = 5e-3), hence 1e-2; every other
-    suite uses 1e-3.
-    """
-    tol = 1e-2 if suite_name == "fisher-isoperimetry" else 1e-3
-    return SuiteConfig(**{"suite_name": suite_name, "tolerance": tol,
-                          **overrides})
 
 
 def threshold_solve(which: str) -> float:

@@ -15,7 +15,6 @@ from phaseineq.classical import (
 )
 from phaseineq.fisher import quantum_fisher, stam_margin
 from phaseineq.fock_core import (
-    MajorizationMode,
     StateFamily,
     entropy_power,
     fock_rearrangement,
@@ -173,8 +172,7 @@ def test_criterion_07_attenuator_fock_majorization():
             ev_arr = evolve(ev_arr, Attenuator(), t - prev,
                             edge_tol=math.inf)
             prev = t
-            _, margins = majorizes(ev_arr, ev, MajorizationMode.FULL,
-                                   tol=1e-10)
+            _, margins = majorizes(ev_arr, ev, tol=1e-10)
             worst_major = min(worst_major, float(margins.min()))
     ok = worst_major >= -1e-10 and worst_photon <= 1e-10
     _report(7, ok, f"worst majorization margin {worst_major:.3e}; largest "

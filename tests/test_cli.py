@@ -27,18 +27,43 @@ class TestVerifyCommand:
         assert payload["summary"]["failures"] == 0
 
     def test_stdout_json(self, capsys):
-        code, out, _ = run_cli(capsys, "verify", "cou", "--cases", "2")
+        code, out, _ = run_cli(capsys, "verify", "majorization", "--cases", "1")
         assert code == 0
         payload = json.loads(out)
-        assert payload["suite"] == "cou"
+        assert payload["suite"] == "majorization"
+        assert payload["config"] == {"cases": 1, "seed": 0}
 
     def test_unknown_suite_exits_two(self, capsys):
         code, _, _ = run_cli(capsys, "verify", "bogus")
         assert code == 2
 
     def test_bad_tolerance_exits_two(self, capsys):
-        code, _, _ = run_cli(capsys, "verify", "cou", "--tol", "0")
+        code, _, err = run_cli(capsys, "verify", "log-sobolev", "--tol", "0")
         assert code == 2
+        assert "tolerance must be > 0" in err
+
+    @pytest.mark.parametrize("cfg, suite, flags, reads", [
+        (None, "cou", ("--cases", "2"), "reads no parameters"),
+        (None, "majorization", ("--dim", "64"), "reads cases, seed"),
+        (None, "entropy-isoperimetry", ("--tol", "1e-6"),
+         "reads dim, cases, seed"),
+        ({"dim": 16}, "cou", (), "reads no parameters"),
+    ])
+    def test_unread_suite_parameter_exits_two(self, capsys, tmp_path, cfg,
+                                              suite, flags, reads):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg or {}))
+        code, out, err = run_cli(capsys, "--config", str(path), "verify",
+                                 suite, *flags)
+        assert code == 2
+        assert out == ""
+        assert f"suite {suite!r} does not read" in err and reads in err
+
+    def test_seed_accepted_by_seedless_suite(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "correspondence",
+                               "--seed", "3")
+        assert code == 0
+        assert json.loads(out)["config"] == {"dim": 128, "tolerance": 1e-3}
 
     @pytest.mark.parametrize("argv", [
         ("verify", "cou", "--format", "csv"),
@@ -149,22 +174,23 @@ class TestConfigPrecedence:
     def test_config_file_supplies_defaults(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"cases": 2}))
-        code, out, _ = run_cli(capsys, "--config", str(cfg), "verify", "cou")
+        code, out, _ = run_cli(capsys, "--config", str(cfg), "verify",
+                               "majorization")
         assert code == 0
         assert json.loads(out)["config"]["cases"] == 2
 
     def test_flag_overrides_config_file(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"cases": 2}))
-        code, out, _ = run_cli(capsys, "--config", str(cfg), "verify", "cou",
-                               "--cases", "3")
+        code, out, _ = run_cli(capsys, "--config", str(cfg), "verify",
+                               "majorization", "--cases", "3")
         assert json.loads(out)["config"]["cases"] == 3
 
     def test_env_var_config(self, capsys, tmp_path, monkeypatch):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"cases": 2}))
         monkeypatch.setenv("PHASEINEQ_CONFIG", str(cfg))
-        code, out, _ = run_cli(capsys, "verify", "cou")
+        code, out, _ = run_cli(capsys, "verify", "majorization")
         assert json.loads(out)["config"]["cases"] == 2
 
     @pytest.mark.parametrize("cfg, argv, named", [
@@ -202,8 +228,8 @@ class TestCrossProcessDeterminism:
         env["PYTHONPATH"] = os.pathsep.join(
             [src] + [p for p in [env.get("PYTHONPATH")] if p])
         script = ("import json, sys, numpy; numpy.random.seed(int(sys.argv[1])); "
-                  "from phaseineq.verify import default_config, run_suite; "
-                  "report = run_suite(default_config('stam', cases=1)); "
+                  "from phaseineq.verify import run_suite; "
+                  "report = run_suite('stam', cases=1); "
                   "print(json.dumps([[c.descriptor, float.hex(c.margin)] "
                   "for c in report.cases]))")
         margins = []

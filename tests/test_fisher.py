@@ -5,7 +5,6 @@ import pytest
 
 from phaseineq.fisher import (
     classical_fisher_gaussian,
-    gaussian_density_entropy,
     quantum_fisher,
     stam_margin,
 )
@@ -108,19 +107,6 @@ class TestClassicalGaussian:
     def test_fisher_rejects_indefinite(self):
         with pytest.raises(ValueError):
             classical_fisher_gaussian(np.diag([1.0, -1.0]))
-
-    def test_entropy_standard(self):
-        assert gaussian_density_entropy(np.eye(2)) == pytest.approx(
-            1.0 + math.log(2 * math.pi))
-
-    def test_entropy_scaling(self):
-        s = 2.5
-        assert gaussian_density_entropy(s * np.eye(2)) == pytest.approx(
-            1.0 + math.log(2 * math.pi) + math.log(s))
-
-    def test_entropy_rejects_singular(self):
-        with pytest.raises(ValueError):
-            gaussian_density_entropy(np.zeros((2, 2)))
 
 
 class TestStamMargin:

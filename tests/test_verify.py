@@ -6,13 +6,7 @@ import pytest
 
 import phaseineq.classical as cl
 import phaseineq.verify as verify
-from phaseineq.verify import (
-    SUITE_NAMES,
-    SuiteConfig,
-    default_config,
-    run_suite,
-    threshold_solve,
-)
+from phaseineq.verify import SUITE_NAMES, run_suite, threshold_solve
 
 FAST_SUITES = (
     "data-processing",
@@ -26,9 +20,29 @@ FAST_SUITES = (
     "cou",
 )
 
+# The parameters each suite reads, in the order its report records them.
+READS = {
+    "data-processing": ["dim", "cases", "seed", "tolerance"],
+    "stam": ["dim", "cases", "seed", "tolerance"],
+    "de-bruijn": ["dim", "cases", "seed", "tolerance"],
+    "fisher-isoperimetry": ["dim", "cases", "seed", "tolerance"],
+    "concavity": ["dim", "cases", "seed", "tolerance"],
+    "epi-heat": ["dim", "cases", "seed", "tolerance"],
+    "rate-decay-identity": ["dim", "cases", "seed", "tolerance"],
+    "entropy-isoperimetry": ["dim", "cases", "seed"],
+    "majorization": ["cases", "seed"],
+    "correspondence": ["dim", "tolerance"],
+    "geometric-optimality": ["dim", "tolerance"],
+    "log-sobolev": ["tolerance"],
+    "cou": [],
+}
 
-def _fast_config(name: str) -> SuiteConfig:
-    return dataclasses.replace(default_config(name), cases=2)
+
+def _fast_run(name: str, **params):
+    """Run a suite at two random cases where it reads cases."""
+    if "cases" in READS[name]:
+        params.setdefault("cases", 2)
+    return run_suite(name, **params)
 
 
 class TestSuiteRegistry:
@@ -38,23 +52,52 @@ class TestSuiteRegistry:
 
     def test_unknown_suite_rejected(self):
         with pytest.raises(ValueError):
-            run_suite(SuiteConfig(suite_name="nope"))
+            run_suite("nope")
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            SuiteConfig(suite_name="stam", tolerance=0.0)
-        with pytest.raises(ValueError):
-            SuiteConfig(suite_name="stam", cases=0)
+        with pytest.raises(ValueError, match="tolerance must be > 0"):
+            run_suite("stam", tolerance=0.0)
+        with pytest.raises(ValueError, match="cases must be >= 1"):
+            run_suite("stam", cases=0)
+
+    # The CLI tests cover one unread flag per suite; here several at once,
+    # and a name no suite reads.
+    @pytest.mark.parametrize("name, params, reads", [
+        ("log-sobolev", {"dim": 16, "cases": 1}, "reads tolerance"),
+        ("stam", {"tol": 1e-3}, "reads dim, cases, seed, tolerance"),
+    ])
+    def test_unread_parameter_rejected(self, name, params, reads):
+        with pytest.raises(ValueError, match=f"suite {name!r} does not read "
+                           f"{', '.join(params)}; it {reads}"):
+            run_suite(name, **params)
 
 
 class TestReports:
     @pytest.mark.parametrize("name", FAST_SUITES)
     def test_fast_suites_pass(self, name):
-        report = run_suite(_fast_config(name))
+        report = _fast_run(name)
         assert report.passed, [c.descriptor for c in report.cases if not c.passed]
 
+    @pytest.mark.parametrize("name", SUITE_NAMES)
+    def test_config_records_what_the_suite_reads(self, name, monkeypatch):
+        # The config is fixed before any case runs; skip the cases.  Every
+        # suite accepts seed, and records it only where it reads it.
+        monkeypatch.setattr(verify, "_run_checks", lambda checks: [])
+        params = {"dim": 32, "cases": 1, "seed": 4, "tolerance": 0.5}
+        report = run_suite(name, **{k: v for k, v in params.items()
+                                    if k in READS[name] or k == "seed"})
+        assert list(report.config) == READS[name]
+        assert report.config == {k: params[k] for k in READS[name]}
+
+    def test_defaults_fill_what_a_suite_reads(self, monkeypatch):
+        monkeypatch.setattr(verify, "_run_checks", lambda checks: [])
+        assert run_suite("fisher-isoperimetry").config == {
+            "dim": 128, "cases": 5, "seed": 0, "tolerance": 1e-3}
+        assert run_suite("correspondence", seed=3).config == {
+            "dim": 128, "tolerance": 1e-3}
+
     def test_report_structure(self):
-        report = run_suite(_fast_config("concavity"))
+        report = _fast_run("concavity")
         d = dataclasses.asdict(report)
         assert d["suite"] == "concavity"
         assert d["summary"]["failures"] == 0
@@ -64,29 +107,28 @@ class TestReports:
         json.dumps(d)  # serializable end to end
 
     def test_report_deterministic_outside_metadata(self):
-        cfg = _fast_config("concavity")
-        d1 = dataclasses.asdict(run_suite(cfg))
-        d2 = dataclasses.asdict(run_suite(cfg))
+        d1 = dataclasses.asdict(_fast_run("concavity"))
+        d2 = dataclasses.asdict(_fast_run("concavity"))
         d1.pop("metadata")
         d2.pop("metadata")
         assert d1 == d2
 
     def test_seed_changes_random_cases(self):
-        base = run_suite(_fast_config("concavity"))
-        other = run_suite(dataclasses.replace(_fast_config("concavity"), seed=7))
+        base = _fast_run("concavity")
+        other = _fast_run("concavity", seed=7)
         m1 = [c.margin for c in base.cases if "random" in c.descriptor]
         m2 = [c.margin for c in other.cases if "random" in c.descriptor]
         assert m1 and m1 != m2
 
     def test_wall_time_recorded(self):
-        report = run_suite(_fast_config("cou"))
+        report = run_suite("cou")
         assert report.metadata["wall_time_s"] > 0
 
 
 class TestErrorPolicy:
     def test_numerical_failure_becomes_error_case(self):
         # At dim 16 the heat flow pushes the random state into the edge band.
-        report = run_suite(default_config("stam", dim=16, cases=1))
+        report = run_suite("stam", dim=16, cases=1)
         errors = [c for c in report.cases if c.error is not None]
         assert len(errors) == 3
         for c in errors:
@@ -101,7 +143,7 @@ class TestErrorPolicy:
 
         monkeypatch.setattr(verify, "stam_margin", broken)
         with pytest.raises(TypeError, match="broken margin"):
-            run_suite(default_config("stam", dim=32, cases=1))
+            run_suite("stam", dim=32, cases=1)
 
     def test_certificate_runs_once_per_n(self, monkeypatch):
         calls = []
@@ -111,7 +153,7 @@ class TestErrorPolicy:
             return -2.0 * n * math.log(1.0 + 1.0 / n)
 
         monkeypatch.setattr(cl, "certified_rate_bound", geometric_bound)
-        report = run_suite(_fast_config("geometric-optimality"))
+        report = run_suite("geometric-optimality")
         assert calls == [0.5, 1.0, 2.0]
         assert [c.descriptor for c in report.cases] == [
             "constrained-minimum-value", "no-feasible-beats-closed",
@@ -122,7 +164,7 @@ class TestErrorPolicy:
             raise RuntimeError("certificate failed")
 
         monkeypatch.setattr(cl, "certified_rate_bound", failing)
-        report = run_suite(_fast_config("geometric-optimality"))
+        report = run_suite("geometric-optimality")
         assert [c.descriptor for c in report.cases] == [
             "constrained-minimum-value", "no-feasible-beats-closed",
             "fock-attenuator-rate"] * 3
@@ -139,17 +181,16 @@ class TestErrorPolicy:
 
 class TestSlowSuites:
     def test_stam_suite(self):
-        assert run_suite(dataclasses.replace(default_config("stam"), cases=1)).passed
+        assert run_suite("stam", cases=1).passed
 
     def test_de_bruijn_suite(self):
-        assert run_suite(dataclasses.replace(default_config("de-bruijn"), cases=1)).passed
+        assert run_suite("de-bruijn", cases=1).passed
 
     def test_epi_heat_suite(self):
-        assert run_suite(dataclasses.replace(default_config("epi-heat"), cases=1)).passed
+        assert run_suite("epi-heat", cases=1).passed
 
     def test_rate_decay_suite(self):
-        assert run_suite(dataclasses.replace(
-            default_config("rate-decay-identity"), cases=1)).passed
+        assert run_suite("rate-decay-identity", cases=1).passed
 
 
 class TestThresholds:

@@ -125,6 +125,18 @@ def _parse_grid(spec: str) -> np.ndarray:
     return np.linspace(start, stop, count)
 
 
+def _typed(key: str, val, cast):
+    # A config-file value arrives as any JSON type; argparse already typed
+    # the flags.  A bool is an int to Python but never a count or a seed.
+    ok = isinstance(val, (int, float)) and not isinstance(val, bool)
+    if ok and cast is int:
+        ok = isinstance(val, int) or val.is_integer()
+    if not ok:
+        kind = "an integer" if cast is int else "a number"
+        raise ValueError(f"config key {key!r} must be {kind}, got {val!r}")
+    return cast(val)
+
+
 def _cmd_verify(args, file_cfg) -> int:
     # Pass only what a flag or the config file set.
     params = {}
@@ -132,7 +144,7 @@ def _cmd_verify(args, file_cfg) -> int:
                             ("seed", "seed", int), ("tol", "tolerance", float)):
         val = _resolve(args, file_cfg, key)
         if val is not None:
-            params[name] = cast(val)
+            params[name] = _typed(key, val, cast)
     report = run_suite(args.suite, **params)
     _emit(dataclasses.asdict(report), args.out, "json")
     return 0 if report.passed else 1

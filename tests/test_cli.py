@@ -210,6 +210,32 @@ class TestConfigPrecedence:
         assert out == ""
         assert named in err and "accepted keys:" in err
 
+    @pytest.mark.parametrize("cfg, named", [
+        ({"cases": 1.9}, "'cases' must be an integer, got 1.9"),
+        ({"cases": True}, "'cases' must be an integer, got True"),
+        ({"dim": 64.5}, "'dim' must be an integer, got 64.5"),
+        ({"seed": "3"}, "'seed' must be an integer, got '3'"),
+        ({"tol": "1e-3"}, "'tol' must be a number, got '1e-3'"),
+        ({"tol": False}, "'tol' must be a number, got False"),
+    ])
+    def test_mistyped_config_value_exits_two(self, capsys, tmp_path, cfg,
+                                             named):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        code, out, err = run_cli(capsys, "--config", str(path), "verify",
+                                 "majorization")
+        assert code == 2
+        assert out == ""
+        assert named in err
+
+    def test_integral_config_values_accepted(self, capsys, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"cases": 2.0, "seed": 1}))
+        code, out, _ = run_cli(capsys, "--config", str(path), "verify",
+                               "majorization")
+        assert code == 0
+        assert json.loads(out)["config"] == {"cases": 2, "seed": 1}
+
     def test_missing_config_exits_two(self, capsys):
         code, _, _ = run_cli(capsys, "--config", "/nonexistent.json",
                              "verify", "cou")
@@ -220,9 +246,9 @@ class TestCrossProcessDeterminism:
     def test_report_identical_under_any_global_seed(self):
         # Fresh interpreters whose global numpy RNG and string hashing start
         # in different states must still compute the same margins to the
-        # last bit.  Under global seeds 1 and 9 the exponential's randomized
-        # norm estimates pick different step counts for the stam convolution
-        # unless the propagator fixes its own seed.
+        # last bit.  The stam convolution is isotropic and draws nothing
+        # from the global RNG; the sparse exponential, whose randomized norm
+        # estimates do, has its own seed test in test_semigroups.
         src = str(Path(phaseineq.__file__).resolve().parents[1])
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(

@@ -124,9 +124,10 @@ class TestEvolve:
          (QOU(math.sqrt(2.0), 1.0), 12)]
         + [(GaussianDensity(mean=np.zeros(2),
                             cov=np.array([[1.0, 0.3], [0.3, 0.6]])), d)
-           for d in (3, 12)],
+           for d in (3, 12)]
+        + [(GaussianDensity(mean=np.zeros(2), cov=0.7 * np.eye(2)), 12)],
         ids=["heat", "attenuator", "amplifier", "qou", "gaussian-d3",
-             "gaussian-d12"])
+             "gaussian-d12", "gaussian-iso"])
     def test_matches_dense_exponential(self, kind, dim, monkeypatch):
         # Superoperators on row-major vec(rho), vec(A X B) = (A kron B^T) vec(X),
         # assembled from the ladder operators alone.
@@ -170,16 +171,46 @@ class TestEvolve:
         assert np.max(np.abs(out.mat - target)) <= 1e-12
 
     def test_repeats_bit_for_bit_under_any_global_seed(self):
-        # The exponential's step count rests on randomized norm estimates;
-        # here numpy's global seeds 0 and 15 would pick different counts.
+        # The sparse exponential's step count rests on randomized norm
+        # estimates; here numpy's global seeds 0 and 15 would pick different
+        # counts.
         rho = random_state(32, 0, StateFamily.FULL_RANK)
+        gen = semigroups._generator(2.0 * math.pi, 2.0 * math.pi, 32)
         outs = []
         for seed in (0, 15):
             np.random.seed(seed)
-            outs.append(evolve(rho, Heat(), 0.2, edge_tol=math.inf).mat)
+            outs.append(semigroups._propagate(gen, rho.mat, 0.2))
             # The caller's random stream is left where it was.
             assert np.random.random() == np.random.RandomState(seed).random()
         assert np.array_equal(outs[0], outs[1])
+
+    def test_heat_bands_match_sparse_exponential(self):
+        # Random states fill only the bands k < 24; the band propagator
+        # skips the rest, which the flow keeps exactly zero.
+        dim = 64
+        rho = random_state(dim, 5, StateFamily.FULL_RANK)
+        gen = semigroups._generator(2.0 * math.pi, 2.0 * math.pi, dim)
+        for t in (2e-4, 0.1):
+            out = evolve(rho, Heat(), t).mat
+            target = semigroups._propagate(gen, rho.mat, t)
+            assert np.max(np.abs(out - target)) <= 1e-12
+            for k in range(24, dim):
+                assert not np.diagonal(out, k).any()
+                assert not np.diagonal(out, -k).any()
+
+    def test_isotropic_flows_leave_sparse_exponential(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("sparse exponential called")
+
+        monkeypatch.setattr(semigroups, "expm_multiply", refuse)
+        rho = random_state(64, 1, StateFamily.FULL_RANK)
+        evolve(rho, Heat(), 0.05)
+        iso = GaussianDensity(mean=np.array([0.1, -0.2]), cov=0.5 * np.eye(2))
+        convolve(iso, rho, 0.05)
+        aniso = GaussianDensity(mean=np.zeros(2),
+                                cov=np.array([[1.0, 0.3], [0.3, 0.6]]))
+        with pytest.raises(AssertionError, match="sparse exponential"):
+            convolve(aniso, rho, 0.05)
 
     def test_edge_mass_breach_raises(self):
         # Amplification out of a basis this small must be caught.

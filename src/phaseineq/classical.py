@@ -17,7 +17,7 @@ import scipy.sparse as sp
 from scipy.optimize import minimize_scalar
 
 from .fock_core import geometric_law
-from .gaussian import g_entropy, g_inverse
+from .gaussian import g_entropy, g_inverse, thermal_half_j_minus
 from .semigroups import _propagate
 
 _INTERIOR_FLOOR = 1e-12
@@ -111,8 +111,7 @@ def f_of_H(s: float) -> float:
     with n = g_inverse(S)."""
     if s <= 0:
         raise ValueError(f"S must be > 0, got {s}")
-    n = g_inverse(s)
-    return -n * math.log(1.0 + 1.0 / n)
+    return thermal_half_j_minus(g_inverse(s))
 
 
 def F_of_S0(s0: float, mu2: float, zeta: float) -> float:
@@ -124,7 +123,7 @@ def F_of_S0(s0: float, mu2: float, zeta: float) -> float:
     n_lo = g_inverse(s0)
 
     def phi(n: float) -> float:
-        return mu2 * (-n * math.log(1.0 + 1.0 / n)) + zeta * g_entropy(n)
+        return mu2 * thermal_half_j_minus(n) + zeta * g_entropy(n)
 
     # phi is eventually increasing; bracket the interior minimum against
     # the left endpoint.

@@ -83,12 +83,16 @@ def _load_file_config(path: str | None, args) -> dict:
     # Like a flag, a key the subcommand would ignore is a usage error: the
     # subcommand reads exactly the keys it registered as flags.
     accepted = [k for k in _DEFAULTS if hasattr(args, k)]
-    for key in data:
+    for key, val in data.items():
         if key not in accepted:
             why = ("is unknown" if key not in _DEFAULTS
                    else f"is not read by {args.command}")
             raise ValueError(f"config key {key!r} {why}; accepted keys: "
                              f"{', '.join(accepted) or 'none'}")
+        choices = _FLAGS[f"--{key}"].get("choices")
+        if choices and val not in choices:
+            raise ValueError(f"config key {key!r} must be one of "
+                             f"{', '.join(choices)}, got {val!r}")
     return data
 
 
@@ -103,13 +107,10 @@ def _resolve(args, file_cfg: dict, key: str):
 
 
 def _kind_from_name(name: str, mu: float, lam: float) -> SemigroupKind:
-    if name == "heat":
-        return Heat()
-    if name == "attenuator":
-        return Attenuator()
-    if name == "amplifier":
-        return Amplifier()
-    return QOU(mu, lam)
+    if name == "qou":
+        return QOU(mu, lam)
+    return {"heat": Heat(), "attenuator": Attenuator(),
+            "amplifier": Amplifier()}[name]
 
 
 def _parse_grid(spec: str) -> np.ndarray:
@@ -158,9 +159,9 @@ def _cmd_trajectory(args, file_cfg) -> int:
         evolved = ga.gaussian_evolve(spec, kind, float(t))
         n_t = evolved.nbar
         entropy = ga.g_entropy(n_t)
-        fisher = ga.thermal_fisher_closed(n_t) if n_t > 0 else math.inf
+        fisher = ga.thermal_fisher_closed(n_t)
         relent = (ga.relent_to_qou_fixed(entropy, n_t, args.mu, args.lam)
-                  if isinstance(kind, QOU) else None)
+                  if args.kind == "qou" else None)
         rows.append([float(t), entropy, math.exp(entropy), fisher, n_t, relent])
     header = ["t", "entropy", "entropy_power", "fisher", "mean_photon",
               "relent_to_fixed"]
@@ -194,8 +195,8 @@ def _cmd_closed_forms(args, file_cfg) -> int:
     if table == "fisher-tightness":
         header = ["n", "fisher", "isoperimetric_ratio"]
         for n in grid:
-            ratio = 1.0 / (n * (n + 1.0) * math.log(1.0 + 1.0 / n) ** 2)
-            rows.append([float(n), ga.thermal_fisher_closed(float(n)), ratio])
+            rows.append([float(n), ga.thermal_fisher_closed(float(n)),
+                         ga.thermal_isoperimetric_ratio(float(n))])
     elif table == "entropy-tightness":
         header = ["n", "fisher", "entropy_power", "product_over_4pie"]
         for n in grid:

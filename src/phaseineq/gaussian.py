@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
-from .semigroups import Amplifier, Attenuator, Heat, QOU, SemigroupKind
+from .semigroups import QOU, SemigroupKind
 
 
 @dataclass(frozen=True)
@@ -100,6 +100,19 @@ def thermal_fisher_closed(n: float) -> float:
     return 4.0 * math.pi * math.log((n + 1.0) / n)
 
 
+def thermal_isoperimetric_ratio(n: float) -> float:
+    """d/dt (2/J) along the heat flow through the thermal state omega_n:
+    1/(n(n+1) log^2(1 + 1/n)), which is >= 1 and tends to 1 as n grows."""
+    if n <= 0:
+        raise ValueError(f"n must be > 0, got {n}")
+    return 1.0 / (n * (n + 1.0) * math.log(1.0 + 1.0 / n) ** 2)
+
+
+def thermal_half_j_minus(n: float) -> float:
+    """J_-/2 of the thermal state omega_n: -n log(1 + 1/n)."""
+    return -n * math.log(1.0 + 1.0 / n)
+
+
 def j_pm_gaussian(kappa: float, z: float = 1.0) -> tuple[float, float]:
     """Attenuator/amplifier entropy rates (J_-, J_+) of a centered Gaussian
     state: J_-/+ = ((z^2 + 1/z^2)/2 -/+ ... ) -- explicitly,
@@ -118,19 +131,14 @@ def j_pm_gaussian(kappa: float, z: float = 1.0) -> tuple[float, float]:
 
 
 def _affine_cov_map(kind: SemigroupKind, t: float) -> tuple[float, float]:
-    """(alpha, beta) so that M(t) = alpha*M + beta*I and mean scales sqrt(alpha)."""
-    if isinstance(kind, Heat):
-        return 1.0, 4.0 * math.pi * t
-    if isinstance(kind, Attenuator):
-        a = math.exp(-t)
-        return a, 1.0 - a
-    if isinstance(kind, Amplifier):
-        a = math.exp(t)
-        return a, a - 1.0
-    if isinstance(kind, QOU):
-        a = math.exp(-kind.zeta * t)
-        return a, (1.0 - a) * (kind.mu**2 + kind.lam**2) / kind.zeta
-    raise TypeError(f"unknown semigroup kind {kind!r}")
+    """(alpha, beta) so that M(t) = alpha*M + beta*I and mean scales sqrt(alpha):
+    alpha = e^{-zeta t}, beta = (1 - alpha)(mu^2 + lam^2)/zeta, zeta = mu^2 - lam^2."""
+    mu2, lam2 = kind.rates
+    zeta = mu2 - lam2
+    if zeta == 0:
+        return 1.0, (mu2 + lam2) * t
+    a = math.exp(-zeta * t)
+    return a, (1.0 - a) * (mu2 + lam2) / zeta
 
 
 def gaussian_evolve(spec: GaussianStateSpec, kind: SemigroupKind,
@@ -145,7 +153,7 @@ def gaussian_evolve(spec: GaussianStateSpec, kind: SemigroupKind,
     z_t = (m1 / m2) ** 0.25
     if z_t < 1.0:
         z_t = 1.0 / z_t
-    mean_t = math.sqrt(alpha) * spec.mean if not isinstance(kind, Heat) else spec.mean
+    mean_t = math.sqrt(alpha) * spec.mean
     return GaussianStateSpec(mean=mean_t, kappa=kappa_t, z=z_t)
 
 

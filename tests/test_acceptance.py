@@ -168,9 +168,8 @@ def test_criterion_07_attenuator_fock_majorization():
                            mean_photon(arranged) - mean_photon(rho))
         ev, ev_arr, prev = rho, arranged, 0.0
         for t in (0.1, 0.5, 1.0):
-            ev = evolve(ev, Attenuator(), t - prev, edge_tol=math.inf)
-            ev_arr = evolve(ev_arr, Attenuator(), t - prev,
-                            edge_tol=math.inf)
+            ev = evolve(ev, Attenuator(), t - prev)
+            ev_arr = evolve(ev_arr, Attenuator(), t - prev)
             prev = t
             _, margins = majorizes(ev_arr, ev, tol=1e-10)
             worst_major = min(worst_major, float(margins.min()))

@@ -48,6 +48,8 @@ class TestVerifyCommand:
         (None, "entropy-isoperimetry", ("--tol", "1e-6"),
          "reads dim, cases, seed"),
         ({"dim": 16}, "cou", (), "reads no parameters"),
+        (None, "rate-decay-identity", ("--dim", "128"),
+         "reads cases, seed, tolerance"),
     ])
     def test_unread_suite_parameter_exits_two(self, capsys, tmp_path, cfg,
                                               suite, flags, reads):
@@ -144,6 +146,14 @@ class TestClosedFormsCommand:
         cols = payload["columns"]
         assert row[cols.index("alpha2_lower")] < row[cols.index("alpha2_upper")]
 
+    def test_fisher_tightness_rejects_zero_photons(self, capsys):
+        # The isoperimetric ratio has no value at n = 0, where J is infinite.
+        code, out, err = run_cli(capsys, "closed-forms", "fisher-tightness",
+                                 "--grid", "0:1:3")
+        assert code == 2
+        assert out == ""
+        assert "n must be > 0, got 0.0" in err
+
     def test_bad_grid_exits_two(self, capsys):
         code, _, _ = run_cli(capsys, "closed-forms", "fisher-tightness",
                              "--grid", "oops")
@@ -227,6 +237,18 @@ class TestConfigPrecedence:
         assert code == 2
         assert out == ""
         assert named in err
+
+    @pytest.mark.parametrize("value", ["xml", 5])
+    def test_config_format_outside_choices_exits_two(self, capsys, tmp_path,
+                                                      value):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"format": value}))
+        code, out, err = run_cli(capsys, "--config", str(path), "trajectory",
+                                 "heat")
+        assert code == 2
+        assert out == ""
+        assert (f"config key 'format' must be one of json, csv, got {value!r}"
+                in err)
 
     def test_integral_config_values_accepted(self, capsys, tmp_path):
         path = tmp_path / "cfg.json"

@@ -26,6 +26,8 @@ from phaseineq.gaussian import (
     j_pm_gaussian,
     relent_to_qou_fixed,
     thermal_fisher_closed,
+    thermal_half_j_minus,
+    thermal_isoperimetric_ratio,
     zeta_optimality_witness,
 )
 from phaseineq.semigroups import Amplifier, Attenuator, Heat, QOU, evolve
@@ -89,8 +91,77 @@ class TestClosedForms:
         assert squeezed[0] > base[0]
         assert squeezed[1] > base[1]
 
+    def test_half_j_minus_is_half_the_thermal_rate(self):
+        for n in (0.5, 1.0, 2.0):
+            assert thermal_half_j_minus(n) == pytest.approx(
+                0.5 * j_pm_gaussian(2 * n + 1)[0], rel=1e-14)
+
+    def test_isoperimetric_ratio_rejects_nonpositive(self):
+        for n in (0.0, -1.0):
+            with pytest.raises(ValueError, match="n must be > 0"):
+                thermal_isoperimetric_ratio(n)
+
+    @pytest.mark.parametrize("n", [0.5, 1.0, 2.0])
+    def test_exact_heat_curvature_is_the_stencils_limit(self, n):
+        # Along the heat flow omega_n moves to omega_{n + 2 pi t}.  The
+        # secant of 2/J and the second difference of N = e^S converge at
+        # first order to the ratio and to N'' = (N J^2/4)(1 - ratio): the
+        # error shrinks tenfold with h.
+        ratio = thermal_isoperimetric_ratio(n)
+        j = thermal_fisher_closed(n)
+        curvature = math.exp(g_entropy(n)) * j**2 / 4.0 * (1.0 - ratio)
+        errors = []
+        for h in (1e-2, 1e-3, 1e-4):
+            js = [thermal_fisher_closed(n + 2 * math.pi * k * h)
+                  for k in range(2)]
+            ns = [math.exp(g_entropy(n + 2 * math.pi * k * h))
+                  for k in range(3)]
+            secant = (2.0 / js[1] - 2.0 / js[0]) / h
+            second = (ns[2] - 2.0 * ns[1] + ns[0]) / h**2
+            errors.append((abs(secant - ratio), abs(second - curvature)))
+        for coarse, fine in zip(errors, errors[1:]):
+            for c, f in zip(coarse, fine):
+                assert 8.0 <= c / f <= 11.0
+
+
+def _ladder_evolve(spec, kind, t):
+    """gaussian_evolve as a per-kind (alpha, beta) table, kept as the
+    oracle for the single formula of the kind's rates."""
+    if isinstance(kind, Heat):
+        alpha, beta = 1.0, 4.0 * math.pi * t
+    elif isinstance(kind, Attenuator):
+        alpha = math.exp(-t)
+        beta = 1.0 - alpha
+    elif isinstance(kind, Amplifier):
+        alpha = math.exp(t)
+        beta = alpha - 1.0
+    else:
+        alpha = math.exp(-kind.zeta * t)
+        beta = (1.0 - alpha) * (kind.mu**2 + kind.lam**2) / kind.zeta
+    m1 = alpha * spec.kappa * spec.z**2 + beta
+    m2 = alpha * spec.kappa * spec.z**-2 + beta
+    z_t = (m1 / m2) ** 0.25
+    if z_t < 1.0:
+        z_t = 1.0 / z_t
+    mean_t = spec.mean if isinstance(kind, Heat) else (
+        math.sqrt(alpha) * spec.mean)
+    return mean_t, math.sqrt(m1 * m2), z_t
+
 
 class TestGaussianEvolve:
+    @pytest.mark.parametrize("kind", [Heat(), Attenuator(), Amplifier(),
+                                      QOU(math.sqrt(2.0), 1.0),
+                                      QOU(1.3, 0.4)],
+                             ids=["heat", "attenuator", "amplifier", "qou",
+                                  "qou-2"])
+    def test_matches_per_kind_ladder_bit_for_bit(self, kind):
+        spec = GaussianStateSpec(mean=np.array([0.7, -1.1]), kappa=2.5, z=1.8)
+        for t in (0.0, 0.05, 0.3, 1.7):
+            out = gaussian_evolve(spec, kind, t)
+            mean_t, kappa_t, z_t = _ladder_evolve(spec, kind, t)
+            assert np.array_equal(out.mean, mean_t)
+            assert out.kappa == kappa_t and out.z == z_t
+
     def test_heat_on_thermal(self):
         spec = GaussianStateSpec(mean=np.zeros(2), kappa=3.0)
         out = gaussian_evolve(spec, Heat(), 0.25)

@@ -5,6 +5,7 @@ import math
 import pytest
 
 import phaseineq.classical as cl
+import phaseineq.gaussian as ga
 import phaseineq.verify as verify
 from phaseineq.verify import SUITE_NAMES, run_suite, threshold_solve
 
@@ -28,7 +29,7 @@ READS = {
     "fisher-isoperimetry": ["dim", "cases", "seed", "tolerance"],
     "concavity": ["dim", "cases", "seed", "tolerance"],
     "epi-heat": ["dim", "cases", "seed", "tolerance"],
-    "rate-decay-identity": ["dim", "cases", "seed", "tolerance"],
+    "rate-decay-identity": ["cases", "seed", "tolerance"],
     "entropy-isoperimetry": ["dim", "cases", "seed"],
     "majorization": ["cases", "seed"],
     "correspondence": ["dim", "tolerance"],
@@ -123,6 +124,28 @@ class TestReports:
     def test_wall_time_recorded(self):
         report = run_suite("cou")
         assert report.metadata["wall_time_s"] > 0
+
+
+def _thermal_margins(name: str) -> dict:
+    """Margins of a suite's closed-form thermal cases, keyed by n; the
+    random cases are built at a small dim and never evaluated."""
+    checks = verify._SUITES[name](dim=32, cases=1, seed=0, tolerance=1e-3)
+    return {c.params["n"]: c.margin for c in checks
+            if c.descriptor == f"{name}-thermal"}
+
+
+class TestThermalCurvature:
+    def test_concavity_is_scaled_isoperimetry(self):
+        # -N'' = (N J^2/4)(d/dt (2/J) - 1) at omega_n: one pointwise
+        # statement behind both suites' thermal cases.
+        concave = _thermal_margins("concavity")
+        iso = _thermal_margins("fisher-isoperimetry")
+        assert list(concave) == list(iso) == [0.5, 1.0, 2.0]
+        for n, margin in concave.items():
+            j = ga.thermal_fisher_closed(n)
+            expected = math.exp(ga.g_entropy(n)) * j**2 / 4.0 * iso[n]
+            assert margin == pytest.approx(expected, rel=1e-12)
+            assert margin > 0
 
 
 class TestErrorPolicy:

@@ -19,7 +19,7 @@ import numpy as np
 from . import classical as cl
 from . import gaussian as ga
 from .fock_core import TruncationError
-from .semigroups import Amplifier, Attenuator, Heat, QOU, SemigroupKind
+from .semigroups import Amplifier, Attenuator, Heat, QOU
 from .verify import SUITE_NAMES, run_suite, threshold_solve
 
 ENV_CONFIG = "PHASEINEQ_CONFIG"
@@ -31,13 +31,21 @@ _FLAGS = {"--dim": {"type": int}, "--seed": {"type": int},
           "--cases": {"type": int}, "--tol": {"type": float}, "--out": {},
           "--format": {"choices": ["json", "csv"]}}
 
+# What each closed-forms table and trajectory kind reads of --grid, --mu
+# and --lambda, with the values used when the flag is unset.
+_GRID = {"grid": "0.1:100:25"}
+_RATES = {"mu": math.sqrt(2.0), "lam": 1.0}
+_TABLE_READS = {"fisher-tightness": _GRID, "entropy-tightness": _GRID,
+                "gaussian-rates": _GRID | _RATES, "lsi2": _RATES}
+_KINDS = {"heat": (Heat, {}), "attenuator": (Attenuator, {}),
+          "amplifier": (Amplifier, {}), "qou": (QOU, _RATES)}
+
 
 def _sig12(x):
-    """Round floats to 12 significant digits for deterministic output."""
+    """Round floats to 12 significant digits for deterministic output; a
+    non-finite float, which JSON cannot represent, becomes None (null)."""
     if isinstance(x, float):
-        if math.isfinite(x):
-            return float(f"{x:.12g}")
-        return x
+        return float(f"{x:.12g}") if math.isfinite(x) else None
     if isinstance(x, dict):
         return {k: _sig12(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
@@ -45,26 +53,17 @@ def _sig12(x):
     return x
 
 
-class _JsonEncoder(json.JSONEncoder):
-    def default(self, o):
-        if isinstance(o, np.ndarray):
-            return o.tolist()
-        if isinstance(o, (np.floating, np.integer)):
-            return o.item()
-        return super().default(o)
-
-
-def _emit(payload, out_path: str | None, fmt: str = "json",
-          csv_rows: list[list] | None = None, csv_header: list[str] | None = None):
+def _emit(payload: dict, out_path: str | None, fmt: str = "json"):
+    """Write payload as JSON, or its "columns" and "rows" as CSV."""
     if fmt == "csv":
-        lines = [",".join(csv_header)]
-        for row in csv_rows:
+        lines = [",".join(payload["columns"])]
+        for row in payload["rows"]:
             lines.append(",".join(
                 "" if v is None else (f"{v:.12g}" if isinstance(v, float) else str(v))
                 for v in row))
         text = "\n".join(lines) + "\n"
     else:
-        text = json.dumps(_sig12(payload), indent=2, cls=_JsonEncoder) + "\n"
+        text = json.dumps(_sig12(payload), indent=2, allow_nan=False) + "\n"
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text)
@@ -99,18 +98,28 @@ def _load_file_config(path: str | None, args) -> dict:
 def _resolve(args, file_cfg: dict, key: str):
     # Precedence: flag > config file > built-in default.
     val = getattr(args, key, None)
-    if val is not None:
-        return val
-    if key in file_cfg:
-        return file_cfg[key]
-    return _DEFAULTS.get(key)
+    return val if val is not None else file_cfg.get(key, _DEFAULTS.get(key))
 
 
-def _kind_from_name(name: str, mu: float, lam: float) -> SemigroupKind:
-    if name == "qou":
-        return QOU(mu, lam)
-    return {"heat": Heat(), "attenuator": Attenuator(),
-            "amplifier": Amplifier()}[name]
+def _read_only(args, name: str, reads: dict, always: tuple = ()) -> None:
+    """Set the flags the table or kind `name` reads, unset ones to their
+    defaults; one of --grid, --mu and --lambda that it ignores is an error."""
+    flags = {"grid": "--grid", "mu": "--mu", "lam": "--lambda"}
+    ignored = [flag for key, flag in flags.items()
+               if key not in reads and getattr(args, key, None) is not None]
+    if ignored:
+        raise ValueError(
+            f"{args.command} {name} does not read {', '.join(ignored)}; it "
+            f"reads {', '.join([*always, *(flags[k] for k in reads)])}")
+    for key, val in reads.items():
+        if getattr(args, key) is None:
+            setattr(args, key, val)
+
+
+def _nonnegative_int(text: str) -> int:
+    if int(text) < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
+    return int(text)
 
 
 def _parse_grid(spec: str) -> np.ndarray:
@@ -152,7 +161,9 @@ def _cmd_verify(args, file_cfg) -> int:
 
 
 def _cmd_trajectory(args, file_cfg) -> int:
-    kind = _kind_from_name(args.kind, args.mu, getattr(args, "lam"))
+    cls, reads = _KINDS[args.kind]
+    _read_only(args, args.kind, reads, ("--n0", "--tmax", "--steps"))
+    kind = cls(*(getattr(args, key) for key in reads))
     spec = ga.GaussianStateSpec(mean=np.zeros(2), kappa=2.0 * args.n0 + 1.0)
     rows = []
     for t in np.linspace(0.0, args.tmax, args.steps + 1):
@@ -165,9 +176,8 @@ def _cmd_trajectory(args, file_cfg) -> int:
         rows.append([float(t), entropy, math.exp(entropy), fisher, n_t, relent])
     header = ["t", "entropy", "entropy_power", "fisher", "mean_photon",
               "relent_to_fixed"]
-    fmt = _resolve(args, file_cfg, "format")
-    payload = {"kind": args.kind, "columns": header, "rows": rows}
-    _emit(payload, args.out, fmt, csv_rows=rows, csv_header=header)
+    _emit({"kind": args.kind, "columns": header, "rows": rows}, args.out,
+          _resolve(args, file_cfg, "format"))
     return 0
 
 
@@ -182,16 +192,16 @@ def _cmd_death_process(args, file_cfg) -> int:
         pt = cl.death_evolve(p, t)
         rows.append([t, pt.entropy(), pt.mean(), cl.death_entropy_rate(pt)])
     header = ["t", "entropy", "mean", "entropy_rate"]
-    fmt = _resolve(args, file_cfg, "format")
-    payload = {"init": args.init, "columns": header, "rows": rows}
-    _emit(payload, args.out, fmt, csv_rows=rows, csv_header=header)
+    _emit({"init": args.init, "columns": header, "rows": rows}, args.out,
+          _resolve(args, file_cfg, "format"))
     return 0
 
 
 def _cmd_closed_forms(args, file_cfg) -> int:
-    grid = _parse_grid(args.grid)
     table = args.table
-    rows, header = [], []
+    _read_only(args, table, _TABLE_READS[table])
+    grid = None if args.grid is None else _parse_grid(args.grid)
+    rows = []
     if table == "fisher-tightness":
         header = ["n", "fisher", "isoperimetric_ratio"]
         for n in grid:
@@ -214,11 +224,8 @@ def _cmd_closed_forms(args, file_cfg) -> int:
                   "alphaC_lower", "alphaC_upper"]
         lo, hi, (clo, chi) = ga.carbone_lsi2_bounds(args.mu, args.lam)
         rows.append([args.mu, args.lam, lo, hi, clo, chi])
-    else:
-        raise ValueError(f"unknown table {table!r}")
-    fmt = _resolve(args, file_cfg, "format")
-    payload = {"table": table, "columns": header, "rows": rows}
-    _emit(payload, args.out, fmt, csv_rows=rows, csv_header=header)
+    _emit({"table": table, "columns": header, "rows": rows}, args.out,
+          _resolve(args, file_cfg, "format"))
     return 0
 
 
@@ -263,10 +270,10 @@ def _build_parser() -> argparse.ArgumentParser:
     pt = sub.add_parser("trajectory", help="closed-form thermal trajectory")
     pt.add_argument("kind", choices=["heat", "attenuator", "amplifier", "qou"])
     pt.add_argument("--n0", type=float, default=1.0)
-    pt.add_argument("--mu", type=float, default=math.sqrt(2.0))
-    pt.add_argument("--lambda", dest="lam", type=float, default=1.0)
+    pt.add_argument("--mu", type=float)
+    pt.add_argument("--lambda", dest="lam", type=float)
     pt.add_argument("--tmax", type=float, default=2.0)
-    pt.add_argument("--steps", type=int, default=40)
+    pt.add_argument("--steps", type=_nonnegative_int, default=40)
     flags(pt, "--out", "--format")
     pt.set_defaults(fn=_cmd_trajectory)
 
@@ -274,17 +281,16 @@ def _build_parser() -> argparse.ArgumentParser:
     pd.add_argument("--init", default="geometric:1")
     pd.add_argument("--K", type=int, default=256)
     pd.add_argument("--tmax", type=float, default=2.0)
-    pd.add_argument("--steps", type=int, default=20)
+    pd.add_argument("--steps", type=_nonnegative_int, default=20)
     flags(pd, "--out", "--format")
     pd.set_defaults(fn=_cmd_death_process)
 
     pc = sub.add_parser("closed-forms", help="closed-form tables")
     pc.add_argument("table", choices=["fisher-tightness", "entropy-tightness",
                                       "gaussian-rates", "lsi2"])
-    pc.add_argument("--grid", default="0.1:100:25",
-                    help="start:stop:count grid spec")
-    pc.add_argument("--mu", type=float, default=math.sqrt(2.0))
-    pc.add_argument("--lambda", dest="lam", type=float, default=1.0)
+    pc.add_argument("--grid", help="start:stop:count grid spec")
+    pc.add_argument("--mu", type=float)
+    pc.add_argument("--lambda", dest="lam", type=float)
     flags(pc, "--out", "--format")
     pc.set_defaults(fn=_cmd_closed_forms)
 

@@ -24,7 +24,7 @@ from .fock_core import (
     EDGE_TOL,
     DensityMatrix,
     TruncationError,
-    full_rank_eigh,
+    log_spectrum,
     state_edge_mass,
 )
 from .semigroups import GaussianDensity, PhaseDensity, convolve
@@ -37,14 +37,14 @@ class FisherEstimate:
 
 def quantum_fisher(rho: DensityMatrix) -> FisherEstimate:
     """Fisher information of the phase-space translation family of rho."""
-    lam, vecs = full_rank_eigh(rho, "quantum_fisher")
+    log_lam = log_spectrum(rho, "quantum_fisher")
     # The truncated quadratures act on rho itself, so rho's own edge band
     # bounds the truncation error.
     if state_edge_mass(rho.mat) > EDGE_TOL:
         raise TruncationError(
             f"state edge mass exceeds {EDGE_TOL:.1e}; increase dim"
         )
-    log_lam = np.log(np.clip(lam, 1e-300, None))
+    lam, vecs = rho.evals, rho.evecs
     weight = (lam[:, None] - lam[None, :]) * (log_lam[:, None] - log_lam[None, :])
     # With A = V^dag a V, |Q_ab|^2 + |P_ab|^2 = |A_ab|^2 + |A_ba|^2 and the
     # weight is symmetric, so one basis change of the annihilator suffices.

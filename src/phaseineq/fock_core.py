@@ -12,7 +12,7 @@ sigma = [[0, 1], [-1, 0]].
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -46,9 +46,13 @@ class IllConditionedError(ValueError):
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Hermitian, PSD, unit-trace complex matrix on the truncated basis."""
+    """Hermitian, PSD, unit-trace complex matrix on the truncated basis, with
+    the eigendecomposition that validates it, read-only, for the spectral
+    functionals: mat = evecs diag(evals) evecs^dag, evals ascending."""
 
     mat: np.ndarray
+    evals: np.ndarray = field(init=False, repr=False, compare=False)
+    evecs: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m = np.asarray(self.mat, dtype=complex)
@@ -60,11 +64,12 @@ class DensityMatrix:
         trace_defect = abs(np.trace(m).real - 1.0)
         if trace_defect > TRACE_TOL:
             raise ValueError(f"trace differs from 1 by {trace_defect:.3e}")
-        min_eig = float(np.linalg.eigvalsh(m)[0])
-        if min_eig < -PSD_TOL:
-            raise ValueError(f"not PSD: min eigenvalue {min_eig:.3e}")
-        m.flags.writeable = False
-        object.__setattr__(self, "mat", m)
+        evals, evecs = np.linalg.eigh(m)
+        if evals[0] < -PSD_TOL:
+            raise ValueError(f"not PSD: min eigenvalue {evals[0]:.3e}")
+        for name, arr in (("mat", m), ("evals", evals), ("evecs", evecs)):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
     @property
     def dim(self) -> int:
@@ -219,35 +224,26 @@ def random_state(dim: int, seed: int, family: StateFamily) -> DensityMatrix:
     return DensityMatrix(m)
 
 
-def clamped_spectrum(rho: DensityMatrix) -> np.ndarray:
-    """Eigenvalues with roundoff negatives clamped to zero."""
-    evals = np.linalg.eigvalsh(rho.mat)
-    if evals[0] < -PSD_TOL:
-        raise ValueError(f"spectrum below PSD tolerance: {evals[0]:.3e}")
-    return np.clip(evals, 0.0, None)
-
-
-def full_rank_eigh(rho: DensityMatrix, what: str) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of rho for a log weight; IllConditionedError unless
-    rho is full rank.
+def log_spectrum(rho: DensityMatrix, what: str) -> np.ndarray:
+    """Log of rho's ascending spectrum, for a log weight; IllConditionedError
+    unless rho is full rank.
 
     Only rank deficiency is fatal (the log diverges): an exactly-zero
     smallest eigenvalue, or a negative one beyond roundoff.  Tiny negatives
     in deep thermal tails are roundoff images of positive eigenvalues and
     contribute finitely once clipped.
     """
-    lam, vecs = np.linalg.eigh(rho.mat)
+    lam = rho.evals
     if lam[0] == 0.0 or lam[0] <= -1e-12:
         raise IllConditionedError(
             f"{what} needs a full-rank state (min eigenvalue {lam[0]:.3e})"
         )
-    return lam, vecs
+    return np.log(np.clip(lam, 1e-300, None))
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
     """S(rho) = -sum lambda log lambda in nats, with 0 log 0 = 0."""
-    lam = clamped_spectrum(rho)
-    nz = lam[lam > 0.0]
+    nz = rho.evals[rho.evals > 0.0]
     return float(-np.sum(nz * np.log(nz)))
 
 
@@ -260,7 +256,7 @@ def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """
     if rho.dim != sigma.dim:
         raise ValueError(f"dim mismatch: {rho.dim} vs {sigma.dim}")
-    mu, v = np.linalg.eigh(sigma.mat)
+    mu, v = sigma.evals, sigma.evecs
     overlaps = np.real(np.einsum("ji,jk,ki->i", v.conj(), rho.mat, v))
     if mu[0] <= 0.0:
         # rho carrying mass on the numerical null space means the divergence
@@ -272,11 +268,7 @@ def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
         raise IllConditionedError(
             f"reference state rank-deficient (min eigenvalue {mu[0]:.3e})"
         )
-    lam = clamped_spectrum(rho)
-    nz = lam[lam > 0.0]
-    tr_rho_log_rho = float(np.sum(nz * np.log(nz)))
-    tr_rho_log_sigma = float(overlaps @ np.log(mu))
-    return tr_rho_log_rho - tr_rho_log_sigma
+    return -von_neumann_entropy(rho) - float(overlaps @ np.log(mu))
 
 
 def entropy_power(rho: DensityMatrix) -> float:
@@ -291,14 +283,13 @@ def mean_photon(rho: DensityMatrix) -> float:
 
 def fock_rearrangement(rho: DensityMatrix) -> DensityMatrix:
     """Passive rearrangement: decreasing spectrum placed on the number basis."""
-    lam = clamped_spectrum(rho)
-    lam = np.sort(lam)[::-1]
+    lam = _decreasing_spectrum(rho)
     return DensityMatrix(np.diag(lam / lam.sum()).astype(complex))
 
 
 def _decreasing_spectrum(x) -> np.ndarray:
     if isinstance(x, DensityMatrix):
-        return np.sort(clamped_spectrum(x))[::-1]
+        return np.clip(x.evals, 0.0, None)[::-1]
     arr = np.asarray(x, dtype=float)
     return np.sort(arr)[::-1]
 

@@ -40,7 +40,7 @@ from .fock_core import (
     EDGE_TOL,
     DensityMatrix,
     TruncationError,
-    full_rank_eigh,
+    log_spectrum,
     state_edge_mass,
     thermal_state,
     von_neumann_entropy,
@@ -353,8 +353,8 @@ def convolve(f: PhaseDensity, rho: DensityMatrix, t: float) -> DensityMatrix:
 
 
 def _log_density(rho: DensityMatrix) -> np.ndarray:
-    lam, vecs = full_rank_eigh(rho, "entropy rate")
-    return (vecs * np.log(np.clip(lam, 1e-300, None))) @ vecs.conj().T
+    vecs = rho.evecs
+    return (vecs * log_spectrum(rho, "entropy rate")) @ vecs.conj().T
 
 
 def entropy_rate(rho: DensityMatrix, kind: SemigroupKind) -> float:

@@ -229,13 +229,14 @@ def _suite_epi_heat(*, dim, cases, seed, tolerance) -> Iterator[_Check]:
             nt = math.exp(ga.g_entropy(n + 2.0 * math.pi * t))
             yield _Check("epi-heat-thermal-closed", {"n": n, "t": t},
                          nt - n0 - TWO_PI_E * t, tolerance)
-    # Asymptotic slope of N(omega_{n + 2 pi t}) over t in [2, 4].
-    n = 1.0
-    slope = (math.exp(ga.g_entropy(n + 8.0 * math.pi))
-             - math.exp(ga.g_entropy(n + 4.0 * math.pi))) / 2.0
+    # Slope N J/2 of N(omega_{n + 2 pi t}) at t = 2, exactly (S' = J/2),
+    # which tends to 2 pi e from above: J N >= 4 pi e.
+    n, t = 1.0, 2.0
+    n_t = n + 2.0 * math.pi * t
+    slope = math.exp(ga.g_entropy(n_t)) * ga.thermal_fisher_closed(n_t) / 2.0
     yield _Check("epi-heat-asymptotic-slope",
-                 {"n": n, "slope": slope, "target": TWO_PI_E},
-                 -abs(slope / TWO_PI_E - 1.0), 1e-2)
+                 {"n": n, "t": t, "slope": slope, "target": TWO_PI_E},
+                 slope / TWO_PI_E - 1.0, tolerance)
     for i in range(cases):
         rho = random_state(dim, seed + i, StateFamily.FULL_RANK)
         for t in (0.05, 0.1):
@@ -424,8 +425,9 @@ def run_suite(suite: str, **params) -> VerificationReport:
             f"suite {suite!r} does not read {', '.join(unread)}; it reads "
             f"{', '.join(reads) or 'no parameters'}")
     config = {k: params.get(k, _DEFAULTS[k]) for k in reads}
-    if config.get("tolerance", 1.0) <= 0:
-        raise ValueError(f"tolerance must be > 0, got {config['tolerance']}")
+    if not 0 < config.get("tolerance", 1.0) < math.inf:
+        raise ValueError(f"tolerance must be > 0 and finite, got "
+                         f"{config['tolerance']}")
     if config.get("cases", 1) < 1:
         raise ValueError(f"cases must be >= 1, got {config['cases']}")
     start = time.perf_counter()

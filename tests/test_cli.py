@@ -37,10 +37,20 @@ class TestVerifyCommand:
         code, _, _ = run_cli(capsys, "verify", "bogus")
         assert code == 2
 
-    def test_bad_tolerance_exits_two(self, capsys):
-        code, _, err = run_cli(capsys, "verify", "log-sobolev", "--tol", "0")
-        assert code == 2
-        assert "tolerance must be > 0" in err
+    def test_bad_tolerance_exits_two(self, capsys, tmp_path):
+        for tol in ("0", "nan", "inf"):
+            code, _, err = run_cli(capsys, "verify", "log-sobolev",
+                                   "--tol", tol)
+            assert code == 2
+            assert "tolerance must be > 0 and finite" in err
+        # Python's json reads the non-standard tokens NaN and Infinity.
+        path = tmp_path / "cfg.json"
+        for tol in ("NaN", "Infinity"):
+            path.write_text(f'{{"tol": {tol}}}')
+            code, out, err = run_cli(capsys, "--config", str(path), "verify",
+                                     "log-sobolev")
+            assert code == 2 and out == ""
+            assert "tolerance must be > 0 and finite" in err
 
     @pytest.mark.parametrize("cfg, suite, flags, reads", [
         (None, "cou", ("--cases", "2"), "reads no parameters"),
@@ -73,6 +83,11 @@ class TestVerifyCommand:
         ("closed-forms", "lsi2", "--dim", "64"),
         ("minimize-rate", "--n", "1", "--cases", "3"),
         ("minimize-rate", "--n", "1", "--seed", "3"),
+        ("closed-forms", "lsi2", "--grid", "5:6:7"),
+        ("closed-forms", "fisher-tightness", "--mu", "9", "--lambda", "3"),
+        ("trajectory", "heat", "--mu", "0.5", "--lambda", "7"),
+        ("trajectory", "heat", "--steps", "-1"),
+        ("death-process", "--steps", "-1"),
     ])
     def test_ignored_flag_exits_two(self, capsys, argv):
         code, out, _ = run_cli(capsys, *argv)
@@ -288,6 +303,31 @@ class TestCrossProcessDeterminism:
             assert proc.returncode == 0, proc.stderr
             margins.append(json.loads(proc.stdout))
         assert margins[0] == margins[1]
+
+
+class TestStrictJson:
+    @staticmethod
+    def strict(text):
+        def reject(token):
+            raise ValueError(f"non-JSON token {token}")
+        return json.loads(text, parse_constant=reject)
+
+    def test_infinite_fisher_information_is_null(self, capsys):
+        code, out, _ = run_cli(capsys, "closed-forms", "entropy-tightness",
+                               "--grid", "0:1:2")
+        assert code == 0
+        rows = self.strict(out)["rows"]
+        # The vacuum's J and J N are infinite; the next row is finite.
+        assert rows[0][1] is None and rows[0][3] is None
+        assert all(v is not None for v in rows[1])
+
+    def test_error_case_margin_is_null(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "stam", "--dim", "16",
+                               "--cases", "1")
+        assert code == 1
+        errors = [c for c in self.strict(out)["cases"]
+                  if c["error"] is not None]
+        assert errors and all(c["margin"] is None for c in errors)
 
 
 class TestOutputRounding:

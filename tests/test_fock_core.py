@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -26,6 +27,8 @@ from phaseineq.fock_core import (
     von_neumann_entropy,
     weyl_operator,
 )
+from phaseineq.fisher import quantum_fisher
+from phaseineq.semigroups import Heat, entropy_rate
 
 SIGMA = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
@@ -129,6 +132,37 @@ class TestStates:
             DensityMatrix(np.diag([0.7, 0.7]).astype(complex))
         with pytest.raises(ValueError):
             DensityMatrix(np.diag([1.5, -0.5]).astype(complex))
+
+
+class TestSpectrum:
+    def test_kept_decomposition_is_read_only_and_rebuilds_the_state(self):
+        rho = random_state(32, 3, StateFamily.FULL_RANK)
+        assert np.all(np.diff(rho.evals) >= 0.0)
+        rebuilt = (rho.evecs * rho.evals) @ rho.evecs.conj().T
+        assert np.max(np.abs(rebuilt - rho.mat)) <= 1e-13
+        for arr in (rho.mat, rho.evals, rho.evecs):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0.0
+
+    def test_spectral_functionals_do_not_decompose_again(self, monkeypatch):
+        rho = random_state(32, 4, StateFamily.FULL_RANK)
+        sigma = thermal_state(1.0, 32)
+        callers = []
+        for name in ("eigh", "eigvalsh"):
+            def counted(a, *args, _solver=getattr(np.linalg, name), **kw):
+                callers.append(sys._getframe(1).f_code.co_name)
+                return _solver(a, *args, **kw)
+            monkeypatch.setattr(np.linalg, name, counted)
+        von_neumann_entropy(rho)
+        entropy_power(rho)
+        relative_entropy(rho, sigma)
+        quantum_fisher(rho)
+        entropy_rate(rho, Heat())
+        majorizes(rho, sigma)
+        assert callers == []
+        # Only the constructor of the rearranged state decomposes it.
+        fock_rearrangement(rho)
+        assert callers == ["__post_init__"]
 
 
 class TestRandomState:

@@ -148,6 +148,22 @@ class TestThermalCurvature:
             assert margin > 0
 
 
+class TestAsymptoticSlope:
+    def test_exact_slope_exceeds_its_limit(self):
+        # d/dt N(omega_{1 + 2 pi t}) = N J/2 at t = 2, so the margin is
+        # J N/(4 pi e) - 1 at n = 1 + 4 pi, positive by the entropy
+        # isoperimetric inequality.
+        checks = verify._suite_epi_heat(dim=32, cases=1, seed=0,
+                                        tolerance=1e-3)
+        margin = next(c.margin for c in checks
+                      if c.descriptor == "epi-heat-asymptotic-slope")
+        n = 1.0 + 4.0 * math.pi
+        expected = (ga.thermal_fisher_closed(n) * math.exp(ga.g_entropy(n))
+                    / (4.0 * math.pi * math.e) - 1.0)
+        assert margin > 0
+        assert margin == pytest.approx(expected, rel=1e-12)
+
+
 class TestErrorPolicy:
     def test_numerical_failure_becomes_error_case(self):
         # At dim 16 the heat flow pushes the random state into the edge band.

@@ -54,10 +54,11 @@ def _sig12(x):
 
 
 def _emit(payload: dict, out_path: str | None, fmt: str = "json"):
-    """Write payload as JSON, or its "columns" and "rows" as CSV."""
+    """Write payload as JSON, or its "columns" and "rows" as CSV, where a
+    missing or non-finite value is the empty field."""
     if fmt == "csv":
         lines = [",".join(payload["columns"])]
-        for row in payload["rows"]:
+        for row in _sig12(payload["rows"]):
             lines.append(",".join(
                 "" if v is None else (f"{v:.12g}" if isinstance(v, float) else str(v))
                 for v in row))

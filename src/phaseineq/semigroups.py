@@ -15,15 +15,12 @@ isotropic part pi tr C (L_- + L_+) and the traceless part with
 s = (C_11 - C_22)/2 + i C_12.  Finite atom mixtures are exact weighted
 sums of displaced states.
 
-Two helpers apply the exponential exactly (to double precision) on the
-truncated space.  The isotropic flows, Heat and the Gaussian convolution
-with C proportional to the identity, are r (L_- + L_+): it maps each band
-rho_{i,i+k} into itself as a real symmetric tridiagonal matrix, so one
-eigendecomposition per band gives e^{tL} at any t (`_isotropic_propagate`).
-Every other flow (the attenuator, the amplifier, the qOU, an anisotropic
-Gaussian and the classical death process) goes through the sparse action
-of the exponential (`_propagate`): its bands are not symmetric, and there
-the sparse action is faster than a dense exponential of each band.
+Two helpers apply the exponential to double precision on the truncated
+space.  The generator is Hermitian exactly when mu^2 = lam^2, which covers
+Heat and every Gaussian convolution; those flows take a Chebyshev series
+with an a-priori error bound (`_chebyshev`).  The attenuator, the
+amplifier, the qOU and the classical death process take the sparse action
+of the exponential (`_propagate`).
 """
 
 from __future__ import annotations
@@ -33,8 +30,9 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import eigh_tridiagonal
+from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import expm_multiply
+from scipy.special import ive
 
 from .fock_core import (
     EDGE_TOL,
@@ -206,12 +204,10 @@ def _generator(mu2: float, lam2: float, dim: int,
 def _propagate(gen: sp.spmatrix, x: np.ndarray, t: float) -> np.ndarray:
     """e^{t gen} applied to x flattened row-major, reshaped like x.
 
-    Serves the generators whose bands are not symmetric: the attenuator,
-    the amplifier, the qOU, the anisotropic Gaussian (s != 0, which also
-    couples band k to k +- 2) and the death process.  A diagonal similarity
-    would symmetrize the qOU bands only at a factor (mu/lam)^dim, 2^64 at
-    dim 128 for the default mu = sqrt 2, lam = 1, and a dense exponential
-    per band costs 3 to 11 times this sparse action at dim 128 and t <= 0.1.
+    Serves the generators that are not Hermitian: the attenuator, the
+    amplifier, the qOU (mu^2 != lam^2) and the death process.  A diagonal
+    similarity would symmetrize the qOU only at a factor (mu/lam)^dim,
+    2^64 at dim 128 for the default mu = sqrt 2, lam = 1.
 
     Uses the Al-Mohy-Higham action of the matrix exponential, which picks
     its Taylor degree and step count to reach double-precision accuracy.
@@ -229,50 +225,51 @@ def _propagate(gen: sp.spmatrix, x: np.ndarray, t: float) -> np.ndarray:
     return out.reshape(x.shape)
 
 
-def _isotropic_propagate(x: np.ndarray, tau: float) -> np.ndarray:
-    """e^{tau (L_- + L_+)} applied to the Hermitian part of the square x.
+def _chebyshev(gen: sp.spmatrix, x: np.ndarray, t: float) -> np.ndarray:
+    """e^{t gen} x for a Hermitian negative semidefinite gen.
 
-    L_- + L_+ maps each band x_{i,i+k}, k >= 0, into itself, where it acts
-    as the real symmetric tridiagonal T_k with diagonal
-    -(i + (i+k) + up(i) + up(i+k))/2 and off-diagonal sqrt((i+1)(i+k+1)):
-    the diagonals 0 and +-(dim+1) of `_generator` restricted to the band,
-    with up(m) = m + 1 except up(dim-1) = 0.  So band_k becomes
-    V e^{tau Lambda} V^T band_k from one eigendecomposition of T_k, exact
-    to roundoff at every tau with no step selection.  A band that is
-    exactly zero stays zero and is skipped; the bands below the diagonal
-    are the conjugates of those above.
+    The largest absolute row sum w puts the spectrum in [-w, 0], so
+    A = 2 gen / w + 1 has its spectrum in [-1, 1] and, with z = t w / 2,
+    e^{t gen} = sum_k eps_k ive(k, z) T_k(A), eps_0 = 1 and eps_k = 2
+    otherwise (Tal-Ezer and Kosloff, J. Chem. Phys. 81, 1984).  The
+    coefficients sum to 1 and |T_k(A)| <= 1, so the series stops where
+    their tail drops below 1e-16, an a-priori bound on the error: no step
+    is selected and nothing is drawn at random.  The degree needed grows
+    like 8.3 sqrt(z), which sizes the coefficient array.
     """
-    dim = x.shape[0]
-    herm = 0.5 * (x + x.conj().T)
-    n = np.arange(dim, dtype=float)
-    up = n + 1.0
-    up[-1] = 0.0
-    out = np.zeros((dim, dim), dtype=complex)
-    flat = out.reshape(-1)
-    for k in range(dim):
-        band = np.diagonal(herm, k)
-        if not band.any():
-            continue
-        size = dim - k
-        lam, vecs = eigh_tridiagonal(
-            -0.5 * (n[:size] + n[k:] + up[:size] + up[k:]),
-            np.sqrt(n[1:size] * n[k + 1:]))
-        parts = np.stack((band.real, band.imag), axis=1)
-        parts = vecs @ (np.exp(tau * lam)[:, None] * (vecs.T @ parts))
-        band = parts[:, 0] + 1j * parts[:, 1]
-        # Entries (i + k, i), then (i, i + k), so the diagonal keeps band.
-        flat[k * dim::dim + 1][:size] = band.conj()
-        flat[k::dim + 1][:size] = band
+    w = abs(gen).sum(axis=1).max()
+    z = 0.5 * t * w
+    coef = ive(np.arange(int(9.0 * math.sqrt(z)) + 30), z)
+    coef[1:] *= 2.0
+    degree = np.count_nonzero(np.cumsum(coef[::-1])[::-1] >= 1e-16)
+    two_a = (4.0 / w) * gen + 2.0 * sp.identity(gen.shape[0], dtype=complex)
+    prev, cur = x, 0.5 * (two_a @ x)
+    out = coef[0] * prev + coef[1] * cur
+    for c in coef[2:degree]:
+        prev, cur = cur, two_a @ cur - prev
+        out += c * cur
     return out
 
 
 def _flow(x: np.ndarray, t: float, mu2: float, lam2: float,
           s: complex = 0.0) -> np.ndarray:
-    """e^{t L}(x) for L = `_generator(mu2, lam2, dim, s)`: band by band when
-    L is isotropic (mu2 = lam2 and s = 0), by the sparse action otherwise."""
-    if mu2 == lam2 and s == 0:
-        return _isotropic_propagate(x, mu2 * t)
-    return _propagate(_generator(mu2, lam2, x.shape[0], s), x, t)
+    """e^{t L}(x) for L = `_generator(mu2, lam2, dim, s)`.
+
+    L is Hermitian exactly when mu2 = lam2 (Heat and every Gaussian
+    convolution) and then goes through the Chebyshev series, restricted to
+    the connected components of L's sparsity pattern that x's support
+    touches.  That is exact, since the entries outside them start at zero
+    and nothing inside feeds them.  The other flows take the sparse action
+    of the exponential on the whole space.
+    """
+    gen = _generator(mu2, lam2, x.shape[0], s)
+    if mu2 != lam2:
+        return _propagate(gen, x, t)
+    _, labels = connected_components(abs(gen), directed=False)
+    keep = np.flatnonzero(np.isin(labels, labels[x.ravel() != 0]))
+    out = np.zeros(x.size, dtype=complex)
+    out[keep] = _chebyshev(gen[keep][:, keep], x.ravel()[keep], t)
+    return out.reshape(x.shape)
 
 
 def _checked_state(x: np.ndarray, what: str, edges: bool = True) -> DensityMatrix:
@@ -301,8 +298,8 @@ def liouvillian_apply(kind: SemigroupKind, rho: DensityMatrix) -> np.ndarray:
 
 
 def evolve(rho: DensityMatrix, kind: SemigroupKind, t: float) -> DensityMatrix:
-    """e^{tL}(rho), exact to double precision: band by band for Heat, by
-    the sparse action of the generator's exponential otherwise.
+    """e^{tL}(rho), exact to double precision: by the Chebyshev series for
+    Heat, by the sparse action of the generator's exponential otherwise.
 
     Raises TruncationError when a flow with gain (lam^2 > 0) leaves more
     than EDGE_TOL in the top edge band of the basis; pure loss maps the
@@ -323,9 +320,9 @@ def convolve(f: PhaseDensity, rho: DensityMatrix, t: float) -> DensityMatrix:
     Atom mixtures are exact weighted sums of displaced states.  For a
     Gaussian density with mean m and covariance C,
     f *_t rho = W(sqrt(t) m) e^{t L_C}(rho) W(sqrt(t) m)^dag, the quantum
-    heat semigroup with diffusion matrix C followed by a translation; for
-    C proportional to the identity it is the Heat flow's band propagator,
-    and a zero translation is skipped.
+    heat semigroup with diffusion matrix C followed by a translation.
+    Every C takes the Chebyshev series that Heat takes, and a zero
+    translation is skipped.
     """
     if t < 0:
         raise ValueError(f"t must be >= 0, got {t}")

@@ -283,18 +283,19 @@ class TestCrossProcessDeterminism:
     def test_report_identical_under_any_global_seed(self):
         # Fresh interpreters whose global numpy RNG and string hashing start
         # in different states must still compute the same margins to the
-        # last bit.  The stam convolution is isotropic and draws nothing
-        # from the global RNG; the sparse exponential, whose randomized norm
-        # estimates do, has its own seed test in test_semigroups.
+        # last bit.  stam's isotropic and data-processing's anisotropic
+        # convolutions both take the Chebyshev series, which draws nothing;
+        # the sparse exponential, whose randomized norm estimates do, has
+        # its own seed test in test_semigroups.
         src = str(Path(phaseineq.__file__).resolve().parents[1])
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             [src] + [p for p in [env.get("PYTHONPATH")] if p])
         script = ("import json, sys, numpy; numpy.random.seed(int(sys.argv[1])); "
                   "from phaseineq.verify import run_suite; "
-                  "report = run_suite('stam', cases=1); "
                   "print(json.dumps([[c.descriptor, float.hex(c.margin)] "
-                  "for c in report.cases]))")
+                  "for suite in ('stam', 'data-processing') "
+                  "for c in run_suite(suite, cases=1).cases]))")
         margins = []
         for seed in ("1", "9"):
             proc = subprocess.run([sys.executable, "-c", script, seed],
@@ -320,6 +321,13 @@ class TestStrictJson:
         # The vacuum's J and J N are infinite; the next row is finite.
         assert rows[0][1] is None and rows[0][3] is None
         assert all(v is not None for v in rows[1])
+
+    def test_csv_writes_non_finite_as_empty_field(self, capsys):
+        code, out, _ = run_cli(capsys, "closed-forms", "entropy-tightness",
+                               "--grid", "0:1:2", "--format", "csv")
+        assert code == 0
+        # The vacuum's J and J N are infinite, as in the JSON table.
+        assert out.splitlines()[1] == "0,,1,"
 
     def test_error_case_margin_is_null(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "stam", "--dim", "16",

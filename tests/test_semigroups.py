@@ -160,15 +160,15 @@ class TestEvolve:
             sup = -math.pi * sum(kind.cov[j, k] * double_commutator(g[j], g[k])
                                  for j in range(2) for k in range(2))
         rho = random_state(dim, 3, StateFamily.FULL_RANK)
-        t = 0.05
-        target = (expm(t * sup) @ rho.mat.ravel()).reshape(dim, dim)
         # At these dims the random state fills the edge band.
         monkeypatch.setattr(semigroups, "EDGE_TOL", math.inf)
-        if isinstance(kind, GaussianDensity):
-            out = convolve(kind, rho, t)
-        else:
-            out = evolve(rho, kind, t)
-        assert np.max(np.abs(out.mat - target)) <= 1e-12
+        for t in (0.05, 1.0):
+            target = (expm(t * sup) @ rho.mat.ravel()).reshape(dim, dim)
+            if isinstance(kind, GaussianDensity):
+                out = convolve(kind, rho, t)
+            else:
+                out = evolve(rho, kind, t)
+            assert np.max(np.abs(out.mat - target)) <= 1e-12
 
     def test_repeats_bit_for_bit_under_any_global_seed(self):
         # The sparse exponential's step count rests on randomized norm
@@ -185,8 +185,9 @@ class TestEvolve:
         assert np.array_equal(outs[0], outs[1])
 
     def test_heat_bands_match_sparse_exponential(self):
-        # Random states fill only the bands k < 24; the band propagator
-        # skips the rest, which the flow keeps exactly zero.
+        # Random states fill only the bands k < 24; each band is a connected
+        # component of the heat generator, so the flow skips the rest and
+        # keeps them exactly zero.
         dim = 64
         rho = random_state(dim, 5, StateFamily.FULL_RANK)
         gen = semigroups._generator(2.0 * math.pi, 2.0 * math.pi, dim)
@@ -198,7 +199,7 @@ class TestEvolve:
                 assert not np.diagonal(out, k).any()
                 assert not np.diagonal(out, -k).any()
 
-    def test_isotropic_flows_leave_sparse_exponential(self, monkeypatch):
+    def test_hermitian_flows_leave_sparse_exponential(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("sparse exponential called")
 
@@ -209,8 +210,20 @@ class TestEvolve:
         convolve(iso, rho, 0.05)
         aniso = GaussianDensity(mean=np.zeros(2),
                                 cov=np.array([[1.0, 0.3], [0.3, 0.6]]))
+        convolve(aniso, rho, 0.05)
         with pytest.raises(AssertionError, match="sparse exponential"):
-            convolve(aniso, rho, 0.05)
+            evolve(rho, Attenuator(), 0.05)
+
+    @pytest.mark.parametrize("dim", [3, 12, 64])
+    @pytest.mark.parametrize("cov", [np.eye(2), 0.7 * np.eye(2),
+                                     np.array([[1.0, 0.3], [0.3, 0.6]])],
+                             ids=["standard", "iso", "aniso"])
+    def test_gaussian_generator_is_hermitian(self, cov, dim):
+        # The Chebyshev series rests on a real spectrum in [-w, 0].
+        iso = math.pi * np.trace(cov)
+        gen = semigroups._generator(
+            iso, iso, dim, 0.5 * (cov[0, 0] - cov[1, 1]) + 1j * cov[0, 1])
+        assert (gen != gen.conj().T).nnz == 0
 
     def test_edge_mass_breach_raises(self):
         # Amplification out of a basis this small must be caught.
@@ -290,10 +303,18 @@ class TestConvolve:
         rhs = convolve(f_shift, displace(rho, omega_q * theta), t)
         assert np.max(np.abs(lhs.mat - rhs.mat)) <= 1e-5
 
-    def test_quadrature_failure_raises(self):
+    def test_edge_mass_breach_raises(self):
         rho = thermal_state(1.0, 32)
-        with pytest.raises((TruncationError, ValueError)):
+        with pytest.raises(TruncationError):
             convolve(standard_gaussian(), rho, 5.0)
+
+    @pytest.mark.parametrize("cov", [0.7 * np.eye(2),
+                                     np.array([[1.0, 0.3], [0.3, 0.6]])],
+                             ids=["iso", "aniso"])
+    def test_zero_time_is_identity(self, cov):
+        rho = random_state(32, 4, StateFamily.FULL_RANK)
+        f = GaussianDensity(mean=np.array([0.2, -0.1]), cov=cov)
+        assert np.max(np.abs(convolve(f, rho, 0.0).mat - rho.mat)) <= 1e-15
 
     def test_gaussian_matches_hermite_atoms(self):
         # A mean and an off-diagonal covariance pin the (P, -Q) frame of the

@@ -66,7 +66,7 @@ def death_generator(p: ClassicalPMF) -> np.ndarray:
 
 
 def death_evolve(p: ClassicalPMF, t: float) -> ClassicalPMF:
-    """e^{tC} p by the exact action of the sparse generator's exponential."""
+    """e^{tC} p by the Taylor series of `semigroups._propagate`."""
     if t < 0:
         raise ValueError(f"t must be >= 0, got {t}")
     if t == 0:
@@ -103,6 +103,8 @@ def geometric_pmf(n: float, K: int) -> ClassicalPMF:
     """Geometric law with mean n on {0, ..., K}: geometric_law, size K + 1."""
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
+    if K < 1:
+        raise ValueError(f"K must be >= 1, got {K}")
     return ClassicalPMF(geometric_law(n, K + 1))
 
 

@@ -129,6 +129,8 @@ def _parse_grid(spec: str) -> np.ndarray:
     if len(parts) != 3:
         raise ValueError(f"grid spec must be start:stop:count, got {spec!r}")
     start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise ValueError(f"grid start and stop must be finite, got {spec!r}")
     if count < 1:
         raise ValueError("grid count must be >= 1")
     if start > 0 and stop > start:

@@ -115,8 +115,7 @@ def thermal_half_j_minus(n: float) -> float:
 
 def j_pm_gaussian(kappa: float, z: float = 1.0) -> tuple[float, float]:
     """Attenuator/amplifier entropy rates (J_-, J_+) of a centered Gaussian
-    state: J_-/+ = ((z^2 + 1/z^2)/2 -/+ ... ) -- explicitly,
-    J_- = ((z^2 + 1/z^2)/2 - kappa) log((kappa+1)/(kappa-1)) and
+    state, J_- = ((z^2 + 1/z^2)/2 - kappa) log((kappa+1)/(kappa-1)) and
     J_+ = ((z^2 + 1/z^2)/2 + kappa) log((kappa+1)/(kappa-1))."""
     if z < 1.0 - 1e-12:
         raise ValueError(f"z must be >= 1, got {z}")

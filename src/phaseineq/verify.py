@@ -430,6 +430,8 @@ def run_suite(suite: str, **params) -> VerificationReport:
                          f"{config['tolerance']}")
     if config.get("cases", 1) < 1:
         raise ValueError(f"cases must be >= 1, got {config['cases']}")
+    if params.get("seed", 0) < 0:
+        raise ValueError(f"seed must be >= 0, got {params['seed']}")
     start = time.perf_counter()
     cases = _run_checks(fn(**config))
     wall = time.perf_counter() - start

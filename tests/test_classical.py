@@ -76,10 +76,13 @@ class TestDeathEvolve:
         with pytest.raises(ValueError):
             death_evolve(geometric_pmf(1.0, 32), -0.1)
 
-    def test_matches_binomial_thinning(self):
+    @pytest.mark.parametrize("t", [0.7, 3.0, 8.0])
+    def test_matches_binomial_thinning(self, t):
         # Each particle survives to time t independently with probability
         # e^{-t}: p_m(t) = sum_n p_n C(n, m) e^{-mt} (1 - e^{-t})^{n-m}.
-        K, t = 40, 0.7
+        # At t = 8 the series takes about 49 steps; the entropy rate reads
+        # log p_m, so the tail is held to a relative gate as well.
+        K = 40
         p = np.random.default_rng(5).random(K + 1)
         p /= p.sum()
         keep = math.exp(-t)
@@ -89,6 +92,8 @@ class TestDeathEvolve:
             for m in range(K + 1)])
         out = death_evolve(ClassicalPMF(p), t)
         assert np.max(np.abs(out.probs - target)) <= 1e-13
+        big = target > 1e-250
+        assert np.max(np.abs(out.probs[big] / target[big] - 1.0)) <= 1e-11
 
 
 class TestDeathEntropyRate:

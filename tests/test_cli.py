@@ -94,6 +94,16 @@ class TestVerifyCommand:
         assert code == 2
         assert out == ""
 
+    @pytest.mark.parametrize("argv, named", [
+        (("verify", "stam", "--seed", "-1"), "seed must be >= 0, got -1"),
+        (("death-process", "--K", "-5"), "K must be >= 1, got -5"),
+    ], ids=["seed", "K"])
+    def test_out_of_range_value_names_parameter(self, capsys, argv, named):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert named in err
+
 
 class TestTrajectoryCommand:
     def test_csv_format(self, capsys):
@@ -169,10 +179,13 @@ class TestClosedFormsCommand:
         assert out == ""
         assert "n must be > 0, got 0.0" in err
 
-    def test_bad_grid_exits_two(self, capsys):
-        code, _, _ = run_cli(capsys, "closed-forms", "fisher-tightness",
-                             "--grid", "oops")
+    @pytest.mark.parametrize("spec", ["oops", "nan:1:3", "1:inf:3"])
+    def test_bad_grid_exits_two(self, capsys, spec):
+        code, out, err = run_cli(capsys, "closed-forms", "fisher-tightness",
+                                 "--grid", spec)
         assert code == 2
+        assert out == ""
+        assert repr(spec) in err
 
 
 class TestThresholdsCommand:
@@ -284,9 +297,9 @@ class TestCrossProcessDeterminism:
         # Fresh interpreters whose global numpy RNG and string hashing start
         # in different states must still compute the same margins to the
         # last bit.  stam's isotropic and data-processing's anisotropic
-        # convolutions both take the Chebyshev series, which draws nothing;
-        # the sparse exponential, whose randomized norm estimates do, has
-        # its own seed test in test_semigroups.
+        # convolutions both take the Chebyshev series and the other flows a
+        # Taylor series, neither of which draws anything; test_semigroups
+        # holds the flows to that with the global random state disabled.
         src = str(Path(phaseineq.__file__).resolve().parents[1])
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from phaseineq.classical import death_evolve, geometric_pmf
 from phaseineq.fock_core import (
     StateFamily,
     TruncationError,
@@ -170,10 +171,10 @@ class TestEvolve:
                 out = evolve(rho, kind, t)
             assert np.max(np.abs(out.mat - target)) <= 1e-12
 
-    def test_repeats_bit_for_bit_under_any_global_seed(self):
-        # The sparse exponential's step count rests on randomized norm
-        # estimates; here numpy's global seeds 0 and 15 would pick different
-        # counts.
+    def test_repeats_bit_for_bit_under_any_global_seed(self, monkeypatch):
+        # The Taylor series takes its step count from an exact norm; an
+        # estimate drawn from numpy's global generator would pick different
+        # counts under global seeds 0 and 15.
         rho = random_state(32, 0, StateFamily.FULL_RANK)
         gen = semigroups._generator(2.0 * math.pi, 2.0 * math.pi, 32)
         outs = []
@@ -183,6 +184,16 @@ class TestEvolve:
             # The caller's random stream is left where it was.
             assert np.random.random() == np.random.RandomState(seed).random()
         assert np.array_equal(outs[0], outs[1])
+
+        # No flow reads, seeds or restores the global random state.
+        def refuse(*args, **kwargs):
+            raise AssertionError("global random state touched")
+
+        for name in ("seed", "get_state", "set_state"):
+            monkeypatch.setattr(np.random, name, refuse)
+        for kind in (Attenuator(), Amplifier(), QOU(math.sqrt(2.0), 1.0)):
+            evolve(rho, kind, 0.01)
+        death_evolve(geometric_pmf(1.0, 32), 0.5)
 
     def test_heat_bands_match_sparse_exponential(self):
         # Random states fill only the bands k < 24; each band is a connected
@@ -203,7 +214,7 @@ class TestEvolve:
         def refuse(*args, **kwargs):
             raise AssertionError("sparse exponential called")
 
-        monkeypatch.setattr(semigroups, "expm_multiply", refuse)
+        monkeypatch.setattr(semigroups, "_propagate", refuse)
         rho = random_state(64, 1, StateFamily.FULL_RANK)
         evolve(rho, Heat(), 0.05)
         iso = GaussianDensity(mean=np.array([0.1, -0.2]), cov=0.5 * np.eye(2))

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.optimize import minimize_scalar
+from scipy.optimize import brentq
 
 from .fock_core import geometric_law
 from .gaussian import g_entropy, g_inverse, thermal_half_j_minus
@@ -40,10 +40,6 @@ class ClassicalPMF:
         p = np.maximum(p, 0.0)
         p.flags.writeable = False
         object.__setattr__(self, "probs", p)
-
-    @property
-    def K(self) -> int:
-        return self.probs.size - 1
 
     def mean(self) -> float:
         return float(np.arange(self.probs.size) @ self.probs)
@@ -117,22 +113,26 @@ def f_of_H(s: float) -> float:
 
 
 def F_of_S0(s0: float, mu2: float, zeta: float) -> float:
-    """inf over n >= g_inverse(S0) of mu2 * (-n log(1 + 1/n)) + zeta * g(n)."""
+    """inf over n >= g_inverse(S0) of phi(n) = -mu2 n log(1 + 1/n) + zeta g(n).
+
+    phi'(n) = mu2/(n+1) - lam2 log(1 + 1/n), lam2 = mu2 - zeta, and
+    (n+1) log(1 + 1/n) falls from infinity to 1 < mu2/lam2, so phi falls to
+    its one stationary point n* (none if lam2 <= 0) and then rises:
+    F = phi(max(g_inverse(S0), n*)), with n* < lam2/zeta, where phi' > 0.
+    """
     if s0 <= 0:
         raise ValueError(f"S0 must be > 0, got {s0}")
     if mu2 <= 0 or zeta <= 0:
         raise ValueError("mu2 and zeta must be positive")
-    n_lo = g_inverse(s0)
+    lam2 = mu2 - zeta
 
-    def phi(n: float) -> float:
-        return mu2 * thermal_half_j_minus(n) + zeta * g_entropy(n)
+    def slope(n: float) -> float:
+        return mu2 / (n + 1.0) - lam2 * math.log1p(1.0 / n)
 
-    # phi is eventually increasing; bracket the interior minimum against
-    # the left endpoint.
-    res = minimize_scalar(phi, bounds=(n_lo, max(10.0 * n_lo, n_lo + 50.0)),
-                          method="bounded",
-                          options={"xatol": 1e-10, "maxiter": 500})
-    return min(phi(n_lo), float(res.fun))
+    n = g_inverse(s0)
+    if slope(n) < 0:
+        n = brentq(slope, n, lam2 / zeta)
+    return mu2 * thermal_half_j_minus(n) + zeta * g_entropy(n)
 
 
 def _project_capped_simplex(y: np.ndarray, floor: float) -> np.ndarray:
@@ -170,6 +170,8 @@ def _project_constraints(y: np.ndarray, n_cap: float, floor: float) -> np.ndarra
     lo = 0.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):  # no later step moves lo or hi
+            break
         if energy(mid) > n_cap:
             lo = mid
         else:
@@ -206,8 +208,7 @@ def certified_rate_bound(n: float, K: int) -> float:
 
 
 def min_entropy_rate_constrained(n: float, K: int, starts: int = 8,
-                                 iters: int = 600, seed: int = 0,
-                                 ) -> tuple[ClassicalPMF, float]:
+                                 seed: int = 0) -> tuple[ClassicalPMF, float]:
     """Minimize J_-(p) over strictly positive p on {0,...,K} with E[N] <= n.
 
     Projected gradient with backtracking line search and multi-start
@@ -230,7 +231,7 @@ def min_entropy_rate_constrained(n: float, K: int, starts: int = 8,
         v = _project_constraints(np.maximum(v0, floor), n, floor)
         rate, grad = _rate_and_grad(v, c)
         step = 0.1
-        for _ in range(iters):
+        for _ in range(600):
             trial = _project_constraints(v - step * grad, n, floor)
             new_rate, new_grad = _rate_and_grad(trial, c)
             if new_rate < rate - 1e-14:

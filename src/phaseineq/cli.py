@@ -39,6 +39,8 @@ _TABLE_READS = {"fisher-tightness": _GRID, "entropy-tightness": _GRID,
                 "gaussian-rates": _GRID | _RATES, "lsi2": _RATES}
 _KINDS = {"heat": (Heat, {}), "attenuator": (Attenuator, {}),
           "amplifier": (Amplifier, {}), "qou": (QOU, _RATES)}
+# A closed-forms table holds at most this many rows.
+_MAX_GRID_ROWS = 10**6
 
 
 def _sig12(x):
@@ -123,6 +125,17 @@ def _nonnegative_int(text: str) -> int:
     return int(text)
 
 
+def _finite_float(text: str) -> float:
+    # argparse prefixes the message with the flag's name.
+    try:
+        val = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not math.isfinite(val):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
+    return val
+
+
 def _parse_grid(spec: str) -> np.ndarray:
     """Grid spec "start:stop:count" (geometric spacing for positive start)."""
     parts = spec.split(":")
@@ -131,8 +144,9 @@ def _parse_grid(spec: str) -> np.ndarray:
     start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
     if not (math.isfinite(start) and math.isfinite(stop)):
         raise ValueError(f"grid start and stop must be finite, got {spec!r}")
-    if count < 1:
-        raise ValueError("grid count must be >= 1")
+    if not 1 <= count <= _MAX_GRID_ROWS:
+        raise ValueError(f"grid count must be between 1 and {_MAX_GRID_ROWS}, "
+                         f"got {count} in {spec!r}")
     if start > 0 and stop > start:
         return np.geomspace(start, stop, count)
     return np.linspace(start, stop, count)
@@ -188,6 +202,9 @@ def _cmd_death_process(args, file_cfg) -> int:
     if not args.init.startswith("geometric:"):
         raise ValueError(f"unsupported init {args.init!r}; use geometric:<n>")
     n0 = float(args.init.split(":", 1)[1])
+    if not math.isfinite(n0):
+        raise ValueError(f"--init geometric:<n> needs a finite n, got "
+                         f"{args.init!r}")
     p = cl.geometric_pmf(n0, args.K)
     rows = []
     for i in range(args.steps + 1):
@@ -272,10 +289,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     pt = sub.add_parser("trajectory", help="closed-form thermal trajectory")
     pt.add_argument("kind", choices=["heat", "attenuator", "amplifier", "qou"])
-    pt.add_argument("--n0", type=float, default=1.0)
-    pt.add_argument("--mu", type=float)
-    pt.add_argument("--lambda", dest="lam", type=float)
-    pt.add_argument("--tmax", type=float, default=2.0)
+    pt.add_argument("--n0", type=_finite_float, default=1.0)
+    pt.add_argument("--mu", type=_finite_float)
+    pt.add_argument("--lambda", dest="lam", type=_finite_float)
+    pt.add_argument("--tmax", type=_finite_float, default=2.0)
     pt.add_argument("--steps", type=_nonnegative_int, default=40)
     flags(pt, "--out", "--format")
     pt.set_defaults(fn=_cmd_trajectory)
@@ -283,7 +300,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pd = sub.add_parser("death-process", help="pure-death process trajectory")
     pd.add_argument("--init", default="geometric:1")
     pd.add_argument("--K", type=int, default=256)
-    pd.add_argument("--tmax", type=float, default=2.0)
+    pd.add_argument("--tmax", type=_finite_float, default=2.0)
     pd.add_argument("--steps", type=_nonnegative_int, default=20)
     flags(pd, "--out", "--format")
     pd.set_defaults(fn=_cmd_death_process)
@@ -292,8 +309,8 @@ def _build_parser() -> argparse.ArgumentParser:
     pc.add_argument("table", choices=["fisher-tightness", "entropy-tightness",
                                       "gaussian-rates", "lsi2"])
     pc.add_argument("--grid", help="start:stop:count grid spec")
-    pc.add_argument("--mu", type=float)
-    pc.add_argument("--lambda", dest="lam", type=float)
+    pc.add_argument("--mu", type=_finite_float)
+    pc.add_argument("--lambda", dest="lam", type=_finite_float)
     flags(pc, "--out", "--format")
     pc.set_defaults(fn=_cmd_closed_forms)
 
@@ -303,7 +320,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pth.set_defaults(fn=_cmd_thresholds)
 
     pm = sub.add_parser("minimize-rate", help="constrained entropy-rate minimum")
-    pm.add_argument("--n", type=float, required=True)
+    pm.add_argument("--n", type=_finite_float, required=True)
     pm.add_argument("--K", type=int, default=64)
     flags(pm, "--out")
     pm.set_defaults(fn=_cmd_minimize_rate)

@@ -87,7 +87,6 @@ class HealthMetrics:
 class StateFamily(Enum):
     FULL_RANK = "full_rank"
     DIAGONAL = "diagonal"
-    PURE_MIXED_EPS = "pure_mixed_eps"
 
 
 def ladder_operators(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -212,11 +211,6 @@ def random_state(dim: int, seed: int, family: StateFamily) -> DensityMatrix:
         diag = FULL_RANK_EPS * floor
         diag[:d0] += (1.0 - FULL_RANK_EPS) * p
         m = np.diag(diag).astype(complex)
-    elif family is StateFamily.PURE_MIXED_EPS:
-        v = rng.standard_normal(d0) + 1j * rng.standard_normal(d0)
-        v /= np.linalg.norm(v)
-        m = np.diag(FULL_RANK_EPS * floor).astype(complex)
-        m[:d0, :d0] += (1.0 - FULL_RANK_EPS) * np.outer(v, v.conj())
     else:
         raise ValueError(f"unknown family {family!r}")
     m = 0.5 * (m + m.conj().T)

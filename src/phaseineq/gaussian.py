@@ -183,18 +183,18 @@ def h_minimize(mu: float, lam: float) -> tuple[float, float]:
     return n_star, h_function(n_star, mu, lam)
 
 
-def zeta_optimality_witness(mu: float, lam: float, epsilon: float,
-                            n_max: float = 1e4) -> float | None:
+def zeta_optimality_witness(mu: float, lam: float,
+                            epsilon: float) -> float | None:
     """Smallest grid n where the rate constant zeta + epsilon fails on a
     thermal state, i.e. h(n) - epsilon * D(omega_n || sigma) < -1e-9.
 
-    Returns None when no witness exists below n_max (in particular for
+    Returns None when no witness exists below n = 1e4 (in particular for
     epsilon = 0, where h >= 0 makes the zeta-rate hold everywhere).
     """
     if epsilon < 0:
         raise ValueError(f"epsilon must be >= 0, got {epsilon}")
     kind = QOU(mu, lam)
-    grid = np.geomspace(max(1e-3, 0.01 * kind.n_fixed), n_max, 4000)
+    grid = np.geomspace(max(1e-3, 0.01 * kind.n_fixed), 1e4, 4000)
     for n in grid:
         d = relent_to_qou_fixed(g_entropy(float(n)), float(n), mu, lam)
         if h_function(float(n), mu, lam) - epsilon * d < -1e-9:

@@ -15,11 +15,11 @@ isotropic part pi tr C (L_- + L_+) and the traceless part with
 s = (C_11 - C_22)/2 + i C_12.  Finite atom mixtures are exact weighted
 sums of displaced states.
 
-Two deterministic series apply the exponential to double precision on the
-truncated space: the Hermitian generators (mu^2 = lam^2: Heat and every
-Gaussian convolution) take a Chebyshev series with an a-priori error bound
-(`_chebyshev`); the attenuator, the amplifier, the qOU and the classical
-death process take a Taylor series stepped by the exact 1-norm (`_propagate`).
+On the bands of rho that its support touches (`_flow`), two deterministic
+series apply the exponential to double precision: the Hermitian generators
+(mu^2 = lam^2: Heat and every Gaussian convolution) take a Chebyshev series
+with an a-priori error bound (`_chebyshev`); the attenuator, amplifier, qOU
+and death process take a Taylor series stepped by the exact 1-norm.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
 from scipy.special import ive
 
 from .fock_core import (
@@ -258,14 +257,16 @@ def _flow(x: np.ndarray, t: float, mu2: float, lam2: float,
           s: complex = 0.0) -> np.ndarray:
     """e^{t L}(x) for L = `_generator(mu2, lam2, dim, s)`.
 
-    Runs on the connected components of L's sparsity pattern that x touches,
-    which is exact: nothing inside them feeds the zero entries outside.  L
-    is Hermitian exactly when mu2 = lam2 (Heat and every Gaussian
-    convolution) and takes the Chebyshev series, else the Taylor series.
+    Runs on the bands of x that its support touches, which is exact: entry
+    (i, j) lies in band (i - j) mod (2 if s else 2 dim), and L keeps each
+    band class, the offsets +-(dim+1) moving along a band and the s terms
+    two bands over (through a^2, or a rho a at dim 2, connecting each parity).
+    L is Hermitian exactly when mu2 = lam2 and takes the Chebyshev series.
     """
-    gen = _generator(mu2, lam2, x.shape[0], s)
-    _, labels = connected_components(abs(gen), directed=False)
-    keep = np.flatnonzero(np.isin(labels, labels[x.ravel() != 0]))
+    n = np.arange(x.shape[0])
+    gen = _generator(mu2, lam2, n.size, s)
+    band = np.subtract.outer(n, n) % (2 if s else 2 * n.size)
+    keep = np.flatnonzero(np.isin(band, band[x != 0]))
     step = _chebyshev if mu2 == lam2 else _propagate
     out = np.zeros(x.size, dtype=complex)
     out[keep] = step(gen[keep][:, keep], x.ravel()[keep], t)

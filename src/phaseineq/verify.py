@@ -32,6 +32,7 @@ from functools import cache, partial
 
 import numpy as np
 from scipy.optimize import brentq
+from scipy.special import lambertw
 
 from . import classical as cl
 from . import gaussian as ga
@@ -444,30 +445,26 @@ def run_suite(suite: str, **params) -> VerificationReport:
         "failures": failures,
         "reported_failures": reported_failures,
     }
-    return VerificationReport(
-        suite=suite,
-        config=config,
-        cases=cases,
-        summary=summary,
-        metadata={"wall_time_s": wall},
-    )
+    return VerificationReport(suite=suite, config=config, cases=cases,
+                              summary=summary, metadata={"wall_time_s": wall})
 
 
 def threshold_solve(which: str) -> float:
-    """Bisection roots of the fast-convergence threshold equations.
+    """Double-precision roots of the fast-convergence threshold equations.
 
-    "Photon067": root of -n log(1 + 1/n) + 2 - 2 log 2 = 0 (= the mean
-    photon number up to which the qOU rate zeta is certified).
-    "Entropy206": root of F(S0) + 1 - 2 log 2 = 0 with
-    F(S0) = inf_{n >= g^{-1}(S0)} [2 (-n log(1 + 1/n)) + g(n)]
-    (= the entropy beyond which the rate is certified).
+    "Photon067": root of -n log(1 + 1/n) + c = 0, c = 2 - 2 log 2 (= the mean
+    photon number up to which the qOU rate zeta is certified), in closed form
+    n = 1/(x - 1), x = -W_{-1}(-c e^{-c})/c with W the Lambert function.
+    "Entropy206": the single root of F(S0) + 1 - 2 log 2 = 0 with the exact
+    F(S0) = inf_{n >= g^{-1}(S0)} [2 (-n log(1 + 1/n)) + g(n)] (= the
+    entropy beyond which the rate is certified).
     """
     if which == "Photon067":
-        def fn(n):
-            return ga.thermal_half_j_minus(n) + 2.0 - 2.0 * math.log(2.0)
-        return float(brentq(fn, 1e-3, 10.0, xtol=1e-8))
+        c = 2.0 - 2.0 * math.log(2.0)
+        x = -float(lambertw(-c * math.exp(-c), -1).real) / c
+        return 1.0 / (x - 1.0)
     if which == "Entropy206":
         def fn(s0):
             return cl.F_of_S0(s0, mu2=2.0, zeta=1.0) + 1.0 - 2.0 * math.log(2.0)
-        return float(brentq(fn, 0.7, 10.0, xtol=1e-8))
+        return float(brentq(fn, 0.7, 10.0, xtol=1e-15))
     raise ValueError(f"unknown threshold {which!r}")

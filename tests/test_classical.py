@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 from phaseineq.classical import (
     ClassicalPMF,
@@ -158,6 +159,18 @@ class TestThresholdFunctions:
         # Beyond the unconstrained minimizer the constraint binds and F
         # increases with the entropy floor.
         assert F_of_S0(4.0, 2.0, 1.0) > F_of_S0(3.0, 2.0, 1.0)
+
+    @pytest.mark.parametrize("s0, mu2, zeta", [(0.1, 1.002, 0.002),
+                                                (0.3, 1.001, 0.001)])
+    def test_F_is_phi_at_its_stationary_point(self, s0, mu2, zeta):
+        # Near mu2 = lam2 the minimizer of phi lies hundreds of photons
+        # beyond g_inverse(S0); phi'(n) = 0 reads
+        # (n+1) log(1 + 1/n) = mu2/lam2.
+        lam2 = mu2 - zeta
+        n = brentq(lambda n: (n + 1.0) * math.log1p(1.0 / n) - mu2 / lam2,
+                   1.0, 1e6)
+        phi = -mu2 * n * math.log1p(1.0 / n) + zeta * g_entropy(n)
+        assert abs(F_of_S0(s0, mu2, zeta) - phi) <= 1e-12
 
 
 class TestCertifiedRateBound:

@@ -97,7 +97,20 @@ class TestVerifyCommand:
     @pytest.mark.parametrize("argv, named", [
         (("verify", "stam", "--seed", "-1"), "seed must be >= 0, got -1"),
         (("death-process", "--K", "-5"), "K must be >= 1, got -5"),
-    ], ids=["seed", "K"])
+        (("trajectory", "attenuator", "--tmax", "nan"),
+         "--tmax: must be finite, got nan"),
+        (("trajectory", "heat", "--n0", "inf"), "--n0: must be finite, got inf"),
+        (("trajectory", "qou", "--mu", "nan"), "--mu: must be finite, got nan"),
+        (("closed-forms", "lsi2", "--lambda", "inf"),
+         "--lambda: must be finite, got inf"),
+        (("death-process", "--tmax", "nan"), "--tmax: must be finite, got nan"),
+        (("death-process", "--init", "geometric:nan"),
+         "--init geometric:<n> needs a finite n, got 'geometric:nan'"),
+        (("minimize-rate", "--n", "inf"), "--n: must be finite, got inf"),
+        (("minimize-rate", "--n", "nan"), "--n: must be finite, got nan"),
+        (("minimize-rate", "--n", "one"), "--n: not a number: 'one'"),
+    ], ids=["seed", "K", "trajectory-tmax", "n0", "mu", "lambda",
+            "death-tmax", "init", "n-inf", "n-nan", "n-text"])
     def test_out_of_range_value_names_parameter(self, capsys, argv, named):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2
@@ -179,7 +192,8 @@ class TestClosedFormsCommand:
         assert out == ""
         assert "n must be > 0, got 0.0" in err
 
-    @pytest.mark.parametrize("spec", ["oops", "nan:1:3", "1:inf:3"])
+    @pytest.mark.parametrize("spec", ["oops", "nan:1:3", "1:inf:3", "1:2:0",
+                                      "1:2:100000000000"])
     def test_bad_grid_exits_two(self, capsys, spec):
         code, out, err = run_cli(capsys, "closed-forms", "fisher-tightness",
                                  "--grid", spec)

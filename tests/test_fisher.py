@@ -10,9 +10,11 @@ from phaseineq.fisher import (
 )
 from phaseineq.fock_core import (
     DensityMatrix,
+    FULL_RANK_EPS,
     IllConditionedError,
     StateFamily,
     TruncationError,
+    _full_rank_floor,
     displace,
     geometric_weights,
     number_state,
@@ -43,6 +45,19 @@ def stencil_fisher(rho, h=1e-2):
     return (4.0 * divergence_sum(0.5 * h) - divergence_sum(h)) / 3.0
 
 
+def near_pure_state(dim: int, seed: int) -> DensityMatrix:
+    """A random pure state on the lowest 24 levels mixed with 1e-6 of the
+    full-rank floor that random_state adds: full rank, with a spectrum that
+    spans about ten decades."""
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal(24) + 1j * rng.standard_normal(24)
+    v /= np.linalg.norm(v)
+    m = np.diag(FULL_RANK_EPS * _full_rank_floor(dim)).astype(complex)
+    m[:24, :24] += (1.0 - FULL_RANK_EPS) * np.outer(v, v.conj())
+    m = 0.5 * (m + m.conj().T)
+    return DensityMatrix(m / np.trace(m).real)
+
+
 class TestQuantumFisher:
     def test_thermal_closed_form(self):
         for n in (0.5, 1.0, 2.0):
@@ -58,10 +73,13 @@ class TestQuantumFisher:
         assert quantum_fisher(rho).value == pytest.approx(
             stencil_fisher(rho), rel=1e-5)
 
-    @pytest.mark.parametrize("family", list(StateFamily), ids=lambda f: f.value)
-    def test_de_bruijn_identity(self, family):
+    @pytest.mark.parametrize("rho", [
+        random_state(128, 5, StateFamily.FULL_RANK),
+        random_state(128, 5, StateFamily.DIAGONAL),
+        near_pure_state(128, 5),
+    ], ids=["full_rank", "diagonal", "pure_mixed_eps"])
+    def test_de_bruijn_identity(self, rho):
         # J(rho) = 2 dS/dt along the heat flow at t = 0, both sides exact.
-        rho = random_state(128, 5, family)
         assert quantum_fisher(rho).value == pytest.approx(
             entropy_rate(rho, Heat()), rel=1e-12)
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy.linalg import expm
+from scipy.sparse.csgraph import connected_components
 
 from phaseineq.classical import death_evolve, geometric_pmf
 from phaseineq.fock_core import (
@@ -209,6 +210,39 @@ class TestEvolve:
             for k in range(24, dim):
                 assert not np.diagonal(out, k).any()
                 assert not np.diagonal(out, -k).any()
+
+    @pytest.mark.parametrize("s", [0.0, 0.3, 0.2j, 0.1 - 0.4j])
+    def test_kept_bands_are_the_touched_components(self, s, monkeypatch):
+        # A step that returns ones marks the entries _flow keeps; they must
+        # be the connected components of the generator's sparsity pattern
+        # that the support touches.
+        def mark(gen, x, t):
+            return np.ones(x.size)
+
+        monkeypatch.setattr(semigroups, "_chebyshev", mark)
+        monkeypatch.setattr(semigroups, "_propagate", mark)
+        rates = [(1.0, 1.0)] + ([(1.0, 0.0), (0.0, 1.0), (2.0, 1.0)]
+                                if s == 0 else [])
+        rng = np.random.default_rng(7)
+        for dim in range(2, 41):
+            last = dim - 1
+            supports = [np.eye(dim, dtype=bool)]
+            for i, j in ((0, 0), (0, last), (last, 0), (last, last)):
+                corner = np.zeros((dim, dim), dtype=bool)
+                corner[i, j] = True
+                supports.append(corner)
+            supports += [rng.random((dim, dim)) < rng.uniform(0, 3) / dim**2
+                         for _ in range(8)]
+            for mu2, lam2 in rates:
+                gen = semigroups._generator(mu2, lam2, dim, s)
+                _, labels = connected_components(abs(gen), directed=False)
+                for support in supports:
+                    if not support.any():
+                        continue
+                    kept = semigroups._flow(support.astype(complex), 1.0, mu2,
+                                            lam2, s) != 0
+                    touched = np.isin(labels, labels[support.ravel()])
+                    assert np.array_equal(kept.ravel(), touched)
 
     def test_hermitian_flows_leave_sparse_exponential(self, monkeypatch):
         def refuse(*args, **kwargs):

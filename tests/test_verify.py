@@ -243,6 +243,14 @@ class TestThresholds:
     def test_entropy_threshold(self):
         assert 2.0 <= threshold_solve("Entropy206") <= 2.2
 
+    @pytest.mark.parametrize("which, root", [
+        ("Photon067", 0.67573161225162728592),
+        ("Entropy206", 2.0574675765149403866),
+    ])
+    def test_double_precision_root(self, which, root):
+        # The references are 50-digit roots, rounded to 20 digits.
+        assert abs(threshold_solve(which) / root - 1.0) <= 1e-14
+
     def test_unknown_threshold(self):
         with pytest.raises(ValueError):
             threshold_solve("nope")

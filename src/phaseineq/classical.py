@@ -13,12 +13,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.optimize import brentq
 
 from .fock_core import geometric_law
 from .gaussian import g_entropy, g_inverse, thermal_half_j_minus
-from .semigroups import _propagate
+from .semigroups import _matvec, _propagate
 
 _INTERIOR_FLOOR = 1e-12
 
@@ -49,16 +47,17 @@ class ClassicalPMF:
         return float(-(p @ np.log(p)))
 
 
-def _death_matrix(size: int) -> sp.csr_matrix:
-    """C with (C p)_n = -n p_n + (n+1) p_{n+1} on {0, ..., size-1}."""
+def _death_matrix(size: int) -> dict[int, np.ndarray]:
+    """C with (C p)_n = -n p_n + (n+1) p_{n+1} on {0, ..., size-1}, as its
+    diagonals (see `semigroups._generator`)."""
     n = np.arange(size, dtype=float)
-    return sp.diags([-n, n[1:]], [0, 1], format="csr")
+    return {0: -n, 1: n[1:]}
 
 
 def death_generator(p: ClassicalPMF) -> np.ndarray:
     """(C p)_n = -n p_n + (n+1) p_{n+1}; mass only moves down one level,
     so the entries sum to zero."""
-    return _death_matrix(p.probs.size) @ p.probs
+    return _matvec(_death_matrix(p.probs.size), p.probs)
 
 
 def death_evolve(p: ClassicalPMF, t: float) -> ClassicalPMF:
@@ -131,6 +130,8 @@ def F_of_S0(s0: float, mu2: float, zeta: float) -> float:
 
     n = g_inverse(s0)
     if slope(n) < 0:
+        from scipy.optimize import brentq
+
         n = brentq(slope, n, lam2 / zeta)
     return mu2 * thermal_half_j_minus(n) + zeta * g_entropy(n)
 
@@ -180,11 +181,13 @@ def _project_constraints(y: np.ndarray, n_cap: float, floor: float) -> np.ndarra
 
 
 def _rate_and_grad(v: np.ndarray,
-                   c: sp.csr_matrix) -> tuple[float, np.ndarray]:
-    flux = c @ v
+                   c: dict[int, np.ndarray]) -> tuple[float, np.ndarray]:
+    flux = _matvec(c, v)
     # d/dp_n of -2 sum_m (Cp)_m log p_m:
     #   flux enters through C^T log p, plus the diagonal term (Cp)_n / p_n.
-    grad = -2.0 * (c.T @ np.log(v) + flux / v)
+    # C^T holds C's diagonals at the opposite offsets.
+    c_t = {-k: diag for k, diag in c.items()}
+    grad = -2.0 * (_matvec(c_t, np.log(v)) + flux / v)
     return _entropy_rate(v, flux), grad
 
 

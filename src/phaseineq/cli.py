@@ -181,6 +181,8 @@ def _cmd_trajectory(args, file_cfg) -> int:
     cls, reads = _KINDS[args.kind]
     _read_only(args, args.kind, reads, ("--n0", "--tmax", "--steps"))
     kind = cls(*(getattr(args, key) for key in reads))
+    if args.n0 < 0:
+        raise ValueError(f"--n0 must be >= 0, got {args.n0:g}")
     spec = ga.GaussianStateSpec(mean=np.zeros(2), kappa=2.0 * args.n0 + 1.0)
     rows = []
     for t in np.linspace(0.0, args.tmax, args.steps + 1):
@@ -201,9 +203,16 @@ def _cmd_trajectory(args, file_cfg) -> int:
 def _cmd_death_process(args, file_cfg) -> int:
     if not args.init.startswith("geometric:"):
         raise ValueError(f"unsupported init {args.init!r}; use geometric:<n>")
-    n0 = float(args.init.split(":", 1)[1])
+    try:
+        n0 = float(args.init.split(":", 1)[1])
+    except ValueError:
+        raise ValueError(f"--init geometric:<n> needs a number, got "
+                         f"{args.init!r}") from None
     if not math.isfinite(n0):
         raise ValueError(f"--init geometric:<n> needs a finite n, got "
+                         f"{args.init!r}")
+    if n0 < 0:
+        raise ValueError(f"--init geometric:<n> needs n >= 0, got "
                          f"{args.init!r}")
     p = cl.geometric_pmf(n0, args.K)
     rows = []

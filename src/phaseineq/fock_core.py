@@ -16,6 +16,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
+# Loaded with the package, not inside the first random_state call.
+import numpy.random  # noqa: F401
 
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-10

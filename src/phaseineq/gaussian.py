@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .semigroups import QOU, SemigroupKind
 
@@ -84,6 +83,8 @@ def g_inverse(s: float) -> float:
         raise ValueError(f"s must be >= 0, got {s}")
     if s == 0.0:
         return 0.0
+    from scipy.optimize import brentq
+
     hi = 1.0
     while g_entropy(hi) < s:
         hi *= 2.0

@@ -1,15 +1,16 @@
 """Heat, attenuator, amplifier and quantum Ornstein-Uhlenbeck semigroups.
 
-Every flow here is the exponential of one sparse generator on row-major
+Every flow here is the exponential of one banded generator on row-major
 vec(rho),
 
     mu^2 L_- + lam^2 L_+ + pi conj(s) [a, [a, .]] + pi s [a_dag, [a_dag, .]],
 
-built from its diagonals.  The four semigroups have s = 0 and carry their
-rates (mu^2, lam^2): (2 pi, 2 pi) for Heat, (1, 0) for the attenuator, (0, 1)
-for the amplifier and (mu^2, lam^2) for the qOU.  The classical-quantum
-convolution of a Gaussian density with mean m and covariance C is
-e^{t L_C} followed by a translation by sqrt(t) m, where
+kept as its diagonals and applied by products of shifted slices (`_matvec`).
+The four semigroups have s = 0 and carry their rates (mu^2, lam^2):
+(2 pi, 2 pi) for Heat, (1, 0) for the attenuator, (0, 1) for the amplifier
+and (mu^2, lam^2) for the qOU.  The classical-quantum convolution of a
+Gaussian density with mean m and covariance C is e^{t L_C} followed by a
+translation by sqrt(t) m, where
 L_C = -pi sum_jk C_jk [G_j, [G_k, .]] with G = (P, -Q) splits into the
 isotropic part pi tr C (L_- + L_+) and the traceless part with
 s = (C_11 - C_22)/2 + i C_12.  Finite atom mixtures are exact weighted
@@ -28,8 +29,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.special import ive
 
 from .fock_core import (
     EDGE_TOL,
@@ -147,9 +146,10 @@ def standard_gaussian() -> GaussianDensity:
 
 
 def _generator(mu2: float, lam2: float, dim: int,
-               s: complex = 0.0) -> sp.csr_matrix:
+               s: complex = 0.0) -> dict[int, np.ndarray]:
     """mu^2 L_- + lam^2 L_+ + pi conj(s) [a, [a, .]] + pi s [a_dag, [a_dag, .]]
-    as a sparse matrix on row-major vec(rho), built from its diagonals.
+    on row-major vec(rho), as its diagonals: offset k -> c with
+    L[p, p + k] = c[min(p, p + k)].
 
     a rho a_dag moves entry (i+1, j+1) to (i, j) with weight
     sqrt((i+1)(j+1)), a_dag rho a moves (i-1, j-1) to (i, j) with weight
@@ -194,11 +194,32 @@ def _generator(mu2: float, lam2: float, dim: int,
                 (-2.0 * raise_ * np.sqrt(np.outer(n, up)), -(dim - 1)),
                 (raise_ * two_down[None, :], 2)):
             bands[offset] = bands.get(offset, 0.0) + band(coef, offset)
-    return sp.diags(list(bands.values()), list(bands), shape=(size, size),
-                    format="csr")
+    return bands
 
 
-def _propagate(gen: sp.spmatrix, x: np.ndarray, t: float) -> np.ndarray:
+def _matvec(gen: dict[int, np.ndarray], x: np.ndarray) -> np.ndarray:
+    """gen @ x for a matrix held as its diagonals (see `_generator`); each
+    diagonal is one product of contiguous shifted slices."""
+    out = np.zeros(x.size, dtype=np.result_type(x, *gen.values()))
+    for k, c in gen.items():
+        if k >= 0:
+            out[:x.size - k] += c * x[k:]
+        else:
+            out[-k:] += c * x[:k]
+    return out
+
+
+def _norm_1(gen: dict[int, np.ndarray]) -> float:
+    """Largest absolute column sum of the matrix held as diagonals gen."""
+    size = gen[0].size
+    col = np.zeros(size)
+    for k, c in gen.items():
+        col[max(k, 0):size + min(k, 0)] += np.abs(c)
+    return float(col.max())
+
+
+def _propagate(gen: dict[int, np.ndarray], x: np.ndarray,
+               t: float) -> np.ndarray:
     """e^{t gen} applied to x flattened row-major, reshaped like x.
 
     Serves the generators that are not Hermitian: the attenuator, the
@@ -211,14 +232,15 @@ def _propagate(gen: sp.spmatrix, x: np.ndarray, t: float) -> np.ndarray:
     and Higham, SIAM J. Sci. Comput. 33, 2011).  A step ends once two
     successive terms fall below 2^-53 of its sum.  Nothing is random.
     """
-    mu = t * gen.diagonal().mean()
-    a = t * gen - mu * sp.identity(gen.shape[0], format="csr")
-    steps = max(1, math.ceil(abs(a).sum(axis=0).max() / 9.9))
+    mu = t * gen[0].mean()
+    a = {k: t * c for k, c in gen.items()}
+    a[0] = a[0] - mu
+    steps = max(1, math.ceil(_norm_1(a) / 9.9))
     out = term = x.ravel()
     for _ in range(steps):
         cur = np.abs(term).max()
         for k in range(1, 56):
-            term = a @ term * (1.0 / (steps * k))
+            term = _matvec(a, term) * (1.0 / (steps * k))
             out = out + term
             prev, cur = cur, np.abs(term).max()
             if prev + cur <= 2.0**-53 * np.abs(out).max():
@@ -227,28 +249,49 @@ def _propagate(gen: sp.spmatrix, x: np.ndarray, t: float) -> np.ndarray:
     return out.reshape(x.shape)
 
 
-def _chebyshev(gen: sp.spmatrix, x: np.ndarray, t: float) -> np.ndarray:
+def _bessel_weights(z: float, size: int) -> np.ndarray:
+    """e^{-z} I_k(z) for k < size, z >= 0.
+
+    Miller's backward recurrence (DLMF 3.6(iii)) in ratio form,
+    I_k / I_{k-1} = z / (2 k + z I_{k+1} / I_k), started from I_size = 0,
+    normalised by e^{-z} (I_0 + 2 sum_k I_k) = 1 (DLMF 10.35.1 at
+    theta = 0).  Every ratio lies in [0, 1), so nothing overflows, and z = 0
+    gives (1, 0, ...).
+    """
+    ratios = np.ones(size)
+    r = 0.0
+    for k in range(size - 1, 0, -1):
+        r = z / (2.0 * k + z * r)
+        ratios[k] = r
+    weights = np.cumprod(ratios)
+    return weights / (2.0 * weights.sum() - 1.0)
+
+
+def _chebyshev(gen: dict[int, np.ndarray], x: np.ndarray,
+               t: float) -> np.ndarray:
     """e^{t gen} x for a Hermitian negative semidefinite gen.
 
-    The largest absolute row sum w puts the spectrum in [-w, 0], so
-    A = 2 gen / w + 1 has its spectrum in [-1, 1] and, with z = t w / 2,
-    e^{t gen} = sum_k eps_k ive(k, z) T_k(A), eps_0 = 1 and eps_k = 2
+    The largest absolute column sum w (gen is Hermitian, so also the largest
+    row sum) puts the spectrum in [-w, 0], so A = 2 gen / w + 1 has its
+    spectrum in [-1, 1] and, with z = t w / 2,
+    e^{t gen} = sum_k eps_k e^{-z} I_k(z) T_k(A), eps_0 = 1 and eps_k = 2
     otherwise (Tal-Ezer and Kosloff, J. Chem. Phys. 81, 1984).  The
     coefficients sum to 1 and |T_k(A)| <= 1, so the series stops where
     their tail drops below 1e-16, an a-priori bound on the error: no step
     is selected and nothing is drawn at random.  The degree needed grows
     like 8.3 sqrt(z), which sizes the coefficient array.
     """
-    w = abs(gen).sum(axis=1).max()
+    w = _norm_1(gen)
     z = 0.5 * t * w
-    coef = ive(np.arange(int(9.0 * math.sqrt(z)) + 30), z)
+    coef = _bessel_weights(z, int(9.0 * math.sqrt(z)) + 30)
     coef[1:] *= 2.0
     degree = np.count_nonzero(np.cumsum(coef[::-1])[::-1] >= 1e-16)
-    two_a = (4.0 / w) * gen + 2.0 * sp.identity(gen.shape[0], dtype=complex)
-    prev, cur = x, 0.5 * (two_a @ x)
+    two_a = {k: (4.0 / w) * c for k, c in gen.items()}
+    two_a[0] = two_a[0] + 2.0
+    prev, cur = x, 0.5 * _matvec(two_a, x)
     out = coef[0] * prev + coef[1] * cur
     for c in coef[2:degree]:
-        prev, cur = cur, two_a @ cur - prev
+        prev, cur = cur, _matvec(two_a, cur) - prev
         out += c * cur
     return out
 
@@ -261,15 +304,32 @@ def _flow(x: np.ndarray, t: float, mu2: float, lam2: float,
     (i, j) lies in band (i - j) mod (2 if s else 2 dim), and L keeps each
     band class, the offsets +-(dim+1) moving along a band and the s terms
     two bands over (through a^2, or a rho a at dim 2, connecting each parity).
-    L is Hermitian exactly when mu2 = lam2 and takes the Chebyshev series.
+    At s = 0 the kept entries, gathered band by band, make L tridiagonal:
+    the offsets +-(dim+1) become +-1, and their coefficients vanish where two
+    bands join, the weight sqrt(up(i) up(j)) at a band's last entry (i or j
+    is dim-1, up(dim-1) = 0) and sqrt(i j) at its first (i or j is 0).  At
+    s != 0 the flow runs on the whole vector, where an untouched parity
+    class stays zero, and is masked to the touched one.  L is Hermitian
+    exactly when mu2 = lam2 and takes the Chebyshev series.
     """
-    n = np.arange(x.shape[0])
-    gen = _generator(mu2, lam2, n.size, s)
-    band = np.subtract.outer(n, n) % (2 if s else 2 * n.size)
-    keep = np.flatnonzero(np.isin(band, band[x != 0]))
+    dim = x.shape[0]
+    n = np.arange(dim)
+    gen = _generator(mu2, lam2, dim, s)
+    band = (np.subtract.outer(n, n) % (2 if s else 2 * dim)).ravel()
+    keep = np.isin(band, band[x.ravel() != 0])
     step = _chebyshev if mu2 == lam2 else _propagate
+    if s:
+        out = np.where(keep, step(gen, x.ravel(), t), 0.0)
+        return out.reshape(x.shape)
+    kept = np.flatnonzero(keep)
+    order = kept[np.argsort(band[kept], kind="stable")]
+    along = dim + 1
+    up, down = np.zeros((2, x.size))
+    up[:-along] = gen[along]
+    down[along:] = gen[-along]
+    tri = {-1: down[order[1:]], 0: gen[0][order], 1: up[order[:-1]]}
     out = np.zeros(x.size, dtype=complex)
-    out[keep] = step(gen[keep][:, keep], x.ravel()[keep], t)
+    out[order] = step(tri, x.ravel()[order], t)
     return out.reshape(x.shape)
 
 
@@ -293,8 +353,8 @@ def liouvillian_apply(kind: SemigroupKind, rho: DensityMatrix) -> np.ndarray:
     """L(rho) for the requested semigroup; Hermitian and traceless."""
     if rho.dim < 4:
         raise ValueError(f"dim must be >= 4, got {rho.dim}")
-    out = (_generator(*kind.rates, rho.dim) @ rho.mat.ravel()).reshape(
-        rho.mat.shape)
+    out = _matvec(_generator(*kind.rates, rho.dim),
+                  rho.mat.ravel()).reshape(rho.mat.shape)
     return 0.5 * (out + out.conj().T)
 
 
@@ -327,6 +387,8 @@ def convolve(f: PhaseDensity, rho: DensityMatrix, t: float) -> DensityMatrix:
     """
     if t < 0:
         raise ValueError(f"t must be >= 0, got {t}")
+    if t == 0:
+        return rho
     dim = rho.dim
     st = math.sqrt(t)
     if isinstance(f, AtomMixture):

@@ -31,8 +31,6 @@ from dataclasses import dataclass
 from functools import cache, partial
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.special import lambertw
 
 from . import classical as cl
 from . import gaussian as ga
@@ -459,6 +457,11 @@ def threshold_solve(which: str) -> float:
     F(S0) = inf_{n >= g^{-1}(S0)} [2 (-n log(1 + 1/n)) + g(n)] (= the
     entropy beyond which the rate is certified).
     """
+    # Only the log-sobolev suite and the thresholds command solve these, so
+    # scipy loads here rather than with the package.
+    from scipy.optimize import brentq
+    from scipy.special import lambertw
+
     if which == "Photon067":
         c = 2.0 - 2.0 * math.log(2.0)
         x = -float(lambertw(-c * math.exp(-c), -1).real) / c

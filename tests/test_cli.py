@@ -11,6 +11,16 @@ import phaseineq
 from phaseineq.cli import main
 
 
+def fresh_env(**extra):
+    """The environment for a fresh interpreter that imports this checkout's
+    phaseineq."""
+    src = str(Path(phaseineq.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    return env | extra
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -106,11 +116,18 @@ class TestVerifyCommand:
         (("death-process", "--tmax", "nan"), "--tmax: must be finite, got nan"),
         (("death-process", "--init", "geometric:nan"),
          "--init geometric:<n> needs a finite n, got 'geometric:nan'"),
+        (("death-process", "--init", "geometric:abc"),
+         "--init geometric:<n> needs a number, got 'geometric:abc'"),
+        (("death-process", "--init", "geometric:-1"),
+         "--init geometric:<n> needs n >= 0, got 'geometric:-1'"),
+        (("trajectory", "heat", "--n0", "-1", "--steps", "1"),
+         "--n0 must be >= 0, got -1"),
         (("minimize-rate", "--n", "inf"), "--n: must be finite, got inf"),
         (("minimize-rate", "--n", "nan"), "--n: must be finite, got nan"),
         (("minimize-rate", "--n", "one"), "--n: not a number: 'one'"),
     ], ids=["seed", "K", "trajectory-tmax", "n0", "mu", "lambda",
-            "death-tmax", "init", "n-inf", "n-nan", "n-text"])
+            "death-tmax", "init", "init-text", "init-negative", "n0-negative",
+            "n-inf", "n-nan", "n-text"])
     def test_out_of_range_value_names_parameter(self, capsys, argv, named):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2
@@ -314,10 +331,6 @@ class TestCrossProcessDeterminism:
         # convolutions both take the Chebyshev series and the other flows a
         # Taylor series, neither of which draws anything; test_semigroups
         # holds the flows to that with the global random state disabled.
-        src = str(Path(phaseineq.__file__).resolve().parents[1])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [src] + [p for p in [env.get("PYTHONPATH")] if p])
         script = ("import json, sys, numpy; numpy.random.seed(int(sys.argv[1])); "
                   "from phaseineq.verify import run_suite; "
                   "print(json.dumps([[c.descriptor, float.hex(c.margin)] "
@@ -326,11 +339,31 @@ class TestCrossProcessDeterminism:
         margins = []
         for seed in ("1", "9"):
             proc = subprocess.run([sys.executable, "-c", script, seed],
-                                  env=env | {"PYTHONHASHSEED": seed},
+                                  env=fresh_env(PYTHONHASHSEED=seed),
                                   capture_output=True, text=True, timeout=300)
             assert proc.returncode == 0, proc.stderr
             margins.append(json.loads(proc.stdout))
         assert margins[0] == margins[1]
+
+
+class TestStartup:
+    def test_cli_import_loads_no_scipy(self):
+        # Only the root finds of log-sobolev and thresholds need scipy, and
+        # they import it when called.
+        script = ("import sys, phaseineq.cli; print(sorted(m for m in "
+                  "sys.modules if m.partition('.')[0] == 'scipy'))")
+        proc = subprocess.run([sys.executable, "-c", script], env=fresh_env(),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+    @pytest.mark.parametrize("argv", [("verify", "log-sobolev"),
+                                      ("thresholds", "--which", "entropy")])
+    def test_root_finds_run_in_fresh_process(self, argv):
+        proc = subprocess.run([sys.executable, "-m", "phaseineq.cli", *argv],
+                              env=fresh_env(), capture_output=True, text=True,
+                              timeout=300)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestStrictJson:

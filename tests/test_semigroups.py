@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.linalg import expm
 from scipy.sparse.csgraph import connected_components
+from scipy.special import ive
 
 from phaseineq.classical import death_evolve, geometric_pmf
 from phaseineq.fock_core import (
@@ -34,6 +36,15 @@ from phaseineq.semigroups import (
     relent_decay_rate,
     standard_gaussian,
 )
+
+
+def sparse_generator(*args):
+    """`semigroups._generator` as a scipy sparse matrix, built from the
+    diagonals it returns."""
+    gen = semigroups._generator(*args)
+    size = gen[0].size
+    return sp.diags(list(gen.values()), list(gen), shape=(size, size),
+                    format="csr")
 
 
 def forward_difference_rate(rho, kind, h=1e-4):
@@ -73,6 +84,33 @@ class TestLiouvillian:
             QOU(1.0, 1.0)
         with pytest.raises(ValueError):
             QOU(1.0, 2.0)
+
+
+class TestMatvec:
+    @pytest.mark.parametrize("s", [0.0, 0.3 - 0.2j])
+    @pytest.mark.parametrize("dim", [2, 3, 12])
+    def test_matches_sparse_product(self, dim, s):
+        # The shifted-slice product against scipy's CSR product of the same
+        # diagonals; only the order of the sums differs.
+        rng = np.random.default_rng(dim)
+        x = rng.standard_normal(dim * dim) + 1j * rng.standard_normal(dim * dim)
+        args = (1.3, 0.4, dim, s)
+        out = semigroups._matvec(semigroups._generator(*args), x)
+        assert np.max(np.abs(out - sparse_generator(*args) @ x)) <= 1e-13
+
+
+class TestBesselWeights:
+    @pytest.mark.parametrize("z", [1e-12, 1e-4, 0.1, 1.0, 10.0, 100.0,
+                                   1600.0, 1e4])
+    def test_match_scaled_bessel(self, z):
+        # At the length _chebyshev takes for this z.
+        size = int(9.0 * math.sqrt(z)) + 30
+        weights = semigroups._bessel_weights(z, size)
+        assert np.max(np.abs(weights - ive(np.arange(size), z))) <= 1e-15
+
+    def test_zero_argument_is_identity_series(self):
+        assert np.array_equal(semigroups._bessel_weights(0.0, 30),
+                              np.eye(30)[0])
 
 
 class TestEvolve:
@@ -234,7 +272,7 @@ class TestEvolve:
             supports += [rng.random((dim, dim)) < rng.uniform(0, 3) / dim**2
                          for _ in range(8)]
             for mu2, lam2 in rates:
-                gen = semigroups._generator(mu2, lam2, dim, s)
+                gen = sparse_generator(mu2, lam2, dim, s)
                 _, labels = connected_components(abs(gen), directed=False)
                 for support in supports:
                     if not support.any():
@@ -266,7 +304,7 @@ class TestEvolve:
     def test_gaussian_generator_is_hermitian(self, cov, dim):
         # The Chebyshev series rests on a real spectrum in [-w, 0].
         iso = math.pi * np.trace(cov)
-        gen = semigroups._generator(
+        gen = sparse_generator(
             iso, iso, dim, 0.5 * (cov[0, 0] - cov[1, 1]) + 1j * cov[0, 1])
         assert (gen != gen.conj().T).nnz == 0
 

@@ -20,7 +20,6 @@ from .fock_core import (
 )
 from .semigroups import (
     Amplifier,
-    AtomMixture,
     Attenuator,
     GaussianDensity,
     Heat,

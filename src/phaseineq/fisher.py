@@ -27,7 +27,7 @@ from .fock_core import (
     log_spectrum,
     state_edge_mass,
 )
-from .semigroups import GaussianDensity, PhaseDensity, convolve
+from .semigroups import GaussianDensity, convolve
 
 
 @dataclass(frozen=True)
@@ -64,10 +64,8 @@ def classical_fisher_gaussian(cov) -> float:
     return float(np.trace(np.linalg.inv(cov)))
 
 
-def stam_margin(f: PhaseDensity, rho: DensityMatrix, t: float) -> float:
+def stam_margin(f: GaussianDensity, rho: DensityMatrix, t: float) -> float:
     """Signed slack J(f *_t rho)^-1 - J(rho)^-1 - t J(f)^-1 (>= 0 expected)."""
-    if not isinstance(f, GaussianDensity):
-        raise ValueError("Stam margin is computed for Gaussian densities only")
     conv = convolve(f, rho, t)
     j_conv = quantum_fisher(conv).value
     j_rho = quantum_fisher(rho).value

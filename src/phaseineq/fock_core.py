@@ -21,9 +21,11 @@ import numpy.random  # noqa: F401
 
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-10
+# DensityMatrix accepts eigenvalues in [-PSD_TOL, 0) as roundoff and
+# rejects anything more negative.  Entropies drop eigenvalues <= 0; the log
+# weights of `log_spectrum` clip negatives above -1e-12 to 1e-300 and raise
+# IllConditionedError on an eigenvalue that is exactly 0 or <= -1e-12.
 PSD_TOL = 1e-10
-# Eigenvalues in [-PSD_TOL, 0) are treated as roundoff and clamped to 0
-# before logs; anything more negative is a hard invariant violation.
 # Largest geometric tail mass a truncated thermal state may drop.
 LEAKAGE_TOL = 1e-9
 # Largest mass a state may hold in the top edge band of the basis before

@@ -13,14 +13,13 @@ Gaussian density with mean m and covariance C is e^{t L_C} followed by a
 translation by sqrt(t) m, where
 L_C = -pi sum_jk C_jk [G_j, [G_k, .]] with G = (P, -Q) splits into the
 isotropic part pi tr C (L_- + L_+) and the traceless part with
-s = (C_11 - C_22)/2 + i C_12.  Finite atom mixtures are exact weighted
-sums of displaced states.
+s = (C_11 - C_22)/2 + i C_12.
 
 On the bands of rho that its support touches (`_flow`), two deterministic
 series apply the exponential to double precision: the Hermitian generators
 (mu^2 = lam^2: Heat and every Gaussian convolution) take a Chebyshev series
-with an a-priori error bound (`_chebyshev`); the attenuator, amplifier, qOU
-and death process take a Taylor series stepped by the exact 1-norm.
+with an a-priori error bound (`_chebyshev`); the attenuator, amplifier and
+qOU take a Taylor series stepped by the exact 1-norm.
 """
 
 from __future__ import annotations
@@ -117,29 +116,6 @@ class GaussianDensity:
         object.__setattr__(self, "cov", cov)
 
 
-@dataclass(frozen=True)
-class AtomMixture:
-    """Finite mixture of phase-space points with weights summing to 1."""
-
-    points: np.ndarray
-    weights: np.ndarray
-
-    def __post_init__(self):
-        pts = np.atleast_2d(np.asarray(self.points, dtype=float))
-        w = np.asarray(self.weights, dtype=float)
-        if pts.shape[1] != 2 or w.shape != (pts.shape[0],):
-            raise ValueError("points must be (m, 2) and weights (m,)")
-        if np.any(w < 0) or abs(w.sum() - 1.0) > 1e-12:
-            raise ValueError("weights must be nonnegative and sum to 1")
-        pts.flags.writeable = False
-        w.flags.writeable = False
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "weights", w)
-
-
-PhaseDensity = GaussianDensity | AtomMixture
-
-
 def standard_gaussian() -> GaussianDensity:
     """The unit-variance centered density f_Z."""
     return GaussianDensity(mean=np.zeros(2), cov=np.eye(2))
@@ -223,7 +199,7 @@ def _propagate(gen: dict[int, np.ndarray], x: np.ndarray,
     """e^{t gen} applied to x flattened row-major, reshaped like x.
 
     Serves the generators that are not Hermitian: the attenuator, the
-    amplifier, the qOU (mu^2 != lam^2) and the death process.  A diagonal
+    amplifier and the qOU (mu^2 != lam^2).  A diagonal
     similarity would symmetrize the qOU only at a factor (mu/lam)^dim,
     2^64 at dim 128 for the default mu = sqrt 2, lam = 1.
 
@@ -308,20 +284,19 @@ def _flow(x: np.ndarray, t: float, mu2: float, lam2: float,
     the offsets +-(dim+1) become +-1, and their coefficients vanish where two
     bands join, the weight sqrt(up(i) up(j)) at a band's last entry (i or j
     is dim-1, up(dim-1) = 0) and sqrt(i j) at its first (i or j is 0).  At
-    s != 0 the flow runs on the whole vector, where an untouched parity
-    class stays zero, and is masked to the touched one.  L is Hermitian
+    s != 0 the flow runs on the whole vector: L couples no two parity
+    classes (its coefficients are exactly 0 where a row wraps), so a class
+    that x leaves at zero stays zero under either series.  L is Hermitian
     exactly when mu2 = lam2 and takes the Chebyshev series.
     """
     dim = x.shape[0]
-    n = np.arange(dim)
     gen = _generator(mu2, lam2, dim, s)
-    band = (np.subtract.outer(n, n) % (2 if s else 2 * dim)).ravel()
-    keep = np.isin(band, band[x.ravel() != 0])
     step = _chebyshev if mu2 == lam2 else _propagate
     if s:
-        out = np.where(keep, step(gen, x.ravel(), t), 0.0)
-        return out.reshape(x.shape)
-    kept = np.flatnonzero(keep)
+        return step(gen, x.ravel(), t).reshape(x.shape)
+    n = np.arange(dim)
+    band = (np.subtract.outer(n, n) % (2 * dim)).ravel()
+    kept = np.flatnonzero(np.isin(band, band[x.ravel() != 0]))
     order = kept[np.argsort(band[kept], kind="stable")]
     along = dim + 1
     up, down = np.zeros((2, x.size))
@@ -375,11 +350,9 @@ def evolve(rho: DensityMatrix, kind: SemigroupKind, t: float) -> DensityMatrix:
     return _checked_state(x, "evolution", edges=lam2 > 0)
 
 
-def convolve(f: PhaseDensity, rho: DensityMatrix, t: float) -> DensityMatrix:
-    """Classical-quantum convolution f *_t rho.
-
-    Atom mixtures are exact weighted sums of displaced states.  For a
-    Gaussian density with mean m and covariance C,
+def convolve(f: GaussianDensity, rho: DensityMatrix, t: float) -> DensityMatrix:
+    """Classical-quantum convolution f *_t rho of a Gaussian density with
+    mean m and covariance C:
     f *_t rho = W(sqrt(t) m) e^{t L_C}(rho) W(sqrt(t) m)^dag, the quantum
     heat semigroup with diffusion matrix C followed by a translation.
     Every C takes the Chebyshev series that Heat takes, and a zero
@@ -389,26 +362,13 @@ def convolve(f: PhaseDensity, rho: DensityMatrix, t: float) -> DensityMatrix:
         raise ValueError(f"t must be >= 0, got {t}")
     if t == 0:
         return rho
-    dim = rho.dim
-    st = math.sqrt(t)
-    if isinstance(f, AtomMixture):
-        out = np.zeros((dim, dim), dtype=complex)
-        for pt, wgt in zip(f.points, f.weights):
-            if wgt == 0.0:
-                continue
-            w = weyl_operator(st * pt, dim)
-            out += wgt * (w @ rho.mat @ w.conj().T)
-    elif isinstance(f, GaussianDensity):
-        c = f.cov
-        iso = math.pi * np.trace(c)
-        out = _flow(rho.mat, t, iso, iso,
-                    0.5 * (c[0, 0] - c[1, 1]) + 1j * c[0, 1])
-        shift = st * f.mean
-        if shift.any():
-            w = weyl_operator(shift, dim)
-            out = w @ out @ w.conj().T
-    else:
-        raise TypeError(f"unknown phase density {f!r}")
+    c = f.cov
+    iso = math.pi * np.trace(c)
+    out = _flow(rho.mat, t, iso, iso, 0.5 * (c[0, 0] - c[1, 1]) + 1j * c[0, 1])
+    shift = math.sqrt(t) * f.mean
+    if shift.any():
+        w = weyl_operator(shift, rho.dim)
+        out = w @ out @ w.conj().T
     return _checked_state(out, "convolution")
 
 

@@ -16,8 +16,8 @@ records in the report's config only the values the suite read.
 Each suite yields one check per case and a single runner evaluates them.
 Only numerical failures while a check's margin is computed become error
 cases (margin -inf, counted as failures): RuntimeError, which covers
-TruncationError, the propagators' trace-drift check and the death
-process's negativity and normalization checks, and IllConditionedError.
+TruncationError and the propagators' trace-drift check, and
+IllConditionedError.
 Any other exception propagates out of run_suite.
 """
 
@@ -242,7 +242,7 @@ def _suite_epi_heat(*, dim, cases, seed, tolerance) -> Iterator[_Check]:
             yield _Check("epi-heat-random", {"case": i, "t": t},
                          lambda: (entropy_power(evolve(rho, Heat(), t))
                                   - entropy_power(rho) - TWO_PI_E * t),
-                         1e-2, state=rho)
+                         tolerance, state=rho)
 
 
 def _suite_entropy_isoperimetry(*, dim, cases, seed) -> Iterator[_Check]:

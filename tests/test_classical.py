@@ -20,8 +20,9 @@ from phaseineq.classical import (
     geometric_pmf,
     min_entropy_rate_constrained,
 )
-from phaseineq.fock_core import TruncationError
+from phaseineq.fock_core import DensityMatrix, TruncationError
 from phaseineq.gaussian import g_entropy
+from phaseineq.semigroups import Attenuator, evolve
 
 # The minimizer is deterministic and slow (about 1 s per call at K = 64), so
 # the tests that read its default 8-start result share one run per n.
@@ -81,8 +82,8 @@ class TestDeathEvolve:
     def test_matches_binomial_thinning(self, t):
         # Each particle survives to time t independently with probability
         # e^{-t}: p_m(t) = sum_n p_n C(n, m) e^{-mt} (1 - e^{-t})^{n-m}.
-        # At t = 8 the series takes about 49 steps; the entropy rate reads
-        # log p_m, so the tail is held to a relative gate as well.
+        # The entropy rate reads log p_m, so the tail is held to a relative
+        # gate as well.
         K = 40
         p = np.random.default_rng(5).random(K + 1)
         p /= p.sum()
@@ -95,6 +96,38 @@ class TestDeathEvolve:
         assert np.max(np.abs(out.probs - target)) <= 1e-13
         big = target > 1e-250
         assert np.max(np.abs(out.probs[big] / target[big] - 1.0)) <= 1e-11
+
+    @pytest.mark.parametrize("t", [0.1, 1.0])
+    def test_matches_fock_attenuator_diagonal(self, t):
+        # The death process is the number-basis diagonal of photon loss; the
+        # Fock side evolves diag(p) by the attenuator's Taylor series.
+        K = 39
+        p = np.random.default_rng(3).random(K + 1)
+        p /= p.sum()
+        fock = evolve(DensityMatrix(np.diag(p)), Attenuator(), t)
+        out = death_evolve(ClassicalPMF(p), t)
+        assert np.max(np.abs(out.probs - np.diag(fock.mat).real)) <= 1e-14
+
+    @pytest.mark.parametrize("t", [0.01, 0.7, 5.0])
+    def test_high_level_keeps_unit_mass(self, t):
+        # Unnormalized, the law of level 5000 would share the rounding of
+        # log 5000!, about 2e-12 relative: past ClassicalPMF's unit-mass
+        # check.
+        K = 5000
+        p = np.zeros(K + 1)
+        p[K] = 1.0
+        out = death_evolve(ClassicalPMF(p), t)
+        assert abs(out.probs.sum() - 1.0) <= 1e-15
+        assert out.mean() == pytest.approx(math.exp(-t) * K, rel=1e-13)
+
+    @pytest.mark.parametrize("t", [1e3, 1e6])
+    def test_long_times_cost_no_more(self, t):
+        # The closed form takes no steps, so any t costs one pass; the mean
+        # decays as e^{-t} n and the law keeps its unit mass.
+        p = geometric_pmf(2.0, 128)
+        out = death_evolve(p, t)
+        assert abs(out.mean() - math.exp(-t) * p.mean()) <= 1e-15
+        assert abs(out.probs.sum() - 1.0) <= 1e-15
 
 
 class TestDeathEntropyRate:

@@ -23,7 +23,7 @@ from phaseineq.fock_core import (
     weyl_operator,
 )
 from phaseineq.gaussian import thermal_fisher_closed
-from phaseineq.semigroups import AtomMixture, Heat, entropy_rate, standard_gaussian
+from phaseineq.semigroups import Heat, entropy_rate, standard_gaussian
 
 
 def stencil_fisher(rho, h=1e-2):
@@ -135,8 +135,3 @@ class TestStamMargin:
     def test_nonnegative_on_random(self):
         rho = random_state(128, 4, StateFamily.FULL_RANK)
         assert stam_margin(standard_gaussian(), rho, 0.05) >= -1e-3
-
-    def test_rejects_atom_mixture(self):
-        f = AtomMixture(points=np.zeros((1, 2)), weights=np.ones(1))
-        with pytest.raises(ValueError):
-            stam_margin(f, thermal_state(1.0, 64), 0.1)

@@ -164,6 +164,16 @@ class TestAsymptoticSlope:
         assert margin == pytest.approx(expected, rel=1e-12)
 
 
+class TestEpiHeatGate:
+    def test_random_cases_read_the_suite_tolerance(self):
+        # N(e^{tL} rho) >= N(rho) + 2 pi e t is proved, so the random cases
+        # are gated at the suite tolerance like its closed-form cases.
+        checks = verify._suite_epi_heat(dim=32, cases=1, seed=0,
+                                        tolerance=1e-7)
+        tols = [c.tol for c in checks if c.descriptor == "epi-heat-random"]
+        assert tols == [1e-7, 1e-7]
+
+
 class TestErrorPolicy:
     def test_numerical_failure_becomes_error_case(self):
         # At dim 16 the heat flow pushes the random state into the edge band.

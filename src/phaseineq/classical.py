@@ -6,6 +6,8 @@ binomial thinning.  Includes the entropy rate
 J_-(p) = -2 sum_n (C p)_n log p_n, the geometric family, the f/F threshold
 machinery, a convex-duality certificate for the energy-constrained minimum
 of J_-, and the projected-gradient minimizer kept as its reference oracle.
+F's stationary point and the minimizer's energy multiplier are both roots
+of monotone functions, found by `gaussian._bisect`.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fock_core import geometric_law
-from .gaussian import g_entropy, g_inverse, thermal_half_j_minus
+from .gaussian import _bisect, g_entropy, g_inverse, thermal_half_j_minus
 from .semigroups import _matvec
 
 _INTERIOR_FLOOR = 1e-12
@@ -122,8 +124,8 @@ def geometric_pmf(n: float, K: int) -> ClassicalPMF:
 def f_of_H(s: float) -> float:
     """Minimal half-entropy-rate at fixed entropy: f(S) = -n log(1 + 1/n)
     with n = g_inverse(S)."""
-    if s <= 0:
-        raise ValueError(f"S must be > 0, got {s}")
+    if not 0 < s < math.inf:
+        raise ValueError(f"S must be > 0 and finite, got {s}")
     return thermal_half_j_minus(g_inverse(s))
 
 
@@ -135,8 +137,8 @@ def F_of_S0(s0: float, mu2: float, zeta: float) -> float:
     its one stationary point n* (none if lam2 <= 0) and then rises:
     F = phi(max(g_inverse(S0), n*)), with n* < lam2/zeta, where phi' > 0.
     """
-    if s0 <= 0:
-        raise ValueError(f"S0 must be > 0, got {s0}")
+    if not 0 < s0 < math.inf:
+        raise ValueError(f"S0 must be > 0 and finite, got {s0}")
     if mu2 <= 0 or zeta <= 0:
         raise ValueError("mu2 and zeta must be positive")
     lam2 = mu2 - zeta
@@ -146,9 +148,7 @@ def F_of_S0(s0: float, mu2: float, zeta: float) -> float:
 
     n = g_inverse(s0)
     if slope(n) < 0:
-        from scipy.optimize import brentq
-
-        n = brentq(slope, n, lam2 / zeta)
+        n = _bisect(lambda m: slope(m) < 0, n, lam2 / zeta)
     return mu2 * thermal_half_j_minus(n) + zeta * g_entropy(n)
 
 
@@ -169,9 +169,9 @@ def _project_constraints(y: np.ndarray, n_cap: float, floor: float) -> np.ndarra
     """Projection onto {p >= floor, sum p = 1, E[N] <= n_cap}.
 
     If the plain floored-simplex projection violates the energy cap, the
-    cap is active; a Lagrange multiplier beta on E[N] is then found by
-    bisection (E[N] of the projection of y - beta*levels is decreasing
-    in beta).
+    cap is active; E[N] of the projection of y - beta*levels decreases in
+    the Lagrange multiplier beta, so `_bisect` finds the smallest beta that
+    meets the cap.
     """
     levels = np.arange(y.size, dtype=float)
     x = _project_capped_simplex(y, floor)
@@ -184,16 +184,8 @@ def _project_constraints(y: np.ndarray, n_cap: float, floor: float) -> np.ndarra
     hi = 1.0
     while energy(hi) > n_cap and hi < 1e12:
         hi *= 2.0
-    lo = 0.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid in (lo, hi):  # no later step moves lo or hi
-            break
-        if energy(mid) > n_cap:
-            lo = mid
-        else:
-            hi = mid
-    return _project_capped_simplex(y - hi * levels, floor)
+    beta = _bisect(lambda b: energy(b) > n_cap, 0.0, hi)
+    return _project_capped_simplex(y - beta * levels, floor)
 
 
 def _rate_and_grad(v: np.ndarray,

@@ -69,36 +69,50 @@ class ClassicalOUParams:
         return self.sigma2 / (2.0 * self.theta)
 
 
+def _bisect(below, lo: float, hi: float) -> float:
+    """The first double in (lo, hi] at which the monotone predicate `below`
+    is false, given below(lo) and not below(hi): the bracket halves until
+    its midpoint equals an endpoint, so it ends on two adjacent doubles."""
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return hi
+        if below(mid):
+            lo = mid
+        else:
+            hi = mid
+
+
 def g_entropy(n: float) -> float:
-    """Entropy of the thermal state with mean photon number n (nats)."""
+    """Entropy of the thermal state with mean photon number n (nats), as
+    log1p(n) + n log1p(1/n), which does not cancel at large n."""
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     if n == 0:
         return 0.0
-    return (n + 1.0) * math.log(n + 1.0) - n * math.log(n)
+    return math.log1p(n) + n * math.log1p(1.0 / n)
+
 
 def g_inverse(s: float) -> float:
-    """Mean photon number of the thermal state with entropy s."""
-    if s < 0:
-        raise ValueError(f"s must be >= 0, got {s}")
+    """Mean photon number of the thermal state with entropy s: the upper of
+    the two adjacent doubles around the root of the increasing g(n) - s."""
+    if not 0 <= s < math.inf:
+        raise ValueError(f"s must be >= 0 and finite, got {s}")
     if s == 0.0:
         return 0.0
-    from scipy.optimize import brentq
-
     hi = 1.0
     while g_entropy(hi) < s:
         hi *= 2.0
-    return float(brentq(lambda n: g_entropy(n) - s, 0.0, hi, xtol=1e-14,
-                        rtol=1e-15, maxiter=200))
+    return _bisect(lambda n: g_entropy(n) < s, 0.0, hi)
 
 
 def thermal_fisher_closed(n: float) -> float:
-    """Fisher information of the thermal state: 4 pi log((n+1)/n)."""
+    """Fisher information of the thermal state: 4 pi log(1 + 1/n)."""
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     if n == 0:
         return math.inf
-    return 4.0 * math.pi * math.log((n + 1.0) / n)
+    return 4.0 * math.pi * math.log1p(1.0 / n)
 
 
 def thermal_isoperimetric_ratio(n: float) -> float:
@@ -106,12 +120,12 @@ def thermal_isoperimetric_ratio(n: float) -> float:
     1/(n(n+1) log^2(1 + 1/n)), which is >= 1 and tends to 1 as n grows."""
     if n <= 0:
         raise ValueError(f"n must be > 0, got {n}")
-    return 1.0 / (n * (n + 1.0) * math.log(1.0 + 1.0 / n) ** 2)
+    return 1.0 / (n * (n + 1.0) * math.log1p(1.0 / n) ** 2)
 
 
 def thermal_half_j_minus(n: float) -> float:
     """J_-/2 of the thermal state omega_n: -n log(1 + 1/n)."""
-    return -n * math.log(1.0 + 1.0 / n)
+    return -n * math.log1p(1.0 / n)
 
 
 def j_pm_gaussian(kappa: float, z: float = 1.0) -> tuple[float, float]:

@@ -448,26 +448,19 @@ def run_suite(suite: str, **params) -> VerificationReport:
 
 
 def threshold_solve(which: str) -> float:
-    """Double-precision roots of the fast-convergence threshold equations.
+    """Double-precision roots of the fast-convergence threshold equations,
+    each by bisection of a monotone function to adjacent doubles.
 
     "Photon067": root of -n log(1 + 1/n) + c = 0, c = 2 - 2 log 2 (= the mean
-    photon number up to which the qOU rate zeta is certified), in closed form
-    n = 1/(x - 1), x = -W_{-1}(-c e^{-c})/c with W the Lambert function.
+    photon number up to which the qOU rate zeta is certified).
     "Entropy206": the single root of F(S0) + 1 - 2 log 2 = 0 with the exact
     F(S0) = inf_{n >= g^{-1}(S0)} [2 (-n log(1 + 1/n)) + g(n)] (= the
     entropy beyond which the rate is certified).
     """
-    # Only the log-sobolev suite and the thresholds command solve these, so
-    # scipy loads here rather than with the package.
-    from scipy.optimize import brentq
-    from scipy.special import lambertw
-
     if which == "Photon067":
         c = 2.0 - 2.0 * math.log(2.0)
-        x = -float(lambertw(-c * math.exp(-c), -1).real) / c
-        return 1.0 / (x - 1.0)
+        return ga._bisect(lambda n: n * math.log1p(1.0 / n) < c, 0.1, 10.0)
     if which == "Entropy206":
-        def fn(s0):
-            return cl.F_of_S0(s0, mu2=2.0, zeta=1.0) + 1.0 - 2.0 * math.log(2.0)
-        return float(brentq(fn, 0.7, 10.0, xtol=1e-15))
+        c = 2.0 * math.log(2.0) - 1.0
+        return ga._bisect(lambda s: cl.F_of_S0(s, 2.0, 1.0) < c, 0.7, 10.0)
     raise ValueError(f"unknown threshold {which!r}")

@@ -205,6 +205,13 @@ class TestThresholdFunctions:
         phi = -mu2 * n * math.log1p(1.0 / n) + zeta * g_entropy(n)
         assert abs(F_of_S0(s0, mu2, zeta) - phi) <= 1e-12
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_entropy_is_rejected(self, value):
+        with pytest.raises(ValueError, match=r"^S must be > 0 and finite"):
+            f_of_H(value)
+        with pytest.raises(ValueError, match=r"^S0 must be > 0 and finite"):
+            F_of_S0(value, 2.0, 1.0)
+
 
 class TestCertifiedRateBound:
     @pytest.mark.parametrize("n", [0.5, 1.0, 2.0])

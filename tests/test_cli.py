@@ -9,6 +9,7 @@ import pytest
 
 import phaseineq
 from phaseineq.cli import main
+from phaseineq.verify import SUITE_NAMES
 
 
 def fresh_env(**extra):
@@ -348,8 +349,7 @@ class TestCrossProcessDeterminism:
 
 class TestStartup:
     def test_cli_import_loads_no_scipy(self):
-        # Only the root finds of log-sobolev and thresholds need scipy, and
-        # they import it when called.
+        # numpy is the only runtime dependency.
         script = ("import sys, phaseineq.cli; print(sorted(m for m in "
                   "sys.modules if m.partition('.')[0] == 'scipy'))")
         proc = subprocess.run([sys.executable, "-c", script], env=fresh_env(),
@@ -364,6 +364,33 @@ class TestStartup:
                               env=fresh_env(), capture_output=True, text=True,
                               timeout=300)
         assert proc.returncode == 0, proc.stderr
+
+    def test_every_command_runs_with_scipy_blocked(self):
+        # A None entry in sys.modules makes every import of scipy raise.
+        commands = (
+            [["verify", suite] for suite in SUITE_NAMES]
+            + [["thresholds", "--which", w] for w in ("entropy", "photon")]
+            + [["closed-forms", table] for table in (
+                "fisher-tightness", "entropy-tightness", "gaussian-rates",
+                "lsi2")]
+            + [["trajectory", kind] for kind in ("heat", "attenuator",
+                                                 "amplifier")]
+            + [["trajectory", "qou", "--mu", "1.5", "--lambda", "1"],
+               ["death-process"], ["minimize-rate", "--n", "1"]])
+        script = ("import contextlib, io, json, sys\n"
+                  "sys.modules['scipy'] = None\n"
+                  "from phaseineq.cli import main\n"
+                  "codes = []\n"
+                  "for argv in json.loads(sys.argv[1]):\n"
+                  "    with contextlib.redirect_stdout(io.StringIO()):\n"
+                  "        codes.append(main(argv))\n"
+                  "print(json.dumps(codes))\n")
+        proc = subprocess.run([sys.executable, "-c", script,
+                               json.dumps(commands)], env=fresh_env(),
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        codes = dict(zip(map(" ".join, commands), json.loads(proc.stdout)))
+        assert codes == {" ".join(argv): 0 for argv in commands}
 
 
 class TestStrictJson:

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -51,6 +52,53 @@ class TestEntropyFunction:
             g_entropy(-0.1)
         with pytest.raises(ValueError):
             g_inverse(-0.1)
+
+    @pytest.mark.parametrize("s", [math.nan, math.inf, -math.inf])
+    def test_inverse_rejects_non_finite(self, s):
+        with pytest.raises(ValueError, match=r"^s must be >= 0 and finite"):
+            g_inverse(s)
+
+
+def _rel_err(value, exact):
+    return float(abs(mpmath.mpf(value) / exact - 1))
+
+
+class TestStableClosedForms:
+    """g, its inverse and the thermal Fisher information against 50-digit
+    values, at photon numbers where (n+1) log(n+1) - n log n and
+    log((n+1)/n) cancel away up to 8 digits."""
+
+    NS = [1e-3, 0.5, 100.0, 1e4, 1e6, 1.8e8]
+
+    @staticmethod
+    def g_exact(n):
+        n = mpmath.mpf(n)
+        return (n + 1) * mpmath.log(n + 1) - n * mpmath.log(n)
+
+    @pytest.mark.parametrize("n", NS)
+    def test_g_entropy(self, n):
+        with mpmath.workdps(50):
+            assert _rel_err(g_entropy(n), self.g_exact(n)) <= 1e-14
+
+    @pytest.mark.parametrize("n", NS)
+    def test_thermal_fisher(self, n):
+        with mpmath.workdps(50):
+            exact = 4 * mpmath.pi * mpmath.log1p(1 / mpmath.mpf(n))
+            assert _rel_err(thermal_fisher_closed(n), exact) <= 1e-14
+
+    @pytest.mark.parametrize("n", NS)
+    def test_isoperimetric_ratio(self, n):
+        with mpmath.workdps(50):
+            m = mpmath.mpf(n)
+            exact = 1 / (m * (m + 1) * mpmath.log1p(1 / m) ** 2)
+            assert _rel_err(thermal_isoperimetric_ratio(n), exact) <= 1e-14
+
+    @pytest.mark.parametrize("s", [0.01, 0.5, 1.0, 5.0, 20.0])
+    def test_g_inverse(self, s):
+        n = g_inverse(s)
+        with mpmath.workdps(50):
+            exact = mpmath.findroot(lambda x: self.g_exact(x) - s, n)
+            assert _rel_err(n, exact) <= 1e-14
 
 
 class TestGaussianSpec:

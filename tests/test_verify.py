@@ -261,6 +261,19 @@ class TestThresholds:
         # The references are 50-digit roots, rounded to 20 digits.
         assert abs(threshold_solve(which) / root - 1.0) <= 1e-14
 
+    def test_photon_bisection_ends_on_adjacent_doubles(self):
+        # The first double at which n log1p(1/n) reaches c; the double
+        # below it still lies under c.
+        c = 2.0 - 2.0 * math.log(2.0)
+
+        def below(n):
+            return n * math.log1p(1.0 / n) < c
+
+        root = ga._bisect(below, 0.1, 10.0)
+        assert root == threshold_solve("Photon067")
+        assert root == float.fromhex("0x1.59f97e6efcf99p-1")
+        assert not below(root) and below(math.nextafter(root, 0.0))
+
     def test_unknown_threshold(self):
         with pytest.raises(ValueError):
             threshold_solve("nope")

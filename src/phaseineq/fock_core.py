@@ -255,7 +255,8 @@ def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     if rho.dim != sigma.dim:
         raise ValueError(f"dim mismatch: {rho.dim} vs {sigma.dim}")
     mu, v = sigma.evals, sigma.evecs
-    overlaps = np.real(np.einsum("ji,jk,ki->i", v.conj(), rho.mat, v))
+    # <v_i|rho|v_i> from one BLAS product and a column-wise sum.
+    overlaps = np.sum(v.conj() * (rho.mat @ v), axis=0).real
     if mu[0] <= 0.0:
         # rho carrying mass on the numerical null space means the divergence
         # genuinely diverges; tiny-but-positive tail eigenvalues (e.g. of a

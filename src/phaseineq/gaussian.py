@@ -95,7 +95,9 @@ def g_entropy(n: float) -> float:
 
 def g_inverse(s: float) -> float:
     """Mean photon number of the thermal state with entropy s: the upper of
-    the two adjacent doubles around the root of the increasing g(n) - s."""
+    the two adjacent doubles around the root of the increasing g(n) - s.
+    Raises ValueError when the root lies beyond the largest double, for s
+    above about 710.7 (g(n) = log n + 1 + O(1/n))."""
     if not 0 <= s < math.inf:
         raise ValueError(f"s must be >= 0 and finite, got {s}")
     if s == 0.0:
@@ -103,6 +105,8 @@ def g_inverse(s: float) -> float:
     hi = 1.0
     while g_entropy(hi) < s:
         hi *= 2.0
+        if hi == math.inf:
+            raise ValueError(f"g_inverse({s}) exceeds the largest double")
     return _bisect(lambda n: g_entropy(n) < s, 0.0, hi)
 
 
@@ -171,12 +175,43 @@ def gaussian_evolve(spec: GaussianStateSpec, kind: SemigroupKind,
     return GaussianStateSpec(mean=mean_t, kappa=kappa_t, z=z_t)
 
 
+def _psi(u: float) -> float:
+    """(1 + u) log1p(u) - u for u >= -1, to full relative precision.
+
+    With v = u/(2 + u), 1 + u = (1 + v)/(1 - v) and log1p(u) = 2 atanh(v),
+    so psi = 2/(1 - v) sum_{k >= 1} v^{2k} (1/(2k - 1) + v/(2k + 1)), a
+    series of positive terms that needs no subtraction; for |v| > 1/2
+    (u < -2/3 or u > 2) the direct form cancels at most a factor 3.
+    """
+    v = u / (2.0 + u)
+    if abs(v) > 0.5:
+        return (1.0 + u) * math.log1p(u) - u if u > -1.0 else 1.0
+    v2 = v * v
+    total, power, k = 0.0, v2, 1
+    while True:
+        term = power * (1.0 / (2 * k - 1) + v / (2 * k + 1))
+        total += term
+        if term <= 1e-17 * total:
+            return 2.0 / (1.0 - v) * total
+        power *= v2
+        k += 1
+
+
 def relent_to_qou_fixed(s: float, n: float, mu: float, lam: float) -> float:
-    """D(rho || thermal fixed point of qOU) given S(rho) = s, tr(rho n_hat) = n:
-    -s - log(nu) n - log(1 - nu) with nu = lam^2/mu^2."""
-    kind = QOU(mu, lam)
-    nu = kind.nu
-    return -s - math.log(nu) * n - math.log(1.0 - nu)
+    """D(rho || thermal fixed point of qOU) given S(rho) = s, tr(rho n_hat) = n.
+
+    With m = lam^2/zeta the fixed point's mean photon number and d = n - m,
+    D = -s + (n + 1) log(m + 1) - n log m
+      = (g(n) - s) + n log1p(d/m) - (n + 1) log1p(d/(m + 1))
+      = (g(n) - s) + m psi(d/m) - (m + 1) psi(d/(m + 1)),
+    where the terms linear in d cancel exactly (m (d/m) = (m + 1) d/(m + 1)),
+    so only the second-order parts are subtracted, losing at most a factor
+    about m + 1: D(omega_n || omega_m) keeps full precision as n -> m.
+    """
+    m = QOU(mu, lam).n_fixed
+    d = n - m
+    return ((g_entropy(n) - s) + m * _psi(d / m)
+            - (m + 1.0) * _psi(d / (m + 1.0)))
 
 
 def h_function(n: float, mu: float, lam: float) -> float:

@@ -15,17 +15,24 @@ L_C = -pi sum_jk C_jk [G_j, [G_k, .]] with G = (P, -Q) splits into the
 isotropic part pi tr C (L_- + L_+) and the traceless part with
 s = (C_11 - C_22)/2 + i C_12.
 
-On the bands of rho that its support touches (`_flow`), two deterministic
-series apply the exponential to double precision: the Hermitian generators
+A `Flow` stands for one such generator, built once per
+(mu^2, lam^2, s, dim), and applies it to a state on a grid of times.  On
+the bands of rho that its support touches, two deterministic series apply
+the exponential to double precision: the Hermitian generators
 (mu^2 = lam^2: Heat and every Gaussian convolution) take a Chebyshev series
-with an a-priori error bound (`_chebyshev`); the attenuator, amplifier and
-qOU take a Taylor series stepped by the exact 1-norm.
+with an a-priori error bound (`_chebyshev`), whose vectors T_k(A) x do not
+depend on t, so one recurrence serves the whole grid and each time keeps
+its own Bessel weights, accumulator and stopping degree; the attenuator,
+amplifier and qOU take a Taylor series stepped by the exact 1-norm, once
+per time.  `evolve` and `convolve` are the one-time grids.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Callable, Sequence
+from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -121,6 +128,25 @@ def standard_gaussian() -> GaussianDensity:
     return GaussianDensity(mean=np.zeros(2), cov=np.eye(2))
 
 
+def _levels(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """(n, up(n)) for n < dim: the weights of a_dag a and of the truncated
+    a a_dag = diag(1, ..., dim-1, 0)."""
+    n = np.arange(dim, dtype=float)
+    up = n + 1.0
+    up[-1] = 0.0
+    return n, up
+
+
+def _ladder(mu2: float, lam2: float, ni: np.ndarray, nj: np.ndarray,
+            ui: np.ndarray, uj: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The weights of mu^2 L_- + lam^2 L_+ at entries (i, j), given
+    ni = n(i), ui = up(i) and the same for j: into (i, j) from
+    (i-1, j-1), from (i, j) itself and from (i+1, j+1)."""
+    return (lam2 * np.sqrt(ni * nj),
+            -0.5 * (mu2 * (ni + nj) + lam2 * (ui + uj)),
+            mu2 * np.sqrt(ui * uj))
+
+
 def _generator(mu2: float, lam2: float, dim: int,
                s: complex = 0.0) -> dict[int, np.ndarray]:
     """mu^2 L_- + lam^2 L_+ + pi conj(s) [a, [a, .]] + pi s [a_dag, [a_dag, .]]
@@ -141,9 +167,7 @@ def _generator(mu2: float, lam2: float, dim: int,
     the truncated space, because P^2 - Q^2 = -(a^2 + a_dag^2) and
     PQ + QP = -i (a^2 - a_dag^2) hold for the truncated matrices too.
     """
-    n = np.arange(dim, dtype=float)
-    up = n + 1.0
-    up[-1] = 0.0
+    n, up = _levels(dim)
     size = dim * dim
 
     def band(coef: np.ndarray, offset: int) -> np.ndarray:
@@ -151,12 +175,11 @@ def _generator(mu2: float, lam2: float, dim: int,
         flat = np.broadcast_to(coef, (dim, dim)).ravel()
         return flat[:size - offset] if offset >= 0 else flat[-offset:]
 
-    diag = -0.5 * (mu2 * np.add.outer(n, n) + lam2 * np.add.outer(up, up))
-    bands = {
-        -(dim + 1): band(lam2 * np.sqrt(np.outer(n, n)), -(dim + 1)),
-        0: band(diag, 0),
-        dim + 1: band(mu2 * np.sqrt(np.outer(up, up)), dim + 1),
-    }
+    step = dim + 1
+    down, diag, up_w = _ladder(mu2, lam2, n[:, None], n[None, :],
+                               up[:, None], up[None, :])
+    bands = {-step: band(down, -step), 0: band(diag, 0),
+             step: band(up_w, step)}
     if s:
         # (a^2)_{i,i+2} and (a_dag^2)_{i,i-2}.
         two_down = np.sqrt(up * np.append(up[1:], 0.0))
@@ -244,8 +267,9 @@ def _bessel_weights(z: float, size: int) -> np.ndarray:
 
 
 def _chebyshev(gen: dict[int, np.ndarray], x: np.ndarray,
-               t: float) -> np.ndarray:
-    """e^{t gen} x for a Hermitian negative semidefinite gen.
+               times: Sequence[float]) -> list[np.ndarray]:
+    """e^{t gen} x at each t of times, for a Hermitian negative semidefinite
+    gen.
 
     The largest absolute column sum w (gen is Hermitian, so also the largest
     row sum) puts the spectrum in [-w, 0], so A = 2 gen / w + 1 has its
@@ -255,57 +279,152 @@ def _chebyshev(gen: dict[int, np.ndarray], x: np.ndarray,
     coefficients sum to 1 and |T_k(A)| <= 1, so the series stops where
     their tail drops below 1e-16, an a-priori bound on the error: no step
     is selected and nothing is drawn at random.  The degree needed grows
-    like 8.3 sqrt(z), which sizes the coefficient array.
+    like 8.3 sqrt(z), which sizes the coefficient array.  Only the
+    coefficients depend on t: one recurrence runs to the largest degree of
+    the grid, and each time adds T_k(A) x to its own sum up to its own
+    degree, so every time's result is the one it gets alone.
     """
     w = _norm_1(gen)
-    z = 0.5 * t * w
-    coef = _bessel_weights(z, int(9.0 * math.sqrt(z)) + 30)
-    coef[1:] *= 2.0
-    degree = np.count_nonzero(np.cumsum(coef[::-1])[::-1] >= 1e-16)
+    coefs, degrees = [], []
+    for t in times:
+        z = 0.5 * t * w
+        coef = _bessel_weights(z, int(9.0 * math.sqrt(z)) + 30)
+        coef[1:] *= 2.0
+        coefs.append(coef)
+        degrees.append(np.count_nonzero(np.cumsum(coef[::-1])[::-1] >= 1e-16))
     two_a = {k: (4.0 / w) * c for k, c in gen.items()}
     two_a[0] = two_a[0] + 2.0
     prev, cur = x, 0.5 * _matvec(two_a, x)
-    out = coef[0] * prev + coef[1] * cur
-    for c in coef[2:degree]:
+    outs = [coef[0] * prev + coef[1] * cur for coef in coefs]
+    for k in range(2, max(degrees)):
         prev, cur = cur, _matvec(two_a, cur) - prev
-        out += c * cur
-    return out
+        for out, coef, degree in zip(outs, coefs, degrees):
+            if k < degree:
+                out += coef[k] * cur
+    return outs
+
+
+def _touched_bands(x: np.ndarray) -> np.ndarray:
+    """Row-major indices of the entries of x in the bands its support
+    touches, band by band in increasing band b = (i - j) mod 2 dim.
+
+    Band b < dim holds (j + b, j), at b dim + j (dim + 1), and band
+    b > dim holds (i, i + k), k = 2 dim - b, at k + i (dim + 1), each for
+    dim - (its offset) consecutive values of j or i.
+    """
+    dim = x.shape[0]
+    i, j = np.nonzero(x)
+    hit = np.zeros(2 * dim, dtype=bool)
+    hit[(i - j) % (2 * dim)] = True
+    b = np.flatnonzero(hit)
+    below = b < dim
+    first = np.where(below, b * dim, 2 * dim - b)
+    count = np.where(below, dim - b, b - dim)
+    before = np.cumsum(count) - count
+    step = dim + 1
+    return (np.repeat(first - before * step, count)
+            + np.arange(count.sum()) * step)
+
+
+@dataclass(frozen=True)
+class Flow:
+    """e^{tL} for L = `_generator(mu2, lam2, dim, s)`, built once and applied
+    to any state of that dim on any grid of times.
+
+    L is Hermitian, taking the Chebyshev series, exactly when mu2 = lam2.
+    A flow runs on the bands of x that its support touches
+    (`_touched_bands`), which is exact:
+    entry (i, j) lies in band (i - j) mod (2 if s else 2 dim), and L keeps
+    each band class, the offsets +-(dim+1) moving along a band and the s
+    terms two bands over (through a^2, or a rho a at dim 2, connecting each
+    parity).  At s = 0 the kept entries, gathered band by band, make L
+    tridiagonal: the offsets +-(dim+1) become +-1, and their coefficients
+    vanish where two bands join, the weight sqrt(up(i) up(j)) at a band's
+    last entry (i or j is dim-1, up(dim-1) = 0) and sqrt(i j) at its first
+    (i or j is 0).  At s != 0 the flow runs on the whole vector: L couples
+    no two parity classes (its coefficients are exactly 0 where a row
+    wraps), so a class that x leaves at zero stays zero under either series.
+    So a flow at s != 0 holds the generator's diagonals, and one at s = 0
+    builds each state's tridiagonal restriction from the ladder weights
+    (`_ladder`) of its kept entries, holding no array of dim^2 entries
+    between states.
+    """
+
+    mu2: float
+    lam2: float
+    dim: int
+    s: complex = 0.0
+    gen: dict[int, np.ndarray] | None = field(init=False, repr=False,
+                                              compare=False)
+
+    def __post_init__(self):
+        gen = None
+        if self.s:
+            gen = _generator(self.mu2, self.lam2, self.dim, self.s)
+        object.__setattr__(self, "gen", gen)
+
+    @classmethod
+    def of(cls, op: SemigroupKind | GaussianDensity, dim: int) -> Flow:
+        """The flow of a semigroup kind, or the diffusion e^{t L_C} of a
+        Gaussian density's covariance C (`convolve` adds its translation)."""
+        if isinstance(op, GaussianDensity):
+            c = op.cov
+            iso = math.pi * np.trace(c)
+            return cls(iso, iso, dim, 0.5 * (c[0, 0] - c[1, 1]) + 1j * c[0, 1])
+        return cls(*op.rates, dim)
+
+    def apply(self, x: np.ndarray, times: Sequence[float]) -> np.ndarray:
+        """e^{tL}(x) for each t of times, stacked along a new first axis:
+        one Chebyshev recurrence for the whole grid, or one Taylor series
+        per time."""
+        kept, ys = self._run(x, times)
+        out = np.zeros((len(times), x.size), dtype=complex)
+        out[:, kept] = ys
+        return out.reshape(len(times), *x.shape)
+
+    def states(self, rho: DensityMatrix, times: Sequence[float],
+               what: str = "evolution") -> list[Callable[[], DensityMatrix]]:
+        """One run of the flow on rho for the whole grid, and per time a
+        thunk that builds and validates that time's state on its own when
+        called, so a TruncationError at one t leaves the others usable.
+        Every flow with gain (lam2 > 0) has its top edge band checked."""
+        kept, ys = self._run(rho.mat, times)
+        return [partial(self._state, kept, y, what) for y in ys]
+
+    def _run(self, x: np.ndarray, times: Sequence[float]
+             ) -> tuple[np.ndarray | slice, list[np.ndarray]]:
+        """(the row-major indices of x the flow runs on, e^{tL}(x) on them
+        for each t of times)."""
+        if x.shape != (self.dim, self.dim):
+            raise ValueError(f"state of shape {x.shape} for a flow at dim "
+                             f"{self.dim}")
+        if min(times) < 0:
+            raise ValueError(f"t must be >= 0, got {min(times)}")
+        gen, kept = self.gen, slice(None)
+        if gen is None:
+            kept = _touched_bands(x)
+            n, up = _levels(self.dim)
+            i, j = np.divmod(kept, self.dim)
+            down, diag, up_w = _ladder(self.mu2, self.lam2, n[i], n[j],
+                                       up[i], up[j])
+            gen = {-1: down[1:], 0: diag, 1: up_w[:-1]}
+        y = x.ravel()[kept]
+        if self.mu2 == self.lam2:
+            return kept, _chebyshev(gen, y, times)
+        return kept, [_propagate(gen, y, t) for t in times]
+
+    def _state(self, kept: np.ndarray | slice, y: np.ndarray,
+               what: str) -> DensityMatrix:
+        x = np.zeros(self.dim * self.dim, dtype=complex)
+        x[kept] = y
+        return _checked_state(x.reshape(self.dim, self.dim), what,
+                              self.lam2 > 0)
 
 
 def _flow(x: np.ndarray, t: float, mu2: float, lam2: float,
           s: complex = 0.0) -> np.ndarray:
-    """e^{t L}(x) for L = `_generator(mu2, lam2, dim, s)`.
-
-    Runs on the bands of x that its support touches, which is exact: entry
-    (i, j) lies in band (i - j) mod (2 if s else 2 dim), and L keeps each
-    band class, the offsets +-(dim+1) moving along a band and the s terms
-    two bands over (through a^2, or a rho a at dim 2, connecting each parity).
-    At s = 0 the kept entries, gathered band by band, make L tridiagonal:
-    the offsets +-(dim+1) become +-1, and their coefficients vanish where two
-    bands join, the weight sqrt(up(i) up(j)) at a band's last entry (i or j
-    is dim-1, up(dim-1) = 0) and sqrt(i j) at its first (i or j is 0).  At
-    s != 0 the flow runs on the whole vector: L couples no two parity
-    classes (its coefficients are exactly 0 where a row wraps), so a class
-    that x leaves at zero stays zero under either series.  L is Hermitian
-    exactly when mu2 = lam2 and takes the Chebyshev series.
-    """
-    dim = x.shape[0]
-    gen = _generator(mu2, lam2, dim, s)
-    step = _chebyshev if mu2 == lam2 else _propagate
-    if s:
-        return step(gen, x.ravel(), t).reshape(x.shape)
-    n = np.arange(dim)
-    band = (np.subtract.outer(n, n) % (2 * dim)).ravel()
-    kept = np.flatnonzero(np.isin(band, band[x.ravel() != 0]))
-    order = kept[np.argsort(band[kept], kind="stable")]
-    along = dim + 1
-    up, down = np.zeros((2, x.size))
-    up[:-along] = gen[along]
-    down[along:] = gen[-along]
-    tri = {-1: down[order[1:]], 0: gen[0][order], 1: up[order[:-1]]}
-    out = np.zeros(x.size, dtype=complex)
-    out[order] = step(tri, x.ravel()[order], t)
-    return out.reshape(x.shape)
+    """e^{tL}(x) at one time, through a fresh `Flow`."""
+    return Flow(mu2, lam2, x.shape[0], s).apply(x, (t,))[0]
 
 
 def _checked_state(x: np.ndarray, what: str, edges: bool = True) -> DensityMatrix:
@@ -334,37 +453,30 @@ def liouvillian_apply(kind: SemigroupKind, rho: DensityMatrix) -> np.ndarray:
 
 
 def evolve(rho: DensityMatrix, kind: SemigroupKind, t: float) -> DensityMatrix:
-    """e^{tL}(rho), exact to double precision: by the Chebyshev series for
-    Heat, by the Taylor series of `_propagate` otherwise.
+    """e^{tL}(rho), exact to double precision: the one-time grid of
+    `Flow.of(kind, rho.dim)`, by the Chebyshev series for Heat and the
+    Taylor series of `_propagate` otherwise.
 
     Raises TruncationError when a flow with gain (lam^2 > 0) leaves more
     than EDGE_TOL in the top edge band of the basis; pure loss maps the
     truncated space into itself, so no edge check applies.
     """
-    if t < 0:
-        raise ValueError(f"t must be >= 0, got {t}")
     if t == 0:
         return rho
-    mu2, lam2 = kind.rates
-    x = _flow(rho.mat, t, mu2, lam2)
-    return _checked_state(x, "evolution", edges=lam2 > 0)
+    return Flow.of(kind, rho.dim).states(rho, (t,))[0]()
 
 
 def convolve(f: GaussianDensity, rho: DensityMatrix, t: float) -> DensityMatrix:
     """Classical-quantum convolution f *_t rho of a Gaussian density with
     mean m and covariance C:
     f *_t rho = W(sqrt(t) m) e^{t L_C}(rho) W(sqrt(t) m)^dag, the quantum
-    heat semigroup with diffusion matrix C followed by a translation.
-    Every C takes the Chebyshev series that Heat takes, and a zero
-    translation is skipped.
+    heat semigroup with diffusion matrix C followed by a translation: the
+    one-time grid of `Flow.of(f, rho.dim)`, whose every C takes the
+    Chebyshev series that Heat takes.  A zero translation is skipped.
     """
-    if t < 0:
-        raise ValueError(f"t must be >= 0, got {t}")
     if t == 0:
         return rho
-    c = f.cov
-    iso = math.pi * np.trace(c)
-    out = _flow(rho.mat, t, iso, iso, 0.5 * (c[0, 0] - c[1, 1]) + 1j * c[0, 1])
+    out = Flow.of(f, rho.dim).apply(rho.mat, (t,))[0]
     shift = math.sqrt(t) * f.mean
     if shift.any():
         w = weyl_operator(shift, rho.dim)

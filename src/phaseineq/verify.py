@@ -34,14 +34,14 @@ import numpy as np
 
 from . import classical as cl
 from . import gaussian as ga
-from .fisher import classical_fisher_gaussian, quantum_fisher, stam_margin
+from .fisher import classical_fisher_gaussian, quantum_fisher
 from .fock_core import (
     DensityMatrix, IllConditionedError, StateFamily,
     entropy_power, fock_rearrangement, majorizes, mean_photon, random_state,
     relative_entropy, thermal_state, truncation_health)
 from .semigroups import (
-    Attenuator, GaussianDensity, Heat, QOU, convolve, entropy_rate, evolve,
-    relent_decay_rate, standard_gaussian)
+    Attenuator, Flow, GaussianDensity, Heat, QOU, convolve, entropy_rate,
+    evolve, relent_decay_rate, standard_gaussian)
 
 TWO_PI_E = 2.0 * math.pi * math.e
 FOUR_PI_E = 4.0 * math.pi * math.e
@@ -148,21 +148,26 @@ def _suite_data_processing(*, dim, cases, seed, tolerance) -> Iterator[_Check]:
 def _suite_stam(*, dim, cases, seed, tolerance) -> Iterator[_Check]:
     grid = (0.02, 0.05, 0.1)
     f = standard_gaussian()
+    j_f = classical_fisher_gaussian(f.cov)
     # Closed-form sentinel: thermal input, where J before/after the heat
     # flow is known exactly.
     n = 1.0
     for t in grid:
         j0 = ga.thermal_fisher_closed(n)
         jt = ga.thermal_fisher_closed(n + 2.0 * math.pi * t)
-        margin = 1.0 / jt - 1.0 / j0 - t / classical_fisher_gaussian(f.cov)
-        yield _Check("stam-thermal-closed", {"n": n, "t": t}, margin,
-                     tolerance)
+        yield _Check("stam-thermal-closed", {"n": n, "t": t},
+                     1.0 / jt - 1.0 / j0 - t / j_f, tolerance)
+    # f has no mean, so f *_t rho is the flow alone: one grid per state.
+    flow = Flow.of(f, dim)
     for i in range(cases):
         rho = random_state(dim, seed + i, StateFamily.FULL_RANK)
-        for t in grid:
+        j_rho = cache(lambda: quantum_fisher(rho).value)
+        convs = flow.states(rho, grid, "convolution")
+        for t, conv in zip(grid, convs):
             yield _Check("stam-random", {"case": i, "t": t},
-                         lambda: stam_margin(f, rho, t), tolerance,
-                         state=rho)
+                         lambda: (1.0 / quantum_fisher(conv()).value
+                                  - 1.0 / j_rho() - t / j_f),
+                         tolerance, state=rho)
 
 
 def _suite_de_bruijn(*, dim, cases, seed, tolerance) -> Iterator[_Check]:
@@ -209,12 +214,14 @@ def _suite_concavity(*, dim, cases, seed, tolerance) -> Iterator[_Check]:
         margin = math.exp(ga.g_entropy(n)) * j * j / 4.0 * (
             ga.thermal_isoperimetric_ratio(n) - 1.0)
         yield _Check("concavity-thermal", {"n": n}, margin, tolerance)
+    heat = Flow.of(Heat(), dim)
     for i in range(cases):
         rho = random_state(dim, seed + i, StateFamily.FULL_RANK)
+        at_h, at_2h = heat.states(rho, (h, 2.0 * h))
         def margin():
             n0 = entropy_power(rho)
-            n1 = entropy_power(evolve(rho, Heat(), h))
-            n2 = entropy_power(evolve(rho, Heat(), 2.0 * h))
+            n1 = entropy_power(at_h())
+            n2 = entropy_power(at_2h())
             second = (n2 - 2.0 * n1 + n0) / h**2
             return -second, {"second_difference": second}
         yield _Check("concavity-random", {"case": i}, margin, tolerance,
@@ -236,11 +243,13 @@ def _suite_epi_heat(*, dim, cases, seed, tolerance) -> Iterator[_Check]:
     yield _Check("epi-heat-asymptotic-slope",
                  {"n": n, "t": t, "slope": slope, "target": TWO_PI_E},
                  slope / TWO_PI_E - 1.0, tolerance)
+    grid = (0.05, 0.1)
+    heat = Flow.of(Heat(), dim)
     for i in range(cases):
         rho = random_state(dim, seed + i, StateFamily.FULL_RANK)
-        for t in (0.05, 0.1):
+        for t, evolved in zip(grid, heat.states(rho, grid)):
             yield _Check("epi-heat-random", {"case": i, "t": t},
-                         lambda: (entropy_power(evolve(rho, Heat(), t))
+                         lambda: (entropy_power(evolved())
                                   - entropy_power(rho) - TWO_PI_E * t),
                          tolerance, state=rho)
 

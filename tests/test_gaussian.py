@@ -93,6 +93,16 @@ class TestStableClosedForms:
             exact = 1 / (m * (m + 1) * mpmath.log1p(1 / m) ** 2)
             assert _rel_err(thermal_isoperimetric_ratio(n), exact) <= 1e-14
 
+    @pytest.mark.parametrize("s", [700.0, 709.0])
+    def test_g_inverse_near_the_largest_double(self, s):
+        assert math.isfinite(g_inverse(s))
+
+    @pytest.mark.parametrize("s", [711.0, 800.0])
+    def test_g_inverse_beyond_the_largest_double_raises(self, s):
+        # g(n) = log n + 1 + O(1/n) passes 710.7 only beyond 1.8e308.
+        with pytest.raises(ValueError, match=f"g_inverse\\({s}\\)"):
+            g_inverse(s)
+
     @pytest.mark.parametrize("s", [0.01, 0.5, 1.0, 5.0, 20.0])
     def test_g_inverse(self, s):
         n = g_inverse(s)
@@ -258,6 +268,28 @@ class TestQOURate:
         d_closed = relent_to_qou_fixed(von_neumann_entropy(rho), 2.0, mu, lam)
         d_fock = relative_entropy(rho, thermal_state(1.0, 64))
         assert d_closed == pytest.approx(d_fock, rel=1e-6)
+
+    @pytest.mark.parametrize("mu, lam", [(1.5, 1.0), (math.sqrt(2.0), 1.0),
+                                         (1.25, 0.75)])
+    @pytest.mark.parametrize("offset", [1e-12, -1e-8, 1e-6, -1e-4, 3e-3,
+                                        -0.02, 0.1])
+    def test_relent_near_fixed_point(self, mu, lam, offset):
+        # D(omega_n || omega_m) is second order in n - m, so terms of size
+        # one must not be subtracted.  The reference takes the double
+        # m = lam^2/zeta that the function uses.
+        m = QOU(mu, lam).n_fixed
+        n = m * (1.0 + offset)
+        d = relent_to_qou_fixed(g_entropy(n), n, mu, lam)
+        with mpmath.workdps(50):
+            mm, nn = mpmath.mpf(m), mpmath.mpf(n)
+            exact = ((nn + 1) * mpmath.log((mm + 1) / (nn + 1))
+                     - nn * mpmath.log(mm / nn))
+            assert _rel_err(d, exact) <= 1e-15
+
+    def test_relent_at_vacuum(self):
+        mu, lam = math.sqrt(2.0), 1.0
+        d = relent_to_qou_fixed(0.0, 0.0, mu, lam)
+        assert d == pytest.approx(math.log1p(QOU(mu, lam).n_fixed), rel=1e-15)
 
     def test_h_vanishes_at_fixed_point(self):
         n_star, h_min = h_minimize(math.sqrt(2.0), 1.0)

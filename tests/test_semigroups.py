@@ -400,6 +400,43 @@ class TestConvolve:
         assert np.max(np.abs(out.mat - target)) <= 1e-10
 
 
+class TestFlow:
+    OPS = [Heat(), standard_gaussian(),
+           GaussianDensity(mean=np.zeros(2),
+                           cov=np.array([[1.0, 0.3], [0.3, 0.6]])),
+           QOU(math.sqrt(2.0), 1.0)]
+
+    @pytest.mark.parametrize("dim", [32, 64])
+    @pytest.mark.parametrize("op", OPS, ids=["heat", "f_Z", "aniso", "qou"])
+    def test_grid_matches_each_time_alone_bit_for_bit(self, op, dim):
+        # One recurrence serves the grid; each time keeps its own weights,
+        # sum and degree.  The grid is unsorted and repeats a time.
+        rho = random_state(dim, 2, StateFamily.FULL_RANK)
+        flow = semigroups.Flow.of(op, dim)
+        grid = (0.05, 2e-4, 0.1, 0.05, 0.02)
+        out = flow.apply(rho.mat, grid)
+        assert out.shape == (len(grid), dim, dim)
+        for t, x in zip(grid, out):
+            alone = semigroups.Flow.of(op, dim).apply(rho.mat, (t,))[0]
+            assert np.array_equal(x, alone)
+
+    def test_states_validate_each_time_on_its_own(self):
+        # At dim 40 the random state reaches the edge band by t = 0.1 but
+        # not at t = 2e-4.
+        rho = random_state(40, 0, StateFamily.FULL_RANK)
+        early, late = semigroups.Flow.of(Heat(), 40).states(rho, (2e-4, 0.1))
+        assert np.array_equal(early().mat, evolve(rho, Heat(), 2e-4).mat)
+        with pytest.raises(TruncationError, match="^evolution pushed"):
+            late()
+
+    def test_rejects_negative_time_and_other_dims(self):
+        flow = semigroups.Flow.of(Heat(), 16)
+        with pytest.raises(ValueError, match="t must be >= 0"):
+            flow.apply(thermal_state(0.1, 16).mat, (0.1, -0.1))
+        with pytest.raises(ValueError, match="dim 16"):
+            flow.apply(thermal_state(0.1, 12).mat, (0.1,))
+
+
 class TestEntropyRates:
     def test_attenuator_rate_on_thermal(self):
         rate = entropy_rate(thermal_state(1.0, 128), Attenuator())

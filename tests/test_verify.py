@@ -186,13 +186,29 @@ class TestErrorPolicy:
             assert c.margin == -math.inf and not c.passed
         assert not report.passed
 
+    @pytest.mark.parametrize("suite, grid", [("stam", (0.02, 0.05, 0.1)),
+                                             ("epi-heat", (0.05, 0.1))])
+    def test_truncation_at_the_largest_time_fails_only_its_case(self, suite,
+                                                                 grid):
+        # One flow serves a state's whole grid.  At dim 56 (seed 0) the
+        # random state's flow reaches the edge band at t = 0.1 only; dims
+        # 50-60 behave alike.
+        report = run_suite(suite, dim=56, cases=1)
+        cases = [c for c in report.cases if c.descriptor.endswith("-random")]
+        assert [c.params["t"] for c in cases] == list(grid)
+        *rest, last = cases
+        assert last.error is not None and "pushed edge mass" in last.error
+        assert all(c.error is None and c.passed for c in rest)
+
     def test_programming_error_propagates(self, monkeypatch):
-        def broken(f, rho, t):
+        def broken(rho):
             raise TypeError("broken margin")
 
-        monkeypatch.setattr(verify, "stam_margin", broken)
+        # At dim 32 every convolution of the random state truncates before
+        # J is taken; at dim 64 none does.
+        monkeypatch.setattr(verify, "quantum_fisher", broken)
         with pytest.raises(TypeError, match="broken margin"):
-            run_suite("stam", dim=32, cases=1)
+            run_suite("stam", dim=64, cases=1)
 
     def test_certificate_runs_once_per_n(self, monkeypatch):
         calls = []

@@ -35,7 +35,6 @@ from .fisher import (
     FisherEstimate,
     classical_fisher_gaussian,
     quantum_fisher,
-    stam_margin,
 )
 from .gaussian import (
     ClassicalOUParams,

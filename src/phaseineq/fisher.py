@@ -27,7 +27,6 @@ from .fock_core import (
     log_spectrum,
     state_edge_mass,
 )
-from .semigroups import GaussianDensity, convolve
 
 
 @dataclass(frozen=True)
@@ -63,11 +62,3 @@ def classical_fisher_gaussian(cov) -> float:
         raise ValueError("covariance must be positive definite")
     return float(np.trace(np.linalg.inv(cov)))
 
-
-def stam_margin(f: GaussianDensity, rho: DensityMatrix, t: float) -> float:
-    """Signed slack J(f *_t rho)^-1 - J(rho)^-1 - t J(f)^-1 (>= 0 expected)."""
-    conv = convolve(f, rho, t)
-    j_conv = quantum_fisher(conv).value
-    j_rho = quantum_fisher(rho).value
-    j_f = classical_fisher_gaussian(f.cov)
-    return 1.0 / j_conv - 1.0 / j_rho - t / j_f

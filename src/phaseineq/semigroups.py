@@ -15,9 +15,12 @@ L_C = -pi sum_jk C_jk [G_j, [G_k, .]] with G = (P, -Q) splits into the
 isotropic part pi tr C (L_- + L_+) and the traceless part with
 s = (C_11 - C_22)/2 + i C_12.
 
-A `Flow` stands for one such generator, built once per
-(mu^2, lam^2, s, dim), and applies it to a state on a grid of times.  On
-the bands of rho that its support touches, two deterministic series apply
+A `Flow` holds one such generator's coefficients (mu^2, lam^2, s) and
+applies it to a state of any dim on a grid of times.  Every use of L goes
+through one restriction to what the state's support reaches
+(`Flow._restrict`): the series that evolve the state, `liouvillian_apply`
+and the entropy-production rates, which take tr(L(rho) X) as one inner
+product with L(rho).  On that restriction two deterministic series apply
 the exponential to double precision: the Hermitian generators
 (mu^2 = lam^2: Heat and every Gaussian convolution) take a Chebyshev series
 with an a-priori error bound (`_chebyshev`), whose vectors T_k(A) x do not
@@ -31,7 +34,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -328,12 +331,14 @@ def _touched_bands(x: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Flow:
-    """e^{tL} for L = `_generator(mu2, lam2, dim, s)`, built once and applied
-    to any state of that dim on any grid of times.
+    """e^{tL} for the generator of coefficients (mu2, lam2, s) (see
+    `_generator`), applied to a state of any dim on any grid of times; dim
+    is read from the state.
 
     L is Hermitian, taking the Chebyshev series, exactly when mu2 = lam2.
-    A flow runs on the bands of x that its support touches
-    (`_touched_bands`), which is exact:
+    A flow holds only its coefficients.  Every use of L goes through
+    `_restrict`, which keeps the bands of x that its support touches
+    (`_touched_bands`), and that is exact:
     entry (i, j) lies in band (i - j) mod (2 if s else 2 dim), and L keeps
     each band class, the offsets +-(dim+1) moving along a band and the s
     terms two bands over (through a^2, or a rho a at dim 2, connecting each
@@ -341,43 +346,37 @@ class Flow:
     tridiagonal: the offsets +-(dim+1) become +-1, and their coefficients
     vanish where two bands join, the weight sqrt(up(i) up(j)) at a band's
     last entry (i or j is dim-1, up(dim-1) = 0) and sqrt(i j) at its first
-    (i or j is 0).  At s != 0 the flow runs on the whole vector: L couples
-    no two parity classes (its coefficients are exactly 0 where a row
-    wraps), so a class that x leaves at zero stays zero under either series.
-    So a flow at s != 0 holds the generator's diagonals, and one at s = 0
-    builds each state's tridiagonal restriction from the ladder weights
-    (`_ladder`) of its kept entries, holding no array of dim^2 entries
-    between states.
+    (i or j is 0).  At s != 0 L acts on the whole vector: it couples no two
+    parity classes (its coefficients are exactly 0 where a row wraps), so a
+    class that x leaves at zero stays zero under either series.
     """
 
     mu2: float
     lam2: float
-    dim: int
     s: complex = 0.0
-    gen: dict[int, np.ndarray] | None = field(init=False, repr=False,
-                                              compare=False)
-
-    def __post_init__(self):
-        gen = None
-        if self.s:
-            gen = _generator(self.mu2, self.lam2, self.dim, self.s)
-        object.__setattr__(self, "gen", gen)
 
     @classmethod
-    def of(cls, op: SemigroupKind | GaussianDensity, dim: int) -> Flow:
+    def of(cls, op: SemigroupKind | GaussianDensity) -> Flow:
         """The flow of a semigroup kind, or the diffusion e^{t L_C} of a
         Gaussian density's covariance C (`convolve` adds its translation)."""
         if isinstance(op, GaussianDensity):
             c = op.cov
             iso = math.pi * np.trace(c)
-            return cls(iso, iso, dim, 0.5 * (c[0, 0] - c[1, 1]) + 1j * c[0, 1])
-        return cls(*op.rates, dim)
+            return cls(iso, iso, 0.5 * (c[0, 0] - c[1, 1]) + 1j * c[0, 1])
+        return cls(*op.rates)
 
     def apply(self, x: np.ndarray, times: Sequence[float]) -> np.ndarray:
         """e^{tL}(x) for each t of times, stacked along a new first axis:
         one Chebyshev recurrence for the whole grid, or one Taylor series
         per time."""
-        kept, ys = self._run(x, times)
+        if min(times) < 0:
+            raise ValueError(f"t must be >= 0, got {min(times)}")
+        kept, gen = self._restrict(x)
+        y = x.ravel()[kept]
+        if self.mu2 == self.lam2:
+            ys = _chebyshev(gen, y, times)
+        else:
+            ys = [_propagate(gen, y, t) for t in times]
         out = np.zeros((len(times), x.size), dtype=complex)
         out[:, kept] = ys
         return out.reshape(len(times), *x.shape)
@@ -388,43 +387,30 @@ class Flow:
         thunk that builds and validates that time's state on its own when
         called, so a TruncationError at one t leaves the others usable.
         Every flow with gain (lam2 > 0) has its top edge band checked."""
-        kept, ys = self._run(rho.mat, times)
-        return [partial(self._state, kept, y, what) for y in ys]
+        return [partial(_checked_state, x, what, self.lam2 > 0)
+                for x in self.apply(rho.mat, times)]
 
-    def _run(self, x: np.ndarray, times: Sequence[float]
-             ) -> tuple[np.ndarray | slice, list[np.ndarray]]:
-        """(the row-major indices of x the flow runs on, e^{tL}(x) on them
-        for each t of times)."""
-        if x.shape != (self.dim, self.dim):
-            raise ValueError(f"state of shape {x.shape} for a flow at dim "
-                             f"{self.dim}")
-        if min(times) < 0:
-            raise ValueError(f"t must be >= 0, got {min(times)}")
-        gen, kept = self.gen, slice(None)
-        if gen is None:
-            kept = _touched_bands(x)
-            n, up = _levels(self.dim)
-            i, j = np.divmod(kept, self.dim)
-            down, diag, up_w = _ladder(self.mu2, self.lam2, n[i], n[j],
-                                       up[i], up[j])
-            gen = {-1: down[1:], 0: diag, 1: up_w[:-1]}
-        y = x.ravel()[kept]
-        if self.mu2 == self.lam2:
-            return kept, _chebyshev(gen, y, times)
-        return kept, [_propagate(gen, y, t) for t in times]
-
-    def _state(self, kept: np.ndarray | slice, y: np.ndarray,
-               what: str) -> DensityMatrix:
-        x = np.zeros(self.dim * self.dim, dtype=complex)
-        x[kept] = y
-        return _checked_state(x.reshape(self.dim, self.dim), what,
-                              self.lam2 > 0)
+    def _restrict(self, x: np.ndarray
+                  ) -> tuple[np.ndarray | slice, dict[int, np.ndarray]]:
+        """(the row-major indices of x that L reaches from its support,
+        L on them as diagonals): the touched bands' tridiagonal from the
+        ladder weights of the kept entries at s = 0, else the whole
+        vector's generator."""
+        dim = x.shape[0]
+        if self.s:
+            return slice(None), _generator(self.mu2, self.lam2, dim, self.s)
+        kept = _touched_bands(x)
+        n, up = _levels(dim)
+        i, j = np.divmod(kept, dim)
+        down, diag, up_w = _ladder(self.mu2, self.lam2, n[i], n[j], up[i],
+                                   up[j])
+        return kept, {-1: down[1:], 0: diag, 1: up_w[:-1]}
 
 
 def _flow(x: np.ndarray, t: float, mu2: float, lam2: float,
           s: complex = 0.0) -> np.ndarray:
     """e^{tL}(x) at one time, through a fresh `Flow`."""
-    return Flow(mu2, lam2, x.shape[0], s).apply(x, (t,))[0]
+    return Flow(mu2, lam2, s).apply(x, (t,))[0]
 
 
 def _checked_state(x: np.ndarray, what: str, edges: bool = True) -> DensityMatrix:
@@ -445,16 +431,16 @@ def _checked_state(x: np.ndarray, what: str, edges: bool = True) -> DensityMatri
 
 def liouvillian_apply(kind: SemigroupKind, rho: DensityMatrix) -> np.ndarray:
     """L(rho) for the requested semigroup; Hermitian and traceless."""
-    if rho.dim < 4:
-        raise ValueError(f"dim must be >= 4, got {rho.dim}")
-    out = _matvec(_generator(*kind.rates, rho.dim),
-                  rho.mat.ravel()).reshape(rho.mat.shape)
+    kept, gen = Flow.of(kind)._restrict(rho.mat)
+    out = np.zeros(rho.mat.size, dtype=complex)
+    out[kept] = _matvec(gen, rho.mat.ravel()[kept])
+    out = out.reshape(rho.mat.shape)
     return 0.5 * (out + out.conj().T)
 
 
 def evolve(rho: DensityMatrix, kind: SemigroupKind, t: float) -> DensityMatrix:
     """e^{tL}(rho), exact to double precision: the one-time grid of
-    `Flow.of(kind, rho.dim)`, by the Chebyshev series for Heat and the
+    `Flow.of(kind)`, by the Chebyshev series for Heat and the
     Taylor series of `_propagate` otherwise.
 
     Raises TruncationError when a flow with gain (lam^2 > 0) leaves more
@@ -463,7 +449,7 @@ def evolve(rho: DensityMatrix, kind: SemigroupKind, t: float) -> DensityMatrix:
     """
     if t == 0:
         return rho
-    return Flow.of(kind, rho.dim).states(rho, (t,))[0]()
+    return Flow.of(kind).states(rho, (t,))[0]()
 
 
 def convolve(f: GaussianDensity, rho: DensityMatrix, t: float) -> DensityMatrix:
@@ -471,12 +457,12 @@ def convolve(f: GaussianDensity, rho: DensityMatrix, t: float) -> DensityMatrix:
     mean m and covariance C:
     f *_t rho = W(sqrt(t) m) e^{t L_C}(rho) W(sqrt(t) m)^dag, the quantum
     heat semigroup with diffusion matrix C followed by a translation: the
-    one-time grid of `Flow.of(f, rho.dim)`, whose every C takes the
+    one-time grid of `Flow.of(f)`, whose every C takes the
     Chebyshev series that Heat takes.  A zero translation is skipped.
     """
     if t == 0:
         return rho
-    out = Flow.of(f, rho.dim).apply(rho.mat, (t,))[0]
+    out = Flow.of(f).apply(rho.mat, (t,))[0]
     shift = math.sqrt(t) * f.mean
     if shift.any():
         w = weyl_operator(shift, rho.dim)
@@ -489,12 +475,15 @@ def _log_density(rho: DensityMatrix) -> np.ndarray:
     return (vecs * log_spectrum(rho, "entropy rate")) @ vecs.conj().T
 
 
+def _rate(kind: SemigroupKind, rho: DensityMatrix, x: np.ndarray) -> float:
+    """tr(L(rho) x) for a Hermitian x, as the inner product <x, L(rho)>."""
+    return float(np.vdot(x, liouvillian_apply(kind, rho)).real)
+
+
 def entropy_rate(rho: DensityMatrix, kind: SemigroupKind) -> float:
     """2 dS/dt at t = 0 under e^{tL}: the algebraic derivative
     -2 tr(L(rho) log rho), exact at t = 0."""
-    log_rho = _log_density(rho)
-    lind = liouvillian_apply(kind, rho)
-    return -2.0 * float(np.trace(lind @ log_rho).real)
+    return -2.0 * _rate(kind, rho, _log_density(rho))
 
 
 def relent_decay_rate(rho: DensityMatrix, mu: float,
@@ -502,17 +491,18 @@ def relent_decay_rate(rho: DensityMatrix, mu: float,
     """(d/dt D(e^{tL}rho || sigma) at 0, assembled decay-identity RHS).
 
     The rate is the algebraic derivative tr(L(rho)(log rho - log sigma)).
-    The second element is mu^2/2 J_- + lam^2/2 J_+ + zeta S + lam^2 log nu
-    + zeta log(1 - nu), built from independent entropy-rate calls, which
-    must equal -zeta D(rho||sigma) - dD/dt.
+    The second element, mu^2/2 J_- + lam^2/2 J_+ + zeta S + lam^2 log nu
+    + zeta log(1 - nu), must equal -zeta D(rho||sigma) - dD/dt; J_- and J_+
+    are the attenuator's and the amplifier's `entropy_rate`, taken on the
+    same log rho.
     """
     kind = QOU(mu, lam)
     sigma = thermal_state(kind.n_fixed, rho.dim)
-    lind = liouvillian_apply(kind, rho)
-    rate = float(np.trace(lind @ (_log_density(rho) - _log_density(sigma))).real)
+    log_rho = _log_density(rho)
+    rate = _rate(kind, rho, log_rho - _log_density(sigma))
 
-    j_minus = entropy_rate(rho, Attenuator())
-    j_plus = entropy_rate(rho, Amplifier())
+    j_minus = -2.0 * _rate(Attenuator(), rho, log_rho)
+    j_plus = -2.0 * _rate(Amplifier(), rho, log_rho)
     zeta, nu = kind.zeta, kind.nu
     rhs = (0.5 * mu**2 * j_minus + 0.5 * lam**2 * j_plus
            + zeta * von_neumann_entropy(rho)

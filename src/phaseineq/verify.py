@@ -158,7 +158,7 @@ def _suite_stam(*, dim, cases, seed, tolerance) -> Iterator[_Check]:
         yield _Check("stam-thermal-closed", {"n": n, "t": t},
                      1.0 / jt - 1.0 / j0 - t / j_f, tolerance)
     # f has no mean, so f *_t rho is the flow alone: one grid per state.
-    flow = Flow.of(f, dim)
+    flow = Flow.of(f)
     for i in range(cases):
         rho = random_state(dim, seed + i, StateFamily.FULL_RANK)
         j_rho = cache(lambda: quantum_fisher(rho).value)
@@ -214,7 +214,7 @@ def _suite_concavity(*, dim, cases, seed, tolerance) -> Iterator[_Check]:
         margin = math.exp(ga.g_entropy(n)) * j * j / 4.0 * (
             ga.thermal_isoperimetric_ratio(n) - 1.0)
         yield _Check("concavity-thermal", {"n": n}, margin, tolerance)
-    heat = Flow.of(Heat(), dim)
+    heat = Flow.of(Heat())
     for i in range(cases):
         rho = random_state(dim, seed + i, StateFamily.FULL_RANK)
         at_h, at_2h = heat.states(rho, (h, 2.0 * h))
@@ -244,7 +244,7 @@ def _suite_epi_heat(*, dim, cases, seed, tolerance) -> Iterator[_Check]:
                  {"n": n, "t": t, "slope": slope, "target": TWO_PI_E},
                  slope / TWO_PI_E - 1.0, tolerance)
     grid = (0.05, 0.1)
-    heat = Flow.of(Heat(), dim)
+    heat = Flow.of(Heat())
     for i in range(cases):
         rho = random_state(dim, seed + i, StateFamily.FULL_RANK)
         for t, evolved in zip(grid, heat.states(rho, grid)):

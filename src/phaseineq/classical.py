@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fock_core import geometric_law
-from .gaussian import _bisect, g_entropy, g_inverse, thermal_half_j_minus
+from .gaussian import _bisect, g_entropy, g_inverse, thermal_j_pm
 from .semigroups import _matvec
 
 _INTERIOR_FLOOR = 1e-12
@@ -126,7 +126,7 @@ def f_of_H(s: float) -> float:
     with n = g_inverse(S)."""
     if not 0 < s < math.inf:
         raise ValueError(f"S must be > 0 and finite, got {s}")
-    return thermal_half_j_minus(g_inverse(s))
+    return 0.5 * thermal_j_pm(g_inverse(s))[0]
 
 
 def F_of_S0(s0: float, mu2: float, zeta: float) -> float:
@@ -149,7 +149,7 @@ def F_of_S0(s0: float, mu2: float, zeta: float) -> float:
     n = g_inverse(s0)
     if slope(n) < 0:
         n = _bisect(lambda m: slope(m) < 0, n, lam2 / zeta)
-    return mu2 * thermal_half_j_minus(n) + zeta * g_entropy(n)
+    return mu2 * (0.5 * thermal_j_pm(n)[0]) + zeta * g_entropy(n)
 
 
 def _project_capped_simplex(y: np.ndarray, floor: float) -> np.ndarray:

@@ -245,7 +245,7 @@ def _cmd_closed_forms(args, file_cfg) -> int:
     elif table == "gaussian-rates":
         header = ["n", "j_minus", "j_plus", "h"]
         for n in grid:
-            jm, jp = ga.j_pm_gaussian(2.0 * float(n) + 1.0, 1.0)
+            jm, jp = ga.thermal_j_pm(float(n))
             rows.append([float(n), jm, jp,
                          ga.h_function(float(n), args.mu, args.lam)])
     elif table == "lsi2":
@@ -268,7 +268,7 @@ def _cmd_thresholds(args, file_cfg) -> int:
 def _cmd_minimize_rate(args, file_cfg) -> int:
     bound = cl.certified_rate_bound(args.n, args.K)
     j_geo = cl.death_entropy_rate(cl.geometric_pmf(args.n, args.K))
-    closed = ga.j_pm_gaussian(2.0 * args.n + 1.0)[0]
+    closed = ga.thermal_j_pm(args.n)[0]
     _emit({"n": args.n, "K": args.K, "j_geometric": j_geo,
            "certified_lower_bound": bound, "closed_form": closed,
            "gap": max(abs(j_geo - closed), abs(bound - closed))},

@@ -127,9 +127,16 @@ def thermal_isoperimetric_ratio(n: float) -> float:
     return 1.0 / (n * (n + 1.0) * math.log1p(1.0 / n) ** 2)
 
 
-def thermal_half_j_minus(n: float) -> float:
-    """J_-/2 of the thermal state omega_n: -n log(1 + 1/n)."""
-    return -n * math.log1p(1.0 / n)
+def thermal_j_pm(n: float) -> tuple[float, float]:
+    """Attenuator/amplifier entropy rates (J_-, J_+) of the thermal state
+    omega_n: (-2 n log(1 + 1/n), 2 (n + 1) log(1 + 1/n)), the z = 1 case of
+    `j_pm_gaussian` read in n, which forming kappa = 2n + 1 would round."""
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
+    if n == 0:
+        return 0.0, math.inf
+    log_term = math.log1p(1.0 / n)
+    return -2.0 * n * log_term, 2.0 * (n + 1.0) * log_term
 
 
 def j_pm_gaussian(kappa: float, z: float = 1.0) -> tuple[float, float]:
@@ -144,7 +151,7 @@ def j_pm_gaussian(kappa: float, z: float = 1.0) -> tuple[float, float]:
         coef_minus = half - kappa
         j_minus = math.copysign(math.inf, coef_minus) if coef_minus != 0 else 0.0
         return j_minus, math.inf
-    log_term = math.log((kappa + 1.0) / (kappa - 1.0))
+    log_term = math.log1p(2.0 / (kappa - 1.0))
     return (half - kappa) * log_term, (half + kappa) * log_term
 
 

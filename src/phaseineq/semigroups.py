@@ -15,19 +15,19 @@ L_C = -pi sum_jk C_jk [G_j, [G_k, .]] with G = (P, -Q) splits into the
 isotropic part pi tr C (L_- + L_+) and the traceless part with
 s = (C_11 - C_22)/2 + i C_12.
 
-A `Flow` holds one such generator's coefficients (mu^2, lam^2, s) and
-applies it to a state of any dim on a grid of times.  Every use of L goes
-through one restriction to what the state's support reaches
-(`Flow._restrict`): the series that evolve the state, `liouvillian_apply`
-and the entropy-production rates, which take tr(L(rho) X) as one inner
-product with L(rho).  On that restriction two deterministic series apply
-the exponential to double precision: the Hermitian generators
-(mu^2 = lam^2: Heat and every Gaussian convolution) take a Chebyshev series
-with an a-priori error bound (`_chebyshev`), whose vectors T_k(A) x do not
-depend on t, so one recurrence serves the whole grid and each time keeps
-its own Bessel weights, accumulator and stopping degree; the attenuator,
-amplifier and qOU take a Taylor series stepped by the exact 1-norm, once
-per time.  `evolve` and `convolve` are the one-time grids.
+Every use of L goes through one restriction to what the state's support
+reaches (`_restrict`): the series that evolve the state,
+`liouvillian_apply` and the entropy-production rates, which take
+tr(L(rho) X) as one inner product with L(rho).  On that restriction two
+deterministic series apply the exponential to double precision: the
+Hermitian generators (mu^2 = lam^2: Heat and every Gaussian convolution)
+take a Chebyshev series with an a-priori error bound (`_chebyshev`), whose
+vectors T_k(A) x do not depend on t, so one recurrence serves the whole
+grid and each time keeps its own Bessel weights, accumulator and stopping
+degree; the attenuator, amplifier and qOU take a Taylor series stepped by
+the exact 1-norm, once per time.  `flow(op, rho, times)` runs them once for
+a grid and builds each time's state, translated for a density, when it is
+read; `evolve` and `convolve` are its one-time grids.
 """
 
 from __future__ import annotations
@@ -43,9 +43,9 @@ from .fock_core import (
     EDGE_TOL,
     DensityMatrix,
     TruncationError,
+    geometric_law,
     log_spectrum,
     state_edge_mass,
-    thermal_state,
     von_neumann_entropy,
     weyl_operator,
 )
@@ -329,20 +329,27 @@ def _touched_bands(x: np.ndarray) -> np.ndarray:
             + np.arange(count.sum()) * step)
 
 
-@dataclass(frozen=True)
-class Flow:
-    """e^{tL} for the generator of coefficients (mu2, lam2, s) (see
-    `_generator`), applied to a state of any dim on any grid of times; dim
-    is read from the state.
+def _coefficients(op: SemigroupKind | GaussianDensity
+                  ) -> tuple[float, float, complex]:
+    """(mu^2, lam^2, s) of a semigroup kind, or of the diffusion e^{t L_C}
+    of a Gaussian density's covariance C (see `_generator`)."""
+    if isinstance(op, GaussianDensity):
+        c = op.cov
+        iso = math.pi * np.trace(c)
+        return iso, iso, 0.5 * (c[0, 0] - c[1, 1]) + 1j * c[0, 1]
+    return (*op.rates, 0.0)
 
-    L is Hermitian, taking the Chebyshev series, exactly when mu2 = lam2.
-    A flow holds only its coefficients.  Every use of L goes through
-    `_restrict`, which keeps the bands of x that its support touches
-    (`_touched_bands`), and that is exact:
-    entry (i, j) lies in band (i - j) mod (2 if s else 2 dim), and L keeps
+
+def _restrict(x: np.ndarray, mu2: float, lam2: float, s: complex
+              ) -> tuple[np.ndarray | slice, dict[int, np.ndarray]]:
+    """(the row-major indices of x that L reaches from its support, L on
+    them as diagonals) for the generator of coefficients (mu2, lam2, s).
+
+    Entry (i, j) lies in band (i - j) mod (2 if s else 2 dim), and L keeps
     each band class, the offsets +-(dim+1) moving along a band and the s
     terms two bands over (through a^2, or a rho a at dim 2, connecting each
-    parity).  At s = 0 the kept entries, gathered band by band, make L
+    parity).  At s = 0 the kept entries are the bands that x's support
+    touches (`_touched_bands`), and gathered band by band they make L
     tridiagonal: the offsets +-(dim+1) become +-1, and their coefficients
     vanish where two bands join, the weight sqrt(up(i) up(j)) at a band's
     last entry (i or j is dim-1, up(dim-1) = 0) and sqrt(i j) at its first
@@ -350,70 +357,60 @@ class Flow:
     parity classes (its coefficients are exactly 0 where a row wraps), so a
     class that x leaves at zero stays zero under either series.
     """
-
-    mu2: float
-    lam2: float
-    s: complex = 0.0
-
-    @classmethod
-    def of(cls, op: SemigroupKind | GaussianDensity) -> Flow:
-        """The flow of a semigroup kind, or the diffusion e^{t L_C} of a
-        Gaussian density's covariance C (`convolve` adds its translation)."""
-        if isinstance(op, GaussianDensity):
-            c = op.cov
-            iso = math.pi * np.trace(c)
-            return cls(iso, iso, 0.5 * (c[0, 0] - c[1, 1]) + 1j * c[0, 1])
-        return cls(*op.rates)
-
-    def apply(self, x: np.ndarray, times: Sequence[float]) -> np.ndarray:
-        """e^{tL}(x) for each t of times, stacked along a new first axis:
-        one Chebyshev recurrence for the whole grid, or one Taylor series
-        per time."""
-        if min(times) < 0:
-            raise ValueError(f"t must be >= 0, got {min(times)}")
-        kept, gen = self._restrict(x)
-        y = x.ravel()[kept]
-        if self.mu2 == self.lam2:
-            ys = _chebyshev(gen, y, times)
-        else:
-            ys = [_propagate(gen, y, t) for t in times]
-        out = np.zeros((len(times), x.size), dtype=complex)
-        out[:, kept] = ys
-        return out.reshape(len(times), *x.shape)
-
-    def states(self, rho: DensityMatrix, times: Sequence[float],
-               what: str = "evolution") -> list[Callable[[], DensityMatrix]]:
-        """One run of the flow on rho for the whole grid, and per time a
-        thunk that builds and validates that time's state on its own when
-        called, so a TruncationError at one t leaves the others usable.
-        Every flow with gain (lam2 > 0) has its top edge band checked."""
-        return [partial(_checked_state, x, what, self.lam2 > 0)
-                for x in self.apply(rho.mat, times)]
-
-    def _restrict(self, x: np.ndarray
-                  ) -> tuple[np.ndarray | slice, dict[int, np.ndarray]]:
-        """(the row-major indices of x that L reaches from its support,
-        L on them as diagonals): the touched bands' tridiagonal from the
-        ladder weights of the kept entries at s = 0, else the whole
-        vector's generator."""
-        dim = x.shape[0]
-        if self.s:
-            return slice(None), _generator(self.mu2, self.lam2, dim, self.s)
-        kept = _touched_bands(x)
-        n, up = _levels(dim)
-        i, j = np.divmod(kept, dim)
-        down, diag, up_w = _ladder(self.mu2, self.lam2, n[i], n[j], up[i],
-                                   up[j])
-        return kept, {-1: down[1:], 0: diag, 1: up_w[:-1]}
+    dim = x.shape[0]
+    if s:
+        return slice(None), _generator(mu2, lam2, dim, s)
+    kept = _touched_bands(x)
+    n, up = _levels(dim)
+    i, j = np.divmod(kept, dim)
+    down, diag, up_w = _ladder(mu2, lam2, n[i], n[j], up[i], up[j])
+    return kept, {-1: down[1:], 0: diag, 1: up_w[:-1]}
 
 
-def _flow(x: np.ndarray, t: float, mu2: float, lam2: float,
-          s: complex = 0.0) -> np.ndarray:
-    """e^{tL}(x) at one time, through a fresh `Flow`."""
-    return Flow(mu2, lam2, s).apply(x, (t,))[0]
+def _apply(x: np.ndarray, times: Sequence[float], mu2: float, lam2: float,
+           s: complex = 0.0) -> np.ndarray:
+    """e^{tL}(x) for each t of times, stacked along a new first axis, on the
+    restriction of L to what x's support reaches: one Chebyshev recurrence
+    for the whole grid when L is Hermitian (mu2 = lam2), else one Taylor
+    series per time."""
+    if min(times) < 0:
+        raise ValueError(f"t must be >= 0, got {min(times)}")
+    kept, gen = _restrict(x, mu2, lam2, s)
+    y = x.ravel()[kept]
+    if mu2 == lam2:
+        ys = _chebyshev(gen, y, times)
+    else:
+        ys = [_propagate(gen, y, t) for t in times]
+    out = np.zeros((len(times), x.size), dtype=complex)
+    out[:, kept] = ys
+    return out.reshape(len(times), *x.shape)
 
 
-def _checked_state(x: np.ndarray, what: str, edges: bool = True) -> DensityMatrix:
+def flow(op: SemigroupKind | GaussianDensity, rho: DensityMatrix,
+         times: Sequence[float]) -> list[Callable[[], DensityMatrix]]:
+    """e^{tL}(rho) for a semigroup kind, or f *_t rho for a Gaussian
+    density f, at each t of times: one run of the series on rho for the
+    whole grid, and per time a thunk that builds and validates that time's
+    state on its own when called, so a TruncationError at one t leaves the
+    others usable."""
+    mu2, lam2, s = _coefficients(op)
+    return [partial(_state, x, op, t, lam2 > 0)
+            for t, x in zip(times, _apply(rho.mat, times, mu2, lam2, s))]
+
+
+def _state(x: np.ndarray, op: SemigroupKind | GaussianDensity, t: float,
+           edges: bool) -> DensityMatrix:
+    """The state of x = e^{tL}(rho): for a density with mean m first
+    translated by W(sqrt(t) m), a zero translation skipped; then made
+    Hermitian and checked for trace drift and, when edges (every flow with
+    gain, lam^2 > 0), for mass in the top edge band."""
+    what = "evolution"
+    if isinstance(op, GaussianDensity):
+        what = "convolution"
+        shift = math.sqrt(t) * op.mean
+        if shift.any():
+            w = weyl_operator(shift, x.shape[0])
+            x = w @ x @ w.conj().T
     x = 0.5 * (x + x.conj().T)
     trace = np.trace(x).real
     drift = abs(trace - 1.0)
@@ -431,7 +428,7 @@ def _checked_state(x: np.ndarray, what: str, edges: bool = True) -> DensityMatri
 
 def liouvillian_apply(kind: SemigroupKind, rho: DensityMatrix) -> np.ndarray:
     """L(rho) for the requested semigroup; Hermitian and traceless."""
-    kept, gen = Flow.of(kind)._restrict(rho.mat)
+    kept, gen = _restrict(rho.mat, *_coefficients(kind))
     out = np.zeros(rho.mat.size, dtype=complex)
     out[kept] = _matvec(gen, rho.mat.ravel()[kept])
     out = out.reshape(rho.mat.shape)
@@ -439,9 +436,9 @@ def liouvillian_apply(kind: SemigroupKind, rho: DensityMatrix) -> np.ndarray:
 
 
 def evolve(rho: DensityMatrix, kind: SemigroupKind, t: float) -> DensityMatrix:
-    """e^{tL}(rho), exact to double precision: the one-time grid of
-    `Flow.of(kind)`, by the Chebyshev series for Heat and the
-    Taylor series of `_propagate` otherwise.
+    """e^{tL}(rho), exact to double precision: the one-time grid of `flow`,
+    by the Chebyshev series for Heat and the Taylor series of `_propagate`
+    otherwise.
 
     Raises TruncationError when a flow with gain (lam^2 > 0) leaves more
     than EDGE_TOL in the top edge band of the basis; pure loss maps the
@@ -449,7 +446,7 @@ def evolve(rho: DensityMatrix, kind: SemigroupKind, t: float) -> DensityMatrix:
     """
     if t == 0:
         return rho
-    return Flow.of(kind).states(rho, (t,))[0]()
+    return flow(kind, rho, (t,))[0]()
 
 
 def convolve(f: GaussianDensity, rho: DensityMatrix, t: float) -> DensityMatrix:
@@ -457,17 +454,12 @@ def convolve(f: GaussianDensity, rho: DensityMatrix, t: float) -> DensityMatrix:
     mean m and covariance C:
     f *_t rho = W(sqrt(t) m) e^{t L_C}(rho) W(sqrt(t) m)^dag, the quantum
     heat semigroup with diffusion matrix C followed by a translation: the
-    one-time grid of `Flow.of(f)`, whose every C takes the
-    Chebyshev series that Heat takes.  A zero translation is skipped.
+    one-time grid of `flow`, where every C takes the Chebyshev series that
+    Heat takes.
     """
     if t == 0:
         return rho
-    out = Flow.of(f).apply(rho.mat, (t,))[0]
-    shift = math.sqrt(t) * f.mean
-    if shift.any():
-        w = weyl_operator(shift, rho.dim)
-        out = w @ out @ w.conj().T
-    return _checked_state(out, "convolution")
+    return flow(f, rho, (t,))[0]()
 
 
 def _log_density(rho: DensityMatrix) -> np.ndarray:
@@ -497,9 +489,9 @@ def relent_decay_rate(rho: DensityMatrix, mu: float,
     same log rho.
     """
     kind = QOU(mu, lam)
-    sigma = thermal_state(kind.n_fixed, rho.dim)
+    log_sigma = np.diag(np.log(geometric_law(kind.n_fixed, rho.dim)))
     log_rho = _log_density(rho)
-    rate = _rate(kind, rho, log_rho - _log_density(sigma))
+    rate = _rate(kind, rho, log_rho - log_sigma)
 
     j_minus = -2.0 * _rate(Attenuator(), rho, log_rho)
     j_plus = -2.0 * _rate(Amplifier(), rho, log_rho)

@@ -40,8 +40,8 @@ from .fock_core import (
     entropy_power, fock_rearrangement, majorizes, mean_photon, random_state,
     relative_entropy, thermal_state, truncation_health)
 from .semigroups import (
-    Attenuator, Flow, GaussianDensity, Heat, QOU, convolve, entropy_rate,
-    evolve, relent_decay_rate, standard_gaussian)
+    Attenuator, GaussianDensity, Heat, QOU, convolve, entropy_rate, evolve,
+    flow, relent_decay_rate, standard_gaussian)
 
 TWO_PI_E = 2.0 * math.pi * math.e
 FOUR_PI_E = 4.0 * math.pi * math.e
@@ -157,13 +157,10 @@ def _suite_stam(*, dim, cases, seed, tolerance) -> Iterator[_Check]:
         jt = ga.thermal_fisher_closed(n + 2.0 * math.pi * t)
         yield _Check("stam-thermal-closed", {"n": n, "t": t},
                      1.0 / jt - 1.0 / j0 - t / j_f, tolerance)
-    # f has no mean, so f *_t rho is the flow alone: one grid per state.
-    flow = Flow.of(f)
     for i in range(cases):
         rho = random_state(dim, seed + i, StateFamily.FULL_RANK)
         j_rho = cache(lambda: quantum_fisher(rho).value)
-        convs = flow.states(rho, grid, "convolution")
-        for t, conv in zip(grid, convs):
+        for t, conv in zip(grid, flow(f, rho, grid)):
             yield _Check("stam-random", {"case": i, "t": t},
                          lambda: (1.0 / quantum_fisher(conv()).value
                                   - 1.0 / j_rho() - t / j_f),
@@ -214,10 +211,9 @@ def _suite_concavity(*, dim, cases, seed, tolerance) -> Iterator[_Check]:
         margin = math.exp(ga.g_entropy(n)) * j * j / 4.0 * (
             ga.thermal_isoperimetric_ratio(n) - 1.0)
         yield _Check("concavity-thermal", {"n": n}, margin, tolerance)
-    heat = Flow.of(Heat())
     for i in range(cases):
         rho = random_state(dim, seed + i, StateFamily.FULL_RANK)
-        at_h, at_2h = heat.states(rho, (h, 2.0 * h))
+        at_h, at_2h = flow(Heat(), rho, (h, 2.0 * h))
         def margin():
             n0 = entropy_power(rho)
             n1 = entropy_power(at_h())
@@ -244,10 +240,9 @@ def _suite_epi_heat(*, dim, cases, seed, tolerance) -> Iterator[_Check]:
                  {"n": n, "t": t, "slope": slope, "target": TWO_PI_E},
                  slope / TWO_PI_E - 1.0, tolerance)
     grid = (0.05, 0.1)
-    heat = Flow.of(Heat())
     for i in range(cases):
         rho = random_state(dim, seed + i, StateFamily.FULL_RANK)
-        for t, evolved in zip(grid, heat.states(rho, grid)):
+        for t, evolved in zip(grid, flow(Heat(), rho, grid)):
             yield _Check("epi-heat-random", {"case": i, "t": t},
                          lambda: (entropy_power(evolved())
                                   - entropy_power(rho) - TWO_PI_E * t),
@@ -293,7 +288,7 @@ def _suite_majorization(*, cases, seed) -> Iterator[_Check]:
 
 def _suite_correspondence(*, dim, tolerance) -> Iterator[_Check]:
     for n in (0.5, 1.0, 2.0):
-        closed = ga.j_pm_gaussian(2.0 * n + 1.0)[0]
+        closed = ga.thermal_j_pm(n)[0]
         j_class = cl.death_entropy_rate(cl.geometric_pmf(n, 256))
         yield _Check("death-process-vs-closed", {"n": n},
                      -abs(j_class - closed) / abs(closed), 1e-6)
@@ -306,7 +301,7 @@ def _suite_geometric_optimality(*, dim, tolerance) -> Iterator[_Check]:
     # J_-(geometric) and the certified bound bracket the constrained minimum.
     K = 64
     for n in (0.5, 1.0, 2.0):
-        closed = ga.j_pm_gaussian(2.0 * n + 1.0)[0]
+        closed = ga.thermal_j_pm(n)[0]
         params = {"n": n, "K": K}
         bound = cache(partial(cl.certified_rate_bound, n, K))
         def bracket():

@@ -194,6 +194,18 @@ class TestClosedFormsCommand:
         assert all(p >= 1.0 - 1e-12 for p in prods)
         assert prods[-1] == pytest.approx(1.0, abs=1e-2)
 
+    @pytest.mark.parametrize("n, row", [
+        (1e-6, [1e-06, -2.76310231159e-05, 27.631050747, 12.4292181968]),
+        (1e8, [100000000.0, -1.99999999, 2.00000001, 17.0343864028])])
+    def test_gaussian_rates_correctly_rounded(self, capsys, n, row):
+        # 50-digit values of (n, J_-, J_+, h) rounded to the 12 printed
+        # digits; kappa = 2n + 1 and log((kappa+1)/(kappa-1)) lost up to
+        # 8 of them at these ends of the grid.
+        code, out, _ = run_cli(capsys, "closed-forms", "gaussian-rates",
+                               "--grid", f"{n}:{n}:1")
+        assert code == 0
+        assert json.loads(out)["rows"] == [row]
+
     def test_lsi2_table(self, capsys):
         code, out, _ = run_cli(capsys, "closed-forms", "lsi2",
                                "--mu", "1.4142135623730951", "--lambda", "1")

@@ -27,8 +27,8 @@ from phaseineq.gaussian import (
     j_pm_gaussian,
     relent_to_qou_fixed,
     thermal_fisher_closed,
-    thermal_half_j_minus,
     thermal_isoperimetric_ratio,
+    thermal_j_pm,
     zeta_optimality_witness,
 )
 from phaseineq.semigroups import Amplifier, Attenuator, Heat, QOU, evolve
@@ -64,9 +64,9 @@ def _rel_err(value, exact):
 
 
 class TestStableClosedForms:
-    """g, its inverse and the thermal Fisher information against 50-digit
-    values, at photon numbers where (n+1) log(n+1) - n log n and
-    log((n+1)/n) cancel away up to 8 digits."""
+    """g, its inverse, the thermal Fisher information and the entropy
+    rates J+- against 50-digit values, at photon numbers where
+    (n+1) log(n+1) - n log n and log((n+1)/n) cancel away up to 8 digits."""
 
     NS = [1e-3, 0.5, 100.0, 1e4, 1e6, 1.8e8]
 
@@ -92,6 +92,28 @@ class TestStableClosedForms:
             m = mpmath.mpf(n)
             exact = 1 / (m * (m + 1) * mpmath.log1p(1 / m) ** 2)
             assert _rel_err(thermal_isoperimetric_ratio(n), exact) <= 1e-14
+
+    @pytest.mark.parametrize("n", [1e-8, 1e-6, 1e-3, 0.5, 1e4, 1e6, 1e8])
+    def test_thermal_j_pm(self, n):
+        # Read in n: kappa = 2n + 1 would round n away at small n.
+        with mpmath.workdps(50):
+            m = mpmath.mpf(n)
+            log_term = mpmath.log1p(1 / m)
+            exact = (-2 * m * log_term, 2 * (m + 1) * log_term)
+            for value, target in zip(thermal_j_pm(n), exact):
+                assert _rel_err(value, target) <= 1e-14
+
+    @pytest.mark.parametrize("z", [1.0, 1.5])
+    @pytest.mark.parametrize("kappa", [2e4 + 1, 2e8 + 1])
+    def test_j_pm_gaussian(self, kappa, z):
+        # log((kappa+1)/(kappa-1)) cancels at large kappa; log1p does not.
+        with mpmath.workdps(50):
+            k = mpmath.mpf(kappa)
+            half = (mpmath.mpf(z) ** 2 + mpmath.mpf(z) ** -2) / 2
+            log_term = mpmath.log((k + 1) / (k - 1))
+            exact = ((half - k) * log_term, (half + k) * log_term)
+            for value, target in zip(j_pm_gaussian(kappa, z), exact):
+                assert _rel_err(value, target) <= 1e-14
 
     @pytest.mark.parametrize("s", [700.0, 709.0])
     def test_g_inverse_near_the_largest_double(self, s):
@@ -151,7 +173,7 @@ class TestClosedForms:
 
     def test_half_j_minus_is_half_the_thermal_rate(self):
         for n in (0.5, 1.0, 2.0):
-            assert thermal_half_j_minus(n) == pytest.approx(
+            assert 0.5 * thermal_j_pm(n)[0] == pytest.approx(
                 0.5 * j_pm_gaussian(2 * n + 1)[0], rel=1e-14)
 
     def test_isoperimetric_ratio_rejects_nonpositive(self):

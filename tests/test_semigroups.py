@@ -32,6 +32,7 @@ from phaseineq.semigroups import (
     convolve,
     entropy_rate,
     evolve,
+    flow,
     liouvillian_apply,
     relent_decay_rate,
     standard_gaussian,
@@ -271,7 +272,7 @@ class TestEvolve:
     @pytest.mark.parametrize("s", [0.0, 0.3, 0.2j, 0.1 - 0.4j])
     def test_kept_bands_are_the_touched_components(self, s, monkeypatch):
         # The flow reaches only the connected components of the generator's
-        # sparsity pattern that the support touches.  At s = 0 _flow gathers
+        # sparsity pattern that the support touches.  At s = 0 _apply gathers
         # the touched bands, and a step that returns ones marks the entries
         # it keeps: they must be exactly those components.  At s != 0 the
         # real flow runs on the whole vector and must leave every entry
@@ -300,8 +301,8 @@ class TestEvolve:
                 for support in supports:
                     if not support.any():
                         continue
-                    out = semigroups._flow(support.astype(complex), 1.0, mu2,
-                                           lam2, s).ravel()
+                    out = semigroups._apply(support.astype(complex), (1.0,),
+                                            mu2, lam2, s)[0].ravel()
                     touched = np.isin(labels, labels[support.ravel()])
                     if s == 0:
                         assert np.array_equal(out != 0, touched)
@@ -431,33 +432,41 @@ class TestFlow:
         # One recurrence serves the grid; each time keeps its own weights,
         # sum and degree.  The grid is unsorted and repeats a time.
         rho = random_state(dim, 2, StateFamily.FULL_RANK)
-        flow = semigroups.Flow.of(op)
+        coefs = semigroups._coefficients(op)
         grid = (0.05, 2e-4, 0.1, 0.05, 0.02)
-        out = flow.apply(rho.mat, grid)
+        out = semigroups._apply(rho.mat, grid, *coefs)
         assert out.shape == (len(grid), dim, dim)
         for t, x in zip(grid, out):
-            alone = semigroups.Flow.of(op).apply(rho.mat, (t,))[0]
+            alone = semigroups._apply(rho.mat, (t,), *coefs)[0]
             assert np.array_equal(x, alone)
+
+    def test_density_grid_matches_convolve_bit_for_bit(self):
+        # Each time's thunk translates by W(sqrt(t) m) as convolve does.
+        f = GaussianDensity(mean=np.array([0.15, -0.1]),
+                            cov=np.array([[1.0, 0.3], [0.3, 0.6]]))
+        rho = random_state(64, 3, StateFamily.FULL_RANK)
+        grid = (0.1, 0.02, 0.05)
+        for t, conv in zip(grid, flow(f, rho, grid)):
+            assert np.array_equal(conv().mat, convolve(f, rho, t).mat)
 
     def test_states_validate_each_time_on_its_own(self):
         # At dim 40 the random state reaches the edge band by t = 0.1 but
         # not at t = 2e-4.
         rho = random_state(40, 0, StateFamily.FULL_RANK)
-        early, late = semigroups.Flow.of(Heat()).states(rho, (2e-4, 0.1))
+        early, late = flow(Heat(), rho, (2e-4, 0.1))
         assert np.array_equal(early().mat, evolve(rho, Heat(), 2e-4).mat)
         with pytest.raises(TruncationError, match="^evolution pushed"):
             late()
 
     def test_rejects_negative_time(self):
-        flow = semigroups.Flow.of(Heat())
         with pytest.raises(ValueError, match="t must be >= 0"):
-            flow.apply(thermal_state(0.1, 16).mat, (0.1, -0.1))
+            semigroups._apply(thermal_state(0.1, 16).mat, (0.1, -0.1),
+                              *Heat().rates)
 
     def test_one_flow_serves_every_dim(self):
-        flow = semigroups.Flow.of(Heat())
         for dim in (32, 64):
             rho = random_state(dim, 2, StateFamily.FULL_RANK)
-            assert np.array_equal(flow.states(rho, (2e-4,))[0]().mat,
+            assert np.array_equal(flow(Heat(), rho, (2e-4,))[0]().mat,
                                   evolve(rho, Heat(), 2e-4).mat)
 
     @pytest.mark.parametrize("s", [0.0, 0.3, 0.2j, 0.1 - 0.4j])
@@ -475,7 +484,7 @@ class TestFlow:
                 for mu2, lam2 in [kind.rates for kind in KINDS]:
                     whole = semigroups._matvec(
                         semigroups._generator(mu2, lam2, dim, s), x.ravel())
-                    kept, gen = semigroups.Flow(mu2, lam2, s)._restrict(x)
+                    kept, gen = semigroups._restrict(x, mu2, lam2, s)
                     out = np.zeros(x.size, dtype=complex)
                     out[kept] = semigroups._matvec(gen, x.ravel()[kept])
                     assert np.max(np.abs(out - whole)) <= 1e-14
@@ -543,6 +552,18 @@ class TestRelentDecay:
         rate, rhs = relent_decay_rate(rho, mu, lam)
         d = relative_entropy(rho, thermal_state(1.0, 64))
         assert rate == pytest.approx(-(d + rhs), rel=1e-3)
+
+    def test_fixed_point_needs_no_eigendecomposition(self, monkeypatch):
+        # log sigma is diagonal in closed form: only rho's own spectrum,
+        # computed when rho was built, enters.
+        rho = random_state(64, 4, StateFamily.FULL_RANK)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("eigh called")
+
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        rate, rhs = relent_decay_rate(rho, math.sqrt(2.0), 1.0)
+        assert math.isfinite(rate) and math.isfinite(rhs)
 
     def test_gaussian_rate_bound(self):
         mu, lam = math.sqrt(2.0), 1.0

@@ -10,7 +10,6 @@ from .fock_core import (
     fock_rearrangement,
     majorizes,
     mean_photon,
-    number_state,
     random_state,
     relative_entropy,
     thermal_state,

@@ -28,6 +28,17 @@ degree; the attenuator, amplifier and qOU take a Taylor series stepped by
 the exact 1-norm, once per time.  `flow(op, rho, times)` runs them once for
 a grid and builds each time's state, translated for a density, when it is
 read; `evolve` and `convolve` are its one-time grids.
+
+Every production use of L runs in real arithmetic, on the real image
+R = Re rho + Im rho of the Hermitian state (`_real_image`).  This is exact
+for real s: the generator then has real coefficients, so it maps the real
+and imaginary parts of rho each on its own, and it commutes with
+transposition, so it keeps Re rho symmetric and Im rho antisymmetric.
+(R + R^T)/2 and (R - R^T)/2 of the evolved R are then the evolved real and
+imaginary parts (`_hermitian`), an exactly Hermitian matrix.  A Gaussian
+density with C_12 != 0 (complex s) first has the phase of s rotated away by
+the diagonal unitary U = e^{i theta a_dag a} (`_turn`), exact on the
+truncated space because U a U^dag = e^{-i theta} a there too.
 """
 
 from __future__ import annotations
@@ -372,7 +383,11 @@ def _apply(x: np.ndarray, times: Sequence[float], mu2: float, lam2: float,
     """e^{tL}(x) for each t of times, stacked along a new first axis, on the
     restriction of L to what x's support reaches: one Chebyshev recurrence
     for the whole grid when L is Hermitian (mu2 = lam2), else one Taylor
-    series per time."""
+    series per time.
+
+    The series run in the arithmetic of x and of L's coefficients: float64
+    for the real image that `flow` passes at real s, complex128 for a
+    complex x or a complex s."""
     if min(times) < 0:
         raise ValueError(f"t must be >= 0, got {min(times)}")
     kept, gen = _restrict(x, mu2, lam2, s)
@@ -381,9 +396,41 @@ def _apply(x: np.ndarray, times: Sequence[float], mu2: float, lam2: float,
         ys = _chebyshev(gen, y, times)
     else:
         ys = [_propagate(gen, y, t) for t in times]
-    out = np.zeros((len(times), x.size), dtype=complex)
+    out = np.zeros((len(times), x.size),
+                   dtype=np.result_type(y, *gen.values()))
     out[:, kept] = ys
     return out.reshape(len(times), *x.shape)
+
+
+def _real_image(x: np.ndarray) -> np.ndarray:
+    """Re x + Im x for a Hermitian x: its symmetric real part plus its
+    antisymmetric imaginary part, one real matrix that `_hermitian` reads
+    back."""
+    return x.real + x.imag
+
+
+def _hermitian(r: np.ndarray) -> np.ndarray:
+    """(r + r^T)/2 + i (r - r^T)/2 over the last two axes of r: the
+    Hermitian matrix whose real image is r, exactly Hermitian in floating
+    point because both halves are sums and differences of the same pair."""
+    rt = np.swapaxes(r, -1, -2)
+    out = np.empty(r.shape, dtype=complex)
+    out.real = 0.5 * (r + rt)
+    out.imag = 0.5 * (r - rt)
+    return out
+
+
+def _turn(r: np.ndarray, theta: float) -> np.ndarray:
+    """The real image of U x U^dag, U = e^{i theta a_dag a}, from the real
+    image r of a Hermitian x, over r's last two axes.
+
+    (U x U^dag)_jk = e^{i theta (j - k)} x_jk maps x = S + i A to
+    (cos S - sin A) + i (cos A + sin S), elementwise in the cosine and sine
+    of theta (j - k), whose real image is cos r + sin r^T; -theta undoes
+    it."""
+    n = np.arange(r.shape[-1])
+    phase = theta * np.subtract.outer(n, n)
+    return np.cos(phase) * r + np.sin(phase) * np.swapaxes(r, -1, -2)
 
 
 def flow(op: SemigroupKind | GaussianDensity, rho: DensityMatrix,
@@ -392,18 +439,33 @@ def flow(op: SemigroupKind | GaussianDensity, rho: DensityMatrix,
     density f, at each t of times: one run of the series on rho for the
     whole grid, and per time a thunk that builds and validates that time's
     state on its own when called, so a TruncationError at one t leaves the
-    others usable."""
+    others usable.
+
+    The series runs in float64 on the real image of rho.  At real s, L has
+    real coefficients and commutes with transposition, so it maps Re rho
+    (symmetric) and Im rho (antisymmetric) each into itself, and
+    `_hermitian` reads e^{tL}(Re rho + Im rho) back as e^{tL}(rho).  At
+    C_12 != 0, U = e^{i theta a_dag a} with theta = -arg(s)/2 first turns s
+    into |s|: U a U^dag = e^{-i theta} a on the truncated space too, so
+    e^{tL_s}(rho) = U^dag e^{tL_|s|}(U rho U^dag) U exactly (`_turn`)."""
     mu2, lam2, s = _coefficients(op)
-    return [partial(_state, x, op, t, lam2 > 0)
-            for t, x in zip(times, _apply(rho.mat, times, mu2, lam2, s))]
+    x = _real_image(rho.mat)
+    theta = -0.5 * np.angle(s) if s.imag else 0.0
+    if theta:
+        x, s = _turn(x, theta), abs(s)
+    xs = _apply(x, times, mu2, lam2, s.real)
+    if theta:
+        xs = _turn(xs, -theta)
+    return [partial(_state, m, op, t, lam2 > 0)
+            for t, m in zip(times, _hermitian(xs))]
 
 
 def _state(x: np.ndarray, op: SemigroupKind | GaussianDensity, t: float,
            edges: bool) -> DensityMatrix:
-    """The state of x = e^{tL}(rho): for a density with mean m first
-    translated by W(sqrt(t) m), a zero translation skipped; then made
-    Hermitian and checked for trace drift and, when edges (every flow with
-    gain, lam^2 > 0), for mass in the top edge band."""
+    """The state of the Hermitian x = e^{tL}(rho): for a density with mean m
+    first translated by W(sqrt(t) m), a zero translation skipped, and made
+    Hermitian again; then checked for trace drift and, when edges (every
+    flow with gain, lam^2 > 0), for mass in the top edge band."""
     what = "evolution"
     if isinstance(op, GaussianDensity):
         what = "convolution"
@@ -411,7 +473,8 @@ def _state(x: np.ndarray, op: SemigroupKind | GaussianDensity, t: float,
         if shift.any():
             w = weyl_operator(shift, x.shape[0])
             x = w @ x @ w.conj().T
-    x = 0.5 * (x + x.conj().T)
+            # The two products leave x Hermitian only to round-off.
+            x = 0.5 * (x + x.conj().T)
     trace = np.trace(x).real
     drift = abs(trace - 1.0)
     if drift > _TRACE_TOL:
@@ -427,12 +490,13 @@ def _state(x: np.ndarray, op: SemigroupKind | GaussianDensity, t: float,
 
 
 def liouvillian_apply(kind: SemigroupKind, rho: DensityMatrix) -> np.ndarray:
-    """L(rho) for the requested semigroup; Hermitian and traceless."""
-    kept, gen = _restrict(rho.mat, *_coefficients(kind))
-    out = np.zeros(rho.mat.size, dtype=complex)
-    out[kept] = _matvec(gen, rho.mat.ravel()[kept])
-    out = out.reshape(rho.mat.shape)
-    return 0.5 * (out + out.conj().T)
+    """L(rho) for the requested semigroup, applied to the real image of rho
+    as `flow` applies e^{tL}; exactly Hermitian, and traceless."""
+    x = _real_image(rho.mat)
+    kept, gen = _restrict(x, *_coefficients(kind))
+    out = np.zeros(x.size)
+    out[kept] = _matvec(gen, x.ravel()[kept])
+    return _hermitian(out.reshape(x.shape))
 
 
 def evolve(rho: DensityMatrix, kind: SemigroupKind, t: float) -> DensityMatrix:

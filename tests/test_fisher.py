@@ -14,15 +14,15 @@ from phaseineq.fock_core import (
     StateFamily,
     TruncationError,
     _full_rank_floor,
-    displace,
     geometric_weights,
-    number_state,
     random_state,
     thermal_state,
     weyl_operator,
 )
 from phaseineq.gaussian import thermal_fisher_closed
 from phaseineq.semigroups import Heat, convolve, entropy_rate, standard_gaussian
+
+from fock_helpers import displace, number_state
 
 
 def stencil_fisher(rho, h=1e-2):

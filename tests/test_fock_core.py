@@ -12,13 +12,11 @@ from phaseineq.fock_core import (
     IllConditionedError,
     StateFamily,
     TruncationError,
-    displace,
     entropy_power,
     fock_rearrangement,
     ladder_operators,
     majorizes,
     mean_photon,
-    number_state,
     quadrature_operators,
     random_state,
     relative_entropy,
@@ -29,6 +27,8 @@ from phaseineq.fock_core import (
 )
 from phaseineq.fisher import quantum_fisher
 from phaseineq.semigroups import Heat, entropy_rate
+
+from fock_helpers import displace, number_state
 
 SIGMA = np.array([[0.0, 1.0], [-1.0, 0.0]])
 

@@ -11,10 +11,8 @@ from phaseineq.classical import death_evolve, geometric_pmf
 from phaseineq.fock_core import (
     StateFamily,
     TruncationError,
-    displace,
     ladder_operators,
     mean_photon,
-    number_state,
     random_state,
     relative_entropy,
     thermal_state,
@@ -37,6 +35,8 @@ from phaseineq.semigroups import (
     relent_decay_rate,
     standard_gaussian,
 )
+
+from fock_helpers import displace, number_state
 
 
 def sparse_generator(*args):
@@ -214,9 +214,14 @@ class TestEvolve:
         + [(GaussianDensity(mean=np.zeros(2),
                             cov=np.array([[1.0, 0.3], [0.3, 0.6]])), d)
            for d in (3, 12)]
-        + [(GaussianDensity(mean=np.zeros(2), cov=0.7 * np.eye(2)), 12)],
+        + [(GaussianDensity(mean=np.zeros(2), cov=0.7 * np.eye(2)), 12)]
+        + [(GaussianDensity(mean=np.zeros(2), cov=np.array(cov)), d)
+           for cov in ([[0.6, 0.0], [0.0, 1.0]], [[0.8, 0.3], [0.3, 0.8]])
+           for d in (3, 12)],
         ids=["heat", "attenuator", "amplifier", "qou", "gaussian-d3",
-             "gaussian-d12", "gaussian-iso"])
+             "gaussian-d12", "gaussian-iso", "gaussian-negative-s-d3",
+             "gaussian-negative-s-d12", "gaussian-imaginary-s-d3",
+             "gaussian-imaginary-s-d12"])
     def test_matches_dense_exponential(self, kind, dim, monkeypatch):
         sup = dense_superoperator(kind, dim)
         rho = random_state(dim, 3, StateFamily.FULL_RANK)
@@ -439,6 +444,33 @@ class TestFlow:
         for t, x in zip(grid, out):
             alone = semigroups._apply(rho.mat, (t,), *coefs)[0]
             assert np.array_equal(x, alone)
+
+    REAL_OPS = KINDS + [standard_gaussian()] + [
+        GaussianDensity(mean=np.zeros(2), cov=np.array(cov))
+        for cov in ([[0.6, 0.0], [0.0, 1.0]], [[1.0, 0.3], [0.3, 0.6]],
+                    [[0.8, 0.3], [0.3, 0.8]])]
+
+    @pytest.mark.parametrize("op", REAL_OPS, ids=KIND_IDS + [
+        "f_Z", "negative-s", "aniso", "imaginary-s"])
+    def test_every_flow_runs_in_real_arithmetic(self, op, monkeypatch):
+        # The series see the real image Re rho + Im rho, in float64, and its
+        # readback is e^{tL}(rho) on the complex matrix, exactly Hermitian.
+        dtypes = []
+        for name in ("_chebyshev", "_propagate"):
+            def record(gen, x, times, series=getattr(semigroups, name)):
+                dtypes.append(x.dtype)
+                return series(gen, x, times)
+
+            monkeypatch.setattr(semigroups, name, record)
+        rho = random_state(64, 2, StateFamily.FULL_RANK)
+        grid = (0.02, 0.05)
+        out = [state().mat for state in flow(op, rho, grid)]
+        assert dtypes and all(dtype == np.float64 for dtype in dtypes)
+        target = semigroups._apply(rho.mat, grid,
+                                   *semigroups._coefficients(op))
+        for m, x in zip(out, target):
+            assert np.array_equal(m, m.conj().T)
+            assert np.max(np.abs(m - x)) <= 1e-15
 
     def test_density_grid_matches_convolve_bit_for_bit(self):
         # Each time's thunk translates by W(sqrt(t) m) as convolve does.

@@ -3,8 +3,8 @@
 The process p_dot_n = -n p_n + (n+1) p_{n+1} is the number-basis diagonal
 restriction of the photon-loss semigroup, evolved in closed form by
 binomial thinning.  Includes the entropy rate
-J_-(p) = -2 sum_n (C p)_n log p_n, the geometric family, the f/F threshold
-machinery, a convex-duality certificate for the energy-constrained minimum
+J_-(p) = -2 sum_n (C p)_n log p_n, the geometric family, the threshold
+function F, a convex-duality certificate for the energy-constrained minimum
 of J_-, and the projected-gradient minimizer kept as its reference oracle.
 F's stationary point and the minimizer's energy multiplier are both roots
 of monotone functions, found by `gaussian._bisect`.
@@ -19,7 +19,6 @@ import numpy as np
 
 from .fock_core import geometric_law
 from .gaussian import _bisect, g_entropy, g_inverse, thermal_j_pm
-from .semigroups import _matvec
 
 _INTERIOR_FLOOR = 1e-12
 
@@ -50,17 +49,13 @@ class ClassicalPMF:
         return float(p @ -np.log(p))
 
 
-def _death_matrix(size: int) -> dict[int, np.ndarray]:
-    """C with (C p)_n = -n p_n + (n+1) p_{n+1} on {0, ..., size-1}, as its
-    diagonals (see `semigroups._generator`)."""
-    n = np.arange(size, dtype=float)
-    return {0: -n, 1: n[1:]}
-
-
-def death_generator(p: ClassicalPMF) -> np.ndarray:
-    """(C p)_n = -n p_n + (n+1) p_{n+1}; mass only moves down one level,
+def _death_flux(v: np.ndarray) -> np.ndarray:
+    """(C v)_n = -n v_n + (n+1) v_{n+1}; mass only moves down one level,
     so the entries sum to zero."""
-    return _matvec(_death_matrix(p.probs.size), p.probs)
+    n = np.arange(v.size, dtype=float)
+    flux = -n * v
+    flux[:-1] += n[1:] * v[1:]
+    return flux
 
 
 def death_evolve(p: ClassicalPMF, t: float) -> ClassicalPMF:
@@ -109,7 +104,7 @@ def death_entropy_rate(p: ClassicalPMF) -> float:
     Returns +inf when mass flows into an empty level (the entropy
     derivative genuinely diverges there).
     """
-    return _entropy_rate(p.probs, death_generator(p))
+    return _entropy_rate(p.probs, _death_flux(p.probs))
 
 
 def geometric_pmf(n: float, K: int) -> ClassicalPMF:
@@ -119,14 +114,6 @@ def geometric_pmf(n: float, K: int) -> ClassicalPMF:
     if K < 1:
         raise ValueError(f"K must be >= 1, got {K}")
     return ClassicalPMF(geometric_law(n, K + 1))
-
-
-def f_of_H(s: float) -> float:
-    """Minimal half-entropy-rate at fixed entropy: f(S) = -n log(1 + 1/n)
-    with n = g_inverse(S)."""
-    if not 0 < s < math.inf:
-        raise ValueError(f"S must be > 0 and finite, got {s}")
-    return 0.5 * thermal_j_pm(g_inverse(s))[0]
 
 
 def F_of_S0(s0: float, mu2: float, zeta: float) -> float:
@@ -188,14 +175,16 @@ def _project_constraints(y: np.ndarray, n_cap: float, floor: float) -> np.ndarra
     return _project_capped_simplex(y - beta * levels, floor)
 
 
-def _rate_and_grad(v: np.ndarray,
-                   c: dict[int, np.ndarray]) -> tuple[float, np.ndarray]:
-    flux = _matvec(c, v)
+def _rate_and_grad(v: np.ndarray) -> tuple[float, np.ndarray]:
+    flux = _death_flux(v)
     # d/dp_n of -2 sum_m (Cp)_m log p_m:
-    #   flux enters through C^T log p, plus the diagonal term (Cp)_n / p_n.
-    # C^T holds C's diagonals at the opposite offsets.
-    c_t = {-k: diag for k, diag in c.items()}
-    grad = -2.0 * (_matvec(c_t, np.log(v)) + flux / v)
+    #   flux enters through C^T log p, plus the diagonal term (Cp)_n / p_n,
+    #   with (C^T x)_n = -n x_n + n x_{n-1}.
+    n = np.arange(v.size, dtype=float)
+    log_v = np.log(v)
+    c_t_log = -n * log_v
+    c_t_log[1:] += n[1:] * log_v[:-1]
+    grad = -2.0 * (c_t_log + flux / v)
     return _entropy_rate(v, flux), grad
 
 
@@ -210,7 +199,7 @@ def certified_rate_bound(n: float, K: int) -> float:
     """
     if n <= 0:
         raise ValueError(f"n must be > 0, got {n}")
-    g = _rate_and_grad(geometric_pmf(n, K).probs, _death_matrix(K + 1))[1]
+    g = _rate_and_grad(geometric_pmf(n, K).probs)[1]
     m = np.arange(K + 1, dtype=float)
     lo, hi = m <= n, m > n
     w = (m[hi] - n) / (m[hi] - m[lo][:, None])
@@ -236,15 +225,14 @@ def min_entropy_rate_constrained(n: float, K: int, starts: int = 8,
         w = rng.dirichlet(np.ones(K + 1) * 0.8)
         inits.append(_project_constraints(w, n, floor))
 
-    c = _death_matrix(K + 1)
     best_v, best_rate = None, math.inf
     for v0 in inits:
         v = _project_constraints(np.maximum(v0, floor), n, floor)
-        rate, grad = _rate_and_grad(v, c)
+        rate, grad = _rate_and_grad(v)
         step = 0.1
         for _ in range(600):
             trial = _project_constraints(v - step * grad, n, floor)
-            new_rate, new_grad = _rate_and_grad(trial, c)
+            new_rate, new_grad = _rate_and_grad(trial)
             if new_rate < rate - 1e-14:
                 v, rate, grad = trial, new_rate, new_grad
                 step = min(step * 1.5, 10.0)

@@ -80,14 +80,6 @@ class DensityMatrix:
         return self.mat.shape[0]
 
 
-@dataclass(frozen=True)
-class HealthMetrics:
-    """Truncation diagnostics for a state."""
-
-    edge_mass: float
-    trace_drift: float
-
-
 class StateFamily(Enum):
     FULL_RANK = "full_rank"
     DIAGONAL = "diagonal"
@@ -293,12 +285,6 @@ def majorizes(p, q, tol: float = 1e-10) -> tuple[bool, np.ndarray]:
 def edge_band(dim: int) -> int:
     """Number of top basis levels counted as the truncation edge."""
     return int(math.ceil(dim / 8))
-
-
-def truncation_health(rho: DensityMatrix) -> HealthMetrics:
-    """Edge mass and trace drift of a state."""
-    return HealthMetrics(edge_mass=state_edge_mass(rho.mat),
-                         trace_drift=abs(np.trace(rho.mat).real - 1.0))
 
 
 def state_edge_mass(mat: np.ndarray) -> float:

@@ -3,8 +3,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from phaseineq.classical import (
@@ -12,11 +10,9 @@ from phaseineq.classical import (
     F_of_S0,
     death_entropy_rate,
     death_evolve,
-    death_generator,
-    _death_matrix,
+    _death_flux,
     _rate_and_grad,
     certified_rate_bound,
-    f_of_H,
     geometric_pmf,
     min_entropy_rate_constrained,
 )
@@ -45,15 +41,15 @@ class TestClassicalPMF:
 class TestDeathGenerator:
     def test_absorbing_ground_state(self):
         p = ClassicalPMF(np.array([1.0, 0.0, 0.0]))
-        assert np.allclose(death_generator(p), 0.0)
+        assert np.allclose(_death_flux(p.probs), 0.0)
 
     def test_single_level_flux(self):
         p = ClassicalPMF(np.array([0.0, 0.0, 1.0]))
-        assert np.allclose(death_generator(p), [0.0, 2.0, -2.0])
+        assert np.allclose(_death_flux(p.probs), [0.0, 2.0, -2.0])
 
     def test_mass_conserved_off_edge(self):
         p = geometric_pmf(1.0, 64)
-        flux = death_generator(p)
+        flux = _death_flux(p.probs)
         assert abs(flux.sum()) <= 1e-12
 
 
@@ -172,15 +168,6 @@ class TestGeometricPMF:
 
 
 class TestThresholdFunctions:
-    def test_f_of_H_at_geometric_entropy(self):
-        s = g_entropy(1.0)
-        assert f_of_H(s) == pytest.approx(-math.log(2))
-
-    @settings(max_examples=30, deadline=None)
-    @given(st.floats(min_value=0.05, max_value=8.0))
-    def test_f_is_decreasing(self, s):
-        assert f_of_H(s + 0.1) < f_of_H(s)
-
     def test_F_never_exceeds_feasible_points(self):
         # F is an infimum over n >= g_inverse(S0); n = 1 is feasible for
         # S0 = 0.5 < g(1), so F(0.5) is bounded by the objective there.
@@ -207,8 +194,6 @@ class TestThresholdFunctions:
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_entropy_is_rejected(self, value):
-        with pytest.raises(ValueError, match=r"^S must be > 0 and finite"):
-            f_of_H(value)
         with pytest.raises(ValueError, match=r"^S0 must be > 0 and finite"):
             F_of_S0(value, 2.0, 1.0)
 
@@ -218,7 +203,7 @@ class TestCertifiedRateBound:
     def test_gradient_pairs_to_rate(self, n):
         # Euler's identity for the 1-homogeneous J_-: g.q = J_-(q).
         q = geometric_pmf(n, 64).probs
-        rate, grad = _rate_and_grad(q, _death_matrix(65))
+        rate, grad = _rate_and_grad(q)
         assert abs(grad @ q - rate) <= 1e-14
 
     @pytest.mark.parametrize("n", [0.5, 1.0, 2.0])

@@ -20,8 +20,8 @@ from phaseineq.fock_core import (
     quadrature_operators,
     random_state,
     relative_entropy,
+    state_edge_mass,
     thermal_state,
-    truncation_health,
     von_neumann_entropy,
     weyl_operator,
 )
@@ -86,7 +86,7 @@ class TestWeylOperator:
         w = weyl_operator(xi, 8)
         assert np.linalg.norm(w.conj().T @ w - np.eye(8), 2) < 1e-10
         shifted = displace(number_state(0, 8), xi)
-        assert truncation_health(shifted).edge_mass > EDGE_TOL
+        assert state_edge_mass(shifted.mat) > EDGE_TOL
 
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
@@ -262,7 +262,7 @@ class TestRearrangementAndMajorization:
 
 class TestTruncationHealth:
     def test_vacuum_edge_mass_zero(self):
-        assert truncation_health(number_state(0, 32)).edge_mass == 0.0
+        assert state_edge_mass(number_state(0, 32).mat) == 0.0
 
     def test_thermal_edge_mass_tiny(self):
-        assert truncation_health(thermal_state(1.0, 64)).edge_mass < 1e-15
+        assert state_edge_mass(thermal_state(1.0, 64).mat) < 1e-15

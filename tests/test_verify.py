@@ -7,6 +7,7 @@ import pytest
 import phaseineq.classical as cl
 import phaseineq.gaussian as ga
 import phaseineq.verify as verify
+from phaseineq.cli import main
 from phaseineq.verify import SUITE_NAMES, run_suite, threshold_solve
 
 FAST_SUITES = (
@@ -199,6 +200,25 @@ class TestErrorPolicy:
         *rest, last = cases
         assert last.error is not None and "pushed edge mass" in last.error
         assert all(c.error is None and c.passed for c in rest)
+
+    @pytest.mark.parametrize("suite, dim, descriptor, n", [
+        ("de-bruijn", 64, "de-bruijn-thermal", 4.0),
+        ("correspondence", 48, "fock-vs-classical-rate", 2.0),
+        ("geometric-optimality", 48, "fock-attenuator-rate", 2.0)])
+    def test_thermal_truncation_fails_only_its_case(self, suite, dim,
+                                                     descriptor, n):
+        # thermal_state(n, dim) raises inside the case's margin, not while
+        # the suite yields its checks, so the rest of the suite still runs.
+        report = run_suite(suite, dim=dim)
+        errors = [c for c in report.cases if c.error is not None]
+        assert [(c.descriptor, c.params["n"]) for c in errors] == [
+            (descriptor, n)]
+        assert "need support size >=" in errors[0].error
+        assert not report.passed
+
+    def test_thermal_truncation_exits_1(self, capsys):
+        assert main(["verify", "de-bruijn", "--dim", "64"]) == 1
+        assert json.loads(capsys.readouterr().out)["summary"]["failures"] == 1
 
     def test_programming_error_propagates(self, monkeypatch):
         def broken(rho):

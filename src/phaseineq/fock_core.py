@@ -52,7 +52,16 @@ class IllConditionedError(ValueError):
 class DensityMatrix:
     """Hermitian, PSD, unit-trace complex matrix on the truncated basis, with
     the eigendecomposition that validates it, read-only, for the spectral
-    functionals: mat = evecs diag(evals) evecs^dag, evals ascending."""
+    functionals: mat = evecs diag(evals) evecs^dag, evals ascending.
+
+    Only the leading k x k block that holds every nonzero entry of the
+    strict lower triangle (the triangle `np.linalg.eigh` reads) is
+    decomposed; each later row is its own eigenpair, its diagonal entry and
+    a unit vector.  Thermal, Fock-diagonal and rearranged states have k = 0
+    and need no LAPACK call; `random_state`'s core-plus-floor states have
+    k = 24, and a heat flow of one widens k only by the degree of its
+    Chebyshev series.
+    """
 
     mat: np.ndarray
     evals: np.ndarray = field(init=False, repr=False, compare=False)
@@ -68,7 +77,29 @@ class DensityMatrix:
         trace_defect = abs(np.trace(m).real - 1.0)
         if trace_defect > TRACE_TOL:
             raise ValueError(f"trace differs from 1 by {trace_defect:.3e}")
-        evals, evecs = np.linalg.eigh(m)
+        dim = m.shape[0]
+        nonzero = m != 0
+        np.fill_diagonal(nonzero, True)
+        # Row i holds a strict-lower entry iff its first nonzero column is < i.
+        rows = np.flatnonzero(nonzero.argmax(axis=1) < np.arange(dim))
+        k = int(rows[-1]) + 1 if rows.size else 0
+        if k == dim:
+            evals, evecs = np.linalg.eigh(m)
+        else:
+            # Eigenpairs of the block, then one per later row: its diagonal
+            # entry and the unit vector e_i.  Index j of `vals` lives in
+            # the block for j < k and is basis level j otherwise.
+            vals = m.diagonal().real.copy()
+            block_vecs = np.empty((0, 0))
+            if k:
+                vals[:k], block_vecs = np.linalg.eigh(m[:k, :k])
+            order = np.argsort(vals, kind="stable")
+            evals = vals[order]
+            in_block = order < k
+            evecs = np.zeros((dim, dim), dtype=complex)
+            evecs[:k, in_block] = block_vecs[:, order[in_block]]
+            tail = np.flatnonzero(~in_block)
+            evecs[order[tail], tail] = 1.0
         if evals[0] < -PSD_TOL:
             raise ValueError(f"not PSD: min eigenvalue {evals[0]:.3e}")
         for name, arr in (("mat", m), ("evals", evals), ("evecs", evecs)):
@@ -171,7 +202,14 @@ def _interior_support(dim: int) -> int:
 
 
 def random_state(dim: int, seed: int, family: StateFamily) -> DensityMatrix:
-    """Deterministic random test state of the requested family."""
+    """Deterministic random test state of the requested family.
+
+    A random core on the lowest min(dim, 24) levels (full rank, or Fock
+    diagonal) plus a FULL_RANK_EPS share of a diagonal geometric floor over
+    all levels.  Every coherence lies in the core, so a FULL_RANK state's
+    `DensityMatrix` decomposes only that 24 x 24 block (k = 24), and a
+    DIAGONAL one needs no decomposition.
+    """
     if dim < 2:
         raise ValueError(f"dim must be >= 2, got {dim}")
     rng = np.random.default_rng(seed)

@@ -297,6 +297,13 @@ def _chebyshev(gen: dict[int, np.ndarray], x: np.ndarray,
     coefficients depend on t: one recurrence runs to the largest degree of
     the grid, and each time adds T_k(A) x to its own sum up to its own
     degree, so every time's result is the one it gets alone.
+
+    At s = 0 (the heat flow, and f_Z) each matvec moves an entry one place
+    along its band i - j, so degree D widens a band's support by at most D
+    entries: a state supported on the leading k levels keeps every
+    coherence past level k + D at exactly 0.0, and its `DensityMatrix`
+    decomposes a block of at most k + D levels.  At s != 0 a matvec also
+    moves an entry to the bands i - j +- 2, by up to two levels.
     """
     w = _norm_1(gen)
     coefs, degrees = [], []

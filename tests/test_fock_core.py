@@ -26,7 +26,7 @@ from phaseineq.fock_core import (
     weyl_operator,
 )
 from phaseineq.fisher import quantum_fisher
-from phaseineq.semigroups import Heat, entropy_rate
+from phaseineq.semigroups import Heat, entropy_rate, flow
 
 from fock_helpers import displace, number_state
 
@@ -134,6 +134,12 @@ class TestStates:
             DensityMatrix(np.diag([1.5, -0.5]).astype(complex))
 
 
+def _with_last_row_coherence() -> DensityMatrix:
+    m = np.diag(np.arange(1.0, 9.0) / 36.0).astype(complex)
+    m[7, 0], m[0, 7] = 0.01j, -0.01j
+    return DensityMatrix(m)
+
+
 class TestSpectrum:
     def test_kept_decomposition_is_read_only_and_rebuilds_the_state(self):
         rho = random_state(32, 3, StateFamily.FULL_RANK)
@@ -160,9 +166,86 @@ class TestSpectrum:
         entropy_rate(rho, Heat())
         majorizes(rho, sigma)
         assert callers == []
-        # Only the constructor of the rearranged state decomposes it.
+        # The rearranged state is diagonal, so its constructor makes no
+        # LAPACK call; only a constructor ever decomposes.
         fock_rearrangement(rho)
+        assert callers == []
+        random_state(32, 5, StateFamily.FULL_RANK)
         assert callers == ["__post_init__"]
+
+    @pytest.mark.parametrize("build", [
+        lambda: thermal_state(1.0, 128),
+        lambda: random_state(64, 3, StateFamily.DIAGONAL),
+        lambda: fock_rearrangement(random_state(32, 3, StateFamily.FULL_RANK)),
+        _with_last_row_coherence,
+    ], ids=["thermal", "diagonal", "rearranged", "last-row"])
+    def test_diagonal_and_full_block_states_match_whole_eigh(self, build):
+        rho = build()
+        evals, evecs = np.linalg.eigh(rho.mat)
+        assert np.array_equal(rho.evals, evals)
+        assert np.array_equal(rho.evecs, evecs)
+
+    @pytest.mark.parametrize("dim", [32, 128])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_block_decomposition_matches_whole_eigh(self, dim, seed):
+        rho = random_state(dim, seed, StateFamily.FULL_RANK)
+        states = [rho]
+        if dim == 128:  # at dim 32 the heat flow reaches the edge band
+            states += [s() for s in flow(Heat(), rho, (0.005, 0.05))]
+        for state in states:
+            evals = np.linalg.eigh(state.mat)[0]
+            assert np.max(np.abs(state.evals - evals)) <= 1e-15
+            rebuilt = (state.evecs * state.evals) @ state.evecs.conj().T
+            assert np.max(np.abs(rebuilt - state.mat)) <= 1e-13
+            for arr in (state.mat, state.evals, state.evecs):
+                assert not arr.flags.writeable
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_only_the_block_holding_coherences_is_decomposed(
+            self, seed, eigh_shapes):
+        rho = random_state(128, seed, StateFamily.FULL_RANK)
+        assert eigh_shapes == [(24, 24)]
+        eigh_shapes.clear()
+        thermal_state(1.0, 128)
+        random_state(128, seed, StateFamily.DIAGONAL)
+        assert eigh_shapes == []
+        ks = []
+        for state in flow(Heat(), rho, (0.005, 0.05)):
+            mat = state().mat
+            (k, k2), = eigh_shapes
+            eigh_shapes.clear()
+            assert k == k2 < 128
+            # Coherences past level k are exactly 0, in both triangles: a
+            # propagator that fills them fails here instead of going slow.
+            off = mat - np.diag(np.diag(mat))
+            assert not np.any(off[k:]) and not np.any(off[:, k:])
+            ks.append(k)
+        assert ks[0] < ks[1]
+
+    def test_block_follows_the_lower_triangle(self, eigh_shapes):
+        # eigh reads the lower triangle, so an entry there widens the block
+        # even when its mirror is exactly 0 (within HERMITICITY_TOL), and
+        # an entry above the diagonal alone does not.
+        lower = random_state(16, 0, StateFamily.DIAGONAL).mat.copy()
+        lower[9, 2] = 1e-13
+        DensityMatrix(lower)
+        assert eigh_shapes == [(10, 10)]
+        eigh_shapes.clear()
+        DensityMatrix(lower.T.copy())
+        assert eigh_shapes == []
+
+
+@pytest.fixture
+def eigh_shapes(monkeypatch):
+    """Shapes of the matrices passed to np.linalg.eigh, in call order."""
+    shapes = []
+
+    def recorded(a, *args, _solver=np.linalg.eigh, **kw):
+        shapes.append(np.shape(a))
+        return _solver(a, *args, **kw)
+
+    monkeypatch.setattr(np.linalg, "eigh", recorded)
+    return shapes
 
 
 class TestRandomState:

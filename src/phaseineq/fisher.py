@@ -43,15 +43,28 @@ def quantum_fisher(rho: DensityMatrix) -> FisherEstimate:
         raise TruncationError(
             f"state edge mass exceeds {EDGE_TOL:.1e}; increase dim"
         )
-    lam, vecs = rho.evals, rho.evecs
-    weight = (lam[:, None] - lam[None, :]) * (log_lam[:, None] - log_lam[None, :])
+    lam, vecs, k = rho.spectrum, rho.block_vecs, rho.block
+
+    def weight(i, j):
+        return (lam[i] - lam[j]) * (log_lam[i] - log_lam[j])
+
     # With A = V^dag a V, |Q_ab|^2 + |P_ab|^2 = |A_ab|^2 + |A_ba|^2 and the
     # weight is symmetric, so one basis change of the annihilator suffices.
-    # a|n> = sqrt(n)|n-1>: row n-1 of aV is sqrt(n) times row n of V.
+    # a|n> = sqrt(n)|n-1> keeps the block's levels inside it, so A has
+    # three parts: the block's k x k product (row n-1 of aV is sqrt(n)
+    # times row n of V), <v_b|a|k> = sqrt(k) conj(V[k-1, b]) from level k
+    # into the block, and sqrt(n+1) from each later level n + 1 to n.
     a_vecs = np.zeros_like(vecs)
-    a_vecs[:-1] = np.sqrt(np.arange(1, rho.dim))[:, None] * vecs[1:]
+    a_vecs[:-1] = np.sqrt(np.arange(1, k))[:, None] * vecs[1:]
     amp = vecs.conj().T @ a_vecs
-    value = 4.0 * math.pi * float(np.sum((amp.real**2 + amp.imag**2) * weight))
+    blk = np.arange(k)
+    total = np.sum((amp.real**2 + amp.imag**2) * weight(blk[:, None], blk))
+    if 0 < k < rho.dim:
+        last = vecs[-1].real**2 + vecs[-1].imag**2
+        total += k * (last @ weight(blk, k))
+    n = np.arange(k, rho.dim - 1)
+    total += (n + 1.0) @ weight(n, n + 1)
+    value = 4.0 * math.pi * float(total)
     return FisherEstimate(value=value)
 
 

@@ -127,6 +127,8 @@ class GaussianDensity:
         cov = np.asarray(self.cov, dtype=float)
         if mean.shape != (2,) or cov.shape != (2, 2):
             raise ValueError("GaussianDensity needs a 2-vector mean and 2x2 cov")
+        if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(cov))):
+            raise ValueError("GaussianDensity needs a finite mean and cov")
         if np.max(np.abs(cov - cov.T)) > 1e-12:
             raise ValueError("covariance must be symmetric")
         if np.linalg.eigvalsh(cov)[0] <= 0:
@@ -302,8 +304,10 @@ def _chebyshev(gen: dict[int, np.ndarray], x: np.ndarray,
     along its band i - j, so degree D widens a band's support by at most D
     entries: a state supported on the leading k levels keeps every
     coherence past level k + D at exactly 0.0, and its `DensityMatrix`
-    decomposes a block of at most k + D levels.  At s != 0 a matvec also
-    moves an entry to the bands i - j +- 2, by up to two levels.
+    decomposes a block of at most k + D levels, ending earlier where the
+    coherences past a level fall within `eigh`'s backward error.  At
+    s != 0 a matvec also moves an entry to the bands i - j +- 2, by up to
+    two levels.
     """
     w = _norm_1(gen)
     coefs, degrees = [], []
@@ -534,8 +538,14 @@ def convolve(f: GaussianDensity, rho: DensityMatrix, t: float) -> DensityMatrix:
 
 
 def _log_density(rho: DensityMatrix) -> np.ndarray:
-    vecs = rho.evecs
-    return (vecs * log_spectrum(rho, "entropy rate")) @ vecs.conj().T
+    """log rho from its block form: V diag(log lambda) V^dag on the
+    decomposed block, and the log of each later level's eigenvalue on the
+    diagonal."""
+    log_lam, vecs = log_spectrum(rho, "entropy rate"), rho.block_vecs
+    k = rho.block
+    out = np.diag(log_lam.astype(complex))
+    out[:k, :k] = (vecs * log_lam[:k]) @ vecs.conj().T
+    return out
 
 
 def _rate(kind: SemigroupKind, rho: DensityMatrix, x: np.ndarray) -> float:

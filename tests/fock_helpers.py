@@ -1,4 +1,5 @@
-"""States that only the tests build: number states and translated states."""
+"""States that only the tests build, number states and translated states,
+and the dense eigenvectors of a state's block form."""
 
 import numpy as np
 
@@ -21,3 +22,17 @@ def number_state(n: int, dim: int) -> DensityMatrix:
     m = np.zeros((dim, dim), dtype=complex)
     m[n, n] = 1.0
     return DensityMatrix(m)
+
+
+def dense_evecs(rho: DensityMatrix) -> np.ndarray:
+    """The dim x dim eigenvector matrix of rho's block form, columns in the
+    order of rho.evals: the block's eigenvectors on its k levels, and the
+    unit vector e_j for each later level j."""
+    k = rho.block
+    order = np.argsort(rho.spectrum, kind="stable")
+    in_block = order < k
+    evecs = np.zeros((rho.dim, rho.dim), dtype=complex)
+    evecs[:k, in_block] = rho.block_vecs[:, order[in_block]]
+    tail = np.flatnonzero(~in_block)
+    evecs[order[tail], tail] = 1.0
+    return evecs

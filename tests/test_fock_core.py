@@ -26,9 +26,19 @@ from phaseineq.fock_core import (
     weyl_operator,
 )
 from phaseineq.fisher import quantum_fisher
-from phaseineq.semigroups import Heat, entropy_rate, flow
+from phaseineq.semigroups import (
+    QOU,
+    Amplifier,
+    Attenuator,
+    Heat,
+    entropy_rate,
+    evolve,
+    flow,
+    liouvillian_apply,
+    relent_decay_rate,
+)
 
-from fock_helpers import displace, number_state
+from fock_helpers import dense_evecs, displace, number_state
 
 SIGMA = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
@@ -133,6 +143,18 @@ class TestStates:
         with pytest.raises(ValueError):
             DensityMatrix(np.diag([1.5, -0.5]).astype(complex))
 
+    @pytest.mark.parametrize("mat", [
+        np.diag([np.nan, 0.5, 0.5]),
+        [[0.5, np.nan], [np.nan, 0.5]],
+        [[0.5, 1j * np.nan], [1j * np.nan, 0.5]],
+        np.diag([np.inf, 0.5, 0.5]),
+        [[0.5, np.inf], [np.inf, 0.5]],
+    ], ids=["nan-diagonal", "nan-coherence", "nan-imaginary", "inf-diagonal",
+            "inf-coherence"])
+    def test_non_finite_entries_are_rejected(self, mat):
+        with pytest.raises(ValueError, match="non-finite"):
+            DensityMatrix(np.asarray(mat, dtype=complex))
+
 
 def _with_last_row_coherence() -> DensityMatrix:
     m = np.diag(np.arange(1.0, 9.0) / 36.0).astype(complex)
@@ -144,9 +166,10 @@ class TestSpectrum:
     def test_kept_decomposition_is_read_only_and_rebuilds_the_state(self):
         rho = random_state(32, 3, StateFamily.FULL_RANK)
         assert np.all(np.diff(rho.evals) >= 0.0)
-        rebuilt = (rho.evecs * rho.evals) @ rho.evecs.conj().T
+        evecs = dense_evecs(rho)
+        rebuilt = (evecs * rho.evals) @ evecs.conj().T
         assert np.max(np.abs(rebuilt - rho.mat)) <= 1e-13
-        for arr in (rho.mat, rho.evals, rho.evecs):
+        for arr in (rho.mat, rho.evals, rho.spectrum, rho.block_vecs):
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 0.0
 
@@ -183,7 +206,7 @@ class TestSpectrum:
         rho = build()
         evals, evecs = np.linalg.eigh(rho.mat)
         assert np.array_equal(rho.evals, evals)
-        assert np.array_equal(rho.evecs, evecs)
+        assert np.array_equal(dense_evecs(rho), evecs)
 
     @pytest.mark.parametrize("dim", [32, 128])
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -195,9 +218,11 @@ class TestSpectrum:
         for state in states:
             evals = np.linalg.eigh(state.mat)[0]
             assert np.max(np.abs(state.evals - evals)) <= 1e-15
-            rebuilt = (state.evecs * state.evals) @ state.evecs.conj().T
+            evecs = dense_evecs(state)
+            rebuilt = (evecs * state.evals) @ evecs.conj().T
             assert np.max(np.abs(rebuilt - state.mat)) <= 1e-13
-            for arr in (state.mat, state.evals, state.evecs):
+            for arr in (state.mat, state.evals, state.spectrum,
+                        state.block_vecs):
                 assert not arr.flags.writeable
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -211,16 +236,22 @@ class TestSpectrum:
         assert eigh_shapes == []
         ks = []
         for state in flow(Heat(), rho, (0.005, 0.05)):
-            mat = state().mat
+            out = state()
             (k, k2), = eigh_shapes
             eigh_shapes.clear()
-            assert k == k2 < 128
-            # Coherences past level k are exactly 0, in both triangles: a
-            # propagator that fills them fails here instead of going slow.
-            off = mat - np.diag(np.diag(mat))
-            assert not np.any(off[k:]) and not np.any(off[:, k:])
+            assert k == k2 == out.block
+            # The block ends at the first row past which the strict lower
+            # triangle lies within eigh's backward error, 2^-53 max diag:
+            # a propagator that leaves larger coherences there widens the
+            # block and fails the pinned sizes below.
+            lower = np.tril(out.mat, -1)
+            bound = 2.0**-53 * out.mat.diagonal().real.max()
+            assert np.linalg.norm(lower[k:]) <= bound
+            assert np.linalg.norm(lower[k - 1:]) > bound
             ks.append(k)
-        assert ks[0] < ks[1]
+        # At seed 2, t = 0.05, row 68 alone holds 5.8e-18 against a bound
+        # of 5.0e-18.
+        assert ks == [40, 69 if seed == 2 else 68]
 
     def test_block_follows_the_lower_triangle(self, eigh_shapes):
         # eigh reads the lower triangle, so an entry there widens the block
@@ -228,11 +259,108 @@ class TestSpectrum:
         # an entry above the diagonal alone does not.
         lower = random_state(16, 0, StateFamily.DIAGONAL).mat.copy()
         lower[9, 2] = 1e-13
-        DensityMatrix(lower)
+        DensityMatrix(lower.copy())
         assert eigh_shapes == [(10, 10)]
         eigh_shapes.clear()
         DensityMatrix(lower.T.copy())
         assert eigh_shapes == []
+        # An entry within eigh's backward error, 2^-53 max diag, does not.
+        lower[12, 3] = 1e-20
+        DensityMatrix(lower)
+        assert eigh_shapes == [(10, 10)]
+
+
+def _thermal_with_last_row_coherence() -> DensityMatrix:
+    # Like _with_last_row_coherence a full block (k = dim), but with the
+    # thin edge band that quantum_fisher requires.
+    m = thermal_state(1.0, 32).mat.copy()
+    m[31, 0], m[0, 31] = 1e-8j, -1e-8j
+    return DensityMatrix(m)
+
+
+def _dense_log(mat: np.ndarray) -> np.ndarray:
+    """log mat from a whole-matrix eigh, with log_spectrum's clip."""
+    lam, v = np.linalg.eigh(mat)
+    return (v * np.log(np.clip(lam, 1e-300, None))) @ v.conj().T
+
+
+def _dense_entropy(mat: np.ndarray) -> float:
+    lam = np.linalg.eigh(mat)[0]
+    lam = lam[lam > 0.0]
+    return float(-np.sum(lam * np.log(lam)))
+
+
+def _dense_fisher(mat: np.ndarray) -> float:
+    lam, v = np.linalg.eigh(mat)
+    log_lam = np.log(np.clip(lam, 1e-300, None))
+    weight = (lam[:, None] - lam) * (log_lam[:, None] - log_lam)
+    a_v = np.zeros_like(v)
+    a_v[:-1] = np.sqrt(np.arange(1, len(lam)))[:, None] * v[1:]
+    amp = v.conj().T @ a_v
+    return 4.0 * math.pi * float(np.sum(np.abs(amp)**2 * weight))
+
+
+def _dense_relative_entropy(rho: np.ndarray, sigma: np.ndarray) -> float:
+    mu, v = np.linalg.eigh(sigma)
+    overlaps = np.sum(v.conj() * (rho @ v), axis=0).real
+    return -_dense_entropy(rho) - float(overlaps @ np.log(mu))
+
+
+def _dense_rate(kind, rho: DensityMatrix, x: np.ndarray) -> float:
+    return float(np.vdot(x, liouvillian_apply(kind, rho)).real)
+
+
+class TestBlockFormReaders:
+    """The readers of the block form against the same formulas on the
+    whole-matrix eigh, for blocks of 0, 24, 68 or 69, and dim levels."""
+
+    @pytest.fixture(params=[
+        ("thermal", None), ("random", 0), ("random", 1), ("random", 2),
+        ("heat", 0), ("heat", 1), ("heat", 2), ("last-row", None)],
+        ids=lambda p: f"{p[0]}-{p[1]}" if p[1] is not None else p[0])
+    def state(self, request):
+        what, seed = request.param
+        if what == "thermal":
+            rho, k = thermal_state(2.0, 128), 0
+        elif what == "last-row":
+            rho, k = _thermal_with_last_row_coherence(), 32
+        else:
+            rho, k = random_state(128, seed, StateFamily.FULL_RANK), 24
+            if what == "heat":
+                rho, k = evolve(rho, Heat(), 0.05), 69 if seed == 2 else 68
+        assert rho.block == k
+        return rho
+
+    def test_quantum_fisher(self, state):
+        assert quantum_fisher(state).value == pytest.approx(
+            _dense_fisher(state.mat), rel=1e-13)
+
+    def test_entropy_rate(self, state):
+        log_rho = _dense_log(state.mat)
+        dense = -2.0 * _dense_rate(Heat(), state, log_rho)
+        assert entropy_rate(state, Heat()) == pytest.approx(dense, rel=1e-13)
+
+    def test_relent_decay_rate(self, state):
+        mu, lam = math.sqrt(2.0), 1.0
+        kind = QOU(mu, lam)
+        log_rho = _dense_log(state.mat)
+        log_sigma = _dense_log(thermal_state(kind.n_fixed, state.dim).mat)
+        rate = _dense_rate(kind, state, log_rho - log_sigma)
+        j_minus = -2.0 * _dense_rate(Attenuator(), state, log_rho)
+        j_plus = -2.0 * _dense_rate(Amplifier(), state, log_rho)
+        rhs = (0.5 * mu**2 * j_minus + 0.5 * lam**2 * j_plus
+               + kind.zeta * _dense_entropy(state.mat)
+               + lam**2 * math.log(kind.nu)
+               + kind.zeta * math.log(1.0 - kind.nu))
+        got = relent_decay_rate(state, mu, lam)
+        assert got == pytest.approx((rate, rhs), rel=1e-13)
+
+    def test_relative_entropy(self, state):
+        other = random_state(state.dim, 9, StateFamily.FULL_RANK)
+        for rho, sigma in ((state, other), (other, state)):
+            dense = _dense_relative_entropy(rho.mat, sigma.mat)
+            assert relative_entropy(rho, sigma) == pytest.approx(
+                dense, rel=1e-13)
 
 
 @pytest.fixture

@@ -360,6 +360,15 @@ class TestConvolve:
             assert np.array_equal(convolve(standard_gaussian(), rho, t).mat,
                                   evolve(rho, Heat(), t).mat)
 
+    @pytest.mark.parametrize("mean, cov", [
+        ([np.nan, 0.0], np.eye(2)),
+        ([0.0, np.inf], np.eye(2)),
+        ([0.0, 0.0], [[1.0, np.nan], [np.nan, 1.0]]),
+    ], ids=["nan-mean", "inf-mean", "nan-cov"])
+    def test_non_finite_density_is_rejected(self, mean, cov):
+        with pytest.raises(ValueError, match="finite"):
+            GaussianDensity(mean=np.array(mean), cov=np.array(cov))
+
     def test_gaussian_convolution_equals_heat_flow(self):
         rho = thermal_state(1.0, 128)
         out = convolve(standard_gaussian(), rho, 0.1)

@@ -345,7 +345,7 @@ def main(argv=None) -> int:
     try:
         file_cfg = _load_file_config(args.config, args)
         return args.fn(args, file_cfg)
-    except (ValueError, KeyError, OSError, TruncationError) as exc:
+    except (ValueError, OSError, TruncationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,6 +1,6 @@
 """Truncated single-mode Fock-space numerics.
 
-States, ladder/Weyl operators, entropies, photon statistics, passive
+States, Weyl operators, entropies, photon statistics, passive
 rearrangement and majorization relations on a finite number basis
 {|0>, ..., |N-1>}.
 
@@ -33,8 +33,6 @@ LEAKAGE_TOL = 1e-9
 EDGE_TOL = 1e-6
 FULL_RANK_EPS = 1e-6
 
-SQRT_2PI = math.sqrt(2.0 * math.pi)
-
 
 class TruncationError(RuntimeError):
     """Raised when the configured truncation cannot represent a state."""
@@ -52,7 +50,9 @@ class IllConditionedError(ValueError):
 class DensityMatrix:
     """Hermitian, PSD, unit-trace complex matrix on the truncated basis, with
     the eigendecomposition that validates it, read-only, for the spectral
-    functionals, kept in block form.
+    functionals, kept in block form.  mat is a read-only copy of the array
+    passed in, so the caller's array stays writable and its later writes
+    do not reach the state.
 
     The leading k x k block is decomposed, and each later level j is its
     own eigenpair, the diagonal entry mat[j, j] and the unit vector e_j.
@@ -79,7 +79,7 @@ class DensityMatrix:
     block_vecs: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        m = np.asarray(self.mat, dtype=complex)
+        m = np.array(self.mat, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"density matrix must be square, got {m.shape}")
         if not np.all(np.isfinite(m)):
@@ -125,42 +125,32 @@ class StateFamily(Enum):
     DIAGONAL = "diagonal"
 
 
-def ladder_operators(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Annihilation, creation and number operators on the truncated basis.
-
-    a|n> = sqrt(n)|n-1>, a_dag = a^dagger, n_op = a_dag a = diag(0..dim-1).
-    """
-    if dim < 2:
-        raise ValueError(f"dim must be >= 2, got {dim}")
-    a = np.zeros((dim, dim), dtype=complex)
-    ns = np.arange(1, dim)
-    a[ns - 1, ns] = np.sqrt(ns)
-    a_dag = a.conj().T.copy()
-    n_op = np.diag(np.arange(dim, dtype=float)).astype(complex)
-    return a, a_dag, n_op
-
-
-def quadrature_operators(dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Position and momentum: Q = (a + a_dag)/sqrt(2), P = (a - a_dag)/(i sqrt(2))."""
-    a, a_dag, _ = ladder_operators(dim)
-    q = (a + a_dag) / math.sqrt(2.0)
-    p = (a - a_dag) / (1j * math.sqrt(2.0))
-    return q, p
-
-
 def weyl_operator(xi, dim: int) -> np.ndarray:
     """Displacement unitary W(xi) = exp(i sqrt(2 pi) (xi_1 P - xi_2 Q)).
 
-    Computed by Hermitian eigendecomposition of the generator, so the result
-    is exactly unitary up to truncation leakage at the basis edge.
+    With xi_2 + i xi_1 = r e^{i phi}, the truncated generator
+    sqrt(2 pi) (xi_1 P - xi_2 Q) has the entry -sqrt(pi n) r e^{i phi} at
+    (n-1, n) and its conjugate at (n, n-1), so it is -sqrt(pi) r U T U^dag
+    with T = a + a_dag, real tridiagonal with sqrt(n) next to the diagonal,
+    and U = e^{-i phi a_dag a} diagonal; exact on the truncated space, like
+    `semigroups._turn`.  One real eigh T = V diag(lam) V^T then gives
+    W(xi) = (U V) diag(e^{-i sqrt(pi) r lam}) (U V)^dag, unitary up to
+    round-off; truncation shows up only as mass pushed to the basis edge.
+    xi = 0 gives the identity exactly.
     """
     xi = np.asarray(xi, dtype=float)
     if xi.shape != (2,) or not np.all(np.isfinite(xi)):
         raise ValueError(f"xi must be a finite 2-vector, got {xi!r}")
-    q, p = quadrature_operators(dim)
-    gen = SQRT_2PI * (xi[0] * p - xi[1] * q)
-    evals, vecs = np.linalg.eigh(gen)
-    return (vecs * np.exp(1j * evals)) @ vecs.conj().T
+    if dim < 2:
+        raise ValueError(f"dim must be >= 2, got {dim}")
+    if not xi.any():
+        return np.eye(dim, dtype=complex)
+    n = np.arange(dim)
+    off = np.sqrt(n[1:])
+    lam, v = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+    uv = np.exp(-1j * math.atan2(xi[0], xi[1]) * n)[:, None] * v
+    r = math.hypot(xi[0], xi[1])
+    return (uv * np.exp(-1j * math.sqrt(math.pi) * r * lam)) @ uv.conj().T
 
 
 def geometric_weights(nbar: float, dim: int) -> np.ndarray:

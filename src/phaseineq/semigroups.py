@@ -61,8 +61,8 @@ from .fock_core import (
     weyl_operator,
 )
 
-# The generators conserve trace exactly; a larger drift means the
-# exponential's action lost accuracy.
+# The generators conserve trace exactly and both series carry a-priori
+# bounds, so a larger drift is a bug, not a numerical limit.
 _TRACE_TOL = 1e-9
 
 

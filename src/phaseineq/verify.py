@@ -15,11 +15,13 @@ records in the report's config only the values the suite read.
 
 Each suite yields one check per case and a single runner evaluates them.
 Only numerical failures while a check's margin is computed become error
-cases (margin -inf, counted as failures): RuntimeError, which covers
-TruncationError and the propagators' trace-drift check, and
+cases (margin -inf, counted as failures): TruncationError and
 IllConditionedError.  A suite computes everything that can truncate, thermal
 states included, inside a check's margin, so a truncation never ends a
-suite.  Any other exception propagates out of run_suite.
+suite.  Any other exception propagates out of run_suite, the propagators'
+trace-drift RuntimeError included: the generators conserve trace exactly
+and both series carry a-priori bounds, so a drift is a bug, not a
+numerical limit.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from . import classical as cl
 from . import gaussian as ga
 from .fisher import classical_fisher_gaussian, quantum_fisher
 from .fock_core import (
-    DensityMatrix, IllConditionedError, StateFamily,
+    DensityMatrix, IllConditionedError, StateFamily, TruncationError,
     entropy_power, fock_rearrangement, majorizes, mean_photon, random_state,
     relative_entropy, state_edge_mass, thermal_state)
 from .semigroups import (
@@ -100,7 +102,7 @@ def _run_checks(checks: Iterator[_Check]) -> list[CaseRecord]:
     for c in checks:
         try:
             margin = c.margin() if callable(c.margin) else c.margin
-        except (RuntimeError, IllConditionedError) as exc:
+        except (TruncationError, IllConditionedError) as exc:
             cases.append(CaseRecord(c.descriptor, c.params, -math.inf, False,
                                     error=f"{type(exc).__name__}: {exc}"))
             continue
@@ -433,6 +435,8 @@ def run_suite(suite: str, **params) -> VerificationReport:
             f"suite {suite!r} does not read {', '.join(unread)}; it reads "
             f"{', '.join(reads) or 'no parameters'}")
     config = {k: params.get(k, _DEFAULTS[k]) for k in reads}
+    if config.get("dim", 2) < 2:
+        raise ValueError(f"dim must be >= 2, got {config['dim']}")
     if not 0 < config.get("tolerance", 1.0) < math.inf:
         raise ValueError(f"tolerance must be > 0 and finite, got "
                          f"{config['tolerance']}")

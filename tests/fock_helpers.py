@@ -1,9 +1,37 @@
 """States that only the tests build, number states and translated states,
-and the dense eigenvectors of a state's block form."""
+the dense eigenvectors of a state's block form, and the dense ladder and
+quadrature operators that reference computations assemble."""
+
+import math
 
 import numpy as np
 
 from phaseineq.fock_core import DensityMatrix, weyl_operator
+
+SQRT_2PI = math.sqrt(2.0 * math.pi)
+
+
+def ladder_operators(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Annihilation, creation and number operators on the truncated basis.
+
+    a|n> = sqrt(n)|n-1>, a_dag = a^dagger, n_op = a_dag a = diag(0..dim-1).
+    """
+    if dim < 2:
+        raise ValueError(f"dim must be >= 2, got {dim}")
+    a = np.zeros((dim, dim), dtype=complex)
+    ns = np.arange(1, dim)
+    a[ns - 1, ns] = np.sqrt(ns)
+    a_dag = a.conj().T.copy()
+    n_op = np.diag(np.arange(dim, dtype=float)).astype(complex)
+    return a, a_dag, n_op
+
+
+def quadrature_operators(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Position and momentum: Q = (a + a_dag)/sqrt(2), P = (a - a_dag)/(i sqrt(2))."""
+    a, a_dag, _ = ladder_operators(dim)
+    q = (a + a_dag) / math.sqrt(2.0)
+    p = (a - a_dag) / (1j * math.sqrt(2.0))
+    return q, p
 
 
 def displace(rho: DensityMatrix, theta) -> DensityMatrix:

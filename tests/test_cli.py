@@ -107,6 +107,9 @@ class TestVerifyCommand:
 
     @pytest.mark.parametrize("argv, named", [
         (("verify", "stam", "--seed", "-1"), "seed must be >= 0, got -1"),
+        (("verify", "correspondence", "--dim", "0"), "dim must be >= 2, got 0"),
+        (("verify", "geometric-optimality", "--dim", "-3"),
+         "dim must be >= 2, got -3"),
         (("death-process", "--K", "-5"), "K must be >= 1, got -5"),
         (("trajectory", "attenuator", "--tmax", "nan"),
          "--tmax: must be finite, got nan"),
@@ -126,9 +129,9 @@ class TestVerifyCommand:
         (("minimize-rate", "--n", "inf"), "--n: must be finite, got inf"),
         (("minimize-rate", "--n", "nan"), "--n: must be finite, got nan"),
         (("minimize-rate", "--n", "one"), "--n: not a number: 'one'"),
-    ], ids=["seed", "K", "trajectory-tmax", "n0", "mu", "lambda",
-            "death-tmax", "init", "init-text", "init-negative", "n0-negative",
-            "n-inf", "n-nan", "n-text"])
+    ], ids=["seed", "dim", "dim-negative", "K", "trajectory-tmax", "n0",
+            "mu", "lambda", "death-tmax", "init", "init-text", "init-negative",
+            "n0-negative", "n-inf", "n-nan", "n-text"])
     def test_out_of_range_value_names_parameter(self, capsys, argv, named):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 
 from phaseineq.fock_core import (
     EDGE_TOL,
@@ -14,10 +15,8 @@ from phaseineq.fock_core import (
     TruncationError,
     entropy_power,
     fock_rearrangement,
-    ladder_operators,
     majorizes,
     mean_photon,
-    quadrature_operators,
     random_state,
     relative_entropy,
     state_edge_mass,
@@ -38,7 +37,14 @@ from phaseineq.semigroups import (
     relent_decay_rate,
 )
 
-from fock_helpers import dense_evecs, displace, number_state
+from fock_helpers import (
+    SQRT_2PI,
+    dense_evecs,
+    displace,
+    ladder_operators,
+    number_state,
+    quadrature_operators,
+)
 
 SIGMA = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
@@ -102,6 +108,40 @@ class TestWeylOperator:
         with pytest.raises(ValueError):
             weyl_operator(np.array([np.nan, 0.0]), 8)
 
+    def test_rejects_dim_below_two(self):
+        with pytest.raises(ValueError, match="dim must be >= 2"):
+            weyl_operator(np.array([0.1, 0.2]), 1)
+
+    @pytest.mark.parametrize("dim", [2, 3, 8, 128])
+    def test_zero_displacement_is_exactly_identity(self, dim):
+        w = weyl_operator(np.zeros(2), dim)
+        assert w.dtype == complex
+        assert np.array_equal(w, np.eye(dim))
+
+    @pytest.mark.parametrize("dim", [2, 3, 8, 128])
+    @pytest.mark.parametrize("xi", [(0.0, 0.3), (-0.25, 0.0), (0.2, 0.15),
+                                    (-0.3, 0.1), (0.05, -0.4)],
+                             ids=["xi1-zero", "xi2-zero", "both", "mixed",
+                                  "mixed-other"])
+    def test_matches_exponential_of_dense_generator(self, dim, xi):
+        # The oracle exponentiates sqrt(2 pi) (xi_1 P - xi_2 Q) built from
+        # the dense quadratures, which the spectral construction never forms.
+        q, p = quadrature_operators(dim)
+        target = expm(1j * SQRT_2PI * (xi[0] * p - xi[1] * q))
+        w = weyl_operator(np.array(xi), dim)
+        assert np.max(np.abs(w - target)) <= 1e-12
+
+    def test_one_real_eigh(self, monkeypatch):
+        calls = []
+
+        def recorded(a, *args, _solver=np.linalg.eigh, **kw):
+            calls.append((np.shape(a), np.asarray(a).dtype))
+            return _solver(a, *args, **kw)
+
+        monkeypatch.setattr(np.linalg, "eigh", recorded)
+        weyl_operator(np.array([0.2, -0.1]), 32)
+        assert calls == [((32, 32), np.dtype(float))]
+
 
 class TestStates:
     def test_vacuum_number_state(self):
@@ -154,6 +194,14 @@ class TestStates:
     def test_non_finite_entries_are_rejected(self, mat):
         with pytest.raises(ValueError, match="non-finite"):
             DensityMatrix(np.asarray(mat, dtype=complex))
+
+    def test_caller_array_is_copied_not_frozen(self):
+        m = np.diag([0.5, 0.5]).astype(complex)
+        rho = DensityMatrix(m)
+        assert m.flags.writeable
+        m[0, 1] = 0.25
+        assert rho.mat[0, 1] == 0.0
+        assert not rho.mat.flags.writeable
 
 
 def _with_last_row_coherence() -> DensityMatrix:
@@ -259,7 +307,7 @@ class TestSpectrum:
         # an entry above the diagonal alone does not.
         lower = random_state(16, 0, StateFamily.DIAGONAL).mat.copy()
         lower[9, 2] = 1e-13
-        DensityMatrix(lower.copy())
+        DensityMatrix(lower)
         assert eigh_shapes == [(10, 10)]
         eigh_shapes.clear()
         DensityMatrix(lower.T.copy())

@@ -11,7 +11,6 @@ from phaseineq.classical import death_evolve, geometric_pmf
 from phaseineq.fock_core import (
     StateFamily,
     TruncationError,
-    ladder_operators,
     mean_photon,
     random_state,
     relative_entropy,
@@ -36,7 +35,7 @@ from phaseineq.semigroups import (
     standard_gaussian,
 )
 
-from fock_helpers import displace, number_state
+from fock_helpers import displace, ladder_operators, number_state
 
 
 def sparse_generator(*args):

@@ -6,8 +6,10 @@ import pytest
 
 import phaseineq.classical as cl
 import phaseineq.gaussian as ga
+import phaseineq.semigroups as semigroups
 import phaseineq.verify as verify
 from phaseineq.cli import main
+from phaseineq.fock_core import TruncationError
 from phaseineq.verify import SUITE_NAMES, run_suite, threshold_solve
 
 FAST_SUITES = (
@@ -61,6 +63,12 @@ class TestSuiteRegistry:
             run_suite("stam", tolerance=0.0)
         with pytest.raises(ValueError, match="cases must be >= 1"):
             run_suite("stam", cases=0)
+
+    @pytest.mark.parametrize("name, dim", [("correspondence", 0),
+                                           ("geometric-optimality", -3)])
+    def test_dim_below_two_rejected(self, name, dim):
+        with pytest.raises(ValueError, match=f"dim must be >= 2, got {dim}$"):
+            run_suite(name, dim=dim)
 
     # The CLI tests cover one unread flag per suite; here several at once,
     # and a name no suite reads.
@@ -230,6 +238,32 @@ class TestErrorPolicy:
         with pytest.raises(TypeError, match="broken margin"):
             run_suite("stam", dim=64, cases=1)
 
+    @pytest.mark.parametrize("exc", [NotImplementedError, RecursionError,
+                                     RuntimeError])
+    def test_runtime_error_that_is_not_numerical_propagates(self, monkeypatch,
+                                                            exc):
+        def unfinished(rho):
+            raise exc("todo")
+
+        monkeypatch.setattr(verify, "quantum_fisher", unfinished)
+        with pytest.raises(exc, match="todo"):
+            run_suite("stam", dim=64, cases=1)
+
+    def test_trace_drift_propagates(self, monkeypatch):
+        # Every flowed state trips the guard once its bound is below 0.
+        monkeypatch.setattr(semigroups, "_TRACE_TOL", -1.0)
+        with pytest.raises(RuntimeError, match="trace drift"):
+            run_suite("stam", dim=64, cases=1)
+
+    def test_key_error_out_of_a_suite_propagates_through_main(self,
+                                                              monkeypatch):
+        def broken():
+            raise KeyError("bug")
+
+        monkeypatch.setitem(verify._SUITES, "cou", broken)
+        with pytest.raises(KeyError, match="bug"):
+            main(["verify", "cou"])
+
     def test_certificate_runs_once_per_n(self, monkeypatch):
         calls = []
 
@@ -246,7 +280,7 @@ class TestErrorPolicy:
 
     def test_certificate_failure_becomes_error_cases(self, monkeypatch):
         def failing(n, K):
-            raise RuntimeError("certificate failed")
+            raise TruncationError("certificate failed")
 
         monkeypatch.setattr(cl, "certified_rate_bound", failing)
         report = run_suite("geometric-optimality")
@@ -255,7 +289,7 @@ class TestErrorPolicy:
             "fock-attenuator-rate"] * 3
         errors = [c for c in report.cases if c.error is not None]
         assert [c.error for c in errors] == [
-            "RuntimeError: certificate failed"] * 6
+            "TruncationError: certificate failed"] * 6
         assert [c.params for c in errors] == [
             {"n": n, "K": 64} for n in (0.5, 1.0, 2.0) for _ in range(2)]
         fock = [c for c in report.cases

@@ -214,12 +214,15 @@ def _generator(mu2: float, lam2: float, dim: int,
 
 def _matvec(gen: dict[int, np.ndarray], x: np.ndarray) -> np.ndarray:
     """gen @ x for a matrix held as its diagonals (see `_generator`); each
-    diagonal is one product of contiguous shifted slices."""
-    out = np.zeros(x.size, dtype=np.result_type(x, *gen.values()))
+    diagonal is one product of contiguous shifted slices.  The main
+    diagonal's product starts the sum: 0 + a = a and IEEE addition
+    commutes, so this is the sum started from zeros bit for bit, but for
+    the sign of an entry whose terms are all zero."""
+    out = (gen[0] * x).astype(np.result_type(x, *gen.values()), copy=False)
     for k, c in gen.items():
-        if k >= 0:
+        if k > 0:
             out[:x.size - k] += c * x[k:]
-        else:
+        elif k < 0:
             out[-k:] += c * x[:k]
     return out
 
@@ -497,7 +500,10 @@ def _state(x: np.ndarray, op: SemigroupKind | GaussianDensity, t: float,
             f"{what} pushed edge mass {edge:.3e} beyond {EDGE_TOL:.1e}; "
             f"increase dim or reduce t"
         )
-    return DensityMatrix(x / trace)
+    # Handed over read-only, so DensityMatrix adopts it without a copy.
+    x = x / trace
+    x.flags.writeable = False
+    return DensityMatrix(x)
 
 
 def liouvillian_apply(kind: SemigroupKind, rho: DensityMatrix) -> np.ndarray:

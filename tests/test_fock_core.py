@@ -199,9 +199,42 @@ class TestStates:
         m = np.diag([0.5, 0.5]).astype(complex)
         rho = DensityMatrix(m)
         assert m.flags.writeable
+        assert not np.shares_memory(rho.mat, m)
         m[0, 1] = 0.25
         assert rho.mat[0, 1] == 0.0
         assert not rho.mat.flags.writeable
+
+    def test_handed_over_array_is_adopted(self):
+        m = np.diag([0.5, 0.5]).astype(complex)
+        m.flags.writeable = False
+        assert np.shares_memory(DensityMatrix(m).mat, m)
+
+    def test_read_only_view_of_a_writable_base_is_copied(self):
+        base = np.diag([0.5, 0.5]).astype(complex)
+        view = base[:]
+        view.flags.writeable = False
+        rho = DensityMatrix(view)
+        assert not np.shares_memory(rho.mat, base)
+        base[0, 1] = 0.25
+        assert rho.mat[0, 1] == 0.0
+
+    def test_package_states_are_adopted(self, monkeypatch):
+        # The constructors of this package hand their fresh arrays over
+        # read-only, so the state keeps that array and copies nothing.
+        adopted = []
+        init = DensityMatrix.__post_init__
+
+        def recorded(self):
+            given = self.mat
+            init(self)
+            adopted.append(self.mat is given)
+
+        monkeypatch.setattr(DensityMatrix, "__post_init__", recorded)
+        rho = random_state(128, 0, StateFamily.FULL_RANK)
+        thermal_state(1.0, 128)
+        fock_rearrangement(rho)
+        evolve(rho, Heat(), 0.01)
+        assert adopted == [True] * 4
 
 
 def _with_last_row_coherence() -> DensityMatrix:
@@ -226,23 +259,57 @@ class TestSpectrum:
         sigma = thermal_state(1.0, 32)
         callers = []
         for name in ("eigh", "eigvalsh"):
-            def counted(a, *args, _solver=getattr(np.linalg, name), **kw):
-                callers.append(sys._getframe(1).f_code.co_name)
+            def counted(a, *args, _name=name,
+                        _solver=getattr(np.linalg, name), **kw):
+                callers.append((_name, sys._getframe(1).f_code.co_name))
                 return _solver(a, *args, **kw)
             monkeypatch.setattr(np.linalg, name, counted)
+        # The spectral functionals read only the spectrum the constructor
+        # took, and sigma's block is empty, so D(rho||sigma) needs none.
         von_neumann_entropy(rho)
         entropy_power(rho)
         relative_entropy(rho, sigma)
-        quantum_fisher(rho)
-        entropy_rate(rho, Heat())
         majorizes(rho, sigma)
         assert callers == []
         # The rearranged state is diagonal, so its constructor makes no
-        # LAPACK call; only a constructor ever decomposes.
+        # LAPACK call.
         fock_rearrangement(rho)
         assert callers == []
+        # The first vector reader runs the one eigh of rho's block; later
+        # readers reuse its vectors.
+        quantum_fisher(rho)
+        entropy_rate(rho, Heat())
+        assert callers == [("eigh", "block_vecs")]
         random_state(32, 5, StateFamily.FULL_RANK)
-        assert callers == ["__post_init__"]
+        assert callers == [("eigh", "block_vecs"),
+                           ("eigvalsh", "__post_init__")]
+
+    def test_a_second_vector_reader_does_not_decompose(self, eigh_shapes):
+        rho = random_state(64, 2, StateFamily.FULL_RANK)
+        quantum_fisher(rho)
+        assert eigh_shapes == [(24, 24)]
+        entropy_rate(rho, Attenuator())
+        relent_decay_rate(rho, math.sqrt(2.0), 1.0)
+        relative_entropy(thermal_state(1.0, 64), rho)
+        quantum_fisher(rho)
+        assert eigh_shapes == [(24, 24)]
+
+    @pytest.mark.parametrize("build, k", [
+        (lambda rho: rho, 24),
+        (lambda rho: evolve(rho, Heat(), 0.1), 90),
+        (lambda rho: displace(rho, (0.4, -0.3)), 128),
+    ], ids=["random", "heat", "translated"])
+    def test_eigh_vectors_pair_with_eigvalsh_values(self, build, k):
+        # The kept pairs are eigvalsh values and eigh vectors, matched by
+        # index: both the residual |B v - lam v| and the gap to eigh's own
+        # eigenvalues stay at the drivers' backward error.
+        rho = build(random_state(128, 0, StateFamily.FULL_RANK))
+        assert rho.block == k
+        blk = rho.mat[:k, :k]
+        vecs, lam = rho.block_vecs, rho.spectrum[:k]
+        residual = np.linalg.norm(blk @ vecs - vecs * lam, axis=0)
+        assert residual.max() <= 1e-15
+        assert np.max(np.abs(np.linalg.eigh(blk)[0] - lam)) <= 1e-15
 
     @pytest.mark.parametrize("build", [
         lambda: thermal_state(1.0, 128),
@@ -251,10 +318,11 @@ class TestSpectrum:
         _with_last_row_coherence,
     ], ids=["thermal", "diagonal", "rearranged", "last-row"])
     def test_diagonal_and_full_block_states_match_whole_eigh(self, build):
+        # Eigenvalues come from eigvalsh and eigenvectors from eigh, each of
+        # the whole matrix when the block is empty or spans every level.
         rho = build()
-        evals, evecs = np.linalg.eigh(rho.mat)
-        assert np.array_equal(rho.evals, evals)
-        assert np.array_equal(dense_evecs(rho), evecs)
+        assert np.array_equal(rho.evals, np.linalg.eigvalsh(rho.mat))
+        assert np.array_equal(dense_evecs(rho), np.linalg.eigh(rho.mat)[1])
 
     @pytest.mark.parametrize("dim", [32, 128])
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -275,19 +343,25 @@ class TestSpectrum:
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_only_the_block_holding_coherences_is_decomposed(
-            self, seed, eigh_shapes):
+            self, seed, eigvalsh_shapes, eigh_shapes):
         rho = random_state(128, seed, StateFamily.FULL_RANK)
-        assert eigh_shapes == [(24, 24)]
-        eigh_shapes.clear()
+        assert eigvalsh_shapes == [(24, 24)]
+        eigvalsh_shapes.clear()
         thermal_state(1.0, 128)
         random_state(128, seed, StateFamily.DIAGONAL)
-        assert eigh_shapes == []
+        assert eigvalsh_shapes == []
         ks = []
         for state in flow(Heat(), rho, (0.005, 0.05)):
             out = state()
-            (k, k2), = eigh_shapes
-            eigh_shapes.clear()
+            (k, k2), = eigvalsh_shapes
+            eigvalsh_shapes.clear()
             assert k == k2 == out.block
+            # Vectors of the same block, on their first read only.
+            assert eigh_shapes == []
+            out.block_vecs
+            out.block_vecs
+            assert eigh_shapes == [(k, k)]
+            eigh_shapes.clear()
             # The block ends at the first row past which the strict lower
             # triangle lies within eigh's backward error, 2^-53 max diag:
             # a propagator that leaves larger coherences there widens the
@@ -301,21 +375,22 @@ class TestSpectrum:
         # of 5.0e-18.
         assert ks == [40, 69 if seed == 2 else 68]
 
-    def test_block_follows_the_lower_triangle(self, eigh_shapes):
-        # eigh reads the lower triangle, so an entry there widens the block
-        # even when its mirror is exactly 0 (within HERMITICITY_TOL), and
-        # an entry above the diagonal alone does not.
+    def test_block_follows_the_lower_triangle(self, eigvalsh_shapes):
+        # eigvalsh and eigh read the lower triangle, so an entry there
+        # widens the block even when its mirror is exactly 0 (within
+        # HERMITICITY_TOL), and an entry above the diagonal alone does not.
         lower = random_state(16, 0, StateFamily.DIAGONAL).mat.copy()
         lower[9, 2] = 1e-13
         DensityMatrix(lower)
-        assert eigh_shapes == [(10, 10)]
-        eigh_shapes.clear()
+        assert eigvalsh_shapes == [(10, 10)]
+        eigvalsh_shapes.clear()
         DensityMatrix(lower.T.copy())
-        assert eigh_shapes == []
-        # An entry within eigh's backward error, 2^-53 max diag, does not.
+        assert eigvalsh_shapes == []
+        # An entry within the drivers' backward error, 2^-53 max diag, does
+        # not.
         lower[12, 3] = 1e-20
         DensityMatrix(lower)
-        assert eigh_shapes == [(10, 10)]
+        assert eigvalsh_shapes == [(10, 10)]
 
 
 def _thermal_with_last_row_coherence() -> DensityMatrix:
@@ -409,19 +484,6 @@ class TestBlockFormReaders:
             dense = _dense_relative_entropy(rho.mat, sigma.mat)
             assert relative_entropy(rho, sigma) == pytest.approx(
                 dense, rel=1e-13)
-
-
-@pytest.fixture
-def eigh_shapes(monkeypatch):
-    """Shapes of the matrices passed to np.linalg.eigh, in call order."""
-    shapes = []
-
-    def recorded(a, *args, _solver=np.linalg.eigh, **kw):
-        shapes.append(np.shape(a))
-        return _solver(a, *args, **kw)
-
-    monkeypatch.setattr(np.linalg, "eigh", recorded)
-    return shapes
 
 
 class TestRandomState:

@@ -312,6 +312,16 @@ class TestSlowSuites:
         assert run_suite("rate-decay-identity", cases=1).passed
 
 
+class TestEigenWork:
+    @pytest.mark.parametrize("suite", ["epi-heat", "concavity",
+                                       "majorization"])
+    def test_spectrum_only_suites_run_no_eigh(self, suite, eigh_shapes):
+        # Entropy power and majorization read only the spectrum, which the
+        # constructor takes with eigvalsh; no eigenvector is ever formed.
+        assert run_suite(suite).passed
+        assert eigh_shapes == []
+
+
 class TestThresholds:
     def test_photon_threshold(self):
         val = threshold_solve("Photon067")

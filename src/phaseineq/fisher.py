@@ -39,9 +39,10 @@ def quantum_fisher(rho: DensityMatrix) -> FisherEstimate:
     log_lam = log_spectrum(rho, "quantum_fisher")
     # The truncated quadratures act on rho itself, so rho's own edge band
     # bounds the truncation error.
-    if state_edge_mass(rho.mat) > EDGE_TOL:
+    edge = state_edge_mass(rho.mat)
+    if edge > EDGE_TOL:
         raise TruncationError(
-            f"state edge mass exceeds {EDGE_TOL:.1e}; increase dim"
+            f"state edge mass {edge:.1e} exceeds {EDGE_TOL:.1e}; increase dim"
         )
     lam, vecs, k = rho.spectrum, rho.block_vecs, rho.block
 

@@ -55,7 +55,7 @@ class DensityMatrix:
     array passed in, so the caller's array stays writable and its later
     writes do not reach the state.  A complex array that is already
     read-only and owns its data (base None) is handed over instead and
-    adopted without a copy, as the constructors of this package do.
+    adopted without a copy, as this package's constructors do (`_adopt`).
 
     The leading k x k block (k = block) is decomposed, and each later level
     j is its own eigenpair, the diagonal entry mat[j, j] and the unit vector
@@ -69,18 +69,19 @@ class DensityMatrix:
     stopping near 68 levels at t = 0.05 and 90 at t = 0.1 at every dim
     from 128 on.
 
-    The constructor takes one `np.linalg.eigvalsh` of the block: evals is
-    the ascending spectrum, and spectrum holds the same eigenvalues in block
-    order, index j < k the block's j-th (ascending) and index j >= k
-    mat[j, j].  Entropies, majorization and rearrangement read only these.
-    block_vecs, whose column j is the eigenvector of spectrum[j] on levels
-    0..k-1, comes from one `np.linalg.eigh` of the same block on its first
-    read (by the Fisher information, log rho and the reference state of a
-    relative entropy) and is kept on the state.  Both drivers return
-    ascending eigenvalues, so the pairs match by index, and only eigh's
-    vectors are kept: with lam'_i eigh's own eigenvalue,
-    |B v_i - lam_i v_i| <= |B v_i - lam'_i v_i| + |lam_i - lam'_i|, and both
-    terms are O(2^-53 |B|) since both drivers are backward stable.  So mat
+    The constructor takes one `np.linalg.eigvalsh` of the block into
+    spectrum, the state's one eigenvalue array, in block order: index j < k
+    the block's j-th (ascending) and index j >= k mat[j, j].  The PSD check,
+    the rank rules and the entropies read its minimum or its sum, and only
+    rearrangement and majorization sort it.  block_vecs, whose column j is
+    the eigenvector of spectrum[j] on levels 0..k-1, comes from one
+    `np.linalg.eigh` of the same block on its first read (by the Fisher
+    information, log rho and the reference state of a relative entropy)
+    and is kept on the state.  Both drivers return ascending eigenvalues,
+    so the pairs match by index, and only eigh's vectors are kept: with
+    lam'_i eigh's own eigenvalue, |B v_i - lam_i v_i| <=
+    |B v_i - lam'_i v_i| + |lam_i - lam'_i|, and both terms are
+    O(2^-53 |B|) since both drivers are backward stable.  So mat
     is V diag(spectrum[:k]) V^dag (V = block_vecs) on the block plus
     diag(spectrum[k:]) after it, to that error (measured on random states
     at dim 128, their t = 0.1 heat outputs and translates, k = 24 to 128:
@@ -89,7 +90,6 @@ class DensityMatrix:
     """
 
     mat: np.ndarray
-    evals: np.ndarray = field(init=False, repr=False, compare=False)
     spectrum: np.ndarray = field(init=False, repr=False, compare=False)
     block: int = field(init=False, repr=False, compare=False)
 
@@ -124,10 +124,10 @@ class DensityMatrix:
         k = int(np.count_nonzero(tail_sq > (2.0**-53 * spectrum.max())**2))
         if k:
             spectrum[:k] = np.linalg.eigvalsh(m[:k, :k])
-        evals = np.sort(spectrum)
-        if evals[0] < -PSD_TOL:
-            raise ValueError(f"not PSD: min eigenvalue {evals[0]:.3e}")
-        for name, arr in (("mat", m), ("evals", evals), ("spectrum", spectrum)):
+        low = spectrum.min()
+        if low < -PSD_TOL:
+            raise ValueError(f"not PSD: min eigenvalue {low:.3e}")
+        for name, arr in (("mat", m), ("spectrum", spectrum)):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
         object.__setattr__(self, "block", k)
@@ -208,11 +208,16 @@ def geometric_law(nbar: float, dim: int) -> np.ndarray:
     return w / w.sum()
 
 
-def thermal_state(nbar: float, dim: int) -> DensityMatrix:
-    """Thermal state with mean photon number nbar; see geometric_law."""
-    m = np.diag(geometric_law(nbar, dim)).astype(complex)
+def _adopt(m: np.ndarray) -> DensityMatrix:
+    """The state of a fresh complex array that nothing else references,
+    handed over read-only so that DensityMatrix adopts it without a copy."""
     m.flags.writeable = False
     return DensityMatrix(m)
+
+
+def thermal_state(nbar: float, dim: int) -> DensityMatrix:
+    """Thermal state with mean photon number nbar; see geometric_law."""
+    return _adopt(np.diag(geometric_law(nbar, dim)).astype(complex))
 
 
 def _full_rank_floor(dim: int) -> np.ndarray:
@@ -259,8 +264,7 @@ def random_state(dim: int, seed: int, family: StateFamily) -> DensityMatrix:
         raise ValueError(f"unknown family {family!r}")
     m = 0.5 * (m + m.conj().T)
     m /= np.trace(m).real
-    m.flags.writeable = False
-    return DensityMatrix(m)
+    return _adopt(m)
 
 
 def log_spectrum(rho: DensityMatrix, what: str) -> np.ndarray:
@@ -272,17 +276,28 @@ def log_spectrum(rho: DensityMatrix, what: str) -> np.ndarray:
     in deep thermal tails are roundoff images of positive eigenvalues and
     contribute finitely once clipped.
     """
-    lam = rho.evals
-    if lam[0] == 0.0 or lam[0] <= -1e-12:
+    low = rho.spectrum.min()
+    if low == 0.0 or low <= -1e-12:
         raise IllConditionedError(
-            f"{what} needs a full-rank state (min eigenvalue {lam[0]:.3e})"
+            f"{what} needs a full-rank state (min eigenvalue {low:.3e})"
         )
     return np.log(np.clip(rho.spectrum, 1e-300, None))
 
 
+def log_density(rho: DensityMatrix, what: str) -> np.ndarray:
+    """log rho from its block form: V diag(log lambda) V^dag on the
+    decomposed block, and the log of each later level's eigenvalue on the
+    diagonal; IllConditionedError as in `log_spectrum`."""
+    log_lam, vecs = log_spectrum(rho, what), rho.block_vecs
+    k = rho.block
+    out = np.diag(log_lam.astype(complex))
+    out[:k, :k] = (vecs * log_lam[:k]) @ vecs.conj().T
+    return out
+
+
 def von_neumann_entropy(rho: DensityMatrix) -> float:
     """S(rho) = -sum lambda log lambda in nats, with 0 log 0 = 0."""
-    nz = rho.evals[rho.evals > 0.0]
+    nz = rho.spectrum[rho.spectrum > 0.0]
     return float(-np.sum(nz * np.log(nz)))
 
 
@@ -300,7 +315,7 @@ def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     # product and a column-wise sum, each later level's from rho's diagonal.
     overlaps = rho.mat.diagonal().real.copy()
     overlaps[:k] = np.sum(v.conj() * (rho.mat[:k, :k] @ v), axis=0).real
-    if sigma.evals[0] <= 0.0:
+    if mu.min() <= 0.0:
         # rho carrying mass on the numerical null space means the divergence
         # genuinely diverges; tiny-but-positive tail eigenvalues (e.g. of a
         # truncated thermal state) stay in the log and contribute finitely.
@@ -309,7 +324,7 @@ def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
             return math.inf
         raise IllConditionedError(
             "reference state rank-deficient "
-            f"(min eigenvalue {sigma.evals[0]:.3e})"
+            f"(min eigenvalue {mu.min():.3e})"
         )
     return -von_neumann_entropy(rho) - float(overlaps @ np.log(mu))
 
@@ -327,14 +342,12 @@ def mean_photon(rho: DensityMatrix) -> float:
 def fock_rearrangement(rho: DensityMatrix) -> DensityMatrix:
     """Passive rearrangement: decreasing spectrum placed on the number basis."""
     lam = _decreasing_spectrum(rho)
-    m = np.diag(lam / lam.sum()).astype(complex)
-    m.flags.writeable = False
-    return DensityMatrix(m)
+    return _adopt(np.diag(lam / lam.sum()).astype(complex))
 
 
 def _decreasing_spectrum(x) -> np.ndarray:
     if isinstance(x, DensityMatrix):
-        return np.clip(x.evals, 0.0, None)[::-1]
+        return np.clip(np.sort(x.spectrum), 0.0, None)[::-1]
     arr = np.asarray(x, dtype=float)
     return np.sort(arr)[::-1]
 

@@ -54,8 +54,9 @@ from .fock_core import (
     EDGE_TOL,
     DensityMatrix,
     TruncationError,
+    _adopt,
     geometric_law,
-    log_spectrum,
+    log_density,
     state_edge_mass,
     von_neumann_entropy,
     weyl_operator,
@@ -500,10 +501,7 @@ def _state(x: np.ndarray, op: SemigroupKind | GaussianDensity, t: float,
             f"{what} pushed edge mass {edge:.3e} beyond {EDGE_TOL:.1e}; "
             f"increase dim or reduce t"
         )
-    # Handed over read-only, so DensityMatrix adopts it without a copy.
-    x = x / trace
-    x.flags.writeable = False
-    return DensityMatrix(x)
+    return _adopt(x / trace)
 
 
 def liouvillian_apply(kind: SemigroupKind, rho: DensityMatrix) -> np.ndarray:
@@ -543,17 +541,6 @@ def convolve(f: GaussianDensity, rho: DensityMatrix, t: float) -> DensityMatrix:
     return flow(f, rho, (t,))[0]()
 
 
-def _log_density(rho: DensityMatrix) -> np.ndarray:
-    """log rho from its block form: V diag(log lambda) V^dag on the
-    decomposed block, and the log of each later level's eigenvalue on the
-    diagonal."""
-    log_lam, vecs = log_spectrum(rho, "entropy rate"), rho.block_vecs
-    k = rho.block
-    out = np.diag(log_lam.astype(complex))
-    out[:k, :k] = (vecs * log_lam[:k]) @ vecs.conj().T
-    return out
-
-
 def _rate(kind: SemigroupKind, rho: DensityMatrix, x: np.ndarray) -> float:
     """tr(L(rho) x) for a Hermitian x, as the inner product <x, L(rho)>."""
     return float(np.vdot(x, liouvillian_apply(kind, rho)).real)
@@ -562,7 +549,7 @@ def _rate(kind: SemigroupKind, rho: DensityMatrix, x: np.ndarray) -> float:
 def entropy_rate(rho: DensityMatrix, kind: SemigroupKind) -> float:
     """2 dS/dt at t = 0 under e^{tL}: the algebraic derivative
     -2 tr(L(rho) log rho), exact at t = 0."""
-    return -2.0 * _rate(kind, rho, _log_density(rho))
+    return -2.0 * _rate(kind, rho, log_density(rho, "entropy rate"))
 
 
 def relent_decay_rate(rho: DensityMatrix, mu: float,
@@ -577,7 +564,7 @@ def relent_decay_rate(rho: DensityMatrix, mu: float,
     """
     kind = QOU(mu, lam)
     log_sigma = np.diag(np.log(geometric_law(kind.n_fixed, rho.dim)))
-    log_rho = _log_density(rho)
+    log_rho = log_density(rho, "entropy rate")
     rate = _rate(kind, rho, log_rho - log_sigma)
 
     j_minus = -2.0 * _rate(Attenuator(), rho, log_rho)

@@ -53,9 +53,10 @@ def number_state(n: int, dim: int) -> DensityMatrix:
 
 
 def dense_evecs(rho: DensityMatrix) -> np.ndarray:
-    """The dim x dim eigenvector matrix of rho's block form, columns in the
-    order of rho.evals: the block's eigenvectors on its k levels, and the
-    unit vector e_j for each later level j."""
+    """The dim x dim eigenvector matrix of rho's block form, columns in
+    ascending order of rho.spectrum (stable, so ties keep block order): the
+    block's eigenvectors on its k levels, and the unit vector e_j for each
+    later level j."""
     k = rho.block
     order = np.argsort(rho.spectrum, kind="stable")
     in_block = order < k

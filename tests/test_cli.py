@@ -66,8 +66,7 @@ class TestVerifyCommand:
     @pytest.mark.parametrize("cfg, suite, flags, reads", [
         (None, "cou", ("--cases", "2"), "reads no parameters"),
         (None, "majorization", ("--dim", "64"), "reads cases, seed"),
-        (None, "entropy-isoperimetry", ("--tol", "1e-6"),
-         "reads dim, cases, seed"),
+        (None, "majorization", ("--tol", "1e-6"), "reads cases, seed"),
         ({"dim": 16}, "cou", (), "reads no parameters"),
         (None, "rate-decay-identity", ("--dim", "128"),
          "reads cases, seed, tolerance"),

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from phaseineq.fock_core import (
     _full_rank_floor,
     geometric_weights,
     random_state,
+    state_edge_mass,
     thermal_state,
     weyl_operator,
 )
@@ -102,6 +104,15 @@ class TestQuantumFisher:
         w = geometric_weights(8.0, 32)
         rho = DensityMatrix(np.diag(w / w.sum()).astype(complex))
         with pytest.raises(TruncationError):
+            quantum_fisher(rho)
+
+    def test_truncation_error_names_the_edge_mass(self):
+        # At dim 12 the random core fills every level, the edge band too.
+        rho = random_state(12, 0, StateFamily.FULL_RANK)
+        edge = state_edge_mass(rho.mat)
+        assert edge > 1e-2
+        message = f"state edge mass {edge:.1e} exceeds 1.0e-06; increase dim"
+        with pytest.raises(TruncationError, match=re.escape(message)):
             quantum_fisher(rho)
 
     def test_random_states_beat_vacuum_bound(self):

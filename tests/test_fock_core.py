@@ -15,6 +15,7 @@ from phaseineq.fock_core import (
     TruncationError,
     entropy_power,
     fock_rearrangement,
+    log_density,
     majorizes,
     mean_photon,
     random_state,
@@ -246,11 +247,12 @@ def _with_last_row_coherence() -> DensityMatrix:
 class TestSpectrum:
     def test_kept_decomposition_is_read_only_and_rebuilds_the_state(self):
         rho = random_state(32, 3, StateFamily.FULL_RANK)
-        assert np.all(np.diff(rho.evals) >= 0.0)
+        evals = np.sort(rho.spectrum)
+        assert np.all(np.diff(evals) >= 0.0)
         evecs = dense_evecs(rho)
-        rebuilt = (evecs * rho.evals) @ evecs.conj().T
+        rebuilt = (evecs * evals) @ evecs.conj().T
         assert np.max(np.abs(rebuilt - rho.mat)) <= 1e-13
-        for arr in (rho.mat, rho.evals, rho.spectrum, rho.block_vecs):
+        for arr in (rho.mat, rho.spectrum, rho.block_vecs):
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 0.0
 
@@ -321,7 +323,8 @@ class TestSpectrum:
         # Eigenvalues come from eigvalsh and eigenvectors from eigh, each of
         # the whole matrix when the block is empty or spans every level.
         rho = build()
-        assert np.array_equal(rho.evals, np.linalg.eigvalsh(rho.mat))
+        assert np.array_equal(np.sort(rho.spectrum),
+                              np.linalg.eigvalsh(rho.mat))
         assert np.array_equal(dense_evecs(rho), np.linalg.eigh(rho.mat)[1])
 
     @pytest.mark.parametrize("dim", [32, 128])
@@ -332,13 +335,13 @@ class TestSpectrum:
         if dim == 128:  # at dim 32 the heat flow reaches the edge band
             states += [s() for s in flow(Heat(), rho, (0.005, 0.05))]
         for state in states:
-            evals = np.linalg.eigh(state.mat)[0]
-            assert np.max(np.abs(state.evals - evals)) <= 1e-15
+            evals = np.sort(state.spectrum)
+            dense = np.linalg.eigh(state.mat)[0]
+            assert np.max(np.abs(evals - dense)) <= 1e-15
             evecs = dense_evecs(state)
-            rebuilt = (evecs * state.evals) @ evecs.conj().T
+            rebuilt = (evecs * evals) @ evecs.conj().T
             assert np.max(np.abs(rebuilt - state.mat)) <= 1e-13
-            for arr in (state.mat, state.evals, state.spectrum,
-                        state.block_vecs):
+            for arr in (state.mat, state.spectrum, state.block_vecs):
                 assert not arr.flags.writeable
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -453,6 +456,19 @@ class TestBlockFormReaders:
                 rho, k = evolve(rho, Heat(), 0.05), 69 if seed == 2 else 68
         assert rho.block == k
         return rho
+
+    def test_log_density(self, state):
+        # Each side is the log of a matrix within a few units of
+        # 2^-53 |rho|_2 of rho (the block form's cut and eigh's backward
+        # error), and |log A - log B|_2 <= |A - B|_2 / lambda for A, B >=
+        # lambda, from log A = int_0^inf (1 + s)^-1 - (A + s)^-1 ds.
+        out = log_density(state, "test")
+        lam = np.linalg.eigvalsh(state.mat)
+        diff = np.linalg.norm(out - _dense_log(state.mat), 2)
+        assert diff <= 8.0 * 2.0**-53 * lam[-1] / lam[0]
+        if state.block == 0:  # no decomposition: the log of the diagonal
+            diag = state.mat.diagonal().real
+            assert np.array_equal(out, np.diag(np.log(diag)))
 
     def test_quantum_fisher(self, state):
         assert quantum_fisher(state).value == pytest.approx(

@@ -33,7 +33,7 @@ READS = {
     "concavity": ["dim", "cases", "seed", "tolerance"],
     "epi-heat": ["dim", "cases", "seed", "tolerance"],
     "rate-decay-identity": ["cases", "seed", "tolerance"],
-    "entropy-isoperimetry": ["dim", "cases", "seed"],
+    "entropy-isoperimetry": ["dim", "cases", "seed", "tolerance"],
     "majorization": ["cases", "seed"],
     "correspondence": ["dim", "tolerance"],
     "geometric-optimality": ["dim", "tolerance"],
@@ -181,6 +181,34 @@ class TestEpiHeatGate:
                                         tolerance=1e-7)
         tols = [c.tol for c in checks if c.descriptor == "epi-heat-random"]
         assert tols == [1e-7, 1e-7]
+
+
+class TestEntropyIsoperimetryGate:
+    def test_thermal_and_random_cases_read_the_suite_tolerance(self):
+        # J N >= 4 pi e is proved, so its cases take the suite tolerance;
+        # the n = 100 sentinel keeps its stated 1% closeness gate.
+        checks = verify._suite_entropy_isoperimetry(dim=32, cases=1, seed=0,
+                                                    tolerance=1e-7)
+        tols = {c.descriptor: c.tol for c in checks}
+        assert tols == {"entropy-isoperimetry-thermal-100": 1e-2,
+                        "entropy-isoperimetry-thermal": 1e-7,
+                        "entropy-isoperimetry-random": 1e-7}
+
+
+class TestMajorizationMargins:
+    def test_margins_show_slack_and_trace_is_its_own_case(self):
+        report = run_suite("majorization")
+        assert report.summary["cases"] == 35
+        slack = {}
+        for c in report.cases:
+            if c.descriptor == "attenuator-majorization":
+                slack.setdefault(c.params["t"], []).append(c.margin)
+            elif c.descriptor == "attenuator-trace":
+                # Round-off of two 12-term sums of numbers in [0, 1].
+                assert -2 * 12 * 2.0**-53 <= c.margin <= 0.0
+        # The partial sums below the trace keep slack that shrinks with t.
+        assert min(slack[0.1]) >= 1e-3
+        assert min(slack[0.1]) > max(slack[0.5]) > max(slack[1.0]) > 0.0
 
 
 class TestErrorPolicy:

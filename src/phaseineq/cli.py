@@ -136,12 +136,21 @@ def _finite_float(text: str) -> float:
     return val
 
 
+def _nonnegative_float(text: str) -> float:
+    val = _finite_float(text)
+    if val < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
+    return val
+
+
 def _parse_grid(spec: str) -> np.ndarray:
     """Grid spec "start:stop:count" (geometric spacing for positive start)."""
-    parts = spec.split(":")
-    if len(parts) != 3:
-        raise ValueError(f"grid spec must be start:stop:count, got {spec!r}")
-    start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
+    try:
+        start, stop, count = spec.split(":")
+        start, stop, count = float(start), float(stop), int(count)
+    except ValueError:
+        raise ValueError(f"grid spec must be start:stop:count with an "
+                         f"integer count, got {spec!r}") from None
     if not (math.isfinite(start) and math.isfinite(stop)):
         raise ValueError(f"grid start and stop must be finite, got {spec!r}")
     if not 1 <= count <= _MAX_GRID_ROWS:
@@ -301,7 +310,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pt.add_argument("--n0", type=_finite_float, default=1.0)
     pt.add_argument("--mu", type=_finite_float)
     pt.add_argument("--lambda", dest="lam", type=_finite_float)
-    pt.add_argument("--tmax", type=_finite_float, default=2.0)
+    pt.add_argument("--tmax", type=_nonnegative_float, default=2.0)
     pt.add_argument("--steps", type=_nonnegative_int, default=40)
     flags(pt, "--out", "--format")
     pt.set_defaults(fn=_cmd_trajectory)
@@ -309,7 +318,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pd = sub.add_parser("death-process", help="pure-death process trajectory")
     pd.add_argument("--init", default="geometric:1")
     pd.add_argument("--K", type=int, default=256)
-    pd.add_argument("--tmax", type=_finite_float, default=2.0)
+    pd.add_argument("--tmax", type=_nonnegative_float, default=2.0)
     pd.add_argument("--steps", type=_nonnegative_int, default=20)
     flags(pd, "--out", "--format")
     pd.set_defaults(fn=_cmd_death_process)

@@ -18,16 +18,13 @@ s = (C_11 - C_22)/2 + i C_12.
 Every use of L goes through one restriction to what the state's support
 reaches (`_restrict`): the series that evolve the state,
 `liouvillian_apply` and the entropy-production rates, which take
-tr(L(rho) X) as one inner product with L(rho).  On that restriction two
-deterministic series apply the exponential to double precision: the
-Hermitian generators (mu^2 = lam^2: Heat and every Gaussian convolution)
-take a Chebyshev series with an a-priori error bound (`_chebyshev`), whose
-vectors T_k(A) x do not depend on t, so one recurrence serves the whole
-grid and each time keeps its own Bessel weights, accumulator and stopping
-degree; the attenuator, amplifier and qOU take a Taylor series stepped by
-the exact 1-norm, once per time.  `flow(op, rho, times)` runs them once for
-a grid and builds each time's state, translated for a density, when it is
-read; `evolve` and `convolve` are its one-time grids.
+tr(L(rho) X) as one inner product with L(rho).  On that restriction one
+series applies the exponential to double precision within an a-priori
+bound (`_series`): Chebyshev for the Hermitian generators (Heat and every
+Gaussian convolution), uniformization for the attenuator, amplifier and
+qOU.  `flow(op, rho, times)` runs it once for a whole grid, whose times
+share its vectors, and builds each time's state, translated for a
+density, when it is read; `evolve` and `convolve` are its one-time grids.
 
 Every production use of L runs in real arithmetic, on the real image
 R = Re rho + Im rho of the Hermitian state (`_real_image`).  This is exact
@@ -62,8 +59,8 @@ from .fock_core import (
     weyl_operator,
 )
 
-# The generators conserve trace exactly and both series carry a-priori
-# bounds, so a larger drift is a bug, not a numerical limit.
+# The generators conserve trace exactly and `_series` bounds its error a
+# priori, so a larger drift is a bug, not a numerical limit.
 _TRACE_TOL = 1e-9
 
 
@@ -237,37 +234,6 @@ def _norm_1(gen: dict[int, np.ndarray]) -> float:
     return float(col.max())
 
 
-def _propagate(gen: dict[int, np.ndarray], x: np.ndarray,
-               t: float) -> np.ndarray:
-    """e^{t gen} applied to x flattened row-major, reshaped like x.
-
-    Serves the generators that are not Hermitian: the attenuator, the
-    amplifier and the qOU (mu^2 != lam^2).  A diagonal
-    similarity would symmetrize the qOU only at a factor (mu/lam)^dim,
-    2^64 at dim 128 for the default mu = sqrt 2, lam = 1.
-
-    For A = t gen - mu I, mu = t tr(gen)/n, a Taylor series of degree <= 55
-    in s = ceil(|A|_1 / 9.9) steps has backward error below 2^-53 (Al-Mohy
-    and Higham, SIAM J. Sci. Comput. 33, 2011).  A step ends once two
-    successive terms fall below 2^-53 of its sum.  Nothing is random.
-    """
-    mu = t * gen[0].mean()
-    a = {k: t * c for k, c in gen.items()}
-    a[0] = a[0] - mu
-    steps = max(1, math.ceil(_norm_1(a) / 9.9))
-    out = term = x.ravel()
-    for _ in range(steps):
-        cur = np.abs(term).max()
-        for k in range(1, 56):
-            term = _matvec(a, term) * (1.0 / (steps * k))
-            out = out + term
-            prev, cur = cur, np.abs(term).max()
-            if prev + cur <= 2.0**-53 * np.abs(out).max():
-                break
-        out = term = np.exp(mu / steps) * out
-    return out.reshape(x.shape)
-
-
 def _bessel_weights(z: float, size: int) -> np.ndarray:
     """e^{-z} I_k(z) for k < size, z >= 0.
 
@@ -286,47 +252,85 @@ def _bessel_weights(z: float, size: int) -> np.ndarray:
     return weights / (2.0 * weights.sum() - 1.0)
 
 
-def _chebyshev(gen: dict[int, np.ndarray], x: np.ndarray,
-               times: Sequence[float]) -> list[np.ndarray]:
-    """e^{t gen} x at each t of times, for a Hermitian negative semidefinite
-    gen.
+def _poisson_weights(z: float, size: int) -> np.ndarray:
+    """e^{-z} z^k / k! for k < size, z >= 0.
 
-    The largest absolute column sum w (gen is Hermitian, so also the largest
-    row sum) puts the spectrum in [-w, 0], so A = 2 gen / w + 1 has its
-    spectrum in [-1, 1] and, with z = t w / 2,
-    e^{t gen} = sum_k eps_k e^{-z} I_k(z) T_k(A), eps_0 = 1 and eps_k = 2
-    otherwise (Tal-Ezer and Kosloff, J. Chem. Phys. 81, 1984).  The
-    coefficients sum to 1 and |T_k(A)| <= 1, so the series stops where
-    their tail drops below 1e-16, an a-priori bound on the error: no step
-    is selected and nothing is drawn at random.  The degree needed grows
-    like 8.3 sqrt(z), which sizes the coefficient array.  Only the
-    coefficients depend on t: one recurrence runs to the largest degree of
-    the grid, and each time adds T_k(A) x to its own sum up to its own
-    degree, so every time's result is the one it gets alone.
-
-    At s = 0 (the heat flow, and f_Z) each matvec moves an entry one place
-    along its band i - j, so degree D widens a band's support by at most D
-    entries: a state supported on the leading k levels keeps every
-    coherence past level k + D at exactly 0.0, and its `DensityMatrix`
-    decomposes a block of at most k + D levels, ending earlier where the
-    coherences past a level fall within `eigh`'s backward error.  At
-    s != 0 a matvec also moves an entry to the bands i - j +- 2, by up to
-    two levels.
+    Products of ratios taken outward from the mode m = floor(z),
+    w_k / w_{k-1} = z / k above it and w_k / w_{k+1} = (k + 1) / z below,
+    normalised by their sum as in `_bessel_weights`.  Every ratio lies in
+    [0, 1], so nothing overflows, and z = 0 gives (1, 0, ...).
     """
-    w = _norm_1(gen)
-    coefs, degrees = [], []
+    m = min(int(z), size - 1)
+    k = np.arange(1.0, size)
+    weights = np.concatenate((np.cumprod(k[:m][::-1] / z)[::-1], [1.0],
+                              np.cumprod(z / k[m:])))
+    return weights / weights.sum()
+
+
+def _series(gen: dict[int, np.ndarray], x: np.ndarray,
+            times: Sequence[float], hermitian: bool) -> list[np.ndarray]:
+    """e^{t gen} x at each t of times as sum_k c_k(t) v_k, where the v_k
+    are polynomials in one matrix B applied to x and do not depend on t.
+
+    Chebyshev, for a Hermitian gen (mu^2 = lam^2: Heat and every Gaussian
+    convolution): its largest absolute column sum w puts its spectrum in
+    [-w, 0] and that of B = 2 gen / w + 1 in [-1, 1], so with z = t w / 2,
+    e^{t gen} = sum_k eps_k e^{-z} I_k(z) T_k(B), eps_0 = 1 and eps_k = 2
+    otherwise (Tal-Ezer and Kosloff, J. Chem. Phys. 81, 1984), where
+    T_k = 2 B T_{k-1} - T_{k-2} (b holds 2 B) and |T_k(B)|_2 <= 1.
+
+    Uniformization, for the attenuator, amplifier and qOU (Jensen, Skand.
+    Aktuarietidskr. 36, 1953): gen is a tridiagonal `_restrict`ion at s = 0,
+    and with theta = -min diag gen, B = 1 + gen / theta and z = theta t,
+    e^{t gen} = sum_k e^{-z} z^k / k! B^k.  B >= 0: its off-diagonals are
+    ladder weights, and theta makes its diagonal >= 0.  The column of gen
+    at (i, j) sums to lam^2 (sqrt(u_i u_j) - (u_i + u_j)/2)
+    + mu^2 (sqrt(n_i n_j) - (n_i + n_j)/2) <= 0 by AM-GM (n, u as in
+    `_ladder`), with equality on band 0, so |B^k|_1 <= 1 and B keeps the
+    trace.  At s != 0 gen has negative off-diagonals and B >= 0 fails;
+    Chebyshev also needs about sqrt(z) matvecs where this needs about z.
+    (A diagonal similarity would make the qOU Hermitian only at a factor
+    (mu/lam)^dim, 2^64 at dim 128 for mu = sqrt 2, lam = 1.)
+
+    Either way the weights sum to 1, so stopping where their tail falls
+    below 1e-16 bounds the error by that tail times |x|, a priori; the
+    degree, about 8.3 sqrt(z) or z + 8.3 sqrt(z), sizes the weights.  One
+    recurrence runs to the grid's largest degree, and each time adds v_k to
+    its own sum up to its own degree: its result is the one it gets alone.
+
+    At s = 0 each matvec moves an entry one place along its band i - j, so
+    degree D widens a band's support by at most D entries: a state on the
+    leading k levels keeps every coherence past level k + D at exactly 0.0,
+    and its `DensityMatrix` decomposes a block of at most k + D levels; at
+    s != 0 a matvec also reaches the bands i - j +- 2.
+    """
+    if hermitian:
+        w = _norm_1(gen)
+        rate, scale, shift = 0.5 * w, 4.0 / w, 2.0
+    else:
+        # theta: any theta >= -min diag gen serves; 1 when gen = 0 (dim 1).
+        rate = -gen[0].min() or 1.0
+        scale, shift = 1.0 / rate, 1.0
+    coefs = []
     for t in times:
-        z = 0.5 * t * w
-        coef = _bessel_weights(z, int(9.0 * math.sqrt(z)) + 30)
-        coef[1:] *= 2.0
+        z = rate * t
+        if hermitian:
+            coef = _bessel_weights(z, int(9.0 * math.sqrt(z)) + 30)
+            coef[1:] *= 2.0
+        else:
+            coef = _poisson_weights(z, int(z + 9.0 * math.sqrt(z)) + 30)
         coefs.append(coef)
-        degrees.append(np.count_nonzero(np.cumsum(coef[::-1])[::-1] >= 1e-16))
-    two_a = {k: (4.0 / w) * c for k, c in gen.items()}
-    two_a[0] = two_a[0] + 2.0
-    prev, cur = x, 0.5 * _matvec(two_a, x)
+    degrees = [np.count_nonzero(np.cumsum(coef[::-1])[::-1] >= 1e-16)
+               for coef in coefs]
+    b = {k: scale * c for k, c in gen.items()}
+    b[0] = b[0] + shift
+    prev, cur = x, (0.5 if hermitian else 1.0) * _matvec(b, x)
     outs = [coef[0] * prev + coef[1] * cur for coef in coefs]
     for k in range(2, max(degrees)):
-        prev, cur = cur, _matvec(two_a, cur) - prev
+        if hermitian:
+            prev, cur = cur, _matvec(b, cur) - prev
+        else:
+            prev, cur = cur, _matvec(b, cur)
         for out, coef, degree in zip(outs, coefs, degrees):
             if k < degree:
                 out += coef[k] * cur
@@ -395,22 +399,15 @@ def _restrict(x: np.ndarray, mu2: float, lam2: float, s: complex
 
 def _apply(x: np.ndarray, times: Sequence[float], mu2: float, lam2: float,
            s: complex = 0.0) -> np.ndarray:
-    """e^{tL}(x) for each t of times, stacked along a new first axis, on the
-    restriction of L to what x's support reaches: one Chebyshev recurrence
-    for the whole grid when L is Hermitian (mu2 = lam2), else one Taylor
-    series per time.
-
-    The series run in the arithmetic of x and of L's coefficients: float64
-    for the real image that `flow` passes at real s, complex128 for a
-    complex x or a complex s."""
+    """e^{tL}(x) for each t of times, stacked along a new first axis: one run
+    of `_series` on the restriction of L to what x's support reaches, in
+    the arithmetic of x and of L's coefficients (float64 for the real image
+    that `flow` passes at real s, complex128 for a complex x or s)."""
     if min(times) < 0:
         raise ValueError(f"t must be >= 0, got {min(times)}")
     kept, gen = _restrict(x, mu2, lam2, s)
     y = x.ravel()[kept]
-    if mu2 == lam2:
-        ys = _chebyshev(gen, y, times)
-    else:
-        ys = [_propagate(gen, y, t) for t in times]
+    ys = _series(gen, y, times, mu2 == lam2)
     out = np.zeros((len(times), x.size),
                    dtype=np.result_type(y, *gen.values()))
     out[:, kept] = ys
@@ -451,18 +448,12 @@ def _turn(r: np.ndarray, theta: float) -> np.ndarray:
 def flow(op: SemigroupKind | GaussianDensity, rho: DensityMatrix,
          times: Sequence[float]) -> list[Callable[[], DensityMatrix]]:
     """e^{tL}(rho) for a semigroup kind, or f *_t rho for a Gaussian
-    density f, at each t of times: one run of the series on rho for the
-    whole grid, and per time a thunk that builds and validates that time's
-    state on its own when called, so a TruncationError at one t leaves the
-    others usable.
-
-    The series runs in float64 on the real image of rho.  At real s, L has
-    real coefficients and commutes with transposition, so it maps Re rho
-    (symmetric) and Im rho (antisymmetric) each into itself, and
-    `_hermitian` reads e^{tL}(Re rho + Im rho) back as e^{tL}(rho).  At
-    C_12 != 0, U = e^{i theta a_dag a} with theta = -arg(s)/2 first turns s
-    into |s|: U a U^dag = e^{-i theta} a on the truncated space too, so
-    e^{tL_s}(rho) = U^dag e^{tL_|s|}(U rho U^dag) U exactly (`_turn`)."""
+    density f, at each t of times: one run of `_series` on the real image
+    of rho for the whole grid, whatever the kind, and per time a thunk that
+    builds and validates that time's state on its own when called, so a
+    TruncationError at one t leaves the others usable.  At C_12 != 0 the
+    phase of s is first turned away (`_turn`); the module docstring shows
+    why both steps are exact."""
     mu2, lam2, s = _coefficients(op)
     x = _real_image(rho.mat)
     theta = -0.5 * np.angle(s) if s.imag else 0.0
@@ -516,8 +507,7 @@ def liouvillian_apply(kind: SemigroupKind, rho: DensityMatrix) -> np.ndarray:
 
 def evolve(rho: DensityMatrix, kind: SemigroupKind, t: float) -> DensityMatrix:
     """e^{tL}(rho), exact to double precision: the one-time grid of `flow`,
-    by the Chebyshev series for Heat and the Taylor series of `_propagate`
-    otherwise.
+    by the Chebyshev series for Heat and uniformization otherwise.
 
     Raises TruncationError when a flow with gain (lam^2 > 0) leaves more
     than EDGE_TOL in the top edge band of the basis; pure loss maps the

@@ -18,10 +18,10 @@ Only numerical failures while a check's margin is computed become error
 cases (margin -inf, counted as failures): TruncationError and
 IllConditionedError.  A suite computes everything that can truncate, thermal
 states included, inside a check's margin, so a truncation never ends a
-suite.  Any other exception propagates out of run_suite, the propagators'
+suite.  Any other exception propagates out of run_suite, the flows'
 trace-drift RuntimeError included: the generators conserve trace exactly
-and both series carry a-priori bounds, so a drift is a bug, not a
-numerical limit.
+and both series of `semigroups._series` carry a-priori error bounds, so a
+drift is a bug, not a numerical limit.
 """
 
 from __future__ import annotations

@@ -96,7 +96,7 @@ class TestDeathEvolve:
     @pytest.mark.parametrize("t", [0.1, 1.0])
     def test_matches_fock_attenuator_diagonal(self, t):
         # The death process is the number-basis diagonal of photon loss; the
-        # Fock side evolves diag(p) by the attenuator's Taylor series.
+        # Fock side evolves diag(p) by uniformization of the attenuator.
         K = 39
         p = np.random.default_rng(3).random(K + 1)
         p /= p.sum()

@@ -128,9 +128,19 @@ class TestVerifyCommand:
         (("minimize-rate", "--n", "inf"), "--n: must be finite, got inf"),
         (("minimize-rate", "--n", "nan"), "--n: must be finite, got nan"),
         (("minimize-rate", "--n", "one"), "--n: not a number: 'one'"),
+        # A negative --tmax is refused whatever --steps, even where the
+        # grid holds only t = 0.
+        (("trajectory", "heat", "--tmax", "-1", "--steps", "0"),
+         "--tmax: must be >= 0, got -1"),
+        (("trajectory", "qou", "--tmax", "-2"), "--tmax: must be >= 0, got -2"),
+        (("death-process", "--tmax", "-1", "--steps", "0"),
+         "--tmax: must be >= 0, got -1"),
+        (("death-process", "--tmax", "-0.5"), "--tmax: must be >= 0, got -0.5"),
     ], ids=["seed", "dim", "dim-negative", "K", "trajectory-tmax", "n0",
             "mu", "lambda", "death-tmax", "init", "init-text", "init-negative",
-            "n0-negative", "n-inf", "n-nan", "n-text"])
+            "n0-negative", "n-inf", "n-nan", "n-text",
+            "trajectory-tmax-negative-steps-0", "trajectory-tmax-negative",
+            "death-tmax-negative-steps-0", "death-tmax-negative"])
     def test_out_of_range_value_names_parameter(self, capsys, argv, named):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2
@@ -232,6 +242,22 @@ class TestClosedFormsCommand:
         assert code == 2
         assert out == ""
         assert repr(spec) in err
+
+    @pytest.mark.parametrize("spec", ["1:2:x", "a:2:3", "1:b:3", "1:2:2.5",
+                                      "1:2", "1:2:3:4"])
+    def test_malformed_grid_names_its_form(self, capsys, spec):
+        code, out, err = run_cli(capsys, "closed-forms", "fisher-tightness",
+                                 "--grid", spec)
+        assert code == 2
+        assert out == ""
+        assert err == (f"error: grid spec must be start:stop:count with an "
+                       f"integer count, got {spec!r}\n")
+
+    def test_zero_tmax_is_accepted(self, capsys):
+        for argv in (("trajectory", "heat"), ("death-process",)):
+            code, out, _ = run_cli(capsys, *argv, "--tmax", "0", "--steps", "2")
+            assert code == 0
+            assert [row[0] for row in json.loads(out)["rows"]] == [0.0] * 3
 
 
 class TestThresholdsCommand:
@@ -343,8 +369,8 @@ class TestCrossProcessDeterminism:
         # Fresh interpreters whose global numpy RNG and string hashing start
         # in different states must still compute the same margins to the
         # last bit.  stam's isotropic and data-processing's anisotropic
-        # convolutions both take the Chebyshev series and the other flows a
-        # Taylor series, neither of which draws anything; test_semigroups
+        # convolutions both take the Chebyshev series and the other flows
+        # uniformization, neither of which draws anything; test_semigroups
         # holds the flows to that with the global random state disabled.
         script = ("import json, sys, numpy; numpy.random.seed(int(sys.argv[1])); "
                   "from phaseineq.verify import run_suite; "

@@ -1,10 +1,12 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from scipy.linalg import expm
 from scipy.sparse.csgraph import connected_components
+from scipy.sparse.linalg import expm_multiply
 from scipy.special import ive
 
 from phaseineq.classical import death_evolve, geometric_pmf
@@ -95,6 +97,20 @@ def forward_difference_rate(rho, kind, h=1e-4):
 
 KINDS = [Heat(), Attenuator(), Amplifier(), QOU(math.sqrt(2.0), 1.0)]
 KIND_IDS = ["heat", "attenuator", "amplifier", "qou"]
+NON_HERMITIAN = KINDS[1:]
+
+
+def band_supports(dim, rng):
+    """Supports that probe the band restriction at dim: the diagonal, each
+    corner alone and eight sparse random patterns drawn from rng."""
+    last = dim - 1
+    supports = [np.eye(dim, dtype=bool)]
+    for i, j in ((0, 0), (0, last), (last, 0), (last, last)):
+        corner = np.zeros((dim, dim), dtype=bool)
+        corner[i, j] = True
+        supports.append(corner)
+    return supports + [rng.random((dim, dim)) < rng.uniform(0, 3) / dim**2
+                       for _ in range(8)]
 
 
 class TestLiouvillian:
@@ -188,6 +204,59 @@ class TestBesselWeights:
                               np.eye(30)[0])
 
 
+class TestPoissonWeights:
+    @pytest.mark.parametrize("z", [0.0, 1e-12, 0.37, 1.1, 10.5, 100.3,
+                                   1600.7, 1e4 + 0.3])
+    def test_match_poisson_law_to_40_digits(self, z):
+        # At the length _series takes for this z, against e^{-z} z^k / k!
+        # at 40 digits (scipy.stats.poisson.pmf is off by 1.2e-13 at
+        # z = 1e4, too far to serve as the oracle).
+        size = int(z + 9.0 * math.sqrt(z)) + 30
+        weights = semigroups._poisson_weights(z, size)
+        with mpmath.workdps(40):
+            zm = mpmath.mpf(z)
+            term, exact = mpmath.exp(-zm), []
+            for k in range(size):
+                exact.append(term)
+                term = term * zm / (k + 1)
+            tail = float(1 - mpmath.fsum(exact))
+        exact = np.array([float(e) for e in exact])
+        assert np.max(np.abs(weights - exact)) <= 2.0**-52
+        big = exact >= 1e-300
+        assert np.max(np.abs(weights[big] / exact[big] - 1.0)) <= 1e-14
+        # The array leaves out less than the series' 1e-16 stopping tail.
+        assert tail <= 1e-16
+
+    def test_zero_argument_is_identity_series(self):
+        assert np.array_equal(semigroups._poisson_weights(0.0, 30),
+                              np.eye(30)[0])
+
+
+class TestUniformizationBound:
+    @pytest.mark.parametrize("kind", NON_HERMITIAN, ids=KIND_IDS[1:])
+    def test_restriction_is_a_sub_generator(self, kind):
+        # The hypothesis of the uniformization bound: off-diagonals >= 0 and
+        # column sums <= 0, exactly 0 on band 0, so 1 + G / theta >= 0 has
+        # column sums <= 1 and keeps the trace.
+        rng = np.random.default_rng(7)
+        for dim in range(2, 41):
+            for support in band_supports(dim, rng):
+                if not support.any():
+                    continue
+                kept, gen = semigroups._restrict(support.astype(float),
+                                                 *kind.rates, 0.0)
+                assert sorted(gen) == [-1, 0, 1]
+                assert np.all(gen[-1] >= 0.0) and np.all(gen[1] >= 0.0)
+                # Off-diagonal inflow into each column, then its diagonal.
+                col = np.zeros(kept.size)
+                col[1:] += gen[1]
+                col[:-1] += gen[-1]
+                col += gen[0]
+                assert col.max() <= 0.0
+                i, j = np.divmod(kept, dim)
+                assert not col[i == j].any()
+
+
 class TestEvolve:
     def test_zero_time_is_identity(self):
         rho = thermal_state(1.0, 32)
@@ -262,20 +331,9 @@ class TestEvolve:
             assert np.max(np.abs(out.mat - target)) <= 1e-12
 
     def test_repeats_bit_for_bit_under_any_global_seed(self, monkeypatch):
-        # The Taylor series takes its step count from an exact norm; an
-        # estimate drawn from numpy's global generator would pick different
-        # counts under global seeds 0 and 15.
-        rho = random_state(32, 0, StateFamily.FULL_RANK)
-        gen = semigroups._generator(2.0 * math.pi, 2.0 * math.pi, 32)
-        outs = []
-        for seed in (0, 15):
-            np.random.seed(seed)
-            outs.append(semigroups._propagate(gen, rho.mat, 0.2))
-            # The caller's random stream is left where it was.
-            assert np.random.random() == np.random.RandomState(seed).random()
-        assert np.array_equal(outs[0], outs[1])
-
         # No flow reads, seeds or restores the global random state.
+        rho = random_state(32, 0, StateFamily.FULL_RANK)
+
         def refuse(*args, **kwargs):
             raise AssertionError("global random state touched")
 
@@ -291,14 +349,29 @@ class TestEvolve:
         # keeps them exactly zero.
         dim = 64
         rho = random_state(dim, 5, StateFamily.FULL_RANK)
-        gen = semigroups._generator(2.0 * math.pi, 2.0 * math.pi, dim)
+        gen = sparse_generator(2.0 * math.pi, 2.0 * math.pi, dim)
         for t in (2e-4, 0.1):
             out = evolve(rho, Heat(), t).mat
-            target = semigroups._propagate(gen, rho.mat, t)
+            target = expm_multiply(t * gen, rho.mat.ravel()).reshape(dim, dim)
             assert np.max(np.abs(out - target)) <= 1e-12
             for k in range(24, dim):
                 assert not np.diagonal(out, k).any()
                 assert not np.diagonal(out, -k).any()
+
+    @pytest.mark.parametrize("dim", [32, 64])
+    @pytest.mark.parametrize("kind", NON_HERMITIAN, ids=KIND_IDS[1:])
+    def test_long_times_match_sparse_exponential(self, kind, dim,
+                                                 monkeypatch):
+        # Uniformization at z = theta t in the hundreds, where the weights
+        # peak far from k = 0.  At these dims the amplifier and the qOU
+        # push the random state into the edge band.
+        monkeypatch.setattr(semigroups, "EDGE_TOL", math.inf)
+        rho = random_state(dim, 3, StateFamily.FULL_RANK)
+        gen = sparse_generator(*kind.rates, dim)
+        for t in (1.0, 5.0):
+            out = evolve(rho, kind, t).mat
+            target = expm_multiply(t * gen, rho.mat.ravel()).reshape(dim, dim)
+            assert np.max(np.abs(out - target)) <= 1e-12
 
     @pytest.mark.parametrize("s", [0.0, 0.3, 0.2j, 0.1 - 0.4j])
     def test_kept_bands_are_the_touched_components(self, s, monkeypatch):
@@ -308,24 +381,16 @@ class TestEvolve:
         # it keeps: they must be exactly those components.  At s != 0 the
         # real flow runs on the whole vector and must leave every entry
         # outside them exactly zero.
-        def mark(gen, x, t):
+        def mark(gen, x, times, hermitian):
             return np.ones(x.size)
 
         if s == 0:
-            monkeypatch.setattr(semigroups, "_chebyshev", mark)
-            monkeypatch.setattr(semigroups, "_propagate", mark)
+            monkeypatch.setattr(semigroups, "_series", mark)
         rates = [(1.0, 1.0)] + ([(1.0, 0.0), (0.0, 1.0), (2.0, 1.0)]
                                 if s == 0 else [])
         rng = np.random.default_rng(7)
         for dim in range(2, 41):
-            last = dim - 1
-            supports = [np.eye(dim, dtype=bool)]
-            for i, j in ((0, 0), (0, last), (last, 0), (last, last)):
-                corner = np.zeros((dim, dim), dtype=bool)
-                corner[i, j] = True
-                supports.append(corner)
-            supports += [rng.random((dim, dim)) < rng.uniform(0, 3) / dim**2
-                         for _ in range(8)]
+            supports = band_supports(dim, rng)
             for mu2, lam2 in rates:
                 gen = sparse_generator(mu2, lam2, dim, s)
                 _, labels = connected_components(abs(gen), directed=False)
@@ -340,20 +405,31 @@ class TestEvolve:
                     else:
                         assert not out[~touched].any()
 
-    def test_hermitian_flows_leave_sparse_exponential(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("sparse exponential called")
+    def test_each_family_takes_only_its_own_weights(self, monkeypatch):
+        # Hermitian flows take the Chebyshev series and never the Poisson
+        # weights; the others take uniformization and never the Bessel ones.
+        def refuse(name):
+            def weights(*args, **kwargs):
+                raise AssertionError(f"{name} taken")
+            return weights
 
-        monkeypatch.setattr(semigroups, "_propagate", refuse)
         rho = random_state(64, 1, StateFamily.FULL_RANK)
-        evolve(rho, Heat(), 0.05)
-        iso = GaussianDensity(mean=np.array([0.1, -0.2]), cov=0.5 * np.eye(2))
-        convolve(iso, rho, 0.05)
-        aniso = GaussianDensity(mean=np.zeros(2),
-                                cov=np.array([[1.0, 0.3], [0.3, 0.6]]))
-        convolve(aniso, rho, 0.05)
-        with pytest.raises(AssertionError, match="sparse exponential"):
-            evolve(rho, Attenuator(), 0.05)
+        with monkeypatch.context() as m:
+            m.setattr(semigroups, "_poisson_weights", refuse("Poisson"))
+            evolve(rho, Heat(), 0.05)
+            iso = GaussianDensity(mean=np.array([0.1, -0.2]),
+                                  cov=0.5 * np.eye(2))
+            convolve(iso, rho, 0.05)
+            aniso = GaussianDensity(mean=np.zeros(2),
+                                    cov=np.array([[1.0, 0.3], [0.3, 0.6]]))
+            convolve(aniso, rho, 0.05)
+            with pytest.raises(AssertionError, match="Poisson taken"):
+                evolve(rho, Attenuator(), 0.05)
+        monkeypatch.setattr(semigroups, "_bessel_weights", refuse("Bessel"))
+        for kind in NON_HERMITIAN:
+            evolve(rho, kind, 0.05)
+        with pytest.raises(AssertionError, match="Bessel taken"):
+            evolve(rho, Heat(), 0.05)
 
     @pytest.mark.parametrize("dim", [3, 12, 64])
     @pytest.mark.parametrize("cov", [np.eye(2), 0.7 * np.eye(2),
@@ -464,10 +540,11 @@ class TestFlow:
     OPS = [Heat(), standard_gaussian(),
            GaussianDensity(mean=np.zeros(2),
                            cov=np.array([[1.0, 0.3], [0.3, 0.6]])),
-           QOU(math.sqrt(2.0), 1.0)]
+           QOU(math.sqrt(2.0), 1.0), Attenuator(), Amplifier()]
 
     @pytest.mark.parametrize("dim", [32, 64])
-    @pytest.mark.parametrize("op", OPS, ids=["heat", "f_Z", "aniso", "qou"])
+    @pytest.mark.parametrize("op", OPS, ids=["heat", "f_Z", "aniso", "qou",
+                                             "attenuator", "amplifier"])
     def test_grid_matches_each_time_alone_bit_for_bit(self, op, dim):
         # One recurrence serves the grid; each time keeps its own weights,
         # sum and degree.  The grid is unsorted and repeats a time.
@@ -491,12 +568,12 @@ class TestFlow:
         # The series see the real image Re rho + Im rho, in float64, and its
         # readback is e^{tL}(rho) on the complex matrix, exactly Hermitian.
         dtypes = []
-        for name in ("_chebyshev", "_propagate"):
-            def record(gen, x, times, series=getattr(semigroups, name)):
-                dtypes.append(x.dtype)
-                return series(gen, x, times)
 
-            monkeypatch.setattr(semigroups, name, record)
+        def record(gen, x, times, hermitian, series=semigroups._series):
+            dtypes.append(x.dtype)
+            return series(gen, x, times, hermitian)
+
+        monkeypatch.setattr(semigroups, "_series", record)
         rho = random_state(64, 2, StateFamily.FULL_RANK)
         grid = (0.02, 0.05)
         out = [state().mat for state in flow(op, rho, grid)]

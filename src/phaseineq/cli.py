@@ -39,7 +39,8 @@ _TABLE_READS = {"fisher-tightness": _GRID, "entropy-tightness": _GRID,
                 "gaussian-rates": _GRID | _RATES, "lsi2": _RATES}
 _KINDS = {"heat": (Heat, {}), "attenuator": (Attenuator, {}),
           "amplifier": (Amplifier, {}), "qou": (QOU, _RATES)}
-# A closed-forms table holds at most this many rows.
+# A closed-forms, trajectory or death-process table holds at most this
+# many rows.
 _MAX_GRID_ROWS = 10**6
 
 
@@ -119,9 +120,12 @@ def _read_only(args, name: str, reads: dict, always: tuple = ()) -> None:
             setattr(args, key, val)
 
 
-def _nonnegative_int(text: str) -> int:
-    if int(text) < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
+def _steps(text: str) -> int:
+    # A trajectory or death-process table holds steps + 1 rows.
+    if not 0 <= int(text) < _MAX_GRID_ROWS:
+        raise argparse.ArgumentTypeError(
+            f"must be between 0 and {_MAX_GRID_ROWS - 1}, so that the table "
+            f"holds at most {_MAX_GRID_ROWS} rows, got {text}")
     return int(text)
 
 
@@ -190,13 +194,9 @@ def _cmd_trajectory(args, file_cfg) -> int:
     cls, reads = _KINDS[args.kind]
     _read_only(args, args.kind, reads, ("--n0", "--tmax", "--steps"))
     kind = cls(*(getattr(args, key) for key in reads))
-    if args.n0 < 0:
-        raise ValueError(f"--n0 must be >= 0, got {args.n0:g}")
-    spec = ga.GaussianStateSpec(mean=np.zeros(2), kappa=2.0 * args.n0 + 1.0)
     rows = []
     for t in np.linspace(0.0, args.tmax, args.steps + 1):
-        evolved = ga.gaussian_evolve(spec, kind, float(t))
-        n_t = evolved.nbar
+        n_t = ga.thermal_mean(args.n0, kind, float(t))
         entropy = ga.g_entropy(n_t)
         fisher = ga.thermal_fisher_closed(n_t)
         relent = (ga.relent_to_qou_fixed(entropy, n_t, args.mu, args.lam)
@@ -307,11 +307,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     pt = sub.add_parser("trajectory", help="closed-form thermal trajectory")
     pt.add_argument("kind", choices=["heat", "attenuator", "amplifier", "qou"])
-    pt.add_argument("--n0", type=_finite_float, default=1.0)
+    pt.add_argument("--n0", type=_nonnegative_float, default=1.0)
     pt.add_argument("--mu", type=_finite_float)
     pt.add_argument("--lambda", dest="lam", type=_finite_float)
     pt.add_argument("--tmax", type=_nonnegative_float, default=2.0)
-    pt.add_argument("--steps", type=_nonnegative_int, default=40)
+    pt.add_argument("--steps", type=_steps, default=40)
     flags(pt, "--out", "--format")
     pt.set_defaults(fn=_cmd_trajectory)
 
@@ -319,7 +319,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pd.add_argument("--init", default="geometric:1")
     pd.add_argument("--K", type=int, default=256)
     pd.add_argument("--tmax", type=_nonnegative_float, default=2.0)
-    pd.add_argument("--steps", type=_nonnegative_int, default=20)
+    pd.add_argument("--steps", type=_steps, default=20)
     flags(pd, "--out", "--format")
     pd.set_defaults(fn=_cmd_death_process)
 

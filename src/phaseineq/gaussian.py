@@ -3,10 +3,10 @@
 Covers the thermal entropy function g and its inverse, thermal Fisher
 information, the attenuator/amplifier entropy rates of a centered Gaussian
 state parameterized by its symplectic eigenvalue kappa and squeezing z,
-covariance evolution under the four semigroups, the h-function controlling
-the Log-Sobolev rate of the quantum Ornstein-Uhlenbeck (qOU) semigroup, the
-classical Ornstein-Uhlenbeck channel, and the Carbone et al. Log-Sobolev-2
-bracketing bounds.
+the mean photon number of a thermal state under the four semigroups (which
+keep it thermal), the h-function controlling the Log-Sobolev rate of the
+quantum Ornstein-Uhlenbeck (qOU) semigroup, the classical Ornstein-Uhlenbeck
+channel, and the Carbone et al. Log-Sobolev-2 bracketing bounds.
 """
 
 from __future__ import annotations
@@ -17,40 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .semigroups import QOU, SemigroupKind
-
-
-@dataclass(frozen=True)
-class GaussianStateSpec:
-    """Centered-convention Gaussian state: mean, symplectic eigenvalue kappa
-    (vacuum kappa = 1, thermal kappa = 2n + 1), squeezing parameter z >= 1.
-
-    The covariance in the convention M_jk = tr(rho {R_j, R_k}) is
-    reconstructed as kappa * diag(z^2, 1/z^2); entropies and entropy rates
-    depend only on (kappa, z), so the orthogonal frame is not stored.
-    """
-
-    mean: np.ndarray
-    kappa: float
-    z: float = 1.0
-
-    def __post_init__(self):
-        mean = np.asarray(self.mean, dtype=float)
-        if mean.shape != (2,):
-            raise ValueError("mean must be a 2-vector")
-        if self.kappa < 1.0 - 1e-12:
-            raise ValueError(f"kappa must be >= 1, got {self.kappa}")
-        if self.z < 1.0 - 1e-12:
-            raise ValueError(f"z must be >= 1, got {self.z}")
-        mean.flags.writeable = False
-        object.__setattr__(self, "mean", mean)
-
-    @property
-    def nbar(self) -> float:
-        return 0.5 * (self.kappa - 1.0)
-
-    @property
-    def cov(self) -> np.ndarray:
-        return self.kappa * np.diag([self.z**2, self.z**-2])
 
 
 @dataclass(frozen=True)
@@ -155,31 +121,21 @@ def j_pm_gaussian(kappa: float, z: float = 1.0) -> tuple[float, float]:
     return (half - kappa) * log_term, (half + kappa) * log_term
 
 
-def _affine_cov_map(kind: SemigroupKind, t: float) -> tuple[float, float]:
-    """(alpha, beta) so that M(t) = alpha*M + beta*I and mean scales sqrt(alpha):
-    alpha = e^{-zeta t}, beta = (1 - alpha)(mu^2 + lam^2)/zeta, zeta = mu^2 - lam^2."""
+def thermal_mean(n: float, kind: SemigroupKind, t: float) -> float:
+    """Mean photon number of e^{tL}(omega_n), itself a thermal state: with
+    (mu^2, lam^2) the kind's rates and zeta = mu^2 - lam^2 it is
+    e^{-zeta t} n - expm1(-zeta t) lam^2/zeta, and n + (mu^2 + lam^2) t/2
+    at zeta = 0.  Both terms are >= 0 for either sign of zeta, so nothing
+    cancels."""
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
+    if t < 0:
+        raise ValueError(f"t must be >= 0, got {t}")
     mu2, lam2 = kind.rates
     zeta = mu2 - lam2
     if zeta == 0:
-        return 1.0, (mu2 + lam2) * t
-    a = math.exp(-zeta * t)
-    return a, (1.0 - a) * (mu2 + lam2) / zeta
-
-
-def gaussian_evolve(spec: GaussianStateSpec, kind: SemigroupKind,
-                    t: float) -> GaussianStateSpec:
-    """Evolve the covariance closed-form; kappa(t) = sqrt(det M(t))."""
-    if t < 0:
-        raise ValueError(f"t must be >= 0, got {t}")
-    alpha, beta = _affine_cov_map(kind, t)
-    m1 = alpha * spec.kappa * spec.z**2 + beta
-    m2 = alpha * spec.kappa * spec.z**-2 + beta
-    kappa_t = math.sqrt(m1 * m2)
-    z_t = (m1 / m2) ** 0.25
-    if z_t < 1.0:
-        z_t = 1.0 / z_t
-    mean_t = math.sqrt(alpha) * spec.mean
-    return GaussianStateSpec(mean=mean_t, kappa=kappa_t, z=z_t)
+        return n + 0.5 * (mu2 + lam2) * t
+    return math.exp(-zeta * t) * n - math.expm1(-zeta * t) * lam2 / zeta
 
 
 def _psi(u: float) -> float:

@@ -158,7 +158,7 @@ def _suite_stam(*, dim, cases, seed, tolerance) -> Iterator[_Check]:
     n = 1.0
     for t in grid:
         j0 = ga.thermal_fisher_closed(n)
-        jt = ga.thermal_fisher_closed(n + 2.0 * math.pi * t)
+        jt = ga.thermal_fisher_closed(ga.thermal_mean(n, Heat(), t))
         yield _Check("stam-thermal-closed", {"n": n, "t": t},
                      1.0 / jt - 1.0 / j0 - t / j_f, tolerance)
     for i in range(cases):
@@ -233,13 +233,13 @@ def _suite_epi_heat(*, dim, cases, seed, tolerance) -> Iterator[_Check]:
     for n in (0.5, 1.0, 2.0):
         for t in (0.05, 0.1, 0.5):
             n0 = math.exp(ga.g_entropy(n))
-            nt = math.exp(ga.g_entropy(n + 2.0 * math.pi * t))
+            nt = math.exp(ga.g_entropy(ga.thermal_mean(n, Heat(), t)))
             yield _Check("epi-heat-thermal-closed", {"n": n, "t": t},
                          nt - n0 - TWO_PI_E * t, tolerance)
     # Slope N J/2 of N(omega_{n + 2 pi t}) at t = 2, exactly (S' = J/2),
     # which tends to 2 pi e from above: J N >= 4 pi e.
     n, t = 1.0, 2.0
-    n_t = n + 2.0 * math.pi * t
+    n_t = ga.thermal_mean(n, Heat(), t)
     slope = math.exp(ga.g_entropy(n_t)) * ga.thermal_fisher_closed(n_t) / 2.0
     yield _Check("epi-heat-asymptotic-slope",
                  {"n": n, "t": t, "slope": slope, "target": TWO_PI_E},

@@ -26,15 +26,14 @@ from phaseineq.fock_core import (
 )
 from phaseineq.gaussian import (
     ClassicalOUParams,
-    GaussianStateSpec,
     cou_step,
     g_entropy,
-    gaussian_evolve,
     h_function,
     h_minimize,
     j_pm_gaussian,
     relent_to_qou_fixed,
     thermal_fisher_closed,
+    thermal_mean,
     zeta_optimality_witness,
 )
 from phaseineq.semigroups import (
@@ -236,8 +235,7 @@ def test_criterion_11_qou_h_function_and_rate():
     dt = 1e-6
     for n in (0.1, 0.5, 1.0, 2.0, 5.0, 10.0):
         def d_of(t):
-            nt = gaussian_evolve(GaussianStateSpec(np.zeros(2), 2 * n + 1),
-                                 QOU(mu, lam), t).nbar
+            nt = thermal_mean(n, QOU(mu, lam), t)
             return relent_to_qou_fixed(g_entropy(nt), nt, mu, lam)
         ddot = (d_of(dt) - d_of(0.0)) / dt
         worst_rate = max(worst_rate, ddot - (-zeta * d_of(0.0)))

@@ -124,7 +124,7 @@ class TestVerifyCommand:
         (("death-process", "--init", "geometric:-1"),
          "--init geometric:<n> needs n >= 0, got 'geometric:-1'"),
         (("trajectory", "heat", "--n0", "-1", "--steps", "1"),
-         "--n0 must be >= 0, got -1"),
+         "--n0: must be >= 0, got -1"),
         (("minimize-rate", "--n", "inf"), "--n: must be finite, got inf"),
         (("minimize-rate", "--n", "nan"), "--n: must be finite, got nan"),
         (("minimize-rate", "--n", "one"), "--n: not a number: 'one'"),
@@ -136,11 +136,23 @@ class TestVerifyCommand:
         (("death-process", "--tmax", "-1", "--steps", "0"),
          "--tmax: must be >= 0, got -1"),
         (("death-process", "--tmax", "-0.5"), "--tmax: must be >= 0, got -0.5"),
+        # A table holds steps + 1 rows, at most 10^6 of them, as for a
+        # --grid.  Rejection only: a death-process table at the bound takes
+        # minutes.
+        (("trajectory", "heat", "--steps", "1000000"),
+         "--steps: must be between 0 and 999999, so that the table holds at "
+         "most 1000000 rows, got 1000000"),
+        (("trajectory", "heat", "--steps", "100000000000"),
+         "--steps: must be between 0 and 999999"),
+        (("death-process", "--steps", "1000000"),
+         "--steps: must be between 0 and 999999"),
     ], ids=["seed", "dim", "dim-negative", "K", "trajectory-tmax", "n0",
             "mu", "lambda", "death-tmax", "init", "init-text", "init-negative",
             "n0-negative", "n-inf", "n-nan", "n-text",
             "trajectory-tmax-negative-steps-0", "trajectory-tmax-negative",
-            "death-tmax-negative-steps-0", "death-tmax-negative"])
+            "death-tmax-negative-steps-0", "death-tmax-negative",
+            "trajectory-steps-bound", "trajectory-steps-huge",
+            "death-steps-bound"])
     def test_out_of_range_value_names_parameter(self, capsys, argv, named):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2
@@ -159,6 +171,16 @@ class TestTrajectoryCommand:
         assert len(lines) == 6
         final = lines[-1].split(",")
         assert float(final[4]) == pytest.approx(math.exp(-1.0), rel=1e-9)
+
+    def test_attenuator_long_time_mean_does_not_cancel(self, capsys):
+        # e^{-40}, below the rounding of 2n + 1: the mean must not be read
+        # back from a covariance.
+        code, out, _ = run_cli(capsys, "trajectory", "attenuator",
+                               "--tmax", "40", "--steps", "1")
+        payload = json.loads(out)
+        assert code == 0
+        mean_col = payload["columns"].index("mean_photon")
+        assert payload["rows"][-1][mean_col] == 4.24835425529e-18
 
     def test_qou_reports_relative_entropy(self, capsys):
         code, out, _ = run_cli(capsys, "trajectory", "qou", "--n0", "3",

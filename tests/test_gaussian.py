@@ -16,12 +16,10 @@ from phaseineq.fock_core import (
 )
 from phaseineq.gaussian import (
     ClassicalOUParams,
-    GaussianStateSpec,
     carbone_lsi2_bounds,
     cou_step,
     g_entropy,
     g_inverse,
-    gaussian_evolve,
     h_function,
     h_minimize,
     j_pm_gaussian,
@@ -29,6 +27,7 @@ from phaseineq.gaussian import (
     thermal_fisher_closed,
     thermal_isoperimetric_ratio,
     thermal_j_pm,
+    thermal_mean,
     zeta_optimality_witness,
 )
 from phaseineq.semigroups import Amplifier, Attenuator, Heat, QOU, evolve
@@ -133,19 +132,6 @@ class TestStableClosedForms:
             assert _rel_err(n, exact) <= 1e-14
 
 
-class TestGaussianSpec:
-    def test_nbar_and_cov(self):
-        spec = GaussianStateSpec(mean=np.zeros(2), kappa=3.0, z=2.0)
-        assert spec.nbar == 1.0
-        assert np.allclose(spec.cov, np.diag([12.0, 0.75]))
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            GaussianStateSpec(mean=np.zeros(2), kappa=0.5)
-        with pytest.raises(ValueError):
-            GaussianStateSpec(mean=np.zeros(2), kappa=2.0, z=0.5)
-
-
 class TestClosedForms:
     def test_thermal_fisher(self):
         assert thermal_fisher_closed(1.0) == pytest.approx(4 * math.pi * math.log(2))
@@ -204,83 +190,95 @@ class TestClosedForms:
                 assert 8.0 <= c / f <= 11.0
 
 
-def _ladder_evolve(spec, kind, t):
-    """gaussian_evolve as a per-kind (alpha, beta) table, kept as the
-    oracle for the single formula of the kind's rates."""
+def _ladder_mean(n, kind, t):
+    """thermal_mean as a per-kind table, kept as the oracle for the single
+    formula of the kind's rates."""
     if isinstance(kind, Heat):
-        alpha, beta = 1.0, 4.0 * math.pi * t
-    elif isinstance(kind, Attenuator):
-        alpha = math.exp(-t)
-        beta = 1.0 - alpha
-    elif isinstance(kind, Amplifier):
-        alpha = math.exp(t)
-        beta = alpha - 1.0
-    else:
-        alpha = math.exp(-kind.zeta * t)
-        beta = (1.0 - alpha) * (kind.mu**2 + kind.lam**2) / kind.zeta
-    m1 = alpha * spec.kappa * spec.z**2 + beta
-    m2 = alpha * spec.kappa * spec.z**-2 + beta
-    z_t = (m1 / m2) ** 0.25
-    if z_t < 1.0:
-        z_t = 1.0 / z_t
-    mean_t = spec.mean if isinstance(kind, Heat) else (
-        math.sqrt(alpha) * spec.mean)
-    return mean_t, math.sqrt(m1 * m2), z_t
+        return n + 2.0 * math.pi * t
+    if isinstance(kind, Attenuator):
+        return math.exp(-t) * n
+    if isinstance(kind, Amplifier):
+        return math.exp(t) * (n + 1.0) - 1.0
+    alpha = math.exp(-kind.zeta * t)
+    return alpha * n + (1.0 - alpha) * kind.n_fixed
+
+
+_KINDS = [Heat(), Attenuator(), Amplifier(), QOU(math.sqrt(2.0), 1.0),
+          QOU(1.3, 0.4)]
+_KIND_IDS = ["heat", "attenuator", "amplifier", "qou", "qou-2"]
 
 
 class TestGaussianEvolve:
-    @pytest.mark.parametrize("kind", [Heat(), Attenuator(), Amplifier(),
-                                      QOU(math.sqrt(2.0), 1.0),
-                                      QOU(1.3, 0.4)],
-                             ids=["heat", "attenuator", "amplifier", "qou",
-                                  "qou-2"])
+    """The mean photon number of a thermal state along each flow."""
+
+    @pytest.mark.parametrize("kind", _KINDS, ids=_KIND_IDS)
     def test_matches_per_kind_ladder_bit_for_bit(self, kind):
-        spec = GaussianStateSpec(mean=np.array([0.7, -1.1]), kappa=2.5, z=1.8)
         for t in (0.0, 0.05, 0.3, 1.7):
-            out = gaussian_evolve(spec, kind, t)
-            mean_t, kappa_t, z_t = _ladder_evolve(spec, kind, t)
-            assert np.array_equal(out.mean, mean_t)
-            assert out.kappa == kappa_t and out.z == z_t
+            assert _rel_err(thermal_mean(0.75, kind, t),
+                            _ladder_mean(0.75, kind, t)) <= 1e-15
+
+    @pytest.mark.parametrize("kind", _KINDS, ids=_KIND_IDS)
+    def test_matches_mpmath(self, kind):
+        # The exact mean for the kind's double rates, at 50 digits; at
+        # t = 1e-10 the reference's 1 - e^{-zeta t} keeps 40 of them.
+        with mpmath.workdps(50):
+            mu2, lam2 = (mpmath.mpf(r) for r in kind.rates)
+            zeta = mu2 - lam2
+            for n in (0.0, 1e-6, 0.37, 1.0, 3.0, 50.0):
+                for t in (1e-10, 1e-6, 1e-3, 0.05, 0.3, 1.0, 1.7, 5.0,
+                          10.0, 40.0, 100.0):
+                    if zeta == 0:
+                        exact = n + (mu2 + lam2) * t / 2
+                    else:
+                        decay = mpmath.exp(-zeta * t)
+                        exact = decay * n + (1 - decay) * lam2 / zeta
+                    value = thermal_mean(n, kind, t)
+                    if exact == 0:
+                        assert value == 0.0
+                    else:
+                        assert _rel_err(value, exact) <= 1e-15, (n, t)
+
+    @pytest.mark.parametrize("n, t", [(1.0, 0.02), (1.0, 0.05), (1.0, 0.1),
+                                      (1.0, 2.0)]
+                             + [(n, t) for n in (0.5, 1.0, 2.0)
+                                for t in (0.05, 0.1, 0.5)])
+    def test_heat_is_the_inline_form_bit_for_bit(self, n, t):
+        # The stam and epi-heat suites' thermal cases read the heat flow's
+        # mean as n + 2 pi t; 0.5 (2 pi + 2 pi) is exactly 2 pi.
+        assert thermal_mean(n, Heat(), t) == n + 2.0 * math.pi * t
+
+    def test_rejects_negative_arguments(self):
+        with pytest.raises(ValueError, match="n must be >= 0"):
+            thermal_mean(-1.0, Heat(), 0.1)
+        with pytest.raises(ValueError, match="t must be >= 0"):
+            thermal_mean(1.0, Heat(), -0.1)
 
     def test_heat_on_thermal(self):
-        spec = GaussianStateSpec(mean=np.zeros(2), kappa=3.0)
-        out = gaussian_evolve(spec, Heat(), 0.25)
-        assert out.nbar == pytest.approx(1.0 + 2 * math.pi * 0.25)
+        assert thermal_mean(1.0, Heat(), 0.25) == pytest.approx(
+            1.0 + 2 * math.pi * 0.25)
 
     def test_attenuator_decay(self):
-        spec = GaussianStateSpec(mean=np.array([1.0, 0.0]), kappa=5.0)
-        out = gaussian_evolve(spec, Attenuator(), 0.5)
-        assert out.nbar == pytest.approx(2.0 * math.exp(-0.5))
-        assert out.mean[0] == pytest.approx(math.exp(-0.25))
+        assert thermal_mean(2.0, Attenuator(), 0.5) == pytest.approx(
+            2.0 * math.exp(-0.5))
 
     def test_amplifier_growth(self):
-        spec = GaussianStateSpec(mean=np.zeros(2), kappa=3.0)
-        out = gaussian_evolve(spec, Amplifier(), 0.3)
-        assert out.nbar == pytest.approx(math.exp(0.3) * 2.0 - 1.0)
+        assert thermal_mean(1.0, Amplifier(), 0.3) == pytest.approx(
+            math.exp(0.3) * 2.0 - 1.0)
 
     def test_qou_fixed_point(self):
         kind = QOU(math.sqrt(2.0), 1.0)
-        spec = GaussianStateSpec(mean=np.zeros(2), kappa=2 * kind.n_fixed + 1)
-        out = gaussian_evolve(spec, kind, 1.7)
-        assert out.nbar == pytest.approx(kind.n_fixed)
+        assert thermal_mean(kind.n_fixed, kind, 1.7) == pytest.approx(
+            kind.n_fixed)
 
     def test_qou_initial_value(self):
-        spec = GaussianStateSpec(mean=np.zeros(2), kappa=2 * 3.0 + 1)
-        assert gaussian_evolve(spec, QOU(math.sqrt(2.0), 1.0), 0.0).nbar == 3.0
+        assert thermal_mean(3.0, QOU(math.sqrt(2.0), 1.0), 0.0) == 3.0
 
     def test_qou_nbar_matches_fock_evolution(self):
         kind = QOU(math.sqrt(2.0), 1.0)
         rho = random_state(48, 3, StateFamily.DIAGONAL)
         n0 = mean_photon(rho)
-        spec = GaussianStateSpec(mean=np.zeros(2), kappa=2 * n0 + 1)
-        assert gaussian_evolve(spec, kind, 0.3).nbar == pytest.approx(
+        assert thermal_mean(n0, kind, 0.3) == pytest.approx(
             mean_photon(evolve(rho, kind, 0.3)), abs=1e-6)
-
-    def test_squeezing_relaxes_under_heat(self):
-        spec = GaussianStateSpec(mean=np.zeros(2), kappa=1.0, z=2.0)
-        out = gaussian_evolve(spec, Heat(), 1.0)
-        assert 1.0 <= out.z < spec.z
-        assert out.kappa > spec.kappa
 
 
 class TestQOURate:

@@ -11,7 +11,6 @@ import argparse
 import dataclasses
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -22,14 +21,12 @@ from .fock_core import TruncationError
 from .semigroups import Amplifier, Attenuator, Heat, QOU
 from .verify import SUITE_NAMES, run_suite, threshold_solve
 
-ENV_CONFIG = "PHASEINEQ_CONFIG"
 # verify's built-in values live in phaseineq.verify, which knows what each
 # suite reads.
-_DEFAULTS = {"dim": None, "seed": None, "cases": None, "tol": None,
-             "format": "json"}
 _FLAGS = {"--dim": {"type": int}, "--seed": {"type": int},
-          "--cases": {"type": int}, "--tol": {"type": float}, "--out": {},
-          "--format": {"choices": ["json", "csv"]}}
+          "--cases": {"type": int},
+          "--tol": {"type": float, "dest": "tolerance"}, "--out": {},
+          "--format": {"choices": ["json", "csv"], "default": "json"}}
 
 # What each closed-forms table and trajectory kind reads of --grid, --mu
 # and --lambda, with the values used when the flag is unset.
@@ -73,36 +70,6 @@ def _emit(payload: dict, out_path: str | None, fmt: str = "json"):
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _load_file_config(path: str | None, args) -> dict:
-    path = path or os.environ.get(ENV_CONFIG)
-    if not path:
-        return {}
-    with open(path) as fh:
-        data = json.load(fh)
-    if not isinstance(data, dict):
-        raise ValueError("config file must hold a JSON object")
-    # Like a flag, a key the subcommand would ignore is a usage error: the
-    # subcommand reads exactly the keys it registered as flags.
-    accepted = [k for k in _DEFAULTS if hasattr(args, k)]
-    for key, val in data.items():
-        if key not in accepted:
-            why = ("is unknown" if key not in _DEFAULTS
-                   else f"is not read by {args.command}")
-            raise ValueError(f"config key {key!r} {why}; accepted keys: "
-                             f"{', '.join(accepted) or 'none'}")
-        choices = _FLAGS[f"--{key}"].get("choices")
-        if choices and val not in choices:
-            raise ValueError(f"config key {key!r} must be one of "
-                             f"{', '.join(choices)}, got {val!r}")
-    return data
-
-
-def _resolve(args, file_cfg: dict, key: str):
-    # Precedence: flag > config file > built-in default.
-    val = getattr(args, key, None)
-    return val if val is not None else file_cfg.get(key, _DEFAULTS.get(key))
 
 
 def _read_only(args, name: str, reads: dict, always: tuple = ()) -> None:
@@ -165,77 +132,62 @@ def _parse_grid(spec: str) -> np.ndarray:
     return np.linspace(start, stop, count)
 
 
-def _typed(key: str, val, cast):
-    # A config-file value arrives as any JSON type; argparse already typed
-    # the flags.  A bool is an int to Python but never a count or a seed.
-    ok = isinstance(val, (int, float)) and not isinstance(val, bool)
-    if ok and cast is int:
-        ok = isinstance(val, int) or val.is_integer()
-    if not ok:
-        kind = "an integer" if cast is int else "a number"
-        raise ValueError(f"config key {key!r} must be {kind}, got {val!r}")
-    return cast(val)
-
-
-def _cmd_verify(args, file_cfg) -> int:
-    # Pass only what a flag or the config file set.
-    params = {}
-    for key, name, cast in (("dim", "dim", int), ("cases", "cases", int),
-                            ("seed", "seed", int), ("tol", "tolerance", float)):
-        val = _resolve(args, file_cfg, key)
-        if val is not None:
-            params[name] = _typed(key, val, cast)
+def _cmd_verify(args) -> int:
+    # Pass only the flags that were set.
+    params = {key: getattr(args, key)
+              for key in ("dim", "cases", "seed", "tolerance")
+              if getattr(args, key) is not None}
     report = run_suite(args.suite, **params)
     _emit(dataclasses.asdict(report), args.out, "json")
     return 0 if report.passed else 1
 
 
-def _cmd_trajectory(args, file_cfg) -> int:
+def _cmd_trajectory(args) -> int:
     cls, reads = _KINDS[args.kind]
     _read_only(args, args.kind, reads, ("--n0", "--tmax", "--steps"))
     kind = cls(*(getattr(args, key) for key in reads))
     rows = []
     for t in np.linspace(0.0, args.tmax, args.steps + 1):
-        n_t = ga.thermal_mean(args.n0, kind, float(t))
-        entropy = ga.g_entropy(n_t)
-        fisher = ga.thermal_fisher_closed(n_t)
-        relent = (ga.relent_to_qou_fixed(entropy, n_t, args.mu, args.lam)
-                  if args.kind == "qou" else None)
-        rows.append([float(t), entropy, math.exp(entropy), fisher, n_t, relent])
+        t = float(t)
+        # Past the largest double, math.exp raises, or n_t is inf and its
+        # entropy nan.
+        try:
+            n_t = ga.thermal_mean(args.n0, kind, t)
+            entropy = ga.g_entropy(n_t)
+            power = math.exp(entropy)
+        except OverflowError:
+            power = math.inf
+        if not power < math.inf:
+            raise ValueError(
+                f"the mean photon number or entropy power at t = {t:.12g} "
+                f"exceeds the largest double; lower --tmax or --n0")
+        # The excess over the fixed point, which n_t - m would round away.
+        relent = (ga.relent_to_qou_fixed(
+            math.exp(-kind.zeta * t) * (args.n0 - kind.n_fixed),
+            args.mu, args.lam) if args.kind == "qou" else None)
+        rows.append([t, entropy, power, ga.thermal_fisher_closed(n_t), n_t,
+                     relent])
     header = ["t", "entropy", "entropy_power", "fisher", "mean_photon",
               "relent_to_fixed"]
     _emit({"kind": args.kind, "columns": header, "rows": rows}, args.out,
-          _resolve(args, file_cfg, "format"))
+          args.format)
     return 0
 
 
-def _cmd_death_process(args, file_cfg) -> int:
-    if not args.init.startswith("geometric:"):
-        raise ValueError(f"unsupported init {args.init!r}; use geometric:<n>")
-    try:
-        n0 = float(args.init.split(":", 1)[1])
-    except ValueError:
-        raise ValueError(f"--init geometric:<n> needs a number, got "
-                         f"{args.init!r}") from None
-    if not math.isfinite(n0):
-        raise ValueError(f"--init geometric:<n> needs a finite n, got "
-                         f"{args.init!r}")
-    if n0 < 0:
-        raise ValueError(f"--init geometric:<n> needs n >= 0, got "
-                         f"{args.init!r}")
-    p = cl.geometric_pmf(n0, args.K)
+def _cmd_death_process(args) -> int:
+    p = cl.geometric_pmf(args.n0, args.K)
     rows = []
     for i in range(args.steps + 1):
         t = args.tmax * i / max(args.steps, 1)
         pt = cl.death_evolve(p, t)
         rows.append([t, pt.entropy(), pt.mean(), cl.death_entropy_rate(pt)])
     header = ["t", "entropy", "mean", "entropy_rate"]
-    _emit({"init": args.init, "columns": header, "rows": rows}, args.out,
-          _resolve(args, file_cfg, "format"))
+    _emit({"n0": args.n0, "columns": header, "rows": rows}, args.out,
+          args.format)
     return 0
 
 
-def _cmd_closed_forms(args, file_cfg) -> int:
+def _cmd_closed_forms(args) -> int:
     table = args.table
     _read_only(args, table, _TABLE_READS[table])
     grid = None if args.grid is None else _parse_grid(args.grid)
@@ -263,18 +215,18 @@ def _cmd_closed_forms(args, file_cfg) -> int:
         lo, hi, (clo, chi) = ga.carbone_lsi2_bounds(args.mu, args.lam)
         rows.append([args.mu, args.lam, lo, hi, clo, chi])
     _emit({"table": table, "columns": header, "rows": rows}, args.out,
-          _resolve(args, file_cfg, "format"))
+          args.format)
     return 0
 
 
-def _cmd_thresholds(args, file_cfg) -> int:
+def _cmd_thresholds(args) -> int:
     which = {"photon": "Photon067", "entropy": "Entropy206"}[args.which]
     root = threshold_solve(which)
     _emit({"which": args.which, "root": root}, args.out, "json")
     return 0
 
 
-def _cmd_minimize_rate(args, file_cfg) -> int:
+def _cmd_minimize_rate(args) -> int:
     bound = cl.certified_rate_bound(args.n, args.K)
     j_geo = cl.death_entropy_rate(cl.geometric_pmf(args.n, args.K))
     closed = ga.thermal_j_pm(args.n)[0]
@@ -290,8 +242,6 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="phaseineq",
         description="Verify bosonic phase-space geometric inequalities.",
     )
-    parser.add_argument("--config", help="JSON config file (or set "
-                        f"${ENV_CONFIG})")
     sub = parser.add_subparsers(dest="command", required=True)
 
     # Each subcommand registers only the flags it reads, so a flag it would
@@ -316,7 +266,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pt.set_defaults(fn=_cmd_trajectory)
 
     pd = sub.add_parser("death-process", help="pure-death process trajectory")
-    pd.add_argument("--init", default="geometric:1")
+    pd.add_argument("--n0", type=_nonnegative_float, default=1.0)
     pd.add_argument("--K", type=int, default=256)
     pd.add_argument("--tmax", type=_nonnegative_float, default=2.0)
     pd.add_argument("--steps", type=_steps, default=20)
@@ -352,8 +302,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        file_cfg = _load_file_config(args.config, args)
-        return args.fn(args, file_cfg)
+        return args.fn(args)
     except (ValueError, OSError, TruncationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

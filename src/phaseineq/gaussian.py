@@ -160,21 +160,19 @@ def _psi(u: float) -> float:
         k += 1
 
 
-def relent_to_qou_fixed(s: float, n: float, mu: float, lam: float) -> float:
-    """D(rho || thermal fixed point of qOU) given S(rho) = s, tr(rho n_hat) = n.
+def relent_to_qou_fixed(d: float, mu: float, lam: float) -> float:
+    """D(omega_{m + d} || omega_m): the relative entropy of the thermal state
+    with mean photon number m + d to the qOU fixed point, m = lam^2/zeta.
 
-    With m = lam^2/zeta the fixed point's mean photon number and d = n - m,
-    D = -s + (n + 1) log(m + 1) - n log m
-      = (g(n) - s) + n log1p(d/m) - (n + 1) log1p(d/(m + 1))
-      = (g(n) - s) + m psi(d/m) - (m + 1) psi(d/(m + 1)),
+    D = (m + d + 1) log((m + 1)/(m + d + 1)) - (m + d) log(m/(m + d))
+      = m psi(d/m) - (m + 1) psi(d/(m + 1)),
     where the terms linear in d cancel exactly (m (d/m) = (m + 1) d/(m + 1)),
     so only the second-order parts are subtracted, losing at most a factor
-    about m + 1: D(omega_n || omega_m) keeps full precision as n -> m.
+    about m + 1: given d itself, not m + d rounded, D keeps full precision
+    as d -> 0.
     """
     m = QOU(mu, lam).n_fixed
-    d = n - m
-    return ((g_entropy(n) - s) + m * _psi(d / m)
-            - (m + 1.0) * _psi(d / (m + 1.0)))
+    return m * _psi(d / m) - (m + 1.0) * _psi(d / (m + 1.0))
 
 
 def h_function(n: float, mu: float, lam: float) -> float:
@@ -209,7 +207,7 @@ def zeta_optimality_witness(mu: float, lam: float,
     kind = QOU(mu, lam)
     grid = np.geomspace(max(1e-3, 0.01 * kind.n_fixed), 1e4, 4000)
     for n in grid:
-        d = relent_to_qou_fixed(g_entropy(float(n)), float(n), mu, lam)
+        d = relent_to_qou_fixed(float(n) - kind.n_fixed, mu, lam)
         if h_function(float(n), mu, lam) - epsilon * d < -1e-9:
             return float(n)
     return None

@@ -366,7 +366,7 @@ def _suite_log_sobolev(*, tolerance) -> Iterator[_Check]:
     witness = ga.zeta_optimality_witness(mu, lam, epsilon)
     excess = -math.inf
     if witness is not None:
-        d = ga.relent_to_qou_fixed(ga.g_entropy(witness), witness, mu, lam)
+        d = ga.relent_to_qou_fixed(witness - n_star, mu, lam)
         excess = epsilon * d - ga.h_function(witness, mu, lam)
     yield _Check("zeta-optimality-witness",
                  {"epsilon": epsilon, "witness_n": witness}, excess, 0.0)
@@ -378,7 +378,7 @@ def _suite_log_sobolev(*, tolerance) -> Iterator[_Check]:
     # Conjectured exponential rate zeta on states beyond the proved regimes:
     # reported, never asserted.
     for n in (0.8, 1.5):
-        d = ga.relent_to_qou_fixed(ga.g_entropy(n), n, mu, lam)
+        d = ga.relent_to_qou_fixed(n - n_star, mu, lam)
         yield _Check("conjectured-rate-beyond-thresholds", {"n": n, "relent": d},
                      ga.h_function(n, mu, lam), tolerance, asserted=False)
 

@@ -236,7 +236,7 @@ def test_criterion_11_qou_h_function_and_rate():
     for n in (0.1, 0.5, 1.0, 2.0, 5.0, 10.0):
         def d_of(t):
             nt = thermal_mean(n, QOU(mu, lam), t)
-            return relent_to_qou_fixed(g_entropy(nt), nt, mu, lam)
+            return relent_to_qou_fixed(nt - QOU(mu, lam).n_fixed, mu, lam)
         ddot = (d_of(dt) - d_of(0.0)) / dt
         worst_rate = max(worst_rate, ddot - (-zeta * d_of(0.0)))
     witness = zeta_optimality_witness(mu, lam, 0.5)

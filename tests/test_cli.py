@@ -48,38 +48,38 @@ class TestVerifyCommand:
         code, _, _ = run_cli(capsys, "verify", "bogus")
         assert code == 2
 
-    def test_bad_tolerance_exits_two(self, capsys, tmp_path):
+    def test_bad_tolerance_exits_two(self, capsys):
         for tol in ("0", "nan", "inf"):
-            code, _, err = run_cli(capsys, "verify", "log-sobolev",
-                                   "--tol", tol)
-            assert code == 2
-            assert "tolerance must be > 0 and finite" in err
-        # Python's json reads the non-standard tokens NaN and Infinity.
-        path = tmp_path / "cfg.json"
-        for tol in ("NaN", "Infinity"):
-            path.write_text(f'{{"tol": {tol}}}')
-            code, out, err = run_cli(capsys, "--config", str(path), "verify",
-                                     "log-sobolev")
+            code, out, err = run_cli(capsys, "verify", "log-sobolev",
+                                     "--tol", tol)
             assert code == 2 and out == ""
             assert "tolerance must be > 0 and finite" in err
 
-    @pytest.mark.parametrize("cfg, suite, flags, reads", [
-        (None, "cou", ("--cases", "2"), "reads no parameters"),
-        (None, "majorization", ("--dim", "64"), "reads cases, seed"),
-        (None, "majorization", ("--tol", "1e-6"), "reads cases, seed"),
-        ({"dim": 16}, "cou", (), "reads no parameters"),
-        (None, "rate-decay-identity", ("--dim", "128"),
+    @pytest.mark.parametrize("suite, flags, reads", [
+        ("cou", ("--cases", "2"), "reads no parameters"),
+        ("majorization", ("--dim", "64"), "reads cases, seed"),
+        ("majorization", ("--tol", "1e-6"), "reads cases, seed"),
+        ("cou", ("--dim", "16"), "reads no parameters"),
+        ("rate-decay-identity", ("--dim", "128"),
          "reads cases, seed, tolerance"),
     ])
-    def test_unread_suite_parameter_exits_two(self, capsys, tmp_path, cfg,
-                                              suite, flags, reads):
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(cfg or {}))
-        code, out, err = run_cli(capsys, "--config", str(path), "verify",
-                                 suite, *flags)
+    def test_unread_suite_parameter_exits_two(self, capsys, suite, flags,
+                                              reads):
+        code, out, err = run_cli(capsys, "verify", suite, *flags)
         assert code == 2
         assert out == ""
         assert f"suite {suite!r} does not read" in err and reads in err
+
+    def test_environment_does_not_change_report(self, capsys, monkeypatch):
+        # Flags are the only input: no variable names a config file.
+        reports = []
+        for _ in range(2):
+            code, out, _ = run_cli(capsys, "verify", "cou")
+            assert code == 0
+            reports.append({k: v for k, v in json.loads(out).items()
+                            if k != "metadata"})
+            monkeypatch.setenv("PHASEINEQ_CONFIG", "/nonexistent/cfg.json")
+        assert reports[0] == reports[1]
 
     def test_seed_accepted_by_seedless_suite(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "correspondence",
@@ -117,12 +117,9 @@ class TestVerifyCommand:
         (("closed-forms", "lsi2", "--lambda", "inf"),
          "--lambda: must be finite, got inf"),
         (("death-process", "--tmax", "nan"), "--tmax: must be finite, got nan"),
-        (("death-process", "--init", "geometric:nan"),
-         "--init geometric:<n> needs a finite n, got 'geometric:nan'"),
-        (("death-process", "--init", "geometric:abc"),
-         "--init geometric:<n> needs a number, got 'geometric:abc'"),
-        (("death-process", "--init", "geometric:-1"),
-         "--init geometric:<n> needs n >= 0, got 'geometric:-1'"),
+        (("death-process", "--n0", "nan"), "--n0: must be finite, got nan"),
+        (("death-process", "--n0", "abc"), "--n0: not a number: 'abc'"),
+        (("death-process", "--n0", "-1"), "--n0: must be >= 0, got -1"),
         (("trajectory", "heat", "--n0", "-1", "--steps", "1"),
          "--n0: must be >= 0, got -1"),
         (("minimize-rate", "--n", "inf"), "--n: must be finite, got inf"),
@@ -146,13 +143,27 @@ class TestVerifyCommand:
          "--steps: must be between 0 and 999999"),
         (("death-process", "--steps", "1000000"),
          "--steps: must be between 0 and 999999"),
+        # A mean photon number or entropy power past the largest double:
+        # math.exp overflows in the mean, or in the entropy power, or the
+        # mean is inf.
+        (("trajectory", "amplifier", "--tmax", "1000", "--steps", "1"),
+         "entropy power at t = 1000 exceeds the largest double; lower --tmax "
+         "or --n0"),
+        (("trajectory", "amplifier", "--n0", "1e308", "--tmax", "1",
+          "--steps", "1"),
+         "entropy power at t = 0 exceeds the largest double; lower --tmax or "
+         "--n0"),
+        (("trajectory", "heat", "--tmax", "1e308", "--steps", "1"),
+         "entropy power at t = 1e+308 exceeds the largest double; lower "
+         "--tmax or --n0"),
     ], ids=["seed", "dim", "dim-negative", "K", "trajectory-tmax", "n0",
             "mu", "lambda", "death-tmax", "init", "init-text", "init-negative",
             "n0-negative", "n-inf", "n-nan", "n-text",
             "trajectory-tmax-negative-steps-0", "trajectory-tmax-negative",
             "death-tmax-negative-steps-0", "death-tmax-negative",
             "trajectory-steps-bound", "trajectory-steps-huge",
-            "death-steps-bound"])
+            "death-steps-bound", "mean-overflow", "power-overflow",
+            "mean-infinite"])
     def test_out_of_range_value_names_parameter(self, capsys, argv, named):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2
@@ -191,10 +202,24 @@ class TestTrajectoryCommand:
         relents = [row[relent_col] for row in payload["rows"]]
         assert relents[0] > relents[-1] > 0
 
+    def test_qou_relative_entropy_keeps_precision_near_fixed_point(self,
+                                                                   capsys):
+        # 50-digit values of D(omega_{n_t} || omega_m) at the double rates
+        # mu^2 = fl(sqrt 2)^2, lam^2 = 1, rounded to the 12 printed digits;
+        # n_t - m keeps only the digits of n_t past m = 1.
+        code, out, _ = run_cli(capsys, "trajectory", "qou", "--n0", "3",
+                               "--tmax", "40", "--steps", "4")
+        assert code == 0
+        payload = json.loads(out)
+        relent_col = payload["columns"].index("relent_to_fixed")
+        assert [row[relent_col] for row in payload["rows"][1:]] == [
+            2.06106005116e-09, 4.24835424654e-18, 8.7565107627e-27,
+            1.80485138785e-35]
+
 
 class TestDeathProcessCommand:
     def test_mean_decay(self, capsys):
-        code, out, _ = run_cli(capsys, "death-process", "--init", "geometric:1",
+        code, out, _ = run_cli(capsys, "death-process", "--n0", "1",
                                "--K", "128", "--tmax", "1", "--steps", "2")
         payload = json.loads(out)
         assert code == 0
@@ -203,9 +228,10 @@ class TestDeathProcessCommand:
             math.exp(-1.0), rel=1e-6)
 
     def test_bad_init_exits_two(self, capsys):
-        code, _, err = run_cli(capsys, "death-process", "--init", "uniform")
+        code, out, err = run_cli(capsys, "death-process", "--n0", "uniform")
         assert code == 2
-        assert "error" in err
+        assert out == ""
+        assert "--n0: not a number: 'uniform'" in err
 
 
 class TestClosedFormsCommand:
@@ -300,90 +326,6 @@ class TestMinimizeRateCommand:
         assert code == 0
         assert payload["gap"] <= 1e-8
         assert payload["certified_lower_bound"] <= payload["j_geometric"]
-
-
-class TestConfigPrecedence:
-    def test_config_file_supplies_defaults(self, capsys, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"cases": 2}))
-        code, out, _ = run_cli(capsys, "--config", str(cfg), "verify",
-                               "majorization")
-        assert code == 0
-        assert json.loads(out)["config"]["cases"] == 2
-
-    def test_flag_overrides_config_file(self, capsys, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"cases": 2}))
-        code, out, _ = run_cli(capsys, "--config", str(cfg), "verify",
-                               "majorization", "--cases", "3")
-        assert json.loads(out)["config"]["cases"] == 3
-
-    def test_env_var_config(self, capsys, tmp_path, monkeypatch):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"cases": 2}))
-        monkeypatch.setenv("PHASEINEQ_CONFIG", str(cfg))
-        code, out, _ = run_cli(capsys, "verify", "majorization")
-        assert json.loads(out)["config"]["cases"] == 2
-
-    @pytest.mark.parametrize("cfg, argv, named", [
-        ({"dmi": 16}, ("verify", "cou"), "'dmi' is unknown"),
-        ({"format": "csv"}, ("verify", "cou"), "'format' is not read by verify"),
-        ({"format": "csv"}, ("thresholds", "--which", "photon"),
-         "'format' is not read by thresholds"),
-        ({"seed": 1}, ("minimize-rate", "--n", "1"),
-         "'seed' is not read by minimize-rate"),
-    ])
-    def test_unread_config_key_exits_two(self, capsys, tmp_path, cfg, argv,
-                                         named):
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(cfg))
-        code, out, err = run_cli(capsys, "--config", str(path), *argv)
-        assert code == 2
-        assert out == ""
-        assert named in err and "accepted keys:" in err
-
-    @pytest.mark.parametrize("cfg, named", [
-        ({"cases": 1.9}, "'cases' must be an integer, got 1.9"),
-        ({"cases": True}, "'cases' must be an integer, got True"),
-        ({"dim": 64.5}, "'dim' must be an integer, got 64.5"),
-        ({"seed": "3"}, "'seed' must be an integer, got '3'"),
-        ({"tol": "1e-3"}, "'tol' must be a number, got '1e-3'"),
-        ({"tol": False}, "'tol' must be a number, got False"),
-    ])
-    def test_mistyped_config_value_exits_two(self, capsys, tmp_path, cfg,
-                                             named):
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(cfg))
-        code, out, err = run_cli(capsys, "--config", str(path), "verify",
-                                 "majorization")
-        assert code == 2
-        assert out == ""
-        assert named in err
-
-    @pytest.mark.parametrize("value", ["xml", 5])
-    def test_config_format_outside_choices_exits_two(self, capsys, tmp_path,
-                                                      value):
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"format": value}))
-        code, out, err = run_cli(capsys, "--config", str(path), "trajectory",
-                                 "heat")
-        assert code == 2
-        assert out == ""
-        assert (f"config key 'format' must be one of json, csv, got {value!r}"
-                in err)
-
-    def test_integral_config_values_accepted(self, capsys, tmp_path):
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"cases": 2.0, "seed": 1}))
-        code, out, _ = run_cli(capsys, "--config", str(path), "verify",
-                               "majorization")
-        assert code == 0
-        assert json.loads(out)["config"] == {"cases": 2, "seed": 1}
-
-    def test_missing_config_exits_two(self, capsys):
-        code, _, _ = run_cli(capsys, "--config", "/nonexistent.json",
-                             "verify", "cou")
-        assert code == 2
 
 
 class TestCrossProcessDeterminism:

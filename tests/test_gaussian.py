@@ -12,7 +12,6 @@ from phaseineq.fock_core import (
     random_state,
     relative_entropy,
     thermal_state,
-    von_neumann_entropy,
 )
 from phaseineq.gaussian import (
     ClassicalOUParams,
@@ -285,7 +284,7 @@ class TestQOURate:
     def test_relent_matches_fock_oracle(self):
         mu, lam = math.sqrt(2.0), 1.0
         rho = thermal_state(2.0, 64)
-        d_closed = relent_to_qou_fixed(von_neumann_entropy(rho), 2.0, mu, lam)
+        d_closed = relent_to_qou_fixed(2.0 - QOU(mu, lam).n_fixed, mu, lam)
         d_fock = relative_entropy(rho, thermal_state(1.0, 64))
         assert d_closed == pytest.approx(d_fock, rel=1e-6)
 
@@ -299,7 +298,7 @@ class TestQOURate:
         # m = lam^2/zeta that the function uses.
         m = QOU(mu, lam).n_fixed
         n = m * (1.0 + offset)
-        d = relent_to_qou_fixed(g_entropy(n), n, mu, lam)
+        d = relent_to_qou_fixed(n - m, mu, lam)
         with mpmath.workdps(50):
             mm, nn = mpmath.mpf(m), mpmath.mpf(n)
             exact = ((nn + 1) * mpmath.log((mm + 1) / (nn + 1))
@@ -308,7 +307,7 @@ class TestQOURate:
 
     def test_relent_at_vacuum(self):
         mu, lam = math.sqrt(2.0), 1.0
-        d = relent_to_qou_fixed(0.0, 0.0, mu, lam)
+        d = relent_to_qou_fixed(-QOU(mu, lam).n_fixed, mu, lam)
         assert d == pytest.approx(math.log1p(QOU(mu, lam).n_fixed), rel=1e-15)
 
     def test_h_vanishes_at_fixed_point(self):
@@ -329,7 +328,7 @@ class TestQOURate:
     def test_witness_exists_above_zeta(self):
         n = zeta_optimality_witness(math.sqrt(2.0), 1.0, 0.5)
         assert n is not None
-        d = relent_to_qou_fixed(g_entropy(n), n, math.sqrt(2.0), 1.0)
+        d = relent_to_qou_fixed(n - 1.0, math.sqrt(2.0), 1.0)
         assert h_function(n, math.sqrt(2.0), 1.0) - 0.5 * d < 0
 
 

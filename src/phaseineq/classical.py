@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fock_core import geometric_law
-from .gaussian import _bisect, g_entropy, g_inverse, thermal_j_pm
+from .gaussian import _beta, _bisect, g_entropy, g_inverse, thermal_j_pm
 
 _INTERIOR_FLOOR = 1e-12
 
@@ -131,7 +131,7 @@ def F_of_S0(s0: float, mu2: float, zeta: float) -> float:
     lam2 = mu2 - zeta
 
     def slope(n: float) -> float:
-        return mu2 / (n + 1.0) - lam2 * math.log1p(1.0 / n)
+        return mu2 / (n + 1.0) - lam2 * _beta(n)
 
     n = g_inverse(s0)
     if slope(n) < 0:

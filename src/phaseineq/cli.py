@@ -163,8 +163,8 @@ def _cmd_trajectory(args) -> int:
                 f"exceeds the largest double; lower --tmax or --n0")
         # The excess over the fixed point, which n_t - m would round away.
         relent = (ga.relent_to_qou_fixed(
-            math.exp(-kind.zeta * t) * (args.n0 - kind.n_fixed),
-            args.mu, args.lam) if args.kind == "qou" else None)
+            math.exp(-kind.zeta * t) * (args.n0 - kind.n_fixed), kind)
+            if args.kind == "qou" else None)
         rows.append([t, entropy, power, ga.thermal_fisher_closed(n_t), n_t,
                      relent])
     header = ["t", "entropy", "entropy_power", "fisher", "mean_photon",
@@ -191,6 +191,7 @@ def _cmd_closed_forms(args) -> int:
     table = args.table
     _read_only(args, table, _TABLE_READS[table])
     grid = None if args.grid is None else _parse_grid(args.grid)
+    kind = None if args.mu is None else QOU(args.mu, args.lam)
     rows = []
     if table == "fisher-tightness":
         header = ["n", "fisher", "isoperimetric_ratio"]
@@ -201,18 +202,22 @@ def _cmd_closed_forms(args) -> int:
         header = ["n", "fisher", "entropy_power", "product_over_4pie"]
         for n in grid:
             j = ga.thermal_fisher_closed(float(n))
-            npow = math.exp(ga.g_entropy(float(n)))
+            try:
+                npow = math.exp(ga.g_entropy(float(n)))
+            except OverflowError:
+                raise ValueError(
+                    f"the entropy power at n = {n:.12g} exceeds the largest "
+                    f"double; lower the stop of --grid") from None
             rows.append([float(n), j, npow, j * npow / (4.0 * math.pi * math.e)])
     elif table == "gaussian-rates":
         header = ["n", "j_minus", "j_plus", "h"]
         for n in grid:
             jm, jp = ga.thermal_j_pm(float(n))
-            rows.append([float(n), jm, jp,
-                         ga.h_function(float(n), args.mu, args.lam)])
+            rows.append([float(n), jm, jp, ga.h_function(float(n), kind)])
     elif table == "lsi2":
         header = ["mu", "lam", "alpha2_lower", "alpha2_upper",
                   "alphaC_lower", "alphaC_upper"]
-        lo, hi, (clo, chi) = ga.carbone_lsi2_bounds(args.mu, args.lam)
+        lo, hi, (clo, chi) = ga.carbone_lsi2_bounds(kind)
         rows.append([args.mu, args.lam, lo, hi, clo, chi])
     _emit({"table": table, "columns": header, "rows": rows}, args.out,
           args.format)

@@ -12,6 +12,7 @@ channel, and the Carbone et al. Log-Sobolev-2 bracketing bounds.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,6 +50,14 @@ def _bisect(below, lo: float, hi: float) -> float:
             hi = mid
 
 
+def _beta(n: float) -> float:
+    """log(1 + 1/n) for n > 0, as log1p(1/n) where 1/n is a finite double.
+    Below n of about 5.6e-309 it is log1p(n) - log n, whose log1p(n) lies
+    below the rounding of -log n."""
+    inv = 1.0 / n
+    return math.log1p(inv) if inv < math.inf else -math.log(n)
+
+
 def g_entropy(n: float) -> float:
     """Entropy of the thermal state with mean photon number n (nats), as
     log1p(n) + n log1p(1/n), which does not cancel at large n."""
@@ -56,7 +65,7 @@ def g_entropy(n: float) -> float:
         raise ValueError(f"n must be >= 0, got {n}")
     if n == 0:
         return 0.0
-    return math.log1p(n) + n * math.log1p(1.0 / n)
+    return math.log1p(n) + n * _beta(n)
 
 
 def g_inverse(s: float) -> float:
@@ -82,15 +91,22 @@ def thermal_fisher_closed(n: float) -> float:
         raise ValueError(f"n must be >= 0, got {n}")
     if n == 0:
         return math.inf
-    return 4.0 * math.pi * math.log1p(1.0 / n)
+    return 4.0 * math.pi * _beta(n)
 
 
 def thermal_isoperimetric_ratio(n: float) -> float:
     """d/dt (2/J) along the heat flow through the thermal state omega_n:
-    1/(n(n+1) log^2(1 + 1/n)), which is >= 1 and tends to 1 as n grows."""
+    1/(n(n+1) log^2(1 + 1/n)), which is >= 1 and tends to 1 as n grows.
+    Past n of about 6.7e153, where log^2(1 + 1/n) is subnormal and then
+    n(n+1) overflows, it is read as 1/(n log(1 + 1/n) (n+1) log(1 + 1/n)),
+    whose two factors tend to 1."""
     if n <= 0:
         raise ValueError(f"n must be > 0, got {n}")
-    return 1.0 / (n * (n + 1.0) * math.log1p(1.0 / n) ** 2)
+    beta = _beta(n)
+    square = n * (n + 1.0)
+    if square < math.inf and beta**2 >= sys.float_info.min:
+        return 1.0 / (square * beta**2)
+    return 1.0 / ((n * beta) * ((n + 1.0) * beta))
 
 
 def thermal_j_pm(n: float) -> tuple[float, float]:
@@ -101,7 +117,7 @@ def thermal_j_pm(n: float) -> tuple[float, float]:
         raise ValueError(f"n must be >= 0, got {n}")
     if n == 0:
         return 0.0, math.inf
-    log_term = math.log1p(1.0 / n)
+    log_term = _beta(n)
     return -2.0 * n * log_term, 2.0 * (n + 1.0) * log_term
 
 
@@ -160,7 +176,7 @@ def _psi(u: float) -> float:
         k += 1
 
 
-def relent_to_qou_fixed(d: float, mu: float, lam: float) -> float:
+def relent_to_qou_fixed(d: float, kind: QOU) -> float:
     """D(omega_{m + d} || omega_m): the relative entropy of the thermal state
     with mean photon number m + d to the qOU fixed point, m = lam^2/zeta.
 
@@ -169,33 +185,33 @@ def relent_to_qou_fixed(d: float, mu: float, lam: float) -> float:
     where the terms linear in d cancel exactly (m (d/m) = (m + 1) d/(m + 1)),
     so only the second-order parts are subtracted, losing at most a factor
     about m + 1: given d itself, not m + d rounded, D keeps full precision
-    as d -> 0.
+    as d -> 0.  Past d = m + 1, or d = 1e300 m, the psi terms, each about
+    d log(d/m), cancel more as d grows, and overflow past d/m = 1e305.
+    There D = n (beta(m) - beta(n)) - log1p(d/(m + 1)), with n = m + d and
+    beta(x) = log(1 + 1/x): the first term is the larger, and beta(n) is at
+    most about half of beta(m).
     """
-    m = QOU(mu, lam).n_fixed
-    return m * _psi(d / m) - (m + 1.0) * _psi(d / (m + 1.0))
+    m = kind.n_fixed
+    if not d >= -m:
+        raise ValueError(f"d must be >= -n_fixed = {-m!r}, got {d}")
+    if d <= m + 1.0 and d <= 1e300 * m:
+        return m * _psi(d / m) - (m + 1.0) * _psi(d / (m + 1.0))
+    n = m + d
+    return n * (_beta(m) - _beta(n)) - math.log1p(d / (m + 1.0))
 
 
-def h_function(n: float, mu: float, lam: float) -> float:
+def h_function(n: float, kind: QOU) -> float:
     """h(n) = mu^2 log(n+1) - lam^2 log n + lam^2 log lam^2 - mu^2 log mu^2
     + zeta log zeta; nonnegative, vanishing at n = lam^2/zeta."""
-    kind = QOU(mu, lam)
     if n <= 0:
         raise ValueError(f"n must be > 0, got {n}")
-    mu2, lam2, zeta = mu**2, lam**2, kind.zeta
+    (mu2, lam2), zeta = kind.rates, kind.zeta
     return (mu2 * math.log(n + 1.0) - lam2 * math.log(n)
             + lam2 * math.log(lam2) - mu2 * math.log(mu2)
             + zeta * math.log(zeta))
 
 
-def h_minimize(mu: float, lam: float) -> tuple[float, float]:
-    """(n*, h(n*)) at the unique stationary point n* = lam^2/(mu^2 - lam^2)."""
-    kind = QOU(mu, lam)
-    n_star = kind.n_fixed
-    return n_star, h_function(n_star, mu, lam)
-
-
-def zeta_optimality_witness(mu: float, lam: float,
-                            epsilon: float) -> float | None:
+def zeta_optimality_witness(kind: QOU, epsilon: float) -> float | None:
     """Smallest grid n where the rate constant zeta + epsilon fails on a
     thermal state, i.e. h(n) - epsilon * D(omega_n || sigma) < -1e-9.
 
@@ -204,11 +220,10 @@ def zeta_optimality_witness(mu: float, lam: float,
     """
     if epsilon < 0:
         raise ValueError(f"epsilon must be >= 0, got {epsilon}")
-    kind = QOU(mu, lam)
     grid = np.geomspace(max(1e-3, 0.01 * kind.n_fixed), 1e4, 4000)
     for n in grid:
-        d = relent_to_qou_fixed(float(n) - kind.n_fixed, mu, lam)
-        if h_function(float(n), mu, lam) - epsilon * d < -1e-9:
+        d = relent_to_qou_fixed(float(n) - kind.n_fixed, kind)
+        if h_function(float(n), kind) - epsilon * d < -1e-9:
             return float(n)
     return None
 
@@ -235,16 +250,14 @@ def cou_step(params: ClassicalOUParams, var0: float,
     return var_t, relent, margin
 
 
-def carbone_lsi2_bounds(mu: float, lam: float) -> tuple[float, float, tuple[float, float]]:
+def carbone_lsi2_bounds(kind: QOU) -> tuple[float, float, tuple[float, float]]:
     """(alpha2_lower, alpha2_upper, (alphaC_lower, alphaC_upper)).
 
     Evaluates the published bracketing formulas (with nu = lam^2/mu^2)
     for the inverse constants and inverts; no claim is made about the
     unknown true classical constant alpha_C.
     """
-    kind = QOU(mu, lam)
-    nu = kind.nu
-    mu2 = mu**2
+    mu2, nu = kind.rates[0], kind.nu
     inv_c_lower = math.log(1.0 / nu) / (5.0 * math.sqrt(5.0) * mu2 * (1.0 - nu) ** 1.5)
     inv_c_upper = (255.0 / 4.0) * ((1.0 + math.log(2.0)) * (1.0 - nu)
                                    + math.log(1.0 / nu)) / (mu2 * (1.0 - nu) ** 3)

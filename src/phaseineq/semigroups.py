@@ -41,6 +41,7 @@ truncated space because U a U^dag = e^{-i theta} a there too.
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from functools import partial
@@ -90,8 +91,18 @@ class QOU:
     lam: float
 
     def __post_init__(self):
-        if not (self.mu > self.lam > 0):
-            raise ValueError(f"QOU requires mu > lam > 0, got {self.mu}, {self.lam}")
+        # The qOU's formulas divide by, and take the logs of, these four.
+        try:
+            mu2, lam2 = self.rates  # OverflowError past the largest double
+            normal = all(sys.float_info.min <= x < math.inf
+                         for x in (mu2, lam2, mu2 - lam2, lam2 / mu2))
+        except (OverflowError, ZeroDivisionError):
+            normal = False
+        if not (self.mu > self.lam > 0 and normal):
+            raise ValueError(
+                f"QOU requires mu > lambda > 0 with mu^2, lambda^2, mu^2 - "
+                f"lambda^2 and lambda^2/mu^2 finite and >= 2.23e-308; got "
+                f"mu = {self.mu!r}, lambda = {self.lam!r}")
 
     @property
     def rates(self) -> tuple[float, float]:
@@ -542,8 +553,7 @@ def entropy_rate(rho: DensityMatrix, kind: SemigroupKind) -> float:
     return -2.0 * _rate(kind, rho, log_density(rho, "entropy rate"))
 
 
-def relent_decay_rate(rho: DensityMatrix, mu: float,
-                      lam: float) -> tuple[float, float]:
+def relent_decay_rate(rho: DensityMatrix, kind: QOU) -> tuple[float, float]:
     """(d/dt D(e^{tL}rho || sigma) at 0, assembled decay-identity RHS).
 
     The rate is the algebraic derivative tr(L(rho)(log rho - log sigma)).
@@ -552,15 +562,14 @@ def relent_decay_rate(rho: DensityMatrix, mu: float,
     are the attenuator's and the amplifier's `entropy_rate`, taken on the
     same log rho.
     """
-    kind = QOU(mu, lam)
     log_sigma = np.diag(np.log(geometric_law(kind.n_fixed, rho.dim)))
     log_rho = log_density(rho, "entropy rate")
     rate = _rate(kind, rho, log_rho - log_sigma)
 
     j_minus = -2.0 * _rate(Attenuator(), rho, log_rho)
     j_plus = -2.0 * _rate(Amplifier(), rho, log_rho)
-    zeta, nu = kind.zeta, kind.nu
-    rhs = (0.5 * mu**2 * j_minus + 0.5 * lam**2 * j_plus
+    (mu2, lam2), zeta, nu = kind.rates, kind.zeta, kind.nu
+    rhs = (0.5 * mu2 * j_minus + 0.5 * lam2 * j_plus
            + zeta * von_neumann_entropy(rho)
-           + lam**2 * math.log(nu) + zeta * math.log(1.0 - nu))
+           + lam2 * math.log(nu) + zeta * math.log(1.0 - nu))
     return rate, rhs

@@ -337,7 +337,7 @@ def _suite_rate_decay_identity(*, cases, seed, tolerance) -> Iterator[_Check]:
 
     def check(rho: DensityMatrix, descriptor: str, params: dict) -> _Check:
         def margin():
-            lhs, rhs = relent_decay_rate(rho, kind.mu, kind.lam)
+            lhs, rhs = relent_decay_rate(rho, kind)
             # The identity reads dD/dt = -zeta D - rhs-assembly; compare
             # -lhs against rhs + zeta D.
             target = -(kind.zeta * relative_entropy(rho, sigma) + rhs)
@@ -353,21 +353,22 @@ def _suite_rate_decay_identity(*, cases, seed, tolerance) -> Iterator[_Check]:
 
 
 def _suite_log_sobolev(*, tolerance) -> Iterator[_Check]:
-    mu, lam = math.sqrt(2.0), 1.0
+    kind = QOU(math.sqrt(2.0), 1.0)
     # h >= 0 across a thermal grid: -zeta D - dD/dt = h(n) for omega_n.
     for n in np.geomspace(0.1, 10.0, 12):
         yield _Check("h-nonnegative", {"n": float(n)},
-                     ga.h_function(float(n), mu, lam), 1e-9)
-    n_star, h_star = ga.h_minimize(mu, lam)
-    yield _Check("h-minimum-zero", {"n_star": n_star}, -abs(h_star), 1e-12)
+                     ga.h_function(float(n), kind), 1e-9)
+    n_star = kind.n_fixed
+    yield _Check("h-minimum-zero", {"n_star": n_star},
+                 -abs(ga.h_function(n_star, kind)), 1e-12)
     # The rate zeta + epsilon fails at the witness, where epsilon D - h > 0;
     # with no witness the case fails at -inf.
     epsilon = 0.5
-    witness = ga.zeta_optimality_witness(mu, lam, epsilon)
+    witness = ga.zeta_optimality_witness(kind, epsilon)
     excess = -math.inf
     if witness is not None:
-        d = ga.relent_to_qou_fixed(witness - n_star, mu, lam)
-        excess = epsilon * d - ga.h_function(witness, mu, lam)
+        d = ga.relent_to_qou_fixed(witness - n_star, kind)
+        excess = epsilon * d - ga.h_function(witness, kind)
     yield _Check("zeta-optimality-witness",
                  {"epsilon": epsilon, "witness_n": witness}, excess, 0.0)
     photon = threshold_solve("Photon067")
@@ -378,9 +379,9 @@ def _suite_log_sobolev(*, tolerance) -> Iterator[_Check]:
     # Conjectured exponential rate zeta on states beyond the proved regimes:
     # reported, never asserted.
     for n in (0.8, 1.5):
-        d = ga.relent_to_qou_fixed(n - n_star, mu, lam)
+        d = ga.relent_to_qou_fixed(n - n_star, kind)
         yield _Check("conjectured-rate-beyond-thresholds", {"n": n, "relent": d},
-                     ga.h_function(n, mu, lam), tolerance, asserted=False)
+                     ga.h_function(n, kind), tolerance, asserted=False)
 
 
 def _suite_cou() -> Iterator[_Check]:
@@ -477,7 +478,7 @@ def threshold_solve(which: str) -> float:
     """
     if which == "Photon067":
         c = 2.0 - 2.0 * math.log(2.0)
-        return ga._bisect(lambda n: n * math.log1p(1.0 / n) < c, 0.1, 10.0)
+        return ga._bisect(lambda n: n * ga._beta(n) < c, 0.1, 10.0)
     if which == "Entropy206":
         c = 2.0 * math.log(2.0) - 1.0
         return ga._bisect(lambda s: cl.F_of_S0(s, 2.0, 1.0) < c, 0.7, 10.0)

@@ -29,7 +29,6 @@ from phaseineq.gaussian import (
     cou_step,
     g_entropy,
     h_function,
-    h_minimize,
     j_pm_gaussian,
     relent_to_qou_fixed,
     thermal_fisher_closed,
@@ -211,7 +210,7 @@ def test_criterion_10_rate_decay_identity():
     states = [thermal_state(2.0, 64)]
     states += [random_state(64, seed, StateFamily.DIAGONAL) for seed in range(5)]
     for rho in states:
-        lhs, rhs = relent_decay_rate(rho, mu, lam)
+        lhs, rhs = relent_decay_rate(rho, QOU(mu, lam))
         target = -(zeta * relative_entropy(rho, sigma) + rhs)
         worst = max(worst, abs(lhs - target) / max(abs(target), 1e-12))
     _report(10, worst <= 1e-3,
@@ -221,7 +220,8 @@ def test_criterion_10_rate_decay_identity():
 def test_criterion_11_qou_h_function_and_rate():
     mu, lam = math.sqrt(2.0), 1.0
     zeta = mu**2 - lam**2
-    _, h_min = h_minimize(mu, lam)
+    kind = QOU(mu, lam)
+    h_min = h_function(kind.n_fixed, kind)
     min_ok = abs(h_min) <= 1e-12
     rng = np.random.default_rng(0)
     worst_h = math.inf
@@ -229,17 +229,17 @@ def test_criterion_11_qou_h_function_and_rate():
         m = 1.0 + rng.uniform(0.05, 3.0)
         l = rng.uniform(0.1, m - 0.05)
         for n in np.geomspace(1e-3, 1e3, 200):
-            worst_h = min(worst_h, h_function(float(n), m, l))
+            worst_h = min(worst_h, h_function(float(n), QOU(m, l)))
     # Gaussian decay rate along the qOU flow of thermal states (closed form).
     worst_rate = -math.inf
     dt = 1e-6
     for n in (0.1, 0.5, 1.0, 2.0, 5.0, 10.0):
         def d_of(t):
-            nt = thermal_mean(n, QOU(mu, lam), t)
-            return relent_to_qou_fixed(nt - QOU(mu, lam).n_fixed, mu, lam)
+            nt = thermal_mean(n, kind, t)
+            return relent_to_qou_fixed(nt - kind.n_fixed, kind)
         ddot = (d_of(dt) - d_of(0.0)) / dt
         worst_rate = max(worst_rate, ddot - (-zeta * d_of(0.0)))
-    witness = zeta_optimality_witness(mu, lam, 0.5)
+    witness = zeta_optimality_witness(kind, 0.5)
     ok = (min_ok and worst_h >= -1e-12 and worst_rate <= 1e-6
           and witness is not None)
     _report(11, ok, f"h(n*) = {h_min:.2e}; min h on grids {worst_h:.2e}; "

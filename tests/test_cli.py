@@ -156,6 +156,10 @@ class TestVerifyCommand:
         (("trajectory", "heat", "--tmax", "1e308", "--steps", "1"),
          "entropy power at t = 1e+308 exceeds the largest double; lower "
          "--tmax or --n0"),
+        # g(1e308) is about 710.2, past the log of the largest double.
+        (("closed-forms", "entropy-tightness", "--grid", "1e307:1e308:2"),
+         "error: the entropy power at n = 1e+308 exceeds the largest double; "
+         "lower the stop of --grid"),
     ], ids=["seed", "dim", "dim-negative", "K", "trajectory-tmax", "n0",
             "mu", "lambda", "death-tmax", "init", "init-text", "init-negative",
             "n0-negative", "n-inf", "n-nan", "n-text",
@@ -163,12 +167,37 @@ class TestVerifyCommand:
             "death-tmax-negative-steps-0", "death-tmax-negative",
             "trajectory-steps-bound", "trajectory-steps-huge",
             "death-steps-bound", "mean-overflow", "power-overflow",
-            "mean-infinite"])
+            "mean-infinite", "grid-power-overflow"])
     def test_out_of_range_value_names_parameter(self, capsys, argv, named):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2
         assert out == ""
         assert named in err
+
+    @pytest.mark.parametrize("argv", [
+        ("closed-forms", "gaussian-rates", "--mu", "1e200", "--lambda", "1",
+         "--grid", "1:2:2"),
+        ("closed-forms", "lsi2", "--mu", "1e200", "--lambda", "1"),
+        ("closed-forms", "lsi2", "--mu", "1e-200", "--lambda", "1e-201"),
+        ("trajectory", "qou", "--mu", "1e-200", "--lambda", "1e-201",
+         "--steps", "1"),
+        ("trajectory", "qou", "--mu", "1e200", "--lambda", "1", "--steps",
+         "1"),
+        ("closed-forms", "gaussian-rates", "--mu", "1e-200", "--lambda",
+         "1e-201", "--grid", "1:2:2"),
+    ], ids=["rates-overflow", "lsi2-overflow", "lsi2-underflow",
+            "trajectory-underflow", "trajectory-overflow", "rates-underflow"])
+    def test_qou_rates_outside_the_doubles_name_mu_and_lambda(self, capsys,
+                                                               argv):
+        # mu^2 overflows, or mu^2 and lam^2 underflow: the qOU is refused
+        # before any row, whichever row would have failed first.
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        mu, lam = (float(argv[argv.index(flag) + 1])
+                   for flag in ("--mu", "--lambda"))
+        assert f"got mu = {mu!r}, lambda = {lam!r}" in err
+        assert "--tmax" not in err and "--n0" not in err
 
 
 class TestTrajectoryCommand:
@@ -201,6 +230,25 @@ class TestTrajectoryCommand:
         relent_col = payload["columns"].index("relent_to_fixed")
         relents = [row[relent_col] for row in payload["rows"]]
         assert relents[0] > relents[-1] > 0
+
+    def test_qou_relative_entropy_far_from_fixed_point(self, capsys):
+        # D = n log 2 (1 + O(log(n)/n)) at m = 1: finite, though the psi
+        # terms of the near form overflow.
+        code, out, _ = run_cli(capsys, "trajectory", "qou", "--n0", "1e306",
+                               "--steps", "1")
+        assert code == 0
+        payload = json.loads(out)
+        relent_col = payload["columns"].index("relent_to_fixed")
+        assert payload["rows"][0][relent_col] == 6.9314718056e305
+
+    def test_heat_from_below_where_one_over_n_overflows(self, capsys):
+        # At n0 = 1e-310 the entropy is about 7e-308 and its power about 1.
+        code, out, _ = run_cli(capsys, "trajectory", "heat", "--n0", "1e-310",
+                               "--steps", "1")
+        assert code == 0
+        first = json.loads(out)["rows"][0]
+        assert first[:5] == [0.0, 7.14801378828e-308, 1.0, 8969.8926714,
+                             1e-310]
 
     def test_qou_relative_entropy_keeps_precision_near_fixed_point(self,
                                                                    capsys):
@@ -273,6 +321,23 @@ class TestClosedFormsCommand:
         row = payload["rows"][0]
         cols = payload["columns"]
         assert row[cols.index("alpha2_lower")] < row[cols.index("alpha2_upper")]
+
+    @pytest.mark.parametrize("table, grid, nulls", [
+        ("fisher-tightness", "1e-320:1e-300:3", 1),
+        ("fisher-tightness", "1e150:1e200:3", 0),
+        ("gaussian-rates", "1e-320:1e-310:2", 0)])
+    def test_cells_are_finite_over_the_double_range(self, capsys, table,
+                                                    grid, nulls):
+        # Below n of about 5.6e-309 1/n overflows; past about 6.7e153
+        # log^2(1 + 1/n) is subnormal and n(n+1) then overflows.  Only the
+        # isoperimetric ratio at 1e-320, about 1.8e314, lies past the
+        # largest double.
+        code, out, _ = run_cli(capsys, "closed-forms", table, "--grid", grid)
+        assert code == 0
+        rows = json.loads(out)["rows"]
+        assert [v for row in rows for v in row].count(None) == nulls
+        if table == "fisher-tightness" and nulls == 0:
+            assert [row[2] for row in rows] == [1.0, 1.0, 1.0]
 
     def test_fisher_tightness_rejects_zero_photons(self, capsys):
         # The isoperimetric ratio has no value at n = 0, where J is infinite.

@@ -291,7 +291,7 @@ class TestSpectrum:
         quantum_fisher(rho)
         assert eigh_shapes == [(24, 24)]
         entropy_rate(rho, Attenuator())
-        relent_decay_rate(rho, math.sqrt(2.0), 1.0)
+        relent_decay_rate(rho, QOU(math.sqrt(2.0), 1.0))
         relative_entropy(thermal_state(1.0, 64), rho)
         quantum_fisher(rho)
         assert eigh_shapes == [(24, 24)]
@@ -491,7 +491,7 @@ class TestBlockFormReaders:
                + kind.zeta * _dense_entropy(state.mat)
                + lam**2 * math.log(kind.nu)
                + kind.zeta * math.log(1.0 - kind.nu))
-        got = relent_decay_rate(state, mu, lam)
+        got = relent_decay_rate(state, kind)
         assert got == pytest.approx((rate, rhs), rel=1e-13)
 
     def test_relative_entropy(self, state):

@@ -20,7 +20,6 @@ from phaseineq.gaussian import (
     g_entropy,
     g_inverse,
     h_function,
-    h_minimize,
     j_pm_gaussian,
     relent_to_qou_fixed,
     thermal_fisher_closed,
@@ -61,6 +60,16 @@ def _rel_err(value, exact):
     return float(abs(mpmath.mpf(value) / exact - 1))
 
 
+def _relent_exact(d, m):
+    """D(omega_{m + d} || omega_m) = n log1p(d/m) - (n + 1) log1p(d/(m + 1)),
+    n = m + d, for the doubles d and m, at 80 digits: the two terms cancel
+    at most about 13 of them for the d and m tested."""
+    with mpmath.workdps(80):
+        m, d = mpmath.mpf(m), mpmath.mpf(d)
+        n = m + d
+        return n * mpmath.log1p(d / m) - (n + 1) * mpmath.log1p(d / (m + 1))
+
+
 class TestStableClosedForms:
     """g, its inverse, the thermal Fisher information and the entropy
     rates J+- against 50-digit values, at photon numbers where
@@ -84,12 +93,35 @@ class TestStableClosedForms:
             exact = 4 * mpmath.pi * mpmath.log1p(1 / mpmath.mpf(n))
             assert _rel_err(thermal_fisher_closed(n), exact) <= 1e-14
 
-    @pytest.mark.parametrize("n", NS)
+    # log^2(1 + 1/n) is subnormal from n of about 6.7e153 on, and n(n+1)
+    # overflows from about 1.3e154 on; the ratio tends to 1.
+    @pytest.mark.parametrize("n", NS + [1e150, 6e153, 7e153, 1.4e154, 1e155,
+                                        1e175, 1e200, 1e300, 1.7e308])
     def test_isoperimetric_ratio(self, n):
         with mpmath.workdps(50):
             m = mpmath.mpf(n)
             exact = 1 / (m * (m + 1) * mpmath.log1p(1 / m) ** 2)
             assert _rel_err(thermal_isoperimetric_ratio(n), exact) <= 1e-14
+
+    @pytest.mark.parametrize("n", [1e-320, 1e-315, 1e-310, 5e-309, 6e-309,
+                                   1e-300])
+    def test_below_where_one_over_n_overflows(self, n):
+        # 1/n overflows below n of about 5.6e-309.  g and J_- are n times
+        # log(1 + 1/n), a subnormal double below n of about 3e-311, so they
+        # are read from 1e-310 on, as is the ratio, which overflows below
+        # about 1e-314.
+        with mpmath.workdps(50):
+            m = mpmath.mpf(n)
+            log_term = mpmath.log1p(1 / m)
+            cases = [(thermal_fisher_closed(n), 4 * mpmath.pi * log_term),
+                     (thermal_j_pm(n)[1], 2 * (m + 1) * log_term)]
+            if n >= 1e-310:
+                cases += [(g_entropy(n), mpmath.log1p(m) + m * log_term),
+                          (thermal_j_pm(n)[0], -2 * m * log_term),
+                          (thermal_isoperimetric_ratio(n),
+                           1 / (m * (m + 1) * log_term**2))]
+            for value, exact in cases:
+                assert _rel_err(value, exact) <= 1e-14
 
     @pytest.mark.parametrize("n", [1e-8, 1e-6, 1e-3, 0.5, 1e4, 1e6, 1e8])
     def test_thermal_j_pm(self, n):
@@ -284,7 +316,8 @@ class TestQOURate:
     def test_relent_matches_fock_oracle(self):
         mu, lam = math.sqrt(2.0), 1.0
         rho = thermal_state(2.0, 64)
-        d_closed = relent_to_qou_fixed(2.0 - QOU(mu, lam).n_fixed, mu, lam)
+        kind = QOU(mu, lam)
+        d_closed = relent_to_qou_fixed(2.0 - kind.n_fixed, kind)
         d_fock = relative_entropy(rho, thermal_state(1.0, 64))
         assert d_closed == pytest.approx(d_fock, rel=1e-6)
 
@@ -296,22 +329,52 @@ class TestQOURate:
         # D(omega_n || omega_m) is second order in n - m, so terms of size
         # one must not be subtracted.  The reference takes the double
         # m = lam^2/zeta that the function uses.
-        m = QOU(mu, lam).n_fixed
+        kind = QOU(mu, lam)
+        m = kind.n_fixed
         n = m * (1.0 + offset)
-        d = relent_to_qou_fixed(n - m, mu, lam)
+        d = relent_to_qou_fixed(n - m, kind)
         with mpmath.workdps(50):
             mm, nn = mpmath.mpf(m), mpmath.mpf(n)
             exact = ((nn + 1) * mpmath.log((mm + 1) / (nn + 1))
                      - nn * mpmath.log(mm / nn))
             assert _rel_err(d, exact) <= 1e-15
 
+    @pytest.mark.parametrize("mu, lam", [(1.5, 1.0), (math.sqrt(2.0), 1.0),
+                                         (1.25, 0.75)])
+    def test_relent_far_from_fixed_point(self, mu, lam):
+        # Past d = m + 1 the two psi terms, each about d log d, cancel more
+        # as d grows, and overflow past d = 1e305.
+        kind = QOU(mu, lam)
+        m = kind.n_fixed
+        for d in (1e-12, 0.5, 10.0, 1e6, 1e100, 1e300, 1e306, 1.5e308,
+                  -0.5 * m):
+            value = relent_to_qou_fixed(d, kind)
+            with mpmath.workdps(80):
+                assert _rel_err(value, _relent_exact(d, m)) <= 2e-15, d
+
+    @pytest.mark.parametrize("d", [-5e-307, 1e-10, 0.5, 1.0, 10.0, 1e100])
+    def test_relent_at_a_tiny_fixed_point(self, d):
+        # m = 1e-306: for d <= m + 1, d/m passes 1e305, where m psi(d/m)
+        # overflows.
+        kind = QOU(1e153, 1.0)
+        value = relent_to_qou_fixed(d, kind)
+        with mpmath.workdps(80):
+            assert _rel_err(value, _relent_exact(d, kind.n_fixed)) <= 2e-15
+
+    @pytest.mark.parametrize("d", [-1.5, -math.inf, math.nan])
+    def test_relent_rejects_excess_below_the_vacuum(self, d):
+        with pytest.raises(ValueError, match="d must be >= -n_fixed"):
+            relent_to_qou_fixed(d, QOU(math.sqrt(2.0), 1.0))
+
     def test_relent_at_vacuum(self):
-        mu, lam = math.sqrt(2.0), 1.0
-        d = relent_to_qou_fixed(-QOU(mu, lam).n_fixed, mu, lam)
-        assert d == pytest.approx(math.log1p(QOU(mu, lam).n_fixed), rel=1e-15)
+        kind = QOU(math.sqrt(2.0), 1.0)
+        d = relent_to_qou_fixed(-kind.n_fixed, kind)
+        assert d == pytest.approx(math.log1p(kind.n_fixed), rel=1e-15)
 
     def test_h_vanishes_at_fixed_point(self):
-        n_star, h_min = h_minimize(math.sqrt(2.0), 1.0)
+        kind = QOU(math.sqrt(2.0), 1.0)
+        n_star = kind.n_fixed
+        h_min = h_function(n_star, kind)
         assert n_star == pytest.approx(1.0)
         assert abs(h_min) <= 1e-12
 
@@ -320,16 +383,17 @@ class TestQOURate:
            st.floats(min_value=1e-2, max_value=1e3))
     def test_h_nonnegative(self, mu, n):
         lam = 1.0
-        assert h_function(n, mu, lam) >= -1e-12
+        assert h_function(n, QOU(mu, lam)) >= -1e-12
 
     def test_no_witness_for_zeta_itself(self):
-        assert zeta_optimality_witness(math.sqrt(2.0), 1.0, 0.0) is None
+        assert zeta_optimality_witness(QOU(math.sqrt(2.0), 1.0), 0.0) is None
 
     def test_witness_exists_above_zeta(self):
-        n = zeta_optimality_witness(math.sqrt(2.0), 1.0, 0.5)
+        kind = QOU(math.sqrt(2.0), 1.0)
+        n = zeta_optimality_witness(kind, 0.5)
         assert n is not None
-        d = relent_to_qou_fixed(n - 1.0, math.sqrt(2.0), 1.0)
-        assert h_function(n, math.sqrt(2.0), 1.0) - 0.5 * d < 0
+        d = relent_to_qou_fixed(n - 1.0, kind)
+        assert h_function(n, kind) - 0.5 * d < 0
 
 
 class TestClassicalOU:
@@ -361,11 +425,11 @@ class TestClassicalOU:
 
 class TestCarboneBounds:
     def test_ordering(self):
-        lo, hi, (c_lo, c_hi) = carbone_lsi2_bounds(math.sqrt(2.0), 1.0)
+        lo, hi, (c_lo, c_hi) = carbone_lsi2_bounds(QOU(math.sqrt(2.0), 1.0))
         assert 0 < lo < hi
         assert 0 < c_lo < c_hi
 
     def test_lsi2_within_classical_bracket_upper(self):
         # alpha2 <= alphaC upper endpoint by construction of the formulas.
-        lo, hi, (c_lo, c_hi) = carbone_lsi2_bounds(2.0, 1.0)
+        lo, hi, (c_lo, c_hi) = carbone_lsi2_bounds(QOU(2.0, 1.0))
         assert hi <= c_hi + 1e-12

@@ -1,4 +1,5 @@
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -148,6 +149,17 @@ class TestLiouvillian:
             QOU(1.0, 1.0)
         with pytest.raises(ValueError):
             QOU(1.0, 2.0)
+        # mu^2 overflows; mu^2 and lam^2 underflow; lam^2 is subnormal;
+        # nu = lam^2/mu^2, and with it the fixed point, underflows.
+        for mu, lam in ((1e200, 1.0), (1e-200, 1e-201), (1.0, 1e-155),
+                        (1e154, 2e-154)):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"got mu = {mu!r}, lambda = {lam!r}")):
+                QOU(mu, lam)
+        # mu one ulp above lam = 1: zeta = 2^-51, about 4.4e-16, is normal.
+        kind = QOU(1.0000000000000002, 1.0)
+        assert kind.zeta == 2.0**-51
+        assert kind.n_fixed == 2.0**51
 
 
 def _zeros_first_matvec(gen, x):
@@ -643,7 +655,7 @@ class TestFlow:
             liouvillian_apply(kind, rho)
             entropy_rate(rho, kind)
         convolve(standard_gaussian(), rho, 0.01)
-        relent_decay_rate(rho, math.sqrt(2.0), 1.0)
+        relent_decay_rate(rho, QOU(math.sqrt(2.0), 1.0))
         aniso = GaussianDensity(mean=np.zeros(2),
                                 cov=np.array([[1.0, 0.3], [0.3, 0.6]]))
         with pytest.raises(AssertionError, match="whole generator"):
@@ -685,13 +697,13 @@ class TestRelentDecay:
     def test_fixed_point_rate_vanishes(self):
         mu, lam = math.sqrt(2.0), 1.0
         sigma = thermal_state(1.0, 64)
-        rate, _ = relent_decay_rate(sigma, mu, lam)
+        rate, _ = relent_decay_rate(sigma, QOU(mu, lam))
         assert rate == pytest.approx(0.0, abs=1e-6)
 
     def test_identity_on_thermal(self):
         mu, lam = math.sqrt(2.0), 1.0
         rho = thermal_state(2.0, 64)
-        rate, rhs = relent_decay_rate(rho, mu, lam)
+        rate, rhs = relent_decay_rate(rho, QOU(mu, lam))
         d = relative_entropy(rho, thermal_state(1.0, 64))
         assert rate == pytest.approx(-(d + rhs), rel=1e-3)
 
@@ -699,13 +711,13 @@ class TestRelentDecay:
         # log sigma is diagonal in closed form: only rho's own eigenvectors,
         # one eigh of its 24 x 24 block, enter, and none for sigma.
         rho = random_state(64, 4, StateFamily.FULL_RANK)
-        rate, rhs = relent_decay_rate(rho, math.sqrt(2.0), 1.0)
+        rate, rhs = relent_decay_rate(rho, QOU(math.sqrt(2.0), 1.0))
         assert math.isfinite(rate) and math.isfinite(rhs)
         assert eigh_shapes == [(24, 24)]
 
     def test_gaussian_rate_bound(self):
         mu, lam = math.sqrt(2.0), 1.0
         rho = thermal_state(3.0, 128)
-        rate, _ = relent_decay_rate(rho, mu, lam)
+        rate, _ = relent_decay_rate(rho, QOU(mu, lam))
         d = relative_entropy(rho, thermal_state(1.0, 128))
         assert rate <= -(mu**2 - lam**2) * d + 1e-6

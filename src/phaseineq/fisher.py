@@ -20,13 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock_core import (
-    EDGE_TOL,
-    DensityMatrix,
-    TruncationError,
-    log_spectrum,
-    state_edge_mass,
-)
+from .fock_core import DensityMatrix, check_edge_mass, log_spectrum
 
 
 @dataclass(frozen=True)
@@ -35,15 +29,13 @@ class FisherEstimate:
 
 
 def quantum_fisher(rho: DensityMatrix) -> FisherEstimate:
-    """Fisher information of the phase-space translation family of rho."""
+    """Fisher information of the phase-space translation family of rho;
+    TruncationError (`fock_core.check_edge_mass`) when rho holds more than
+    EDGE_TOL in its edge band, IllConditionedError unless it is full rank."""
     log_lam = log_spectrum(rho, "quantum_fisher")
     # The truncated quadratures act on rho itself, so rho's own edge band
     # bounds the truncation error.
-    edge = state_edge_mass(rho.mat)
-    if edge > EDGE_TOL:
-        raise TruncationError(
-            f"state edge mass {edge:.1e} exceeds {EDGE_TOL:.1e}; increase dim"
-        )
+    check_edge_mass(rho.mat, "increase dim")
     lam, vecs, k = rho.spectrum, rho.block_vecs, rho.block
 
     def weight(i, j):

@@ -367,13 +367,17 @@ def majorizes(p, q, tol: float = 1e-10) -> tuple[bool, np.ndarray]:
     return ok, margins
 
 
-def edge_band(dim: int) -> int:
-    """Number of top basis levels counted as the truncation edge."""
-    return int(math.ceil(dim / 8))
-
-
 def state_edge_mass(mat: np.ndarray) -> float:
-    """Edge mass of a raw state matrix (no DensityMatrix validation)."""
-    dim = mat.shape[0]
-    k = edge_band(dim)
+    """Mass of a raw state matrix (no DensityMatrix validation) in its edge
+    band, the top ceil(dim/8) basis levels."""
+    k = math.ceil(mat.shape[0] / 8)
     return float(np.real(np.diag(mat)[-k:]).sum())
+
+
+def check_edge_mass(mat: np.ndarray, fix: str) -> None:
+    """Raise TruncationError, naming `fix`, when mat holds more than EDGE_TOL
+    in its edge band: the one truncation rule of the flows and of J."""
+    edge = state_edge_mass(mat)
+    if edge > EDGE_TOL:
+        raise TruncationError(
+            f"edge mass {edge:.3e} exceeds {EDGE_TOL:.1e}; {fix}")

@@ -176,27 +176,56 @@ def _psi(u: float) -> float:
         k += 1
 
 
+def _phi(u: float) -> float:
+    """u - log1p(u) for u > -1, to full relative precision: the series
+    sum_{k >= 2} (-u)^k/k, whose first term dominates, for |u| < 1/2, and
+    the direct form, which cancels at most a factor about 5, otherwise."""
+    if abs(u) >= 0.5:
+        return u - math.log1p(u)
+    total, power, k = 0.0, u * u, 2
+    while True:
+        term = power / k
+        total += term
+        if abs(term) <= 1e-17 * total:
+            return total
+        power *= -u
+        k += 1
+
+
 def relent_to_qou_fixed(d: float, kind: QOU) -> float:
     """D(omega_{m + d} || omega_m): the relative entropy of the thermal state
-    with mean photon number m + d to the qOU fixed point, m = lam^2/zeta.
+    with mean photon number m + d to the qOU fixed point, m = lam^2/zeta,
+    from d itself, not m + d rounded, so it keeps full precision as d -> 0.
 
-    D = (m + d + 1) log((m + 1)/(m + d + 1)) - (m + d) log(m/(m + d))
-      = m psi(d/m) - (m + 1) psi(d/(m + 1)),
-    where the terms linear in d cancel exactly (m (d/m) = (m + 1) d/(m + 1)),
-    so only the second-order parts are subtracted, losing at most a factor
-    about m + 1: given d itself, not m + d rounded, D keeps full precision
-    as d -> 0.  Past d = m + 1, or d = 1e300 m, the psi terms, each about
-    d log(d/m), cancel more as d grows, and overflow past d/m = 1e305.
-    There D = n (beta(m) - beta(n)) - log1p(d/(m + 1)), with n = m + d and
-    beta(x) = log(1 + 1/x): the first term is the larger, and beta(n) is at
-    most about half of beta(m).
+    D = (n + 1) log((m + 1)/(n + 1)) - n log(m/n) with n = m + d.  For
+    m >= 1 it is read as
+      D = (d/m)(d/(n + 1))/(m + 1) - n phi(x) + phi(y),
+    with x = d/(m (n + 1)), y = d/(m + 1) and phi(u) = u - log1p(u) >= 0,
+    since n log1p(x) - log1p(y) = D and n x - y is the first term.  There
+    n phi(x) is at most 0.62 times the first term, so the one subtraction
+    loses at most a factor about 3, and phi(y) >= 0 is added.
+    Where y <= -1/2, phi(y) is read as y - log((n + 1)/(m + 1)), with n
+    exact there (Sterbenz).
+    For m < 1 it is m psi(d/m) - (m + 1) psi(d/(m + 1)), where the terms
+    linear in d cancel exactly, so only the second-order parts are
+    subtracted, losing at most a factor about m + 1 < 2.
+    Past d = m + 1, or d = 1e300 m, the psi terms, each about d log(d/m),
+    cancel more as d grows, and overflow past d/m = 1e305.  There D =
+    n (beta(m) - beta(n)) - log1p(d/(m + 1)), with beta(x) = log(1 + 1/x):
+    the first term is the larger, and beta(n) is at most about half of
+    beta(m).
     """
     m = kind.n_fixed
     if not d >= -m:
         raise ValueError(f"d must be >= -n_fixed = {-m!r}, got {d}")
+    n = m + d
+    if m >= 1.0:
+        x, y = d / (n + 1.0) / m, d / (m + 1.0)
+        phi_y = y - math.log((n + 1.0) / (m + 1.0)) if y <= -0.5 else _phi(y)
+        n_phi_x = n * _phi(x) if n else 0.0
+        return d / m * (d / (n + 1.0)) / (m + 1.0) - n_phi_x + phi_y
     if d <= m + 1.0 and d <= 1e300 * m:
         return m * _psi(d / m) - (m + 1.0) * _psi(d / (m + 1.0))
-    n = m + d
     return n * (_beta(m) - _beta(n)) - math.log1p(d / (m + 1.0))
 
 
@@ -253,17 +282,17 @@ def cou_step(params: ClassicalOUParams, var0: float,
 def carbone_lsi2_bounds(kind: QOU) -> tuple[float, float, tuple[float, float]]:
     """(alpha2_lower, alpha2_upper, (alphaC_lower, alphaC_upper)).
 
-    Evaluates the published bracketing formulas (with nu = lam^2/mu^2)
-    for the inverse constants and inverts; no claim is made about the
-    unknown true classical constant alpha_C.
+    Evaluates the published formulas (nu = lam^2/mu^2) for mu^2 times each
+    inverse constant, since the inverse itself overflows at the smallest
+    rates, and divides mu^2 by it; no claim is made about alpha_C itself.
     """
     mu2, nu = kind.rates[0], kind.nu
-    inv_c_lower = math.log(1.0 / nu) / (5.0 * math.sqrt(5.0) * mu2 * (1.0 - nu) ** 1.5)
+    inv_c_lower = math.log(1.0 / nu) / (5.0 * math.sqrt(5.0) * (1.0 - nu) ** 1.5)
     inv_c_upper = (255.0 / 4.0) * ((1.0 + math.log(2.0)) * (1.0 - nu)
-                                   + math.log(1.0 / nu)) / (mu2 * (1.0 - nu) ** 3)
+                                   + math.log(1.0 / nu)) / (1.0 - nu) ** 3
     inv_a2_lower = inv_c_lower
-    inv_a2_upper = (4.0 * (5.0 - math.log(1.0 - nu)) / (mu2 * (1.0 - nu))
+    inv_a2_upper = (4.0 * (5.0 - math.log(1.0 - nu)) / (1.0 - nu)
                     + 3.0 * math.log(3.0) * inv_c_upper)
     # Inverting swaps the interval endpoints.
-    return (1.0 / inv_a2_upper, 1.0 / inv_a2_lower,
-            (1.0 / inv_c_upper, 1.0 / inv_c_lower))
+    return (mu2 / inv_a2_upper, mu2 / inv_a2_lower,
+            (mu2 / inv_c_upper, mu2 / inv_c_lower))

@@ -49,13 +49,11 @@ from functools import partial
 import numpy as np
 
 from .fock_core import (
-    EDGE_TOL,
     DensityMatrix,
-    TruncationError,
     _adopt,
+    check_edge_mass,
     geometric_law,
     log_density,
-    state_edge_mass,
     von_neumann_entropy,
     weyl_operator,
 )
@@ -482,7 +480,7 @@ def _state(x: np.ndarray, op: SemigroupKind | GaussianDensity, t: float,
     """The state of the Hermitian x = e^{tL}(rho): for a density with mean m
     first translated by W(sqrt(t) m), a zero translation skipped, and made
     Hermitian again; then checked for trace drift and, when edges (every
-    flow with gain, lam^2 > 0), for mass in the top edge band."""
+    flow with gain, lam^2 > 0), by `fock_core.check_edge_mass`."""
     what = "evolution"
     if isinstance(op, GaussianDensity):
         what = "convolution"
@@ -497,12 +495,8 @@ def _state(x: np.ndarray, op: SemigroupKind | GaussianDensity, t: float,
     if drift > _TRACE_TOL:
         raise RuntimeError(f"{what}: trace drift {drift:.3e} exceeds "
                            f"{_TRACE_TOL:.1e}")
-    edge = state_edge_mass(x)
-    if edges and edge > EDGE_TOL:
-        raise TruncationError(
-            f"{what} pushed edge mass {edge:.3e} beyond {EDGE_TOL:.1e}; "
-            f"increase dim or reduce t"
-        )
+    if edges:
+        check_edge_mass(x, "increase dim or reduce t")
     return _adopt(x / trace)
 
 
@@ -520,9 +514,9 @@ def evolve(rho: DensityMatrix, kind: SemigroupKind, t: float) -> DensityMatrix:
     """e^{tL}(rho), exact to double precision: the one-time grid of `flow`,
     by the Chebyshev series for Heat and uniformization otherwise.
 
-    Raises TruncationError when a flow with gain (lam^2 > 0) leaves more
-    than EDGE_TOL in the top edge band of the basis; pure loss maps the
-    truncated space into itself, so no edge check applies.
+    Raises TruncationError (`fock_core.check_edge_mass`) when a flow with
+    gain (lam^2 > 0) leaves more than EDGE_TOL in the edge band; pure loss
+    maps the truncated space into itself, so no edge check applies.
     """
     if t == 0:
         return rho

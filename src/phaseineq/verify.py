@@ -13,11 +13,12 @@ defaults, rejects a parameter the suite does not read (seed excepted: every
 suite accepts it, and the suites without random states ignore it), and
 records in the report's config only the values the suite read.
 
-Each suite yields one check per case and a single runner evaluates them.
-Only numerical failures while a check's margin is computed become error
-cases (margin -inf, counted as failures): TruncationError and
-IllConditionedError.  A suite computes everything that can truncate, thermal
-states included, inside a check's margin, so a truncation never ends a
+Each suite yields one CaseRecord per case, built by `_case` where the suite
+states the case, with the case's gate in its `tol`.  Only numerical failures
+while `_case` computes a margin become error cases (margin -inf, counted as
+failures): TruncationError and IllConditionedError, both raised in
+`fock_core`.  A suite computes everything that can truncate, thermal states
+included, inside a case's margin thunk, so a truncation never ends a
 suite.  Any other exception propagates out of run_suite, the flows'
 trace-drift RuntimeError included: the generators conserve trace exactly
 and both series of `semigroups._series` carry a-priori error bounds, so a
@@ -60,6 +61,7 @@ class CaseRecord:
     descriptor: str
     params: dict
     margin: float
+    tol: float
     passed: bool
     asserted: bool = True
     health: dict | None = None
@@ -79,45 +81,31 @@ class VerificationReport:
         return self.summary["failures"] == 0
 
 
-@dataclass(frozen=True)
-class _Check:
-    """One case of a suite.
+def _case(descriptor: str, params: dict,
+          margin: float | Callable[[], float | tuple[float, dict]],
+          tol: float, asserted: bool = True,
+          state: DensityMatrix | None = None) -> CaseRecord:
+    """One case of a suite, evaluated at once.
 
-    `margin` is a closed-form number, or a thunk evaluated by the runner
-    that returns the margin or (margin, values to merge into params).  The
-    truncation health of `state`, when given, goes into the record.
+    `margin` is a closed-form number, or a thunk that returns the margin or
+    (margin, values to merge into params); a TruncationError or
+    IllConditionedError it raises becomes an error case.  The truncation
+    health of `state`, when given, goes into the record.
     """
-
-    descriptor: str
-    params: dict
-    margin: float | Callable[[], float | tuple[float, dict]]
-    tol: float
-    asserted: bool = True
-    state: DensityMatrix | None = None
-
-
-def _run_checks(checks: Iterator[_Check]) -> list[CaseRecord]:
-    """Evaluate each check the moment the suite yields it."""
-    cases = []
-    for c in checks:
-        try:
-            margin = c.margin() if callable(c.margin) else c.margin
-        except (TruncationError, IllConditionedError) as exc:
-            cases.append(CaseRecord(c.descriptor, c.params, -math.inf, False,
-                                    error=f"{type(exc).__name__}: {exc}"))
-            continue
-        params = c.params
-        if isinstance(margin, tuple):
-            margin, extra = margin
-            params = params | extra
-        health = None
-        if c.state is not None:
-            mat = c.state.mat
-            health = {"edge_mass": state_edge_mass(mat),
-                      "trace_drift": abs(np.trace(mat).real - 1.0)}
-        cases.append(CaseRecord(c.descriptor, params, float(margin),
-                                bool(margin >= -c.tol), c.asserted, health))
-    return cases
+    try:
+        margin = margin() if callable(margin) else margin
+    except (TruncationError, IllConditionedError) as exc:
+        return CaseRecord(descriptor, params, -math.inf, tol, False,
+                          error=f"{type(exc).__name__}: {exc}")
+    if isinstance(margin, tuple):
+        margin, extra = margin
+        params = params | extra
+    health = None
+    if state is not None:
+        health = {"edge_mass": state_edge_mass(state.mat),
+                  "trace_drift": abs(np.trace(state.mat).real - 1.0)}
+    return CaseRecord(descriptor, params, float(margin), tol,
+                      bool(margin >= -tol), asserted, health)
 
 
 def _gaussian_kl(f: GaussianDensity, g: GaussianDensity) -> float:
@@ -133,7 +121,8 @@ def _gaussian_kl(f: GaussianDensity, g: GaussianDensity) -> float:
 # suites
 
 
-def _suite_data_processing(*, dim, cases, seed, tolerance) -> Iterator[_Check]:
+def _suite_data_processing(*, dim, cases, seed, tolerance
+                          ) -> Iterator[CaseRecord]:
     rng = np.random.default_rng(seed)
     t = 0.1
     for i in range(cases):
@@ -145,11 +134,11 @@ def _suite_data_processing(*, dim, cases, seed, tolerance) -> Iterator[_Check]:
         def margin():
             lhs = relative_entropy(convolve(f, rho, t), convolve(g, sigma, t))
             return _gaussian_kl(f, g) + relative_entropy(rho, sigma) - lhs
-        yield _Check("data-processing", {"case": i, "t": t}, margin,
-                     tolerance, state=rho)
+        yield _case("data-processing", {"case": i, "t": t}, margin,
+                    tolerance, state=rho)
 
 
-def _suite_stam(*, dim, cases, seed, tolerance) -> Iterator[_Check]:
+def _suite_stam(*, dim, cases, seed, tolerance) -> Iterator[CaseRecord]:
     grid = (0.02, 0.05, 0.1)
     f = standard_gaussian()
     j_f = classical_fisher_gaussian(f.cov)
@@ -159,54 +148,55 @@ def _suite_stam(*, dim, cases, seed, tolerance) -> Iterator[_Check]:
     for t in grid:
         j0 = ga.thermal_fisher_closed(n)
         jt = ga.thermal_fisher_closed(ga.thermal_mean(n, Heat(), t))
-        yield _Check("stam-thermal-closed", {"n": n, "t": t},
-                     1.0 / jt - 1.0 / j0 - t / j_f, tolerance)
+        yield _case("stam-thermal-closed", {"n": n, "t": t},
+                    1.0 / jt - 1.0 / j0 - t / j_f, tolerance)
     for i in range(cases):
         rho = random_state(dim, seed + i, StateFamily.FULL_RANK)
         j_rho = cache(lambda: quantum_fisher(rho).value)
         for t, conv in zip(grid, flow(f, rho, grid)):
-            yield _Check("stam-random", {"case": i, "t": t},
-                         lambda: (1.0 / quantum_fisher(conv()).value
-                                  - 1.0 / j_rho() - t / j_f),
-                         tolerance, state=rho)
+            yield _case("stam-random", {"case": i, "t": t},
+                        lambda: (1.0 / quantum_fisher(conv()).value
+                                 - 1.0 / j_rho() - t / j_f),
+                        tolerance, state=rho)
 
 
-def _suite_de_bruijn(*, dim, cases, seed, tolerance) -> Iterator[_Check]:
+def _suite_de_bruijn(*, dim, cases, seed, tolerance) -> Iterator[CaseRecord]:
     for n in (0.5, 1.0, 2.0, 4.0):
         closed = ga.thermal_fisher_closed(n)
         def margin():
             rate = entropy_rate(thermal_state(n, dim), Heat())
             return -abs(rate - closed) / closed
-        yield _Check("de-bruijn-thermal", {"n": n}, margin, tolerance)
+        yield _case("de-bruijn-thermal", {"n": n}, margin, tolerance)
     for i in range(cases):
         rho = random_state(dim, seed + i, StateFamily.FULL_RANK)
         def margin():
             rate = entropy_rate(rho, Heat())
             j = quantum_fisher(rho).value
             return -abs(rate - j) / j
-        yield _Check("de-bruijn-random", {"case": i}, margin, tolerance,
-                     state=rho)
+        yield _case("de-bruijn-random", {"case": i}, margin, tolerance,
+                    state=rho)
 
 
-def _suite_fisher_isoperimetry(*, dim, cases, seed, tolerance) -> Iterator[_Check]:
+def _suite_fisher_isoperimetry(*, dim, cases, seed, tolerance
+                              ) -> Iterator[CaseRecord]:
     # Margins are d/dt (2/J) - 1 along the heat flow at omega_n, exactly, and
     # secants of 2/J over [0, h] minus 1 at random states, with no O(h) error:
     # a slope >= 1 integrates to a secant >= 1.
     h = 5e-3
     for n in (0.5, 1.0, 2.0):
-        yield _Check("fisher-isoperimetry-thermal", {"n": n},
-                     ga.thermal_isoperimetric_ratio(n) - 1.0, tolerance)
+        yield _case("fisher-isoperimetry-thermal", {"n": n},
+                    ga.thermal_isoperimetric_ratio(n) - 1.0, tolerance)
     for i in range(cases):
         rho = random_state(dim, seed + i, StateFamily.FULL_RANK)
         def margin():
             j0 = quantum_fisher(rho).value
             jh = quantum_fisher(evolve(rho, Heat(), h)).value
             return (2.0 / jh - 2.0 / j0) / h - 1.0
-        yield _Check("fisher-isoperimetry-random", {"case": i}, margin,
-                     tolerance, state=rho)
+        yield _case("fisher-isoperimetry-random", {"case": i}, margin,
+                    tolerance, state=rho)
 
 
-def _suite_concavity(*, dim, cases, seed, tolerance) -> Iterator[_Check]:
+def _suite_concavity(*, dim, cases, seed, tolerance) -> Iterator[CaseRecord]:
     # Thermal cases: -N'' exactly, as S' = J/2 gives N'' = N (J^2/4 + J'/2)
     # = (N J^2/4)(1 - d/dt (2/J)).  Random cases: minus second differences
     # of N over [0, 2h], nonpositive for a concave N: no O(h) error enters.
@@ -215,7 +205,7 @@ def _suite_concavity(*, dim, cases, seed, tolerance) -> Iterator[_Check]:
         j = ga.thermal_fisher_closed(n)
         margin = math.exp(ga.g_entropy(n)) * j * j / 4.0 * (
             ga.thermal_isoperimetric_ratio(n) - 1.0)
-        yield _Check("concavity-thermal", {"n": n}, margin, tolerance)
+        yield _case("concavity-thermal", {"n": n}, margin, tolerance)
     for i in range(cases):
         rho = random_state(dim, seed + i, StateFamily.FULL_RANK)
         at_h, at_2h = flow(Heat(), rho, (h, 2.0 * h))
@@ -225,54 +215,54 @@ def _suite_concavity(*, dim, cases, seed, tolerance) -> Iterator[_Check]:
             n2 = entropy_power(at_2h())
             second = (n2 - 2.0 * n1 + n0) / h**2
             return -second, {"second_difference": second}
-        yield _Check("concavity-random", {"case": i}, margin, tolerance,
-                     state=rho)
+        yield _case("concavity-random", {"case": i}, margin, tolerance,
+                    state=rho)
 
 
-def _suite_epi_heat(*, dim, cases, seed, tolerance) -> Iterator[_Check]:
+def _suite_epi_heat(*, dim, cases, seed, tolerance) -> Iterator[CaseRecord]:
     for n in (0.5, 1.0, 2.0):
         for t in (0.05, 0.1, 0.5):
             n0 = math.exp(ga.g_entropy(n))
             nt = math.exp(ga.g_entropy(ga.thermal_mean(n, Heat(), t)))
-            yield _Check("epi-heat-thermal-closed", {"n": n, "t": t},
-                         nt - n0 - TWO_PI_E * t, tolerance)
+            yield _case("epi-heat-thermal-closed", {"n": n, "t": t},
+                        nt - n0 - TWO_PI_E * t, tolerance)
     # Slope N J/2 of N(omega_{n + 2 pi t}) at t = 2, exactly (S' = J/2),
     # which tends to 2 pi e from above: J N >= 4 pi e.
     n, t = 1.0, 2.0
     n_t = ga.thermal_mean(n, Heat(), t)
     slope = math.exp(ga.g_entropy(n_t)) * ga.thermal_fisher_closed(n_t) / 2.0
-    yield _Check("epi-heat-asymptotic-slope",
-                 {"n": n, "t": t, "slope": slope, "target": TWO_PI_E},
-                 slope / TWO_PI_E - 1.0, tolerance)
+    yield _case("epi-heat-asymptotic-slope",
+                {"n": n, "t": t, "slope": slope, "target": TWO_PI_E},
+                slope / TWO_PI_E - 1.0, tolerance)
     grid = (0.05, 0.1)
     for i in range(cases):
         rho = random_state(dim, seed + i, StateFamily.FULL_RANK)
         for t, evolved in zip(grid, flow(Heat(), rho, grid)):
-            yield _Check("epi-heat-random", {"case": i, "t": t},
-                         lambda: (entropy_power(evolved())
-                                  - entropy_power(rho) - TWO_PI_E * t),
-                         tolerance, state=rho)
+            yield _case("epi-heat-random", {"case": i, "t": t},
+                        lambda: (entropy_power(evolved())
+                                 - entropy_power(rho) - TWO_PI_E * t),
+                        tolerance, state=rho)
 
 
 def _suite_entropy_isoperimetry(*, dim, cases, seed, tolerance
-                                ) -> Iterator[_Check]:
+                                ) -> Iterator[CaseRecord]:
     # Tightness sentinel at n = 100 via closed forms (within 1% of 4 pi e).
     n = 100.0
     prod = ga.thermal_fisher_closed(n) * math.exp(ga.g_entropy(n))
-    yield _Check("entropy-isoperimetry-thermal-100", {"n": n, "product": prod},
-                 -abs(prod / FOUR_PI_E - 1.0), 1e-2)
+    yield _case("entropy-isoperimetry-thermal-100", {"n": n, "product": prod},
+                -abs(prod / FOUR_PI_E - 1.0), 1e-2)
     for nth in (0.5, 1.0, 2.0):
         prod = ga.thermal_fisher_closed(nth) * math.exp(ga.g_entropy(nth))
-        yield _Check("entropy-isoperimetry-thermal", {"n": nth},
-                     prod - FOUR_PI_E, tolerance)
+        yield _case("entropy-isoperimetry-thermal", {"n": nth},
+                    prod - FOUR_PI_E, tolerance)
     for i in range(cases):
         rho = random_state(dim, seed + i, StateFamily.FULL_RANK)
-        yield _Check("entropy-isoperimetry-random", {"case": i},
-                     lambda: quantum_fisher(rho).value * entropy_power(rho)
-                     - FOUR_PI_E, tolerance, state=rho)
+        yield _case("entropy-isoperimetry-random", {"case": i},
+                    lambda: quantum_fisher(rho).value * entropy_power(rho)
+                    - FOUR_PI_E, tolerance, state=rho)
 
 
-def _suite_majorization(*, cases, seed) -> Iterator[_Check]:
+def _suite_majorization(*, cases, seed) -> Iterator[CaseRecord]:
     # Under photon loss the output of the passive rearrangement majorizes
     # the output of the state itself (De Palma, Trevisan and Giovannetti,
     # IEEE Trans. Inf. Theory 62, 2016).  The margin is the least partial-sum
@@ -285,30 +275,30 @@ def _suite_majorization(*, cases, seed) -> Iterator[_Check]:
     for i in range(cases):
         rho = random_state(dim, seed + i, StateFamily.FULL_RANK)
         arranged = fock_rearrangement(rho)
-        yield _Check("rearrangement-photon-number", {"case": i},
-                     mean_photon(rho) - mean_photon(arranged), tol)
+        yield _case("rearrangement-photon-number", {"case": i},
+                    mean_photon(rho) - mean_photon(arranged), tol)
         for t, out, out_arr in zip(grid, flow(Attenuator(), rho, grid),
                                    flow(Attenuator(), arranged, grid)):
             margins = cache(lambda: majorizes(out_arr(), out())[1])
-            yield _Check("attenuator-majorization", {"case": i, "t": t},
-                         lambda: float(margins()[:-1].min()), tol)
-            yield _Check("attenuator-trace", {"case": i, "t": t},
-                         lambda: -abs(float(margins()[-1])), tol)
+            yield _case("attenuator-majorization", {"case": i, "t": t},
+                        lambda: float(margins()[:-1].min()), tol)
+            yield _case("attenuator-trace", {"case": i, "t": t},
+                        lambda: -abs(float(margins()[-1])), tol)
 
 
-def _suite_correspondence(*, dim, tolerance) -> Iterator[_Check]:
+def _suite_correspondence(*, dim, tolerance) -> Iterator[CaseRecord]:
     for n in (0.5, 1.0, 2.0):
         closed = ga.thermal_j_pm(n)[0]
         j_class = cl.death_entropy_rate(cl.geometric_pmf(n, 256))
-        yield _Check("death-process-vs-closed", {"n": n},
-                     -abs(j_class - closed) / abs(closed), 1e-6)
+        yield _case("death-process-vs-closed", {"n": n},
+                    -abs(j_class - closed) / abs(closed), 1e-6)
         def margin():
             j_fock = entropy_rate(thermal_state(n, dim), Attenuator())
             return -abs(j_fock - j_class) / abs(j_class)
-        yield _Check("fock-vs-classical-rate", {"n": n}, margin, tolerance)
+        yield _case("fock-vs-classical-rate", {"n": n}, margin, tolerance)
 
 
-def _suite_geometric_optimality(*, dim, tolerance) -> Iterator[_Check]:
+def _suite_geometric_optimality(*, dim, tolerance) -> Iterator[CaseRecord]:
     # J_-(geometric) and the certified bound bracket the constrained minimum.
     K = 64
     for n in (0.5, 1.0, 2.0):
@@ -319,23 +309,24 @@ def _suite_geometric_optimality(*, dim, tolerance) -> Iterator[_Check]:
             j_geo = cl.death_entropy_rate(cl.geometric_pmf(n, K))
             return (-max(abs(j_geo - closed), abs(bound() - closed)),
                     {"j_geometric": j_geo, "bound": bound()})
-        yield _Check("constrained-minimum-value", params, bracket, tolerance)
-        yield _Check("no-feasible-beats-closed", params,
-                     lambda: bound() - closed, 1e-12)
+        yield _case("constrained-minimum-value", params, bracket, tolerance)
+        yield _case("no-feasible-beats-closed", params,
+                    lambda: bound() - closed, 1e-12)
         def margin():
             rate = entropy_rate(thermal_state(n, dim), Attenuator())
             return -abs(0.5 * rate - 0.5 * closed)
-        yield _Check("fock-attenuator-rate", {"n": n}, margin, tolerance)
+        yield _case("fock-attenuator-rate", {"n": n}, margin, tolerance)
 
 
-def _suite_rate_decay_identity(*, cases, seed, tolerance) -> Iterator[_Check]:
+def _suite_rate_decay_identity(*, cases, seed, tolerance
+                              ) -> Iterator[CaseRecord]:
     kind = QOU(math.sqrt(2.0), 1.0)
     # Fixed: on one BLAS thread, in-process, the suite takes 0.02 s at dim 64
     # and about 0.1 s at 128, and perfbench's heat-rk4 workload runs it.
     dim = 64
     sigma = thermal_state(kind.n_fixed, dim)
 
-    def check(rho: DensityMatrix, descriptor: str, params: dict) -> _Check:
+    def check(rho: DensityMatrix, descriptor: str, params: dict) -> CaseRecord:
         def margin():
             lhs, rhs = relent_decay_rate(rho, kind)
             # The identity reads dD/dt = -zeta D - rhs-assembly; compare
@@ -344,7 +335,7 @@ def _suite_rate_decay_identity(*, cases, seed, tolerance) -> Iterator[_Check]:
             scale = max(abs(lhs), abs(target), 1e-12)
             return -abs(lhs - target) / scale
 
-        return _Check(descriptor, params, margin, tolerance, state=rho)
+        return _case(descriptor, params, margin, tolerance, state=rho)
 
     yield check(thermal_state(2.0, dim), "rate-decay-thermal", {"n": 2.0})
     for i in range(cases):
@@ -352,15 +343,15 @@ def _suite_rate_decay_identity(*, cases, seed, tolerance) -> Iterator[_Check]:
         yield check(rho, "rate-decay-diagonal", {"case": i})
 
 
-def _suite_log_sobolev(*, tolerance) -> Iterator[_Check]:
+def _suite_log_sobolev(*, tolerance) -> Iterator[CaseRecord]:
     kind = QOU(math.sqrt(2.0), 1.0)
     # h >= 0 across a thermal grid: -zeta D - dD/dt = h(n) for omega_n.
     for n in np.geomspace(0.1, 10.0, 12):
-        yield _Check("h-nonnegative", {"n": float(n)},
-                     ga.h_function(float(n), kind), 1e-9)
+        yield _case("h-nonnegative", {"n": float(n)},
+                    ga.h_function(float(n), kind), 1e-9)
     n_star = kind.n_fixed
-    yield _Check("h-minimum-zero", {"n_star": n_star},
-                 -abs(ga.h_function(n_star, kind)), 1e-12)
+    yield _case("h-minimum-zero", {"n_star": n_star},
+                -abs(ga.h_function(n_star, kind)), 1e-12)
     # The rate zeta + epsilon fails at the witness, where epsilon D - h > 0;
     # with no witness the case fails at -inf.
     epsilon = 0.5
@@ -369,22 +360,22 @@ def _suite_log_sobolev(*, tolerance) -> Iterator[_Check]:
     if witness is not None:
         d = ga.relent_to_qou_fixed(witness - n_star, kind)
         excess = epsilon * d - ga.h_function(witness, kind)
-    yield _Check("zeta-optimality-witness",
-                 {"epsilon": epsilon, "witness_n": witness}, excess, 0.0)
+    yield _case("zeta-optimality-witness",
+                {"epsilon": epsilon, "witness_n": witness}, excess, 0.0)
     photon = threshold_solve("Photon067")
     entropy = threshold_solve("Entropy206")
-    yield _Check("photon-threshold", {"root": photon}, -abs(photon - 0.67), 0.01)
-    yield _Check("entropy-threshold", {"root": entropy}, -abs(entropy - 2.06),
-                 0.1)
+    yield _case("photon-threshold", {"root": photon}, -abs(photon - 0.67), 0.01)
+    yield _case("entropy-threshold", {"root": entropy}, -abs(entropy - 2.06),
+                0.1)
     # Conjectured exponential rate zeta on states beyond the proved regimes:
     # reported, never asserted.
     for n in (0.8, 1.5):
         d = ga.relent_to_qou_fixed(n - n_star, kind)
-        yield _Check("conjectured-rate-beyond-thresholds", {"n": n, "relent": d},
-                     ga.h_function(n, kind), tolerance, asserted=False)
+        yield _case("conjectured-rate-beyond-thresholds", {"n": n, "relent": d},
+                    ga.h_function(n, kind), tolerance, asserted=False)
 
 
-def _suite_cou() -> Iterator[_Check]:
+def _suite_cou() -> Iterator[CaseRecord]:
     tol = 1e-12
     for theta in (0.5, 1.0, 2.0):
         for sigma2 in (0.5, 1.0, 2.0):
@@ -392,19 +383,19 @@ def _suite_cou() -> Iterator[_Check]:
                 params = ga.ClassicalOUParams(theta=theta, sigma2=sigma2)
                 for t in (0.0, 0.3, 1.0):
                     var_t, relent, margin = ga.cou_step(params, var0, t)
-                    yield _Check("cou-rate-margin",
-                                 {"theta": theta, "sigma2": sigma2,
-                                  "var0": var0, "t": t}, margin, tol)
+                    yield _case("cou-rate-margin",
+                                {"theta": theta, "sigma2": sigma2,
+                                 "var0": var0, "t": t}, margin, tol)
     # margin / D -> 0 as the initial variance grows.
     params = ga.ClassicalOUParams(theta=1.0, sigma2=1.0)
     ratios = []
     for var0 in (1e2, 1e4, 1e6):
         _, relent, margin = ga.cou_step(params, var0, 0.0)
         ratios.append(margin / relent)
-    yield _Check("cou-ratio-vanishes", {"ratios": ratios}, 1e-3 - ratios[-1],
-                 0.0)
+    yield _case("cou-ratio-vanishes", {"ratios": ratios}, 1e-3 - ratios[-1],
+                0.0)
     decrease = min(a - b for a, b in zip(ratios, ratios[1:]))
-    yield _Check("cou-ratio-monotone", {"ratios": ratios}, decrease, 0.0)
+    yield _case("cou-ratio-monotone", {"ratios": ratios}, decrease, 0.0)
 
 
 _SUITES = {
@@ -451,7 +442,7 @@ def run_suite(suite: str, **params) -> VerificationReport:
     if params.get("seed", 0) < 0:
         raise ValueError(f"seed must be >= 0, got {params['seed']}")
     start = time.perf_counter()
-    cases = _run_checks(fn(**config))
+    cases = list(fn(**config))
     wall = time.perf_counter() - start
     margins = [c.margin for c in cases if math.isfinite(c.margin)]
     failures = sum(1 for c in cases if c.asserted and not c.passed)

@@ -36,6 +36,8 @@ class TestClassicalPMF:
             ClassicalPMF(np.array([0.5, 0.4]))
         with pytest.raises(ValueError):
             ClassicalPMF(np.array([1.5, -0.5]))
+        with pytest.raises(ValueError, match="length >= 2"):
+            ClassicalPMF(np.array([1.0]))
 
 
 class TestDeathGenerator:
@@ -162,6 +164,10 @@ class TestGeometricPMF:
         with pytest.raises(TruncationError):
             geometric_pmf(10.0, d - 2)
 
+    def test_rejects_negative_mean(self):
+        with pytest.raises(ValueError, match="n must be >= 0"):
+            geometric_pmf(-0.5, 8)
+
     def test_entropy_matches_g(self):
         assert geometric_pmf(2.0, 256).entropy() == pytest.approx(
             g_entropy(2.0), abs=1e-8)
@@ -196,6 +202,13 @@ class TestThresholdFunctions:
     def test_non_finite_entropy_is_rejected(self, value):
         with pytest.raises(ValueError, match=r"^S0 must be > 0 and finite"):
             F_of_S0(value, 2.0, 1.0)
+
+
+    @pytest.mark.parametrize("mu2, zeta", [(0.0, 1.0), (2.0, 0.0),
+                                           (-2.0, 1.0), (2.0, -1.0)])
+    def test_nonpositive_rates_are_rejected(self, mu2, zeta):
+        with pytest.raises(ValueError, match="mu2 and zeta must be positive"):
+            F_of_S0(1.0, mu2, zeta)
 
 
 class TestCertifiedRateBound:

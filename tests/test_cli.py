@@ -241,6 +241,18 @@ class TestTrajectoryCommand:
         relent_col = payload["columns"].index("relent_to_fixed")
         assert payload["rows"][0][relent_col] == 6.9314718056e305
 
+    def test_qou_relative_entropy_at_a_large_fixed_point(self, capsys):
+        # m = 2^51 at mu = 1 + 2^-52, lambda = 1: 80-digit values rounded
+        # to the 12 printed digits.
+        code, out, _ = run_cli(capsys, "trajectory", "qou", "--mu",
+                               "1.0000000000000002", "--lambda", "1",
+                               "--tmax", "1", "--steps", "1")
+        assert code == 0
+        payload = json.loads(out)
+        relent_col = payload["columns"].index("relent_to_fixed")
+        assert [row[relent_col] for row in payload["rows"]] == [
+            33.9642118474, 33.4409637037]
+
     def test_heat_from_below_where_one_over_n_overflows(self, capsys):
         # At n0 = 1e-310 the entropy is about 7e-308 and its power about 1.
         code, out, _ = run_cli(capsys, "trajectory", "heat", "--n0", "1e-310",
@@ -321,6 +333,17 @@ class TestClosedFormsCommand:
         row = payload["rows"][0]
         cols = payload["columns"]
         assert row[cols.index("alpha2_lower")] < row[cols.index("alpha2_upper")]
+
+    def test_lsi2_lower_bounds_at_the_smallest_rates(self, capsys):
+        # Subnormal bounds, from mu^2 over the inverse constants formed
+        # without their 1/mu^2, which would overflow.
+        code, out, _ = run_cli(capsys, "closed-forms", "lsi2", "--mu",
+                               "3e-154", "--lambda", "2.1e-154")
+        assert code == 0
+        payload = json.loads(out)
+        row, cols = payload["rows"][0], payload["columns"]
+        assert row[cols.index("alpha2_lower")] == 3.54035056511e-311
+        assert row[cols.index("alphaC_lower")] == 1.18762984512e-310
 
     @pytest.mark.parametrize("table, grid, nulls", [
         ("fisher-tightness", "1e-320:1e-300:3", 1),

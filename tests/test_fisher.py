@@ -111,7 +111,7 @@ class TestQuantumFisher:
         rho = random_state(12, 0, StateFamily.FULL_RANK)
         edge = state_edge_mass(rho.mat)
         assert edge > 1e-2
-        message = f"state edge mass {edge:.1e} exceeds 1.0e-06; increase dim"
+        message = f"edge mass {edge:.3e} exceeds 1.0e-06; increase dim"
         with pytest.raises(TruncationError, match=re.escape(message)):
             quantum_fisher(rho)
 

@@ -15,6 +15,7 @@ from phaseineq.fock_core import (
     TruncationError,
     entropy_power,
     fock_rearrangement,
+    geometric_weights,
     log_density,
     majorizes,
     mean_photon,
@@ -163,6 +164,10 @@ class TestStates:
         assert von_neumann_entropy(rho) == pytest.approx(2 * math.log(2), abs=1e-8)
         assert mean_photon(rho) == pytest.approx(1.0, abs=1e-8)
 
+    def test_geometric_weights_reject_negative_mean(self):
+        with pytest.raises(ValueError, match="nbar must be >= 0"):
+            geometric_weights(-0.5, 8)
+
     def test_thermal_vacuum(self):
         rho = thermal_state(0.0, 16)
         assert np.allclose(rho.mat, number_state(0, 16).mat)
@@ -183,6 +188,8 @@ class TestStates:
             DensityMatrix(np.diag([0.7, 0.7]).astype(complex))
         with pytest.raises(ValueError):
             DensityMatrix(np.diag([1.5, -0.5]).astype(complex))
+        with pytest.raises(ValueError, match="must be square"):
+            DensityMatrix(np.full((2, 3), 0.5, dtype=complex))
 
     @pytest.mark.parametrize("mat", [
         np.diag([np.nan, 0.5, 0.5]),
@@ -520,6 +527,13 @@ class TestRandomState:
         b = random_state(16, 1, StateFamily.DIAGONAL)
         assert not np.allclose(a.mat, b.mat)
 
+    @pytest.mark.parametrize("dim, family, message", [
+        (1, StateFamily.DIAGONAL, "dim must be >= 2"),
+        (16, "diagonal", "unknown family 'diagonal'")])
+    def test_rejects_invalid_arguments(self, dim, family, message):
+        with pytest.raises(ValueError, match=message):
+            random_state(dim, 0, family)
+
 
 class TestEntropies:
     def test_maximally_mixed(self):
@@ -541,6 +555,14 @@ class TestEntropies:
 
     def test_relative_entropy_positive_distinct(self):
         assert relative_entropy(thermal_state(2.0, 64), thermal_state(1.0, 64)) > 0
+
+    def test_relative_entropy_rank_deficient_reference(self):
+        # The reference has exact zeros in its spectrum, but rho lies in its
+        # support, so the value would rest on the clipped log of those zeros.
+        sigma = DensityMatrix(np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex))
+        with pytest.raises(IllConditionedError,
+                           match="reference state rank-deficient"):
+            relative_entropy(number_state(0, 4), sigma)
 
     def test_relative_entropy_dim_mismatch(self):
         with pytest.raises(ValueError):

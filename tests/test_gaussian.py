@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import mpmath
 import numpy as np
@@ -60,14 +61,15 @@ def _rel_err(value, exact):
     return float(abs(mpmath.mpf(value) / exact - 1))
 
 
-def _relent_exact(d, m):
+def _relent_exact(d, m, digits=80):
     """D(omega_{m + d} || omega_m) = n log1p(d/m) - (n + 1) log1p(d/(m + 1)),
-    n = m + d, for the doubles d and m, at 80 digits: the two terms cancel
-    at most about 13 of them for the d and m tested."""
-    with mpmath.workdps(80):
+    n = m + d, for the doubles d and m, at 80 digits by default: the two
+    terms cancel at most about 13 of them for the d and m tested with it."""
+    with mpmath.workdps(digits):
         m, d = mpmath.mpf(m), mpmath.mpf(d)
         n = m + d
-        return n * mpmath.log1p(d / m) - (n + 1) * mpmath.log1p(d / (m + 1))
+        first = n * mpmath.log1p(d / m) if n else 0  # 0 log 0 at the vacuum
+        return first - (n + 1) * mpmath.log1p(d / (m + 1))
 
 
 class TestStableClosedForms:
@@ -192,6 +194,21 @@ class TestClosedForms:
         for n in (0.5, 1.0, 2.0):
             assert 0.5 * thermal_j_pm(n)[0] == pytest.approx(
                 0.5 * j_pm_gaussian(2 * n + 1)[0], rel=1e-14)
+
+    def test_vacuum_rates(self):
+        assert thermal_j_pm(0.0) == (0.0, math.inf)
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: thermal_fisher_closed(-1.0), "n must be >= 0"),
+        (lambda: thermal_j_pm(-1.0), "n must be >= 0"),
+        (lambda: j_pm_gaussian(3.0, z=0.5), "z must be >= 1"),
+        (lambda: h_function(0.0, QOU(math.sqrt(2.0), 1.0)), "n must be > 0"),
+        (lambda: zeta_optimality_witness(QOU(math.sqrt(2.0), 1.0), -0.5),
+         "epsilon must be >= 0"),
+    ], ids=["fisher", "j-pm", "j-pm-gaussian", "h", "witness"])
+    def test_rejects_arguments_outside_the_domain(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call()
 
     def test_isoperimetric_ratio_rejects_nonpositive(self):
         for n in (0.0, -1.0):
@@ -361,6 +378,27 @@ class TestQOURate:
         with mpmath.workdps(80):
             assert _rel_err(value, _relent_exact(d, kind.n_fixed)) <= 2e-15
 
+    # m spans the doubles; for m >= 1 the psi form lost a factor about
+    # m + 1 (every digit at m = 2^51, the fixed point of mu = 1 + 2^-52,
+    # lam = 1).  The formula reads only n_fixed, so a stand-in holds it.
+    @pytest.mark.parametrize("m", [1e-300, 1e-100, 1e-10, 0.5,
+                                   0.9999999999999996, 1.0, 1.5, 1e3, 1e8,
+                                   2.0**51, 1e100, 1e200, 1e300])
+    def test_relent_over_the_double_range(self, m):
+        ds = [-m, -m * (1.0 - 1e-10), -0.75 * m, -0.5 * m, 1.0, m + 1.0,
+              1e-300, 1e-100, 1e100, 1e300]
+        ds += [s * m * 10.0**k for s in (1.0, -1.0)
+               for k in (-100, -50, -20, -8, -3, -1)]
+        for d in ds:
+            if d < -m:
+                continue
+            value = relent_to_qou_fixed(d, SimpleNamespace(n_fixed=m))
+            # Up to about 600 digits cancel between the two terms.
+            exact = _relent_exact(d, m, digits=700)
+            if exact < 1e-300:
+                continue  # below the normal doubles
+            assert _rel_err(value, exact) <= 2e-15, d
+
     @pytest.mark.parametrize("d", [-1.5, -math.inf, math.nan])
     def test_relent_rejects_excess_below_the_vacuum(self, d):
         with pytest.raises(ValueError, match="d must be >= -n_fixed"):
@@ -422,6 +460,20 @@ class TestClassicalOU:
         _, d2, _ = cou_step(p, 5.0, 1.0)
         assert d2 < d1
 
+    @pytest.mark.parametrize("theta, sigma2", [(0.0, 1.0), (1.0, 0.0),
+                                               (-1.0, 1.0)])
+    def test_rejects_nonpositive_parameters(self, theta, sigma2):
+        with pytest.raises(ValueError, match="must be positive"):
+            ClassicalOUParams(theta, sigma2)
+
+    @pytest.mark.parametrize("var0, t, message", [
+        (0.0, 0.1, "var0 must be > 0"), (-1.0, 0.1, "var0 must be > 0"),
+        (1.0, -0.1, "t must be >= 0")])
+    def test_step_rejects_arguments_outside_the_domain(self, var0, t,
+                                                       message):
+        with pytest.raises(ValueError, match=message):
+            cou_step(ClassicalOUParams(1.0, 2.0), var0, t)
+
 
 class TestCarboneBounds:
     def test_ordering(self):
@@ -433,3 +485,25 @@ class TestCarboneBounds:
         # alpha2 <= alphaC upper endpoint by construction of the formulas.
         lo, hi, (c_lo, c_hi) = carbone_lsi2_bounds(QOU(2.0, 1.0))
         assert hi <= c_hi + 1e-12
+
+    @pytest.mark.parametrize("mu, lam", [
+        (math.sqrt(2.0), 1.0), (2.0, 1.0), (1.0000000000000002, 1.0),
+        (1e3, 1.0), (1.0, 1e-150), (1e150, 1e149), (3e-154, 2.1e-154)])
+    def test_matches_mpmath(self, mu, lam):
+        # At the smallest rates the inverse constants, about 1/mu^2,
+        # overflow, while the lower bounds are subnormal doubles.
+        kind = QOU(mu, lam)
+        with mpmath.workdps(50):
+            mu2, nu = mpmath.mpf(kind.rates[0]), mpmath.mpf(kind.nu)
+            log_inv = mpmath.log(1 / nu)
+            c_lo = mu2 * 5 * mpmath.sqrt(5) * (1 - nu) ** 1.5 / log_inv
+            inv_c_hi = (mpmath.mpf(255) / 4 * ((1 + mpmath.log(2)) * (1 - nu)
+                                               + log_inv) / (1 - nu) ** 3)
+            inv_a2_hi = (4 * (5 - mpmath.log(1 - nu)) / (1 - nu)
+                         + 3 * mpmath.log(3) * inv_c_hi)
+            exact = [mu2 / inv_a2_hi, c_lo, mu2 / inv_c_hi, c_lo]
+            lo, hi, (c_lo_v, c_hi_v) = carbone_lsi2_bounds(kind)
+            for value, ref in zip((lo, hi, c_lo_v, c_hi_v), exact):
+                # A few ulps, or one step of the subnormal doubles.
+                assert abs(mpmath.mpf(value) - ref) <= (
+                    2e-15 * ref + mpmath.mpf(2.0**-1074))

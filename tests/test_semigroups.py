@@ -22,7 +22,7 @@ from phaseineq.fock_core import (
     weyl_operator,
 )
 from phaseineq.gaussian import thermal_mean
-from phaseineq import semigroups
+from phaseineq import fock_core, semigroups
 from phaseineq.semigroups import (
     Amplifier,
     Attenuator,
@@ -331,7 +331,7 @@ class TestEvolve:
         sup = dense_superoperator(kind, dim)
         rho = random_state(dim, 3, StateFamily.FULL_RANK)
         # At these dims the random state fills the edge band.
-        monkeypatch.setattr(semigroups, "EDGE_TOL", math.inf)
+        monkeypatch.setattr(fock_core, "EDGE_TOL", math.inf)
         for t in (0.05, 1.0):
             target = (expm(t * sup) @ rho.mat.ravel()).reshape(dim, dim)
             if isinstance(kind, GaussianDensity):
@@ -375,7 +375,7 @@ class TestEvolve:
         # Uniformization at z = theta t in the hundreds, where the weights
         # peak far from k = 0.  At these dims the amplifier and the qOU
         # push the random state into the edge band.
-        monkeypatch.setattr(semigroups, "EDGE_TOL", math.inf)
+        monkeypatch.setattr(fock_core, "EDGE_TOL", math.inf)
         rho = random_state(dim, 3, StateFamily.FULL_RANK)
         gen = sparse_generator(*kind.rates, dim)
         for t in (1.0, 5.0):
@@ -479,6 +479,16 @@ class TestConvolve:
     ], ids=["nan-mean", "inf-mean", "nan-cov"])
     def test_non_finite_density_is_rejected(self, mean, cov):
         with pytest.raises(ValueError, match="finite"):
+            GaussianDensity(mean=np.array(mean), cov=np.array(cov))
+
+    @pytest.mark.parametrize("mean, cov, message", [
+        ([0.0, 0.0, 0.0], np.eye(2), "2-vector mean and 2x2 cov"),
+        ([0.0, 0.0], np.eye(3), "2-vector mean and 2x2 cov"),
+        ([0.0, 0.0], [[1.0, 0.2], [0.3, 1.0]], "must be symmetric"),
+        ([0.0, 0.0], [[1.0, 2.0], [2.0, 1.0]], "must be positive definite"),
+    ], ids=["mean-shape", "cov-shape", "asymmetric", "indefinite"])
+    def test_invalid_density_is_rejected(self, mean, cov, message):
+        with pytest.raises(ValueError, match=message):
             GaussianDensity(mean=np.array(mean), cov=np.array(cov))
 
     def test_gaussian_convolution_equals_heat_flow(self):
@@ -609,7 +619,7 @@ class TestFlow:
         rho = random_state(40, 0, StateFamily.FULL_RANK)
         early, late = flow(Heat(), rho, (2e-4, 0.1))
         assert np.array_equal(early().mat, evolve(rho, Heat(), 2e-4).mat)
-        with pytest.raises(TruncationError, match="^evolution pushed"):
+        with pytest.raises(TruncationError, match="^edge mass "):
             late()
 
     def test_rejects_negative_time(self):

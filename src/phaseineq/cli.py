@@ -19,7 +19,7 @@ from . import classical as cl
 from . import gaussian as ga
 from .fock_core import TruncationError
 from .semigroups import Amplifier, Attenuator, Heat, QOU
-from .verify import SUITE_NAMES, run_suite, threshold_solve
+from .verify import SUITE_NAMES, entropy_threshold, photon_threshold, run_suite
 
 # verify's built-in values live in phaseineq.verify, which knows what each
 # suite reads.
@@ -225,8 +225,8 @@ def _cmd_closed_forms(args) -> int:
 
 
 def _cmd_thresholds(args) -> int:
-    which = {"photon": "Photon067", "entropy": "Entropy206"}[args.which]
-    root = threshold_solve(which)
+    solve = {"photon": photon_threshold, "entropy": entropy_threshold}
+    root = solve[args.which]()
     _emit({"which": args.which, "root": root}, args.out, "json")
     return 0
 

@@ -220,20 +220,6 @@ def thermal_state(nbar: float, dim: int) -> DensityMatrix:
     return _adopt(np.diag(geometric_law(nbar, dim)).astype(complex))
 
 
-def _full_rank_floor(dim: int) -> np.ndarray:
-    # Flat-enough geometric admixture: keeps the smallest eigenvalue of the
-    # epsilon-mixture above ~1e-12 while leaving the edge mass negligible.
-    nbar = max(4.0, dim / 6.0)
-    w = geometric_weights(nbar, dim)
-    return w / w.sum()
-
-
-def _interior_support(dim: int) -> int:
-    # Random states live on the lowest levels so that displacement and heat
-    # evolution do not push mass into the truncation edge.
-    return dim if dim <= 24 else 24
-
-
 def random_state(dim: int, seed: int, family: StateFamily) -> DensityMatrix:
     """Deterministic random test state of the requested family.
 
@@ -246,22 +232,23 @@ def random_state(dim: int, seed: int, family: StateFamily) -> DensityMatrix:
     if dim < 2:
         raise ValueError(f"dim must be >= 2, got {dim}")
     rng = np.random.default_rng(seed)
-    d0 = _interior_support(dim)
-    floor = _full_rank_floor(dim)
+    # The core lives on the lowest levels so that displacement and heat
+    # evolution do not push mass into the truncation edge.
+    d0 = min(dim, 24)
     if family is StateFamily.FULL_RANK:
         g = rng.standard_normal((d0, d0)) + 1j * rng.standard_normal((d0, d0))
         core = g @ g.conj().T
         core /= np.trace(core).real
-        m = np.diag(FULL_RANK_EPS * floor).astype(complex)
-        m[:d0, :d0] += (1.0 - FULL_RANK_EPS) * core
     elif family is StateFamily.DIAGONAL:
         p = rng.standard_normal(d0) ** 2
-        p /= p.sum()
-        diag = FULL_RANK_EPS * floor
-        diag[:d0] += (1.0 - FULL_RANK_EPS) * p
-        m = np.diag(diag).astype(complex)
+        core = np.diag(p / p.sum())
     else:
         raise ValueError(f"unknown family {family!r}")
+    # Flat-enough geometric floor: keeps the smallest eigenvalue of the
+    # epsilon-mixture above ~1e-12 while leaving the edge mass negligible.
+    floor = geometric_weights(max(4.0, dim / 6.0), dim)
+    m = np.diag(FULL_RANK_EPS * (floor / floor.sum())).astype(complex)
+    m[:d0, :d0] += (1.0 - FULL_RANK_EPS) * core
     m = 0.5 * (m + m.conj().T)
     m /= np.trace(m).real
     return _adopt(m)

@@ -13,6 +13,11 @@ defaults, rejects a parameter the suite does not read (seed excepted: every
 suite accepts it, and the suites without random states ignore it), and
 records in the report's config only the values the suite read.
 
+Random states follow one draw rule, `_random_states`: random case i holds
+random_state(dim, seed + i, FULL_RANK), but `data-processing` draws rho at
+seed + 101 + i and sigma at seed + 501 + i, `majorization` draws at dim 12
+and `rate-decay-identity` draws the DIAGONAL family at dim 64.
+
 Each suite yields one CaseRecord per case, built by `_case` where the suite
 states the case, with the case's gate in its `tol`.  Only numerical failures
 while `_case` computes a margin become error cases (margin -inf, counted as
@@ -54,6 +59,8 @@ FOUR_PI_E = 4.0 * math.pi * math.e
 # The parameters a suite may read, in report order, with the values used
 # when the caller sets none.
 _DEFAULTS = {"dim": 128, "cases": 5, "seed": 0, "tolerance": 1e-3}
+# Mean photon numbers of the thermal cases that several suites share.
+_THERMAL_N = (0.5, 1.0, 2.0)
 
 
 @dataclass
@@ -108,6 +115,13 @@ def _case(descriptor: str, params: dict,
                       bool(margin >= -tol), asserted, health)
 
 
+def _random_states(dim, cases, seed, family=StateFamily.FULL_RANK
+                   ) -> Iterator[tuple[int, DensityMatrix]]:
+    """(i, case i's state drawn at seed + i) for i < cases: the draw rule."""
+    for i in range(cases):
+        yield i, random_state(dim, seed + i, family)
+
+
 def _gaussian_kl(f: GaussianDensity, g: GaussianDensity) -> float:
     """Closed-form KL divergence D(f || g) between 2D Gaussians."""
     s0, s1 = f.cov, g.cov
@@ -125,9 +139,8 @@ def _suite_data_processing(*, dim, cases, seed, tolerance
                           ) -> Iterator[CaseRecord]:
     rng = np.random.default_rng(seed)
     t = 0.1
-    for i in range(cases):
-        rho = random_state(dim, seed + 101 + i, StateFamily.FULL_RANK)
-        sigma = random_state(dim, seed + 501 + i, StateFamily.FULL_RANK)
+    for (i, rho), (_, sigma) in zip(_random_states(dim, cases, seed + 101),
+                                    _random_states(dim, cases, seed + 501)):
         f = GaussianDensity(mean=0.15 * rng.standard_normal(2),
                             cov=np.diag(1.0 + 0.3 * rng.random(2)))
         g = standard_gaussian()
@@ -150,8 +163,7 @@ def _suite_stam(*, dim, cases, seed, tolerance) -> Iterator[CaseRecord]:
         jt = ga.thermal_fisher_closed(ga.thermal_mean(n, Heat(), t))
         yield _case("stam-thermal-closed", {"n": n, "t": t},
                     1.0 / jt - 1.0 / j0 - t / j_f, tolerance)
-    for i in range(cases):
-        rho = random_state(dim, seed + i, StateFamily.FULL_RANK)
+    for i, rho in _random_states(dim, cases, seed):
         j_rho = cache(lambda: quantum_fisher(rho).value)
         for t, conv in zip(grid, flow(f, rho, grid)):
             yield _case("stam-random", {"case": i, "t": t},
@@ -167,8 +179,7 @@ def _suite_de_bruijn(*, dim, cases, seed, tolerance) -> Iterator[CaseRecord]:
             rate = entropy_rate(thermal_state(n, dim), Heat())
             return -abs(rate - closed) / closed
         yield _case("de-bruijn-thermal", {"n": n}, margin, tolerance)
-    for i in range(cases):
-        rho = random_state(dim, seed + i, StateFamily.FULL_RANK)
+    for i, rho in _random_states(dim, cases, seed):
         def margin():
             rate = entropy_rate(rho, Heat())
             j = quantum_fisher(rho).value
@@ -183,11 +194,10 @@ def _suite_fisher_isoperimetry(*, dim, cases, seed, tolerance
     # secants of 2/J over [0, h] minus 1 at random states, with no O(h) error:
     # a slope >= 1 integrates to a secant >= 1.
     h = 5e-3
-    for n in (0.5, 1.0, 2.0):
+    for n in _THERMAL_N:
         yield _case("fisher-isoperimetry-thermal", {"n": n},
                     ga.thermal_isoperimetric_ratio(n) - 1.0, tolerance)
-    for i in range(cases):
-        rho = random_state(dim, seed + i, StateFamily.FULL_RANK)
+    for i, rho in _random_states(dim, cases, seed):
         def margin():
             j0 = quantum_fisher(rho).value
             jh = quantum_fisher(evolve(rho, Heat(), h)).value
@@ -201,13 +211,12 @@ def _suite_concavity(*, dim, cases, seed, tolerance) -> Iterator[CaseRecord]:
     # = (N J^2/4)(1 - d/dt (2/J)).  Random cases: minus second differences
     # of N over [0, 2h], nonpositive for a concave N: no O(h) error enters.
     h = 5e-3
-    for n in (0.5, 1.0, 2.0):
+    for n in _THERMAL_N:
         j = ga.thermal_fisher_closed(n)
         margin = math.exp(ga.g_entropy(n)) * j * j / 4.0 * (
             ga.thermal_isoperimetric_ratio(n) - 1.0)
         yield _case("concavity-thermal", {"n": n}, margin, tolerance)
-    for i in range(cases):
-        rho = random_state(dim, seed + i, StateFamily.FULL_RANK)
+    for i, rho in _random_states(dim, cases, seed):
         at_h, at_2h = flow(Heat(), rho, (h, 2.0 * h))
         def margin():
             n0 = entropy_power(rho)
@@ -220,7 +229,7 @@ def _suite_concavity(*, dim, cases, seed, tolerance) -> Iterator[CaseRecord]:
 
 
 def _suite_epi_heat(*, dim, cases, seed, tolerance) -> Iterator[CaseRecord]:
-    for n in (0.5, 1.0, 2.0):
+    for n in _THERMAL_N:
         for t in (0.05, 0.1, 0.5):
             n0 = math.exp(ga.g_entropy(n))
             nt = math.exp(ga.g_entropy(ga.thermal_mean(n, Heat(), t)))
@@ -235,8 +244,7 @@ def _suite_epi_heat(*, dim, cases, seed, tolerance) -> Iterator[CaseRecord]:
                 {"n": n, "t": t, "slope": slope, "target": TWO_PI_E},
                 slope / TWO_PI_E - 1.0, tolerance)
     grid = (0.05, 0.1)
-    for i in range(cases):
-        rho = random_state(dim, seed + i, StateFamily.FULL_RANK)
+    for i, rho in _random_states(dim, cases, seed):
         for t, evolved in zip(grid, flow(Heat(), rho, grid)):
             yield _case("epi-heat-random", {"case": i, "t": t},
                         lambda: (entropy_power(evolved())
@@ -251,12 +259,11 @@ def _suite_entropy_isoperimetry(*, dim, cases, seed, tolerance
     prod = ga.thermal_fisher_closed(n) * math.exp(ga.g_entropy(n))
     yield _case("entropy-isoperimetry-thermal-100", {"n": n, "product": prod},
                 -abs(prod / FOUR_PI_E - 1.0), 1e-2)
-    for nth in (0.5, 1.0, 2.0):
+    for nth in _THERMAL_N:
         prod = ga.thermal_fisher_closed(nth) * math.exp(ga.g_entropy(nth))
         yield _case("entropy-isoperimetry-thermal", {"n": nth},
                     prod - FOUR_PI_E, tolerance)
-    for i in range(cases):
-        rho = random_state(dim, seed + i, StateFamily.FULL_RANK)
+    for i, rho in _random_states(dim, cases, seed):
         yield _case("entropy-isoperimetry-random", {"case": i},
                     lambda: quantum_fisher(rho).value * entropy_power(rho)
                     - FOUR_PI_E, tolerance, state=rho)
@@ -272,8 +279,7 @@ def _suite_majorization(*, cases, seed) -> Iterator[CaseRecord]:
     grid = (0.1, 0.5, 1.0)
     # Photon loss maps the truncated space into itself, so random states
     # may occupy the whole small basis: the flow checks no edge mass for it.
-    for i in range(cases):
-        rho = random_state(dim, seed + i, StateFamily.FULL_RANK)
+    for i, rho in _random_states(dim, cases, seed):
         arranged = fock_rearrangement(rho)
         yield _case("rearrangement-photon-number", {"case": i},
                     mean_photon(rho) - mean_photon(arranged), tol)
@@ -287,7 +293,7 @@ def _suite_majorization(*, cases, seed) -> Iterator[CaseRecord]:
 
 
 def _suite_correspondence(*, dim, tolerance) -> Iterator[CaseRecord]:
-    for n in (0.5, 1.0, 2.0):
+    for n in _THERMAL_N:
         closed = ga.thermal_j_pm(n)[0]
         j_class = cl.death_entropy_rate(cl.geometric_pmf(n, 256))
         yield _case("death-process-vs-closed", {"n": n},
@@ -301,7 +307,7 @@ def _suite_correspondence(*, dim, tolerance) -> Iterator[CaseRecord]:
 def _suite_geometric_optimality(*, dim, tolerance) -> Iterator[CaseRecord]:
     # J_-(geometric) and the certified bound bracket the constrained minimum.
     K = 64
-    for n in (0.5, 1.0, 2.0):
+    for n in _THERMAL_N:
         closed = ga.thermal_j_pm(n)[0]
         params = {"n": n, "K": K}
         bound = cache(partial(cl.certified_rate_bound, n, K))
@@ -321,12 +327,14 @@ def _suite_geometric_optimality(*, dim, tolerance) -> Iterator[CaseRecord]:
 def _suite_rate_decay_identity(*, cases, seed, tolerance
                               ) -> Iterator[CaseRecord]:
     kind = QOU(math.sqrt(2.0), 1.0)
-    # Fixed: on one BLAS thread, in-process, the suite takes 0.02 s at dim 64
-    # and about 0.1 s at 128, and perfbench's heat-rk4 workload runs it.
+    # Fixed: on one BLAS thread, in-process, the suite takes 2.1 ms at dim 64
+    # and 7.9 ms at 128, and perfbench's heat-rk4 workload runs it.
     dim = 64
     sigma = thermal_state(kind.n_fixed, dim)
-
-    def check(rho: DensityMatrix, descriptor: str, params: dict) -> CaseRecord:
+    states = [("rate-decay-thermal", {"n": 2.0}, thermal_state(2.0, dim))]
+    states += [("rate-decay-diagonal", {"case": i}, rho) for i, rho
+               in _random_states(dim, cases, seed, StateFamily.DIAGONAL)]
+    for descriptor, params, rho in states:
         def margin():
             lhs, rhs = relent_decay_rate(rho, kind)
             # The identity reads dD/dt = -zeta D - rhs-assembly; compare
@@ -334,13 +342,7 @@ def _suite_rate_decay_identity(*, cases, seed, tolerance
             target = -(kind.zeta * relative_entropy(rho, sigma) + rhs)
             scale = max(abs(lhs), abs(target), 1e-12)
             return -abs(lhs - target) / scale
-
-        return _case(descriptor, params, margin, tolerance, state=rho)
-
-    yield check(thermal_state(2.0, dim), "rate-decay-thermal", {"n": 2.0})
-    for i in range(cases):
-        rho = random_state(dim, seed + i, StateFamily.DIAGONAL)
-        yield check(rho, "rate-decay-diagonal", {"case": i})
+        yield _case(descriptor, params, margin, tolerance, state=rho)
 
 
 def _suite_log_sobolev(*, tolerance) -> Iterator[CaseRecord]:
@@ -362,8 +364,8 @@ def _suite_log_sobolev(*, tolerance) -> Iterator[CaseRecord]:
         excess = epsilon * d - ga.h_function(witness, kind)
     yield _case("zeta-optimality-witness",
                 {"epsilon": epsilon, "witness_n": witness}, excess, 0.0)
-    photon = threshold_solve("Photon067")
-    entropy = threshold_solve("Entropy206")
+    photon = photon_threshold()
+    entropy = entropy_threshold()
     yield _case("photon-threshold", {"root": photon}, -abs(photon - 0.67), 0.01)
     yield _case("entropy-threshold", {"root": entropy}, -abs(entropy - 2.06),
                 0.1)
@@ -457,20 +459,16 @@ def run_suite(suite: str, **params) -> VerificationReport:
                               summary=summary, metadata={"wall_time_s": wall})
 
 
-def threshold_solve(which: str) -> float:
-    """Double-precision roots of the fast-convergence threshold equations,
-    each by bisection of a monotone function to adjacent doubles.
+def photon_threshold() -> float:
+    """Mean photon number up to which the qOU rate zeta is certified: the
+    root of n log(1 + 1/n) = 2 - 2 log 2, bisected to adjacent doubles."""
+    c = 2.0 - 2.0 * math.log(2.0)
+    return ga._bisect(lambda n: n * ga._beta(n) < c, 0.1, 10.0)
 
-    "Photon067": root of -n log(1 + 1/n) + c = 0, c = 2 - 2 log 2 (= the mean
-    photon number up to which the qOU rate zeta is certified).
-    "Entropy206": the single root of F(S0) + 1 - 2 log 2 = 0 with the exact
-    F(S0) = inf_{n >= g^{-1}(S0)} [2 (-n log(1 + 1/n)) + g(n)] (= the
-    entropy beyond which the rate is certified).
-    """
-    if which == "Photon067":
-        c = 2.0 - 2.0 * math.log(2.0)
-        return ga._bisect(lambda n: n * ga._beta(n) < c, 0.1, 10.0)
-    if which == "Entropy206":
-        c = 2.0 * math.log(2.0) - 1.0
-        return ga._bisect(lambda s: cl.F_of_S0(s, 2.0, 1.0) < c, 0.7, 10.0)
-    raise ValueError(f"unknown threshold {which!r}")
+
+def entropy_threshold() -> float:
+    """Entropy beyond which the qOU rate zeta is certified: the single root
+    of F(S0) = 2 log 2 - 1 with the exact F(S0) = inf_{n >= g^{-1}(S0)}
+    [2 (-n log(1 + 1/n)) + g(n)], bisected to adjacent doubles."""
+    c = 2.0 * math.log(2.0) - 1.0
+    return ga._bisect(lambda s: cl.F_of_S0(s, 2.0, 1.0) < c, 0.7, 10.0)

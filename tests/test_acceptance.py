@@ -44,7 +44,7 @@ from phaseineq.semigroups import (
     evolve,
     relent_decay_rate,
 )
-from phaseineq.verify import run_suite, threshold_solve
+from phaseineq.verify import entropy_threshold, photon_threshold, run_suite
 
 TWO_PI_E = 2.0 * math.pi * math.e
 FOUR_PI_E = 4.0 * math.pi * math.e
@@ -194,8 +194,8 @@ def test_criterion_08_geometric_optimality():
 
 
 def test_criterion_09_thresholds():
-    photon = threshold_solve("Photon067")
-    entropy = threshold_solve("Entropy206")
+    photon = photon_threshold()
+    entropy = entropy_threshold()
     ok = 0.66 <= photon <= 0.68 and 2.0 <= entropy <= 2.2
     _report(9, ok, f"photon threshold {photon:.4f} (target 0.67), entropy "
                    f"threshold {entropy:.4f} (target 2.06; the 2.4 quoted "

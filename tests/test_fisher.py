@@ -14,7 +14,6 @@ from phaseineq.fock_core import (
     IllConditionedError,
     StateFamily,
     TruncationError,
-    _full_rank_floor,
     geometric_weights,
     random_state,
     state_edge_mass,
@@ -53,7 +52,8 @@ def near_pure_state(dim: int, seed: int) -> DensityMatrix:
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(24) + 1j * rng.standard_normal(24)
     v /= np.linalg.norm(v)
-    m = np.diag(FULL_RANK_EPS * _full_rank_floor(dim)).astype(complex)
+    floor = geometric_weights(max(4.0, dim / 6.0), dim)
+    m = np.diag(FULL_RANK_EPS * (floor / floor.sum())).astype(complex)
     m[:24, :24] += (1.0 - FULL_RANK_EPS) * np.outer(v, v.conj())
     m = 0.5 * (m + m.conj().T)
     return DensityMatrix(m / np.trace(m).real)

@@ -9,8 +9,9 @@ import phaseineq.gaussian as ga
 import phaseineq.semigroups as semigroups
 import phaseineq.verify as verify
 from phaseineq.cli import main
-from phaseineq.fock_core import TruncationError
-from phaseineq.verify import SUITE_NAMES, run_suite, threshold_solve
+from phaseineq.fock_core import StateFamily, TruncationError, random_state
+from phaseineq.verify import (
+    SUITE_NAMES, entropy_threshold, photon_threshold, run_suite)
 
 FAST_SUITES = (
     "data-processing",
@@ -138,6 +139,36 @@ class TestReports:
     def test_wall_time_recorded(self):
         report = run_suite("cou")
         assert report.metadata["wall_time_s"] > 0
+
+
+FULL, DIAG = StateFamily.FULL_RANK, StateFamily.DIAGONAL
+
+
+class TestDrawRule:
+    @pytest.mark.parametrize("name, draws", [
+        (name, [(128, 3, FULL), (128, 4, FULL)])
+        for name in ("stam", "de-bruijn", "fisher-isoperimetry", "concavity",
+                     "epi-heat", "entropy-isoperimetry")
+    ] + [
+        ("majorization", [(12, 3, FULL), (12, 4, FULL)]),
+        ("rate-decay-identity", [(64, 3, DIAG), (64, 4, DIAG)]),
+        ("data-processing", [(128, 104, FULL), (128, 504, FULL),
+                             (128, 105, FULL), (128, 505, FULL)]),
+    ])
+    def test_suites_draw_the_documented_states(self, name, draws,
+                                               monkeypatch):
+        # Case i's state is drawn at seed + i; data-processing draws its
+        # two states at seed + 101 + i and seed + 501 + i.
+        recorded = []
+
+        def recording(dim, seed, family):
+            recorded.append((dim, seed, family))
+            return random_state(dim, seed, family)
+
+        monkeypatch.setattr(verify, "random_state", recording)
+        monkeypatch.setattr(verify, "_case", _unevaluated_case)
+        run_suite(name, seed=3, cases=2)
+        assert recorded == draws
 
 
 def _thermal_margins(name: str) -> dict:
@@ -357,22 +388,22 @@ class TestEigenWork:
 
 class TestThresholds:
     def test_photon_threshold(self):
-        val = threshold_solve("Photon067")
+        val = photon_threshold()
         assert 0.66 <= val <= 0.68
         # Root property: the defining function changes sign across it.
         f = lambda n: -n * math.log(1 + 1 / n) + 2 - 2 * math.log(2)
         assert f(val - 1e-3) * f(val + 1e-3) < 0
 
     def test_entropy_threshold(self):
-        assert 2.0 <= threshold_solve("Entropy206") <= 2.2
+        assert 2.0 <= entropy_threshold() <= 2.2
 
-    @pytest.mark.parametrize("which, root", [
-        ("Photon067", 0.67573161225162728592),
-        ("Entropy206", 2.0574675765149403866),
+    @pytest.mark.parametrize("solve, root", [
+        (photon_threshold, 0.67573161225162728592),
+        (entropy_threshold, 2.0574675765149403866),
     ])
-    def test_double_precision_root(self, which, root):
+    def test_double_precision_root(self, solve, root):
         # The references are 50-digit roots, rounded to 20 digits.
-        assert abs(threshold_solve(which) / root - 1.0) <= 1e-14
+        assert abs(solve() / root - 1.0) <= 1e-14
 
     def test_photon_bisection_ends_on_adjacent_doubles(self):
         # The first double at which n log1p(1/n) reaches c; the double
@@ -383,10 +414,6 @@ class TestThresholds:
             return n * math.log1p(1.0 / n) < c
 
         root = ga._bisect(below, 0.1, 10.0)
-        assert root == threshold_solve("Photon067")
+        assert root == photon_threshold()
         assert root == float.fromhex("0x1.59f97e6efcf99p-1")
         assert not below(root) and below(math.nextafter(root, 0.0))
-
-    def test_unknown_threshold(self):
-        with pytest.raises(ValueError):
-            threshold_solve("nope")

@@ -2,8 +2,8 @@
 
 Covers the thermal entropy function g and its inverse, thermal Fisher
 information, the attenuator/amplifier entropy rates of a centered Gaussian
-state parameterized by its symplectic eigenvalue kappa and squeezing z,
-the mean photon number of a thermal state under the four semigroups (which
+state with the thermal mean photon number n and squeezing z, the mean
+photon number of a thermal state under the four semigroups (which
 keep it thermal), the h-function controlling the Log-Sobolev rate of the
 quantum Ornstein-Uhlenbeck (qOU) semigroup, the classical Ornstein-Uhlenbeck
 channel, and the Carbone et al. Log-Sobolev-2 bracketing bounds.
@@ -109,32 +109,23 @@ def thermal_isoperimetric_ratio(n: float) -> float:
     return 1.0 / ((n * beta) * ((n + 1.0) * beta))
 
 
-def thermal_j_pm(n: float) -> tuple[float, float]:
-    """Attenuator/amplifier entropy rates (J_-, J_+) of the thermal state
-    omega_n: (-2 n log(1 + 1/n), 2 (n + 1) log(1 + 1/n)), the z = 1 case of
-    `j_pm_gaussian` read in n, which forming kappa = 2n + 1 would round."""
+def thermal_j_pm(n: float, z: float = 1.0) -> tuple[float, float]:
+    """Attenuator/amplifier entropy rates (J_-, J_+) of omega_n squeezed by
+    z >= 1, whose quadrature variances are z^2 and 1/z^2 times those of
+    omega_n: with q = ((z - 1)(z + 1)/z)^2/2 and beta = log(1 + 1/n),
+    J_- = (q - 2n) beta and J_+ = (q + 2n + 2) beta.  This is
+    ((z^2 + 1/z^2)/2 -+ kappa) log((kappa + 1)/(kappa - 1)) with
+    kappa = 2n + 1, read in n, which kappa - 1 would round.  At n = 0 it is
+    (0, inf) for z = 1 and (inf, inf) for z > 1."""
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    if n == 0:
-        return 0.0, math.inf
-    log_term = _beta(n)
-    return -2.0 * n * log_term, 2.0 * (n + 1.0) * log_term
-
-
-def j_pm_gaussian(kappa: float, z: float = 1.0) -> tuple[float, float]:
-    """Attenuator/amplifier entropy rates (J_-, J_+) of a centered Gaussian
-    state, J_- = ((z^2 + 1/z^2)/2 - kappa) log((kappa+1)/(kappa-1)) and
-    J_+ = ((z^2 + 1/z^2)/2 + kappa) log((kappa+1)/(kappa-1))."""
-    if z < 1.0 - 1e-12:
+    if not z >= 1.0:
         raise ValueError(f"z must be >= 1, got {z}")
-    half = 0.5 * (z**2 + z**-2)
-    if kappa <= 1.0:
-        # Pure squeezed state: the log factor diverges.
-        coef_minus = half - kappa
-        j_minus = math.copysign(math.inf, coef_minus) if coef_minus != 0 else 0.0
-        return j_minus, math.inf
-    log_term = math.log1p(2.0 / (kappa - 1.0))
-    return (half - kappa) * log_term, (half + kappa) * log_term
+    q = ((z - 1.0) * (z + 1.0) / z) ** 2 / 2.0
+    if n == 0:
+        return (math.inf if q else 0.0), math.inf
+    beta = _beta(n)
+    return (q - 2.0 * n) * beta, (q + 2.0 * n + 2.0) * beta
 
 
 def thermal_mean(n: float, kind: SemigroupKind, t: float) -> float:
@@ -176,11 +167,15 @@ def _psi(u: float) -> float:
         k += 1
 
 
-def _phi(u: float) -> float:
+def _phi(u: float, one_plus_u: float | None = None) -> float:
     """u - log1p(u) for u > -1, to full relative precision: the series
     sum_{k >= 2} (-u)^k/k, whose first term dominates, for |u| < 1/2, and
-    the direct form, which cancels at most a factor about 5, otherwise."""
+    the direct form, which cancels at most a factor about 5, otherwise,
+    reading the log for u <= -1/2 from one_plus_u when given: 1 + u formed
+    from u keeps only the digits of u."""
     if abs(u) >= 0.5:
+        if u < 0 and one_plus_u is not None:
+            return u - math.log(one_plus_u)
         return u - math.log1p(u)
     total, power, k = 0.0, u * u, 2
     while True:
@@ -204,7 +199,7 @@ def relent_to_qou_fixed(d: float, kind: QOU) -> float:
     since n log1p(x) - log1p(y) = D and n x - y is the first term.  There
     n phi(x) is at most 0.62 times the first term, so the one subtraction
     loses at most a factor about 3, and phi(y) >= 0 is added.
-    Where y <= -1/2, phi(y) is read as y - log((n + 1)/(m + 1)), with n
+    Where y <= -1/2, phi(y) reads its log from (n + 1)/(m + 1), with n
     exact there (Sterbenz).
     For m < 1 it is m psi(d/m) - (m + 1) psi(d/(m + 1)), where the terms
     linear in d cancel exactly, so only the second-order parts are
@@ -221,9 +216,9 @@ def relent_to_qou_fixed(d: float, kind: QOU) -> float:
     n = m + d
     if m >= 1.0:
         x, y = d / (n + 1.0) / m, d / (m + 1.0)
-        phi_y = y - math.log((n + 1.0) / (m + 1.0)) if y <= -0.5 else _phi(y)
         n_phi_x = n * _phi(x) if n else 0.0
-        return d / m * (d / (n + 1.0)) / (m + 1.0) - n_phi_x + phi_y
+        return (d / m * (d / (n + 1.0)) / (m + 1.0) - n_phi_x
+                + _phi(y, (n + 1.0) / (m + 1.0)))
     if d <= m + 1.0 and d <= 1e300 * m:
         return m * _psi(d / m) - (m + 1.0) * _psi(d / (m + 1.0))
     return n * (_beta(m) - _beta(n)) - math.log1p(d / (m + 1.0))
@@ -262,8 +257,11 @@ def cou_step(params: ClassicalOUParams, var0: float,
     """(variance, relative entropy to the fixed point, rate margin) of a
     centered Gaussian evolving under the classical OU channel.
 
-    The margin is -2 theta D - dD/dt, evaluated analytically at time t;
-    it equals theta (log r + 1/r - 1) >= 0 with r = sigma_t^2 / fixed var.
+    With r = sigma_t^2 / fixed variance, D = phi(r - 1)/2 and the margin
+    -2 theta D - dD/dt, evaluated analytically at time t, is
+    theta phi(1/r - 1) >= 0, phi(u) = u - log1p(u).  r - 1 is formed as
+    decay (var0 - v_inf)/v_inf and 1/r - 1 as -(r - 1)/r, not from the
+    rounded r, which would lose both as r -> 1.
     """
     if var0 <= 0:
         raise ValueError(f"var0 must be > 0, got {var0}")
@@ -272,11 +270,10 @@ def cou_step(params: ClassicalOUParams, var0: float,
     theta = params.theta
     v_inf = params.fixed_variance
     decay = math.exp(-2.0 * theta * t)
-    var_t = decay * var0 + (1.0 - decay) * v_inf
+    var_t = decay * var0 - math.expm1(-2.0 * theta * t) * v_inf
     r = var_t / v_inf
-    relent = 0.5 * (r - 1.0 - math.log(r))
-    margin = theta * (math.log(r) + 1.0 / r - 1.0)
-    return var_t, relent, margin
+    x = decay * (var0 - v_inf) / v_inf
+    return var_t, 0.5 * _phi(x, r), theta * _phi(-x / r, 1.0 / r)
 
 
 def carbone_lsi2_bounds(kind: QOU) -> tuple[float, float, tuple[float, float]]:

@@ -29,9 +29,9 @@ from phaseineq.gaussian import (
     cou_step,
     g_entropy,
     h_function,
-    j_pm_gaussian,
     relent_to_qou_fixed,
     thermal_fisher_closed,
+    thermal_j_pm,
     thermal_mean,
     zeta_optimality_witness,
 )
@@ -266,7 +266,7 @@ def test_criterion_13_amplifier_rate_lower_bound():
     worst = math.inf
     for kappa in np.geomspace(1.001, 1e3, 50):
         for z in np.geomspace(1.0, 10.0, 50):
-            _, j_plus = j_pm_gaussian(float(kappa), float(z))
+            _, j_plus = thermal_j_pm((float(kappa) - 1.0) / 2.0, float(z))
             worst = min(worst, j_plus)
     worst_num = math.inf
     states = [thermal_state(n, 128) for n in (0.5, 1.0, 2.0, 4.0)]

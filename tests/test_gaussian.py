@@ -21,7 +21,6 @@ from phaseineq.gaussian import (
     g_entropy,
     g_inverse,
     h_function,
-    j_pm_gaussian,
     relent_to_qou_fixed,
     thermal_fisher_closed,
     thermal_isoperimetric_ratio,
@@ -138,13 +137,16 @@ class TestStableClosedForms:
     @pytest.mark.parametrize("z", [1.0, 1.5])
     @pytest.mark.parametrize("kappa", [2e4 + 1, 2e8 + 1])
     def test_j_pm_gaussian(self, kappa, z):
-        # log((kappa+1)/(kappa-1)) cancels at large kappa; log1p does not.
+        # The Gaussian form in the symplectic eigenvalue kappa, at
+        # n = (kappa - 1)/2: log((kappa+1)/(kappa-1)) cancels at large
+        # kappa, and log(1 + 1/n) read in n does not.
+        n = (kappa - 1.0) / 2.0
         with mpmath.workdps(50):
-            k = mpmath.mpf(kappa)
+            k = 2 * mpmath.mpf(n) + 1
             half = (mpmath.mpf(z) ** 2 + mpmath.mpf(z) ** -2) / 2
             log_term = mpmath.log((k + 1) / (k - 1))
             exact = ((half - k) * log_term, (half + k) * log_term)
-            for value, target in zip(j_pm_gaussian(kappa, z), exact):
+            for value, target in zip(thermal_j_pm(n, z), exact):
                 assert _rel_err(value, target) <= 1e-14
 
     @pytest.mark.parametrize("s", [700.0, 709.0])
@@ -172,40 +174,76 @@ class TestClosedForms:
 
     def test_j_pm_thermal(self):
         n = 1.0
-        j_minus, j_plus = j_pm_gaussian(2 * n + 1)
+        j_minus, j_plus = thermal_j_pm(n)
         assert j_minus == pytest.approx(-2 * n * math.log(1 + 1 / n))
         assert j_plus == pytest.approx(2 * (n + 1) * math.log(1 + 1 / n))
 
     def test_j_pm_vacuum(self):
         # The vacuum is the attenuator fixed point (rate 0); the amplifier
         # rate diverges, as does the attenuator rate once squeezing is added.
-        j_minus, j_plus = j_pm_gaussian(1.0)
+        j_minus, j_plus = thermal_j_pm(0.0)
         assert j_plus == math.inf
         assert j_minus == 0.0
-        assert j_pm_gaussian(1.0, z=1.5)[0] == math.inf
+        assert thermal_j_pm(0.0, z=1.5) == (math.inf, math.inf)
+        assert thermal_j_pm(0.0, z=1.0 + 2.0**-52) == (math.inf, math.inf)
 
     def test_j_pm_squeezing_raises_both(self):
-        base = j_pm_gaussian(3.0)
-        squeezed = j_pm_gaussian(3.0, z=1.5)
+        base = thermal_j_pm(1.0)
+        squeezed = thermal_j_pm(1.0, z=1.5)
         assert squeezed[0] > base[0]
         assert squeezed[1] > base[1]
 
     def test_half_j_minus_is_half_the_thermal_rate(self):
+        # The attenuator keeps omega_n thermal with mean n e^{-t}, so
+        # J_-/2 = d/dt g(n e^{-t}) at t = 0.
+        g_exact = TestStableClosedForms.g_exact
         for n in (0.5, 1.0, 2.0):
-            assert 0.5 * thermal_j_pm(n)[0] == pytest.approx(
-                0.5 * j_pm_gaussian(2 * n + 1)[0], rel=1e-14)
+            with mpmath.workdps(50):
+                rate = mpmath.diff(lambda t: g_exact(n * mpmath.exp(-t)), 0)
+                assert _rel_err(0.5 * thermal_j_pm(n)[0], rate) <= 1e-14
 
     def test_vacuum_rates(self):
         assert thermal_j_pm(0.0) == (0.0, math.inf)
 
+    # 0 and 2000 photon numbers spread over the double range.
+    SWEEP = [0.0] + [float(n) for n in np.geomspace(1e-300, 1e300, 2000)]
+
+    def test_unsqueezed_rates_are_the_thermal_form_bit_for_bit(self):
+        # At z = 1, q = 0 and (q - 2n, q + 2n + 2) are -2n and 2(n + 1)
+        # exactly.
+        for n in self.SWEEP:
+            expected = (0.0, math.inf)
+            if n:
+                beta = math.log1p(1.0 / n)
+                expected = (-2.0 * n * beta, 2.0 * (n + 1.0) * beta)
+            assert thermal_j_pm(n) == expected, n
+
+    @pytest.mark.parametrize("z", [1.0 + 1e-8, 1.001, 1.5, 10.0])
+    def test_squeezed_rates_within_4_ulps(self, z):
+        # J_- crosses zero at q = 2n, so both rates are measured on the
+        # scale of J_+ = (q + 2n + 2) beta.
+        with mpmath.workdps(50):
+            zz = mpmath.mpf(z)
+            q = ((zz - 1) * (zz + 1) / zz) ** 2 / 2
+            for n in np.geomspace(1e-6, 1e6, 49):
+                m = mpmath.mpf(float(n))
+                beta = mpmath.log1p(1 / m)
+                exact = ((q - 2 * m) * beta, (q + 2 * m + 2) * beta)
+                ulp = math.ulp(float(exact[1]))
+                for value, target in zip(thermal_j_pm(float(n), z), exact):
+                    assert abs(value - target) <= 4 * ulp, (n, value)
+
     @pytest.mark.parametrize("call, message", [
         (lambda: thermal_fisher_closed(-1.0), "n must be >= 0"),
         (lambda: thermal_j_pm(-1.0), "n must be >= 0"),
-        (lambda: j_pm_gaussian(3.0, z=0.5), "z must be >= 1"),
+        (lambda: thermal_j_pm(1.0, z=0.5), "z must be >= 1"),
+        (lambda: thermal_j_pm(1.0, z=1.0 - 2.0**-53), "z must be >= 1"),
+        (lambda: thermal_j_pm(1.0, z=math.nan), "z must be >= 1"),
         (lambda: h_function(0.0, QOU(math.sqrt(2.0), 1.0)), "n must be > 0"),
         (lambda: zeta_optimality_witness(QOU(math.sqrt(2.0), 1.0), -0.5),
          "epsilon must be >= 0"),
-    ], ids=["fisher", "j-pm", "j-pm-gaussian", "h", "witness"])
+    ], ids=["fisher", "j-pm", "j-pm-squeezing", "j-pm-squeezing-below-one",
+            "j-pm-squeezing-nan", "h", "witness"])
     def test_rejects_arguments_outside_the_domain(self, call, message):
         with pytest.raises(ValueError, match=message):
             call()
@@ -453,6 +491,50 @@ class TestClassicalOU:
         p = ClassicalOUParams(theta, 2.0 * theta)
         _, _, margin = cou_step(p, var0, t)
         assert margin >= -1e-12
+
+    @staticmethod
+    def phi_exact(u, one_plus_u):
+        """u - log1p(u) at the working precision: its series, free of
+        cancellation, for |u| < 1/2, where r - 1 falls to about 1e-86."""
+        if abs(u) >= 0.5:
+            return u - mpmath.log(one_plus_u)
+        total, power, k = 0, u * u, 2
+        while True:
+            term = power / k
+            total += term
+            if abs(term) <= mpmath.mpf(10) ** -55 * abs(total):
+                return total
+            power *= -u
+            k += 1
+
+    # The `cou` suite's grid, and the ratio grid, plus long times, and
+    # variances far from the fixed one, where 1 + (r - 1) or 1/r is tiny.
+    GRID = [(theta, sigma2, var0, t) for theta in (0.5, 1.0, 2.0)
+            for sigma2 in (0.5, 1.0, 2.0) for var0 in (0.1, 1.0, 10.0, 100.0)
+            for t in (0.0, 0.3, 1.0, 5.0, 20.0, 50.0)]
+    GRID += [(1.0, 1.0, var0, 0.0) for var0 in (1e2, 1e4, 1e6)]
+    GRID += [(1.0, 2.0, var0, t) for var0 in (1e-300, 1e-20, 1e20, 1e300)
+             for t in (0.0, 1e-3)]
+
+    def test_step_matches_mpmath(self):
+        # At theta = 2, sigma2 = 1, var0 = 10 and t = 50, r - 1 is about
+        # 5e-86 and D about 7e-172: a D read from the rounded r is 0.
+        with mpmath.workdps(50):
+            for theta, sigma2, var0, t in self.GRID:
+                _, relent, margin = cou_step(
+                    ClassicalOUParams(theta, sigma2), var0, t)
+                th, v_inf = mpmath.mpf(theta), mpmath.mpf(sigma2) / (2 * theta)
+                decay = mpmath.exp(-2 * th * t)
+                x = decay * (var0 - v_inf) / v_inf
+                r = decay * var0 / v_inf + (1 - decay)
+                exact = (self.phi_exact(x, r) / 2,
+                         th * self.phi_exact(-x / r, 1 / r))
+                for value, target in zip((relent, margin), exact):
+                    if target == 0:
+                        assert value == 0.0
+                    else:
+                        assert _rel_err(value, target) <= 2e-15, (
+                            theta, sigma2, var0, t, value, target)
 
     def test_relent_decays(self):
         p = ClassicalOUParams(1.0, 2.0)

@@ -195,16 +195,20 @@ def certified_rate_bound(n: float, K: int) -> float:
     (log-sum inequality), so it is convex and positively 1-homogeneous: with
     q = geometric(n) and g = grad J_-(q), g.q = J_-(q) and J_-(p) >= g.p.
     The minimum of g.p over the feasible polytope sits at a vertex: a point
-    mass at m <= n, or the mix of m1 <= n < m2 with mean n.
+    mass at m <= n, or the mix of m1 <= n < m2 with mean n.  The mixes are
+    taken one m1 at a time, so memory grows as K, not as n K.
     """
     if n <= 0:
         raise ValueError(f"n must be > 0, got {n}")
     g = _rate_and_grad(geometric_pmf(n, K).probs)[1]
     m = np.arange(K + 1, dtype=float)
     lo, hi = m <= n, m > n
-    w = (m[hi] - n) / (m[hi] - m[lo][:, None])
-    mixes = w * g[lo][:, None] + (1.0 - w) * g[hi]
-    return float(min(g[lo].min(), mixes.min(initial=math.inf)))
+    m2, g2 = m[hi], g[hi]
+    bound = g[lo].min()
+    for m1, g1 in zip(m[lo], g[lo]):
+        w = (m2 - n) / (m2 - m1)
+        bound = min(bound, (w * g1 + (1.0 - w) * g2).min(initial=math.inf))
+    return float(bound)
 
 
 def min_entropy_rate_constrained(n: float, K: int, starts: int = 8,

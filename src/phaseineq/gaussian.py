@@ -7,6 +7,13 @@ photon number of a thermal state under the four semigroups (which
 keep it thermal), the h-function controlling the Log-Sobolev rate of the
 quantum Ornstein-Uhlenbeck (qOU) semigroup, the classical Ornstein-Uhlenbeck
 channel, and the Carbone et al. Log-Sobolev-2 bracketing bounds.
+
+One thermal relative entropy D(omega_n || omega_m) serves both qOU closed
+forms: with the fixed point sigma = omega_{n*}, n* = lam^2/zeta, and
+zeta (n* + 1) = mu^2, zeta n* = lam^2, h(n) = mu^2 log((n + 1)/(n* + 1))
+- lam^2 log(n/n*) = zeta D(sigma || omega_n), so h = -zeta D - dD/dt makes
+a thermal state decay as dD/dt = -zeta [D(omega_n || sigma) + D(sigma ||
+omega_n)].
 """
 
 from __future__ import annotations
@@ -145,28 +152,6 @@ def thermal_mean(n: float, kind: SemigroupKind, t: float) -> float:
     return math.exp(-zeta * t) * n - math.expm1(-zeta * t) * lam2 / zeta
 
 
-def _psi(u: float) -> float:
-    """(1 + u) log1p(u) - u for u >= -1, to full relative precision.
-
-    With v = u/(2 + u), 1 + u = (1 + v)/(1 - v) and log1p(u) = 2 atanh(v),
-    so psi = 2/(1 - v) sum_{k >= 1} v^{2k} (1/(2k - 1) + v/(2k + 1)), a
-    series of positive terms that needs no subtraction; for |v| > 1/2
-    (u < -2/3 or u > 2) the direct form cancels at most a factor 3.
-    """
-    v = u / (2.0 + u)
-    if abs(v) > 0.5:
-        return (1.0 + u) * math.log1p(u) - u if u > -1.0 else 1.0
-    v2 = v * v
-    total, power, k = 0.0, v2, 1
-    while True:
-        term = power * (1.0 / (2 * k - 1) + v / (2 * k + 1))
-        total += term
-        if term <= 1e-17 * total:
-            return 2.0 / (1.0 - v) * total
-        power *= v2
-        k += 1
-
-
 def _phi(u: float, one_plus_u: float | None = None) -> float:
     """u - log1p(u) for u > -1, to full relative precision: the series
     sum_{k >= 2} (-u)^k/k, whose first term dominates, for |u| < 1/2, and
@@ -187,57 +172,68 @@ def _phi(u: float, one_plus_u: float | None = None) -> float:
         k += 1
 
 
-def relent_to_qou_fixed(d: float, kind: QOU) -> float:
-    """D(omega_{m + d} || omega_m): the relative entropy of the thermal state
-    with mean photon number m + d to the qOU fixed point, m = lam^2/zeta,
-    from d itself, not m + d rounded, so it keeps full precision as d -> 0.
+def _thermal_relent(n: float, m: float, d: float) -> float:
+    """D(omega_n || omega_m) = (n + 1) log((m + 1)/(n + 1)) - n log(m/n),
+    read from the excess d = n - m, which the caller passes at full
+    precision, so it keeps full precision as d -> 0.
 
-    D = (n + 1) log((m + 1)/(n + 1)) - n log(m/n) with n = m + d.  For
-    m >= 1 it is read as
+    For m >= 1 it is read as
       D = (d/m)(d/(n + 1))/(m + 1) - n phi(x) + phi(y),
     with x = d/(m (n + 1)), y = d/(m + 1) and phi(u) = u - log1p(u) >= 0,
     since n log1p(x) - log1p(y) = D and n x - y is the first term.  There
     n phi(x) is at most 0.62 times the first term, so the one subtraction
-    loses at most a factor about 3, and phi(y) >= 0 is added.
-    Where y <= -1/2, phi(y) reads its log from (n + 1)/(m + 1), with n
-    exact there (Sterbenz).
-    For m < 1 it is m psi(d/m) - (m + 1) psi(d/(m + 1)), where the terms
-    linear in d cancel exactly, so only the second-order parts are
-    subtracted, losing at most a factor about m + 1 < 2.
-    Past d = m + 1, or d = 1e300 m, the psi terms, each about d log(d/m),
-    cancel more as d grows, and overflow past d/m = 1e305.  There D =
-    n (beta(m) - beta(n)) - log1p(d/(m + 1)), with beta(x) = log(1 + 1/x):
-    the first term is the larger, and beta(n) is at most about half of
-    beta(m).
+    loses at most a factor about 3, and phi(y) >= 0 is added.  Where
+    x <= -1/2 or y <= -1/2, phi reads its log from 1 + x = (n/(n + 1))
+    ((m + 1)/m) or 1 + y = (n + 1)/(m + 1): with n passed apart from d,
+    x formed from d can round to -1.
+    For m < 1 and d <= m + 1 it is n phi(-d/n) - (n + 1) phi(-d/(n + 1)),
+    whose logs are read from m/n and (m + 1)/(n + 1), and whose first term
+    is -d at the vacuum n = 0: both terms are second order in d, about
+    d^2/(2n) and d^2/(2(n + 1)), so the subtraction loses at most a factor
+    about n + 1 < 4.
+    Past d = m + 1 those terms, each about d log(d/m), cancel more as d
+    grows.  There D = n (beta(m) - beta(n)) - log1p(d/(m + 1)), with
+    beta(x) = log(1 + 1/x): the first term is the larger, and beta(n) is at
+    most about half of beta(m).
     """
-    m = kind.n_fixed
-    if not d >= -m:
-        raise ValueError(f"d must be >= -n_fixed = {-m!r}, got {d}")
-    n = m + d
     if m >= 1.0:
         x, y = d / (n + 1.0) / m, d / (m + 1.0)
-        n_phi_x = n * _phi(x) if n else 0.0
+        n_phi_x = n * _phi(x, n / (n + 1.0) * ((m + 1.0) / m)) if n else 0.0
         return (d / m * (d / (n + 1.0)) / (m + 1.0) - n_phi_x
                 + _phi(y, (n + 1.0) / (m + 1.0)))
-    if d <= m + 1.0 and d <= 1e300 * m:
-        return m * _psi(d / m) - (m + 1.0) * _psi(d / (m + 1.0))
+    if d <= m + 1.0:
+        first = n * _phi(-d / n, m / n) if n else -d
+        return first - (n + 1.0) * _phi(-d / (n + 1.0), (m + 1.0) / (n + 1.0))
     return n * (_beta(m) - _beta(n)) - math.log1p(d / (m + 1.0))
 
 
+def relent_to_qou_fixed(d: float, kind: QOU) -> float:
+    """D(omega_{m + d} || omega_m): the relative entropy of the thermal state
+    with mean photon number m + d to the qOU fixed point sigma = omega_m,
+    m = lam^2/zeta, read from d itself, not m + d rounded.  Along the qOU,
+    dD/dt = -zeta [D(omega_n || sigma) + D(sigma || omega_n)], the second
+    term being h(n)/zeta (module docstring)."""
+    m = kind.n_fixed
+    if not d >= -m:
+        raise ValueError(f"d must be >= -n_fixed = {-m!r}, got {d}")
+    return _thermal_relent(m + d, m, d)
+
+
 def h_function(n: float, kind: QOU) -> float:
-    """h(n) = mu^2 log(n+1) - lam^2 log n + lam^2 log lam^2 - mu^2 log mu^2
-    + zeta log zeta; nonnegative, vanishing at n = lam^2/zeta."""
+    """h(n) = -zeta D(omega_n || sigma) - dD/dt on omega_n, which is
+    zeta D(sigma || omega_n) >= 0 (module docstring), the relative entropy
+    from the fixed point sigma = omega_{n*}: zero only at n = n*, near which
+    n* - n is exact (Sterbenz) and h second order in it."""
     if n <= 0:
         raise ValueError(f"n must be > 0, got {n}")
-    (mu2, lam2), zeta = kind.rates, kind.zeta
-    return (mu2 * math.log(n + 1.0) - lam2 * math.log(n)
-            + lam2 * math.log(lam2) - mu2 * math.log(mu2)
-            + zeta * math.log(zeta))
+    m = kind.n_fixed
+    return kind.zeta * _thermal_relent(m, n, m - n)
 
 
 def zeta_optimality_witness(kind: QOU, epsilon: float) -> float | None:
     """Smallest grid n where the rate constant zeta + epsilon fails on a
-    thermal state, i.e. h(n) - epsilon * D(omega_n || sigma) < -1e-9.
+    thermal state, i.e. h(n) - epsilon * D(omega_n || sigma) < -1e-9: where
+    zeta D(sigma || omega_n) = h(n) falls below epsilon D(omega_n || sigma).
 
     Returns None when no witness exists below n = 1e4 (in particular for
     epsilon = 0, where h >= 0 makes the zeta-rate hold everywhere).

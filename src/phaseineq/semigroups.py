@@ -313,13 +313,9 @@ def _series(gen: dict[int, np.ndarray], x: np.ndarray,
     and its `DensityMatrix` decomposes a block of at most k + D levels; at
     s != 0 a matvec also reaches the bands i - j +- 2.
     """
-    if hermitian:
-        w = _norm_1(gen)
-        rate, scale, shift = 0.5 * w, 4.0 / w, 2.0
-    else:
-        # theta: any theta >= -min diag gen serves; 1 when gen = 0 (dim 1).
-        rate = -gen[0].min() or 1.0
-        scale, shift = 1.0 / rate, 1.0
+    # w/2 or theta; any larger rate serves, so 1 when gen = 0 (dim 1).
+    rate = (0.5 * _norm_1(gen) if hermitian else -gen[0].min()) or 1.0
+    scale, shift = (2.0 / rate, 2.0) if hermitian else (1.0 / rate, 1.0)
     coefs = []
     for t in times:
         z = rate * t

@@ -338,7 +338,9 @@ def _suite_rate_decay_identity(*, cases, seed, tolerance
         def margin():
             lhs, rhs = relent_decay_rate(rho, kind)
             # The identity reads dD/dt = -zeta D - rhs-assembly; compare
-            # -lhs against rhs + zeta D.
+            # -lhs against rhs + zeta D.  The residual is the truncation's:
+            # a a_dag cannot raise level dim - 1, so lhs - target is
+            # lam^2 dim rho_{dim-1,dim-1} log nu, plus round-off.
             target = -(kind.zeta * relative_entropy(rho, sigma) + rhs)
             scale = max(abs(lhs), abs(target), 1e-12)
             return -abs(lhs - target) / scale

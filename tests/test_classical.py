@@ -1,5 +1,6 @@
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -242,6 +243,19 @@ class TestCertifiedRateBound:
     def test_rejects_nonpositive_mean(self, n):
         with pytest.raises(ValueError):
             certified_rate_bound(n, 32)
+
+    def test_memory_grows_with_k_alone(self):
+        # One (#lo x #hi) matrix of two-point mixes is 201 x 4800 doubles,
+        # 7.7 MB, at (n, K) = (200, 5000); the gate allows fifty vectors
+        # of K + 1 doubles, 2 MB, at once.
+        n, K = 200.0, 5000
+        tracemalloc.start()
+        try:
+            certified_rate_bound(n, K)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 50 * (K + 1) * 8
 
 
 class TestConstrainedMinimizer:

@@ -326,6 +326,15 @@ class TestClosedFormsCommand:
         assert code == 0
         assert json.loads(out)["rows"] == [row]
 
+    def test_gaussian_rates_h_next_to_the_fixed_point(self, capsys):
+        # The default grid's n = 1 lies 4.4e-16 above the fixed point
+        # n* = 0.9999999999999996 of the default rates, where h is second
+        # order in n - n*; the 80-digit value, rounded to 12 digits.
+        code, out, _ = run_cli(capsys, "closed-forms", "gaussian-rates")
+        assert code == 0
+        rows = json.loads(out)["rows"]
+        assert [row[3] for row in rows if row[0] == 1.0] == [4.93038065763e-32]
+
     def test_lsi2_table(self, capsys):
         code, out, _ = run_cli(capsys, "closed-forms", "lsi2",
                                "--mu", "1.4142135623730951", "--lambda", "1")

@@ -454,6 +454,40 @@ class TestQOURate:
         assert n_star == pytest.approx(1.0)
         assert abs(h_min) <= 1e-12
 
+    @pytest.mark.parametrize("mu, lam", [
+        (math.sqrt(2.0), 1.0), (1.5, 1.0), (10.0, 1.0), (1.0000001, 1.0),
+        (3.0, 0.1), (1e100, 1.0), (1e-100, 9e-101)])
+    def test_h_matches_the_five_log_form(self, mu, lam):
+        # h = mu^2 log(n + 1) - lam^2 log n + lam^2 log lam^2 - mu^2 log mu^2
+        # + zeta log zeta, at 400 digits: its terms cancel up to about 236
+        # of them (at mu = 1e100).  h_function computes zeta D(omega_{n*} ||
+        # omega_n) at the doubles zeta and n* = lam^2/zeta, whose rounding
+        # moves h by `inputs`, evaluated exactly; near n* that is about
+        # 2 |fl(n*) - n*|/|n - n*|.  On top of it the gate allows the
+        # relative entropy's own 2e-15 (the relent tests above) and the
+        # rounding of the product by zeta.
+        kind = QOU(mu, lam)
+        m = kind.n_fixed
+        assert h_function(m, kind) == 0.0
+        ns = [float(n) for n in np.geomspace(1e-300, 1e300, 61)]
+        ns += [m * (1.0 + s * 10.0**-k) for s in (1, -1) for k in range(1, 15)]
+        with mpmath.workdps(400):
+            mu2, lam2 = (mpmath.mpf(r) for r in kind.rates)
+            zeta = mu2 - lam2
+            for n in ns:
+                nn = mpmath.mpf(n)
+                exact = (mu2 * mpmath.log(nn + 1) - lam2 * mpmath.log(nn)
+                         + lam2 * mpmath.log(lam2) - mu2 * mpmath.log(mu2)
+                         + zeta * mpmath.log(zeta))
+                # zeta D(omega_{n*} || omega_n) at the doubles zeta and n*.
+                mm = mpmath.mpf(m)
+                rounded = kind.zeta * (
+                    (mm + 1) * mpmath.log((nn + 1) / (mm + 1))
+                    - mm * mpmath.log(nn / mm))
+                inputs = abs(rounded / exact - 1)
+                value = h_function(n, kind)
+                assert _rel_err(value, exact) <= inputs + 2e-15 + 2.0**-53, n
+
     @settings(max_examples=50, deadline=None)
     @given(st.floats(min_value=1.05, max_value=4.0),
            st.floats(min_value=1e-2, max_value=1e3))

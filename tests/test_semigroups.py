@@ -275,6 +275,23 @@ class TestEvolve:
         rho = thermal_state(1.0, 32)
         assert evolve(rho, Heat(), 0.0) is rho
 
+    @pytest.mark.parametrize("run", [
+        lambda rho: evolve(rho, Heat(), 0.1),
+        lambda rho: convolve(standard_gaussian(), rho, 0.1),
+        lambda rho: convolve(GaussianDensity(np.zeros(2), np.array(
+            [[1.0, 0.4], [0.4, 0.6]])), rho, 0.1)],
+        ids=["heat", "f_Z", "anisotropic"])
+    def test_one_level_diffusion_is_a_truncation(self, run):
+        # At dim 1 every generator is 0; the only level is the edge band,
+        # so a flow with gain leaves edge mass 1.
+        with pytest.raises(TruncationError,
+                           match=re.escape("edge mass 1.000e+00")):
+            run(thermal_state(0.0, 1))
+
+    def test_one_level_loss_keeps_the_state(self):
+        out = evolve(thermal_state(0.0, 1), Attenuator(), 0.1)
+        assert out.mat.tolist() == [[1.0]]
+
     def test_attenuator_thermal_closed_form(self):
         out = evolve(thermal_state(1.0, 64), Attenuator(), 0.5)
         target = thermal_state(math.exp(-0.5), 64)
@@ -789,6 +806,32 @@ class TestRelentDecay:
         rate, rhs = relent_decay_rate(rho, QOU(mu, lam))
         d = relative_entropy(rho, thermal_state(1.0, 64))
         assert rate == pytest.approx(-(d + rhs), rel=1e-3)
+
+    @pytest.mark.parametrize("rho", [
+        thermal_state(2.0, 64),
+        *(random_state(64, seed, StateFamily.DIAGONAL) for seed in range(5)),
+        random_state(64, 1, StateFamily.FULL_RANK)],
+        ids=["thermal", *(f"diagonal-{s}" for s in range(5)), "full-rank"])
+    def test_identity_residual_is_the_amplifiers_top_level(self, rho):
+        # The truncated a a_dag = diag(1, ..., d - 1, 0) cannot raise level
+        # d - 1, so tr(L(rho) N) misses lam^2 d rho_{d-1,d-1}, and through
+        # log sigma = const + N log nu the rate misses that times log nu.
+        # What remains is round-off: each of the seven assembled terms t_i
+        # is a sum over the d levels, with error at most about d u |t_i|
+        # (Higham's gamma_d).
+        kind = QOU(math.sqrt(2.0), 1.0)
+        (mu2, lam2), zeta, nu = kind.rates, kind.zeta, kind.nu
+        dim = rho.dim
+        rate, rhs = relent_decay_rate(rho, kind)
+        d = relative_entropy(rho, thermal_state(kind.n_fixed, dim))
+        top = lam2 * dim * rho.mat[-1, -1].real * math.log(nu)
+        residual = rate + zeta * d + rhs - top
+        terms = [rate, 0.5 * mu2 * entropy_rate(rho, Attenuator()),
+                 0.5 * lam2 * entropy_rate(rho, Amplifier()),
+                 zeta * von_neumann_entropy(rho), lam2 * math.log(nu),
+                 zeta * math.log(1.0 - nu), zeta * d]
+        bound = dim * 2.0**-53 * sum(abs(t) for t in terms)
+        assert abs(residual) <= bound < abs(top)
 
     def test_fixed_point_needs_no_eigendecomposition(self, eigh_shapes):
         # log sigma is diagonal in closed form: only rho's own eigenvectors,

@@ -17,8 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock_core import geometric_law
+from .fock_core import IllConditionedError, geometric_law
 from .gaussian import _beta, _bisect, g_entropy, g_inverse, thermal_j_pm
+from .semigroups import QOU
 
 _INTERIOR_FLOOR = 1e-12
 
@@ -108,27 +109,25 @@ def death_entropy_rate(p: ClassicalPMF) -> float:
 
 
 def geometric_pmf(n: float, K: int) -> ClassicalPMF:
-    """Geometric law with mean n on {0, ..., K}: geometric_law, size K + 1."""
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
+    """geometric_law with mean n on {0, ..., K}, for 1 <= K < 10^6."""
     if K < 1:
         raise ValueError(f"K must be >= 1, got {K}")
+    if K >= 10**6:
+        raise ValueError(f"K must be < 1000000 (10^6 levels), got {K}")
     return ClassicalPMF(geometric_law(n, K + 1))
 
 
-def F_of_S0(s0: float, mu2: float, zeta: float) -> float:
+def F_of_S0(s0: float, kind: QOU) -> float:
     """inf over n >= g_inverse(S0) of phi(n) = -mu2 n log(1 + 1/n) + zeta g(n).
 
-    phi'(n) = mu2/(n+1) - lam2 log(1 + 1/n), lam2 = mu2 - zeta, and
-    (n+1) log(1 + 1/n) falls from infinity to 1 < mu2/lam2, so phi falls to
-    its one stationary point n* (none if lam2 <= 0) and then rises:
+    With (mu2, lam2) = kind.rates, phi'(n) = mu2/(n+1) - lam2 log(1 + 1/n),
+    and (n+1) log(1 + 1/n) falls from infinity to 1 < mu2/lam2, so phi falls
+    to its one stationary point n* and then rises:
     F = phi(max(g_inverse(S0), n*)), with n* < lam2/zeta, where phi' > 0.
     """
     if not 0 < s0 < math.inf:
         raise ValueError(f"S0 must be > 0 and finite, got {s0}")
-    if mu2 <= 0 or zeta <= 0:
-        raise ValueError("mu2 and zeta must be positive")
-    lam2 = mu2 - zeta
+    (mu2, lam2), zeta = kind.rates, kind.zeta
 
     def slope(n: float) -> float:
         return mu2 / (n + 1.0) - lam2 * _beta(n)
@@ -196,11 +195,18 @@ def certified_rate_bound(n: float, K: int) -> float:
     q = geometric(n) and g = grad J_-(q), g.q = J_-(q) and J_-(p) >= g.p.
     The minimum of g.p over the feasible polytope sits at a vertex: a point
     mass at m <= n, or the mix of m1 <= n < m2 with mean n.  The mixes are
-    taken one m1 at a time, so memory grows as K, not as n K.
+    taken one m1 at a time, so memory grows as K, not as n K.  g reads
+    log q, so a q that underflows to 0 inside {0, ..., K} is refused.
     """
     if n <= 0:
         raise ValueError(f"n must be > 0, got {n}")
-    g = _rate_and_grad(geometric_pmf(n, K).probs)[1]
+    q = geometric_pmf(n, K).probs
+    if q[-1] == 0.0:
+        zero = int(np.argmin(q))  # q falls with m: its first zero
+        raise IllConditionedError(
+            f"the geometric law of mean {n} underflows to 0 at level {zero} "
+            f"<= K = {K}, where log q diverges; use K <= {zero - 1}")
+    g = _rate_and_grad(q)[1]
     m = np.arange(K + 1, dtype=float)
     lo, hi = m <= n, m > n
     m2, g2 = m[hi], g[hi]

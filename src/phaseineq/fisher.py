@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fock_core import DensityMatrix, check_edge_mass, log_spectrum
+from .semigroups import GaussianDensity
 
 
 @dataclass(frozen=True)
@@ -61,10 +62,7 @@ def quantum_fisher(rho: DensityMatrix) -> FisherEstimate:
     return FisherEstimate(value=value)
 
 
-def classical_fisher_gaussian(cov) -> float:
+def classical_fisher_gaussian(f: GaussianDensity) -> float:
     """Translation-family Fisher information of a Gaussian density: tr(cov^-1)."""
-    cov = np.asarray(cov, dtype=float)
-    if np.linalg.eigvalsh(cov)[0] <= 0:
-        raise ValueError("covariance must be positive definite")
-    return float(np.trace(np.linalg.inv(cov)))
+    return float(np.trace(np.linalg.inv(f.cov)))
 

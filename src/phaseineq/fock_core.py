@@ -163,13 +163,13 @@ def weyl_operator(xi, dim: int) -> np.ndarray:
     `semigroups._turn`.  One real eigh T = V diag(lam) V^T then gives
     W(xi) = (U V) diag(e^{-i sqrt(pi) r lam}) (U V)^dag, unitary up to
     round-off; truncation shows up only as mass pushed to the basis edge.
-    xi = 0 gives the identity exactly.
+    xi = 0 gives the identity exactly, and so does dim 1, where T = [[0]].
     """
     xi = np.asarray(xi, dtype=float)
     if xi.shape != (2,) or not np.all(np.isfinite(xi)):
         raise ValueError(f"xi must be a finite 2-vector, got {xi!r}")
-    if dim < 2:
-        raise ValueError(f"dim must be >= 2, got {dim}")
+    if dim < 1:
+        raise ValueError(f"dim must be >= 1, got {dim}")
     if not xi.any():
         return np.eye(dim, dtype=complex)
     n = np.arange(dim)
@@ -332,26 +332,17 @@ def fock_rearrangement(rho: DensityMatrix) -> DensityMatrix:
     return _adopt(np.diag(lam / lam.sum()).astype(complex))
 
 
-def _decreasing_spectrum(x) -> np.ndarray:
-    if isinstance(x, DensityMatrix):
-        return np.clip(np.sort(x.spectrum), 0.0, None)[::-1]
-    arr = np.asarray(x, dtype=float)
-    return np.sort(arr)[::-1]
+def _decreasing_spectrum(rho: DensityMatrix) -> np.ndarray:
+    return np.clip(np.sort(rho.spectrum), 0.0, None)[::-1]
 
 
-def majorizes(p, q, tol: float = 1e-10) -> tuple[bool, np.ndarray]:
-    """Does p majorize q?  Returns (verdict, margins).
-
-    Compares partial sums of decreasing-sorted spectra (margins[n] =
-    sum_{i<=n} p_i - sum_{i<=n} q_i) and requires equal traces.
-    """
-    ps = _decreasing_spectrum(p)
-    qs = _decreasing_spectrum(q)
-    if ps.shape != qs.shape:
-        raise ValueError(f"length mismatch: {ps.shape} vs {qs.shape}")
-    margins = np.cumsum(ps) - np.cumsum(qs)
-    ok = bool(margins.min() >= -tol) and abs(margins[-1]) <= tol
-    return ok, margins
+def majorizes(p: DensityMatrix, q: DensityMatrix) -> np.ndarray:
+    """margins[n] = sum_{i<=n} p_i - sum_{i<=n} q_i over the decreasing
+    spectra: p majorizes q when all are >= 0 and the last (traces) is 0."""
+    if p.dim != q.dim:
+        raise ValueError(f"dim mismatch: {p.dim} vs {q.dim}")
+    ps, qs = _decreasing_spectrum(p), _decreasing_spectrum(q)
+    return np.cumsum(ps) - np.cumsum(qs)
 
 
 def state_edge_mass(mat: np.ndarray) -> float:

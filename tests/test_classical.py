@@ -1,5 +1,6 @@
 import functools
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -17,9 +18,10 @@ from phaseineq.classical import (
     geometric_pmf,
     min_entropy_rate_constrained,
 )
-from phaseineq.fock_core import DensityMatrix, TruncationError
-from phaseineq.gaussian import g_entropy
-from phaseineq.semigroups import Attenuator, evolve
+from phaseineq.fock_core import (
+    DensityMatrix, IllConditionedError, TruncationError)
+from phaseineq.gaussian import g_entropy, thermal_j_pm
+from phaseineq.semigroups import QOU, Attenuator, evolve
 
 # The minimizer is deterministic and slow (about 1 s per call at K = 64), so
 # the tests that read its default 8-start result share one run per n.
@@ -166,8 +168,15 @@ class TestGeometricPMF:
             geometric_pmf(10.0, d - 2)
 
     def test_rejects_negative_mean(self):
-        with pytest.raises(ValueError, match="n must be >= 0"):
+        with pytest.raises(ValueError, match="nbar must be >= 0"):
             geometric_pmf(-0.5, 8)
+
+    @pytest.mark.parametrize("K", [10**6, 10**8])
+    def test_support_is_bounded(self, K):
+        # Rejection only: nothing of size K is allocated.
+        with pytest.raises(ValueError, match=re.escape(
+                f"K must be < 1000000 (10^6 levels), got {K}")):
+            geometric_pmf(1.0, K)
 
     def test_entropy_matches_g(self):
         assert geometric_pmf(2.0, 256).entropy() == pytest.approx(
@@ -175,17 +184,19 @@ class TestGeometricPMF:
 
 
 class TestThresholdFunctions:
+    KIND = QOU(math.sqrt(2.0), 1.0)
+
     def test_F_never_exceeds_feasible_points(self):
         # F is an infimum over n >= g_inverse(S0); n = 1 is feasible for
         # S0 = 0.5 < g(1), so F(0.5) is bounded by the objective there.
-        val = F_of_S0(0.5, 2.0, 1.0)
+        val = F_of_S0(0.5, self.KIND)
         at_one = 2.0 * (-math.log(2.0)) + 1.0 * g_entropy(1.0)
         assert val <= at_one + 1e-9
 
     def test_F_increasing_for_large_S0(self):
         # Beyond the unconstrained minimizer the constraint binds and F
         # increases with the entropy floor.
-        assert F_of_S0(4.0, 2.0, 1.0) > F_of_S0(3.0, 2.0, 1.0)
+        assert F_of_S0(4.0, self.KIND) > F_of_S0(3.0, self.KIND)
 
     @pytest.mark.parametrize("s0, mu2, zeta", [(0.1, 1.002, 0.002),
                                                 (0.3, 1.001, 0.001)])
@@ -193,23 +204,17 @@ class TestThresholdFunctions:
         # Near mu2 = lam2 the minimizer of phi lies hundreds of photons
         # beyond g_inverse(S0); phi'(n) = 0 reads
         # (n+1) log(1 + 1/n) = mu2/lam2.
-        lam2 = mu2 - zeta
+        kind = QOU(math.sqrt(mu2), math.sqrt(mu2 - zeta))
+        (mu2, lam2), zeta = kind.rates, kind.zeta
         n = brentq(lambda n: (n + 1.0) * math.log1p(1.0 / n) - mu2 / lam2,
                    1.0, 1e6)
         phi = -mu2 * n * math.log1p(1.0 / n) + zeta * g_entropy(n)
-        assert abs(F_of_S0(s0, mu2, zeta) - phi) <= 1e-12
+        assert abs(F_of_S0(s0, kind) - phi) <= 1e-12
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_entropy_is_rejected(self, value):
         with pytest.raises(ValueError, match=r"^S0 must be > 0 and finite"):
-            F_of_S0(value, 2.0, 1.0)
-
-
-    @pytest.mark.parametrize("mu2, zeta", [(0.0, 1.0), (2.0, 0.0),
-                                           (-2.0, 1.0), (2.0, -1.0)])
-    def test_nonpositive_rates_are_rejected(self, mu2, zeta):
-        with pytest.raises(ValueError, match="mu2 and zeta must be positive"):
-            F_of_S0(1.0, mu2, zeta)
+            F_of_S0(value, self.KIND)
 
 
 class TestCertifiedRateBound:
@@ -243,6 +248,33 @@ class TestCertifiedRateBound:
     def test_rejects_nonpositive_mean(self, n):
         with pytest.raises(ValueError):
             certified_rate_bound(n, 32)
+
+    @pytest.mark.parametrize("n, K, zero", [(0.01, 256, 162), (1e-6, 64, 54)])
+    def test_underflowing_law_is_refused(self, n, K, zero):
+        # log q_m is -inf where the geometric law underflows to 0, and a nan
+        # gradient entry would drop out of the vertex minimum.
+        with pytest.raises(IllConditionedError, match=re.escape(
+                f"underflows to 0 at level {zero} <= K = {K}, where log q "
+                f"diverges; use K <= {zero - 1}")):
+            certified_rate_bound(n, K)
+        closed = thermal_j_pm(n)[0]
+        assert certified_rate_bound(n, zero - 1) <= closed
+
+    def test_bound_never_exceeds_closed_minimum(self):
+        # The closed form is the minimum over laws on all levels, so a lower
+        # bound on the minimum over {0, ..., K} can sit above it only by the
+        # truncation, which is below round-off wherever the law fits.
+        returned = 0
+        for K in (64, 256):
+            for n in np.geomspace(1e-5, 10.0, 60):
+                try:
+                    bound = certified_rate_bound(float(n), K)
+                except (IllConditionedError, TruncationError):
+                    continue
+                closed = thermal_j_pm(float(n))[0]
+                assert bound <= closed + 1e-12 * abs(closed), (n, K)
+                returned += 1
+        assert returned > 60
 
     def test_memory_grows_with_k_alone(self):
         # One (#lo x #hi) matrix of two-point mixes is 201 x 4800 doubles,

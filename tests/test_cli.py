@@ -160,6 +160,13 @@ class TestVerifyCommand:
         (("closed-forms", "entropy-tightness", "--grid", "1e307:1e308:2"),
          "error: the entropy power at n = 1e+308 exceeds the largest double; "
          "lower the stop of --grid"),
+        # Sizes are bounded before anything of that size is allocated.
+        (("death-process", "--K", "100000000"),
+         "K must be < 1000000 (10^6 levels), got 100000000"),
+        (("minimize-rate", "--n", "1", "--K", "100000000"),
+         "K must be < 1000000"),
+        (("verify", "stam", "--dim", "100000"),
+         "dim must be <= 2048, got 100000"),
     ], ids=["seed", "dim", "dim-negative", "K", "trajectory-tmax", "n0",
             "mu", "lambda", "death-tmax", "init", "init-text", "init-negative",
             "n0-negative", "n-inf", "n-nan", "n-text",
@@ -167,7 +174,8 @@ class TestVerifyCommand:
             "death-tmax-negative-steps-0", "death-tmax-negative",
             "trajectory-steps-bound", "trajectory-steps-huge",
             "death-steps-bound", "mean-overflow", "power-overflow",
-            "mean-infinite", "grid-power-overflow"])
+            "mean-infinite", "grid-power-overflow", "death-K-bound",
+            "minimize-K-bound", "dim-bound"])
     def test_out_of_range_value_names_parameter(self, capsys, argv, named):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2
@@ -423,6 +431,15 @@ class TestMinimizeRateCommand:
         assert code == 0
         assert payload["gap"] <= 1e-8
         assert payload["certified_lower_bound"] <= payload["j_geometric"]
+
+    @pytest.mark.filterwarnings("error")
+    def test_underflowing_law_is_refused(self, capsys):
+        # The geometric law of mean 0.01 is 0 from level 162 on.
+        code, out, err = run_cli(capsys, "minimize-rate", "--n", "0.01",
+                                 "--K", "256")
+        assert code == 2
+        assert out == ""
+        assert "use K <= 161" in err
 
 
 class TestCrossProcessDeterminism:

@@ -21,7 +21,8 @@ from phaseineq.fock_core import (
     weyl_operator,
 )
 from phaseineq.gaussian import thermal_fisher_closed
-from phaseineq.semigroups import Heat, convolve, entropy_rate, standard_gaussian
+from phaseineq.semigroups import (
+    GaussianDensity, Heat, convolve, entropy_rate, standard_gaussian)
 
 from fock_helpers import displace, number_state
 
@@ -125,16 +126,14 @@ class TestQuantumFisher:
 
 class TestClassicalGaussian:
     def test_fisher_identity_covariance(self):
-        assert classical_fisher_gaussian(np.eye(2)) == pytest.approx(2.0)
+        assert classical_fisher_gaussian(standard_gaussian()) == pytest.approx(
+            2.0)
 
     def test_fisher_general(self):
         cov = np.array([[2.0, 0.3], [0.3, 0.5]])
-        assert classical_fisher_gaussian(cov) == pytest.approx(
+        f = GaussianDensity(mean=np.zeros(2), cov=cov)
+        assert classical_fisher_gaussian(f) == pytest.approx(
             np.trace(np.linalg.inv(cov)))
-
-    def test_fisher_rejects_indefinite(self):
-        with pytest.raises(ValueError):
-            classical_fisher_gaussian(np.diag([1.0, -1.0]))
 
 
 class TestStamMargin:
@@ -143,5 +142,5 @@ class TestStamMargin:
         f, rho, t = standard_gaussian(), thermal_state(1.0, 128), 0.05
         margin = (1.0 / quantum_fisher(convolve(f, rho, t)).value
                   - 1.0 / quantum_fisher(rho).value
-                  - t / classical_fisher_gaussian(f.cov))
+                  - t / classical_fisher_gaussian(f))
         assert margin >= -1e-3

@@ -110,9 +110,15 @@ class TestWeylOperator:
         with pytest.raises(ValueError):
             weyl_operator(np.array([np.nan, 0.0]), 8)
 
-    def test_rejects_dim_below_two(self):
-        with pytest.raises(ValueError, match="dim must be >= 2"):
-            weyl_operator(np.array([0.1, 0.2]), 1)
+    def test_rejects_dim_below_one(self):
+        with pytest.raises(ValueError, match="dim must be >= 1"):
+            weyl_operator(np.array([0.1, 0.2]), 0)
+
+    def test_one_level_is_the_identity(self):
+        # The truncated a + a_dag is [[0]] at dim 1.
+        w = weyl_operator(np.array([0.1, 0.2]), 1)
+        assert w.dtype == complex
+        assert w.tolist() == [[1.0]]
 
     @pytest.mark.parametrize("dim", [2, 3, 8, 128])
     def test_zero_displacement_is_exactly_identity(self, dim):
@@ -600,23 +606,24 @@ class TestRearrangementAndMajorization:
         assert mean_photon(fock_rearrangement(rho)) <= mean_photon(rho) + 1e-10
 
     def test_self_majorization(self):
-        p = np.array([0.5, 0.3, 0.2])
-        ok, margins = majorizes(p, p)
-        assert ok and np.allclose(margins, 0.0)
+        p = DensityMatrix(np.diag([0.5, 0.3, 0.2]))
+        assert np.allclose(majorizes(p, p), 0.0)
 
     def test_majorization_ordering(self):
-        ok_fwd, _ = majorizes((1.0, 0.0), (0.5, 0.5))
-        ok_bwd, _ = majorizes((0.5, 0.5), (1.0, 0.0))
-        assert ok_fwd and not ok_bwd
+        pure = DensityMatrix(np.diag([1.0, 0.0]))
+        mixed = DensityMatrix(np.diag([0.5, 0.5]))
+        assert majorizes(pure, mixed).tolist() == [0.5, 0.0]
+        assert majorizes(mixed, pure).tolist() == [-0.5, 0.0]
 
     def test_full_majorization_by_rearrangement(self):
         rho = random_state(12, 2, StateFamily.FULL_RANK)
-        ok, _ = majorizes(fock_rearrangement(rho), rho)
-        assert ok
+        margins = majorizes(fock_rearrangement(rho), rho)
+        assert margins.min() >= -1e-10 and abs(margins[-1]) <= 1e-10
 
     def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            majorizes((0.5, 0.5), (0.2, 0.3, 0.5))
+        with pytest.raises(ValueError, match="dim mismatch: 2 vs 3"):
+            majorizes(DensityMatrix(np.diag([0.5, 0.5])),
+                      DensityMatrix(np.diag([0.2, 0.3, 0.5])))
 
 
 class TestTruncationHealth:

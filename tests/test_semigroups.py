@@ -279,8 +279,10 @@ class TestEvolve:
         lambda rho: evolve(rho, Heat(), 0.1),
         lambda rho: convolve(standard_gaussian(), rho, 0.1),
         lambda rho: convolve(GaussianDensity(np.zeros(2), np.array(
-            [[1.0, 0.4], [0.4, 0.6]])), rho, 0.1)],
-        ids=["heat", "f_Z", "anisotropic"])
+            [[1.0, 0.4], [0.4, 0.6]])), rho, 0.1),
+        lambda rho: convolve(GaussianDensity(np.array([0.1, 0.0]), np.eye(2)),
+                             rho, 0.1)],
+        ids=["heat", "f_Z", "anisotropic", "mean"])
     def test_one_level_diffusion_is_a_truncation(self, run):
         # At dim 1 every generator is 0; the only level is the edge band,
         # so a flow with gain leaves edge mass 1.

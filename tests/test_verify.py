@@ -71,6 +71,13 @@ class TestSuiteRegistry:
         with pytest.raises(ValueError, match=f"dim must be >= 2, got {dim}$"):
             run_suite(name, dim=dim)
 
+    @pytest.mark.parametrize("dim", [2049, 100000])
+    def test_dim_above_2048_rejected(self, dim):
+        # Rejection only: no state of that dim is built.
+        with pytest.raises(ValueError,
+                           match=f"dim must be <= 2048, got {dim}$"):
+            run_suite("stam", dim=dim)
+
     # The CLI tests cover one unread flag per suite; here several at once,
     # and a name no suite reads.
     @pytest.mark.parametrize("name, params, reads", [

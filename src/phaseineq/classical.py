@@ -4,8 +4,8 @@ The process p_dot_n = -n p_n + (n+1) p_{n+1} is the number-basis diagonal
 restriction of the photon-loss semigroup, evolved in closed form by
 binomial thinning.  Includes the entropy rate
 J_-(p) = -2 sum_n (C p)_n log p_n, the geometric family, the threshold
-function F, a convex-duality certificate for the energy-constrained minimum
-of J_-, and the projected-gradient minimizer kept as its reference oracle.
+function F, a closed-form convex-duality certificate for the constrained
+minimum of J_-, and the projected-gradient minimizer kept as its oracle.
 F's stationary point and the minimizer's energy multiplier are both roots
 of monotone functions, found by `gaussian._bisect`.
 """
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock_core import IllConditionedError, geometric_law
+from .fock_core import geometric_law
 from .gaussian import _beta, _bisect, g_entropy, g_inverse, thermal_j_pm
 from .semigroups import QOU
 
@@ -108,12 +108,16 @@ def death_entropy_rate(p: ClassicalPMF) -> float:
     return _entropy_rate(p.probs, _death_flux(p.probs))
 
 
-def geometric_pmf(n: float, K: int) -> ClassicalPMF:
-    """geometric_law with mean n on {0, ..., K}, for 1 <= K < 10^6."""
+def _check_levels(K: int) -> None:
     if K < 1:
         raise ValueError(f"K must be >= 1, got {K}")
     if K >= 10**6:
         raise ValueError(f"K must be < 1000000 (10^6 levels), got {K}")
+
+
+def geometric_pmf(n: float, K: int) -> ClassicalPMF:
+    """geometric_law with mean n on {0, ..., K}, for 1 <= K < 10^6."""
+    _check_levels(K)
     return ClassicalPMF(geometric_law(n, K + 1))
 
 
@@ -187,27 +191,35 @@ def _rate_and_grad(v: np.ndarray) -> tuple[float, np.ndarray]:
     return _entropy_rate(v, flux), grad
 
 
+def _geometric_gradient(n: float, K: int) -> tuple[np.ndarray, np.ndarray]:
+    """Levels m = 0, ..., K and certified_rate_bound's g at them."""
+    _check_levels(K)
+    m, beta, r = np.arange(K + 1.0), _beta(n), n / (n + 1.0)
+    g = -2.0 * (m * beta - m + (m + 1.0) * r)
+    g[K] = -2.0 * K * (beta - 1.0)
+    return m, g
+
+
 def certified_rate_bound(n: float, K: int) -> float:
     """Certified lower bound on min J_-(p) over p on {0,...,K} with E[N] <= n.
 
     J_-(p) = 2 sum_{m>=1} m p_m log(p_m / p_{m-1}) is a sum of perspectives
     (log-sum inequality), so it is convex and positively 1-homogeneous: with
-    q = geometric(n) and g = grad J_-(q), g.q = J_-(q) and J_-(p) >= g.p.
-    The minimum of g.p over the feasible polytope sits at a vertex: a point
-    mass at m <= n, or the mix of m1 <= n < m2 with mean n.  The mixes are
-    taken one m1 at a time, so memory grows as K, not as n K.  g reads
-    log q, so a q that underflows to 0 inside {0, ..., K} is refused.
+    q = geometric(n) on {0, ..., K} and g = grad J_-(q), g.q = J_-(q) and
+    J_-(p) >= g.p.  g never reads q, which may underflow: log(q_m/q_{m-1})
+    = -beta, beta = log(1 + 1/n), and (Cq)_m/q_m = -m + (m+1) r below K and
+    -K at K, r = n/(n+1), so g_m = -2(r + m(beta - 1 + r)), affine with
+    slope -2(beta - 1/(n+1)) <= 0, and g_K = -2K(beta - 1) lies 2r(K+1)
+    above that line.  The minimum of g.p over the feasible polytope sits at
+    a vertex: a point mass at m <= n, or the mix of m1 <= n < m2 with mean
+    n, taken one m1 at a time so memory grows as K, not as n K.  For
+    n <= K - 1 it is -2n beta = `gaussian.thermal_j_pm(n)[0]` at every K,
+    at the mix of floor(n) and ceil(n).  A vertex rounds by under
+    32 u max|g| (u = 2^-53): K u max|g| bounds that for K >= 32.
     """
-    if n <= 0:
-        raise ValueError(f"n must be > 0, got {n}")
-    q = geometric_pmf(n, K).probs
-    if q[-1] == 0.0:
-        zero = int(np.argmin(q))  # q falls with m: its first zero
-        raise IllConditionedError(
-            f"the geometric law of mean {n} underflows to 0 at level {zero} "
-            f"<= K = {K}, where log q diverges; use K <= {zero - 1}")
-    g = _rate_and_grad(q)[1]
-    m = np.arange(K + 1, dtype=float)
+    if not 0 < n < math.inf:
+        raise ValueError(f"n must be > 0 and finite, got {n}")
+    m, g = _geometric_gradient(n, K)
     lo, hi = m <= n, m > n
     m2, g2 = m[hi], g[hi]
     bound = g[lo].min()

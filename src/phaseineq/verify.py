@@ -22,12 +22,12 @@ Each suite yields one CaseRecord per case, built by `_case` where the suite
 states the case, with the case's gate in its `tol`.  Only numerical failures
 while `_case` computes a margin become error cases (margin -inf, counted as
 failures): TruncationError and IllConditionedError, both raised in
-`fock_core`.  A suite computes everything that can truncate, thermal states
-included, inside a case's margin thunk, so a truncation never ends a
-suite.  Any other exception propagates out of run_suite, the flows'
-trace-drift RuntimeError included: the generators conserve trace exactly
-and both series of `semigroups._series` carry a-priori error bounds, so a
-drift is a bug, not a numerical limit.
+`fock_core`.  What can truncate, thermal states included, a suite computes
+in a case's margin thunk, so a truncation never ends a suite; closed forms
+are plain margins.  Any other exception propagates out of run_suite, the
+flows' trace-drift RuntimeError included: the generators conserve trace
+exactly and both series of `semigroups._series` carry a-priori error
+bounds, so a drift is a bug, not a numerical limit.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ import math
 import time
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
-from functools import cache, partial
+from functools import cache
 
 import numpy as np
 
@@ -306,24 +306,18 @@ def _suite_correspondence(*, dim, tolerance) -> Iterator[CaseRecord]:
         yield _case("fock-vs-classical-rate", {"n": n}, margin, tolerance)
 
 
-def _suite_geometric_optimality(*, dim, tolerance) -> Iterator[CaseRecord]:
+def _suite_geometric_optimality(*, tolerance) -> Iterator[CaseRecord]:
     # J_-(geometric) and the certified bound bracket the constrained minimum.
     K = 64
     for n in _THERMAL_N:
-        closed = ga.thermal_j_pm(n)[0]
-        params = {"n": n, "K": K}
-        bound = cache(partial(cl.certified_rate_bound, n, K))
-        def bracket():
-            j_geo = cl.death_entropy_rate(cl.geometric_pmf(n, K))
-            return (-max(abs(j_geo - closed), abs(bound() - closed)),
-                    {"j_geometric": j_geo, "bound": bound()})
-        yield _case("constrained-minimum-value", params, bracket, tolerance)
-        yield _case("no-feasible-beats-closed", params,
-                    lambda: bound() - closed, 1e-12)
-        def margin():
-            rate = entropy_rate(thermal_state(n, dim), Attenuator())
-            return -abs(0.5 * rate - 0.5 * closed)
-        yield _case("fock-attenuator-rate", {"n": n}, margin, tolerance)
+        closed, bound = ga.thermal_j_pm(n)[0], cl.certified_rate_bound(n, K)
+        j_geo = cl.death_entropy_rate(cl.geometric_pmf(n, K))
+        yield _case("constrained-minimum-value",
+                    {"n": n, "K": K, "j_geometric": j_geo, "bound": bound},
+                    -max(abs(j_geo - closed), abs(bound - closed)), tolerance)
+        g = cl._geometric_gradient(n, K)[1]
+        yield _case("no-feasible-beats-closed", {"n": n, "K": K},
+                    bound - closed, K * 2.0**-53 * float(np.abs(g).max()))
 
 
 def _suite_rate_decay_identity(*, cases, seed, tolerance

@@ -13,15 +13,23 @@ from phaseineq.classical import (
     death_entropy_rate,
     death_evolve,
     _death_flux,
+    _geometric_gradient,
     _rate_and_grad,
     certified_rate_bound,
     geometric_pmf,
     min_entropy_rate_constrained,
 )
-from phaseineq.fock_core import (
-    DensityMatrix, IllConditionedError, TruncationError)
+from phaseineq.fock_core import DensityMatrix, TruncationError
 from phaseineq.gaussian import g_entropy, thermal_j_pm
 from phaseineq.semigroups import QOU, Attenuator, evolve
+
+U = 2.0**-53
+
+
+def _rounding(n, K):
+    """K u max|g|: the certificate's rounding bound (certified_rate_bound)."""
+    return K * U * float(np.abs(_geometric_gradient(n, K)[1]).max())
+
 
 # The minimizer is deterministic and slow (about 1 s per call at K = 64), so
 # the tests that read its default 8-start result share one run per n.
@@ -249,32 +257,52 @@ class TestCertifiedRateBound:
         with pytest.raises(ValueError):
             certified_rate_bound(n, 32)
 
-    @pytest.mark.parametrize("n, K, zero", [(0.01, 256, 162), (1e-6, 64, 54)])
-    def test_underflowing_law_is_refused(self, n, K, zero):
-        # log q_m is -inf where the geometric law underflows to 0, and a nan
-        # gradient entry would drop out of the vertex minimum.
-        with pytest.raises(IllConditionedError, match=re.escape(
-                f"underflows to 0 at level {zero} <= K = {K}, where log q "
-                f"diverges; use K <= {zero - 1}")):
-            certified_rate_bound(n, K)
+    @pytest.mark.parametrize("n", [math.inf, math.nan])
+    def test_rejects_non_finite_mean(self, n):
+        # r = n/(n+1) is nan at both, and so would be the bound.
+        with pytest.raises(ValueError, match="n must be > 0 and finite"):
+            certified_rate_bound(n, 32)
+
+    @pytest.mark.parametrize("n, K", [(0.5, 64), (1.0, 64), (2.0, 64),
+                                      (0.01, 64), (10.0, 256)])
+    def test_closed_form_gradient_matches_log_space(self, n, K):
+        # On a law that neither underflows nor truncates, _rate_and_grad
+        # reads g_m = -2(m (log q_{m-1} - log q_m) + (Cq)_m / q_m).  Each
+        # log q_m is within u L + 5u, L = max |log q_m| = |log q_K| (the
+        # log's rounding, then r's, the power's and the normalisation's), so
+        # the first term, two products of size m L, is within m u (4L + 10);
+        # (Cq)_m / q_m = -m + (m+1) q_{m+1} / q_m is within u (12m + 10).
+        # Doubled: |delta g_m| <= 8 K u (L + 6).
+        q = geometric_pmf(n, K).probs
+        g = _geometric_gradient(n, K)[1]
+        log_space = _rate_and_grad(q)[1]
+        L = abs(math.log(q[-1]))
+        assert np.abs(g - log_space).max() <= 8 * K * U * (L + 6)
+        # Euler's identity for the 1-homogeneous J_-: g.q = J_-(q).
+        assert abs(g @ q - death_entropy_rate(ClassicalPMF(q))) <= 1e-14
+
+    @pytest.mark.parametrize("n, K", [(0.01, 161), (0.01, 256), (1e-6, 64),
+                                      (10.0, 64)])
+    def test_underflowing_or_leaking_law_gets_a_bound(self, n, K):
+        # The geometric law of mean 0.01 is subnormal from level 154 and 0
+        # from 162, that of mean 1e-6 is 0 from 54, and that of mean 10
+        # leaks 2e-3 past level 64; the closed-form gradient reads none of
+        # them, so the bound is the closed form up to its rounding.
+        bound = certified_rate_bound(n, K)
         closed = thermal_j_pm(n)[0]
-        assert certified_rate_bound(n, zero - 1) <= closed
+        assert abs(bound - closed) <= _rounding(n, K)
 
     def test_bound_never_exceeds_closed_minimum(self):
         # The closed form is the minimum over laws on all levels, so a lower
         # bound on the minimum over {0, ..., K} can sit above it only by the
-        # truncation, which is below round-off wherever the law fits.
-        returned = 0
-        for K in (64, 256):
+        # truncation, which is nil for n <= K - 1; below it, only by the
+        # certificate's rounding.
+        for K in (64, 256, 2000):
             for n in np.geomspace(1e-5, 10.0, 60):
-                try:
-                    bound = certified_rate_bound(float(n), K)
-                except (IllConditionedError, TruncationError):
-                    continue
+                bound = certified_rate_bound(float(n), K)
                 closed = thermal_j_pm(float(n))[0]
                 assert bound <= closed + 1e-12 * abs(closed), (n, K)
-                returned += 1
-        assert returned > 60
+                assert closed - bound <= _rounding(float(n), K), (n, K)
 
     def test_memory_grows_with_k_alone(self):
         # One (#lo x #hi) matrix of two-point mixes is 201 x 4800 doubles,

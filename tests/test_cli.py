@@ -62,6 +62,7 @@ class TestVerifyCommand:
         ("cou", ("--dim", "16"), "reads no parameters"),
         ("rate-decay-identity", ("--dim", "128"),
          "reads cases, seed, tolerance"),
+        ("geometric-optimality", ("--dim", "256"), "reads tolerance"),
     ])
     def test_unread_suite_parameter_exits_two(self, capsys, suite, flags,
                                               reads):
@@ -107,7 +108,7 @@ class TestVerifyCommand:
     @pytest.mark.parametrize("argv, named", [
         (("verify", "stam", "--seed", "-1"), "seed must be >= 0, got -1"),
         (("verify", "correspondence", "--dim", "0"), "dim must be >= 2, got 0"),
-        (("verify", "geometric-optimality", "--dim", "-3"),
+        (("verify", "correspondence", "--dim", "-3"),
          "dim must be >= 2, got -3"),
         (("death-process", "--K", "-5"), "K must be >= 1, got -5"),
         (("trajectory", "attenuator", "--tmax", "nan"),
@@ -433,13 +434,16 @@ class TestMinimizeRateCommand:
         assert payload["certified_lower_bound"] <= payload["j_geometric"]
 
     @pytest.mark.filterwarnings("error")
-    def test_underflowing_law_is_refused(self, capsys):
-        # The geometric law of mean 0.01 is 0 from level 162 on.
-        code, out, err = run_cli(capsys, "minimize-rate", "--n", "0.01",
-                                 "--K", "256")
-        assert code == 2
-        assert out == ""
-        assert "use K <= 161" in err
+    @pytest.mark.parametrize("K", [161, 256])
+    def test_underflowing_law_gap_small(self, capsys, K):
+        # The geometric law of mean 0.01 is subnormal from level 154 and 0
+        # from 162 on; the certificate reads none of it.
+        code, out, _ = run_cli(capsys, "minimize-rate", "--n", "0.01",
+                               "--K", str(K))
+        payload = json.loads(out)
+        assert code == 0
+        assert payload["gap"] <= 1e-8
+        assert payload["certified_lower_bound"] <= payload["j_geometric"]
 
 
 class TestCrossProcessDeterminism:

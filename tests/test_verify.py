@@ -37,7 +37,7 @@ READS = {
     "entropy-isoperimetry": ["dim", "cases", "seed", "tolerance"],
     "majorization": ["cases", "seed"],
     "correspondence": ["dim", "tolerance"],
-    "geometric-optimality": ["dim", "tolerance"],
+    "geometric-optimality": ["tolerance"],
     "log-sobolev": ["tolerance"],
     "cou": [],
 }
@@ -66,7 +66,7 @@ class TestSuiteRegistry:
             run_suite("stam", cases=0)
 
     @pytest.mark.parametrize("name, dim", [("correspondence", 0),
-                                           ("geometric-optimality", -3)])
+                                           ("correspondence", -3)])
     def test_dim_below_two_rejected(self, name, dim):
         with pytest.raises(ValueError, match=f"dim must be >= 2, got {dim}$"):
             run_suite(name, dim=dim)
@@ -282,8 +282,7 @@ class TestErrorPolicy:
 
     @pytest.mark.parametrize("suite, dim, descriptor, n", [
         ("de-bruijn", 64, "de-bruijn-thermal", 4.0),
-        ("correspondence", 48, "fock-vs-classical-rate", 2.0),
-        ("geometric-optimality", 48, "fock-attenuator-rate", 2.0)])
+        ("correspondence", 48, "fock-vs-classical-rate", 2.0)])
     def test_thermal_truncation_fails_only_its_case(self, suite, dim,
                                                      descriptor, n):
         # thermal_state(n, dim) raises inside the case's margin, not while
@@ -346,27 +345,17 @@ class TestErrorPolicy:
         report = run_suite("geometric-optimality")
         assert calls == [0.5, 1.0, 2.0]
         assert [c.descriptor for c in report.cases] == [
-            "constrained-minimum-value", "no-feasible-beats-closed",
-            "fock-attenuator-rate"] * 3
+            "constrained-minimum-value", "no-feasible-beats-closed"] * 3
 
-    def test_certificate_failure_becomes_error_cases(self, monkeypatch):
-        def failing(n, K):
-            raise TruncationError("certificate failed")
-
-        monkeypatch.setattr(cl, "certified_rate_bound", failing)
+    def test_certificate_gate_is_its_rounding(self):
+        # K u max|g| at K = 64, below the 1e-12 it replaces.
         report = run_suite("geometric-optimality")
-        assert [c.descriptor for c in report.cases] == [
-            "constrained-minimum-value", "no-feasible-beats-closed",
-            "fock-attenuator-rate"] * 3
-        errors = [c for c in report.cases if c.error is not None]
-        assert [c.error for c in errors] == [
-            "TruncationError: certificate failed"] * 6
-        assert [c.params for c in errors] == [
-            {"n": n, "K": 64} for n in (0.5, 1.0, 2.0) for _ in range(2)]
-        fock = [c for c in report.cases
-                if c.descriptor == "fock-attenuator-rate"]
-        assert all(c.passed and c.error is None for c in fock)
-        assert not report.passed
+        gates = [c.tol for c in report.cases
+                 if c.descriptor == "no-feasible-beats-closed"]
+        g_max = [abs(cl._geometric_gradient(n, 64)[1]).max()
+                 for n in (0.5, 1.0, 2.0)]
+        assert gates == [64 * 2.0**-53 * float(g) for g in g_max]
+        assert all(tol <= 1e-12 for tol in gates)
 
 
 class TestSlowSuites:

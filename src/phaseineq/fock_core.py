@@ -199,7 +199,9 @@ def geometric_law(nbar: float, dim: int) -> np.ndarray:
     r = nbar / (nbar + 1.0)
     tail = r**dim
     if tail > LEAKAGE_TOL:
-        min_dim = int(math.ceil(math.log(LEAKAGE_TOL) / math.log(r)))
+        # log r as -log(1 + 1/nbar), nonzero where r rounds to 1.
+        min_dim = int(math.ceil(-math.log(LEAKAGE_TOL)
+                                / math.log1p(1.0 / nbar)))
         raise TruncationError(
             f"geometric tail mass {tail:.3e} exceeds {LEAKAGE_TOL:.1e} at "
             f"support size {dim}; need support size >= {min_dim}",

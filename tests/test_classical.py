@@ -179,6 +179,15 @@ class TestGeometricPMF:
         with pytest.raises(ValueError, match="nbar must be >= 0"):
             geometric_pmf(-0.5, 8)
 
+    def test_truncation_guard_where_ratio_rounds_to_one(self):
+        # n/(n+1) rounds to 1 above 2^53, so log r would be 0; the support
+        # needed is log(1e9) / log(1 + 1/n), about 20.7 n.
+        with pytest.raises(TruncationError, match="at support size 65; "
+                           "need support size >= ") as exc:
+            geometric_pmf(1e17, 64)
+        assert exc.value.min_adequate_dim == pytest.approx(
+            math.log(1e9) * 1e17, rel=1e-12)
+
     @pytest.mark.parametrize("K", [10**6, 10**8])
     def test_support_is_bounded(self, K):
         # Rejection only: nothing of size K is allocated.

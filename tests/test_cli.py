@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import phaseineq
+import phaseineq.classical as cl
 from phaseineq.cli import main
 from phaseineq.verify import SUITE_NAMES
 
@@ -50,7 +51,7 @@ class TestVerifyCommand:
 
     def test_bad_tolerance_exits_two(self, capsys):
         for tol in ("0", "nan", "inf"):
-            code, out, err = run_cli(capsys, "verify", "log-sobolev",
+            code, out, err = run_cli(capsys, "verify", "correspondence",
                                      "--tol", tol)
             assert code == 2 and out == ""
             assert "tolerance must be > 0 and finite" in err
@@ -62,7 +63,9 @@ class TestVerifyCommand:
         ("cou", ("--dim", "16"), "reads no parameters"),
         ("rate-decay-identity", ("--dim", "128"),
          "reads cases, seed, tolerance"),
-        ("geometric-optimality", ("--dim", "256"), "reads tolerance"),
+        ("geometric-optimality", ("--dim", "256"), "reads no parameters"),
+        ("geometric-optimality", ("--tol", "1e-3"), "reads no parameters"),
+        ("log-sobolev", ("--tol", "1e-3"), "reads no parameters"),
     ])
     def test_unread_suite_parameter_exits_two(self, capsys, suite, flags,
                                               reads):
@@ -431,7 +434,16 @@ class TestMinimizeRateCommand:
         payload = json.loads(out)
         assert code == 0
         assert payload["gap"] <= 1e-8
-        assert payload["certified_lower_bound"] <= payload["j_geometric"]
+
+    def test_leaking_law_gap_is_the_rounding(self, capsys):
+        # The geometric law of mean 10 leaks 2e-3 past level 64; the
+        # certificate reads none of it.
+        code, out, _ = run_cli(capsys, "minimize-rate", "--n", "10",
+                               "--K", "64")
+        payload = json.loads(out)
+        g = cl._geometric_gradient(10.0, 64)[1]
+        assert code == 0
+        assert payload["gap"] <= 64 * 2.0**-53 * float(abs(g).max())
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("K", [161, 256])
@@ -443,7 +455,6 @@ class TestMinimizeRateCommand:
         payload = json.loads(out)
         assert code == 0
         assert payload["gap"] <= 1e-8
-        assert payload["certified_lower_bound"] <= payload["j_geometric"]
 
 
 class TestCrossProcessDeterminism:

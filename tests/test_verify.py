@@ -37,8 +37,8 @@ READS = {
     "entropy-isoperimetry": ["dim", "cases", "seed", "tolerance"],
     "majorization": ["cases", "seed"],
     "correspondence": ["dim", "tolerance"],
-    "geometric-optimality": ["tolerance"],
-    "log-sobolev": ["tolerance"],
+    "geometric-optimality": [],
+    "log-sobolev": [],
     "cou": [],
 }
 
@@ -81,7 +81,7 @@ class TestSuiteRegistry:
     # The CLI tests cover one unread flag per suite; here several at once,
     # and a name no suite reads.
     @pytest.mark.parametrize("name, params, reads", [
-        ("log-sobolev", {"dim": 16, "cases": 1}, "reads tolerance"),
+        ("log-sobolev", {"dim": 16, "cases": 1}, "reads no parameters"),
         ("stam", {"tol": 1e-3}, "reads dim, cases, seed, tolerance"),
     ])
     def test_unread_parameter_rejected(self, name, params, reads):
@@ -345,7 +345,15 @@ class TestErrorPolicy:
         report = run_suite("geometric-optimality")
         assert calls == [0.5, 1.0, 2.0]
         assert [c.descriptor for c in report.cases] == [
-            "constrained-minimum-value", "no-feasible-beats-closed"] * 3
+            "no-feasible-beats-closed"] * 3
+
+    def test_certificate_above_closed_form_fails(self, monkeypatch):
+        # For n <= K - 1 the bound is the closed form up to rounding, so
+        # a bound above it fails as surely as one below.
+        monkeypatch.setattr(cl, "certified_rate_bound",
+                            lambda n, K: ga.thermal_j_pm(n)[0] + 1e-9)
+        report = run_suite("geometric-optimality")
+        assert [c.passed for c in report.cases] == [False] * 3
 
     def test_certificate_gate_is_its_rounding(self):
         # K u max|g| at K = 64, below the 1e-12 it replaces.

@@ -22,10 +22,9 @@ from .semigroups import Amplifier, Attenuator, Heat, QOU
 from .verify import SUITE_NAMES, entropy_threshold, photon_threshold, run_suite
 
 # verify's built-in values live in phaseineq.verify, which knows what each
-# suite reads.
+# suite reads; each case's gate is fixed by its suite, so no flag sets one.
 _FLAGS = {"--dim": {"type": int}, "--seed": {"type": int},
-          "--cases": {"type": int},
-          "--tol": {"type": float, "dest": "tolerance"}, "--out": {},
+          "--cases": {"type": int}, "--out": {},
           "--format": {"choices": ["json", "csv"], "default": "json"}}
 
 # What each closed-forms table and trajectory kind reads of --grid, --mu
@@ -135,7 +134,7 @@ def _parse_grid(spec: str) -> np.ndarray:
 def _cmd_verify(args) -> int:
     # Pass only the flags that were set.
     params = {key: getattr(args, key)
-              for key in ("dim", "cases", "seed", "tolerance")
+              for key in ("dim", "cases", "seed")
               if getattr(args, key) is not None}
     report = run_suite(args.suite, **params)
     _emit(dataclasses.asdict(report), args.out, "json")
@@ -255,7 +254,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     pv = sub.add_parser("verify", help="run a verification suite")
     pv.add_argument("suite", choices=sorted(SUITE_NAMES))
-    flags(pv, "--dim", "--seed", "--cases", "--tol", "--out")
+    flags(pv, "--dim", "--seed", "--cases", "--out")
     pv.set_defaults(fn=_cmd_verify)
 
     pt = sub.add_parser("trajectory", help="closed-form thermal trajectory")

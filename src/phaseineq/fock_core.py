@@ -193,20 +193,21 @@ def geometric_law(nbar: float, dim: int) -> np.ndarray:
     """Geometric populations with mean nbar on {0, ..., dim-1}, renormalized.
 
     Raises TruncationError (with the minimal adequate dim, the support
-    size) when the geometric tail beyond level dim-1 exceeds LEAKAGE_TOL.
+    size, or None where that size would pass the largest double) when the
+    geometric tail beyond level dim-1 exceeds LEAKAGE_TOL.
     """
     w = geometric_weights(nbar, dim)
     r = nbar / (nbar + 1.0)
     tail = r**dim
     if tail > LEAKAGE_TOL:
         # log r as -log(1 + 1/nbar), nonzero where r rounds to 1.
-        min_dim = int(math.ceil(-math.log(LEAKAGE_TOL)
-                                / math.log1p(1.0 / nbar)))
+        size = -math.log(LEAKAGE_TOL) / math.log1p(1.0 / nbar)
+        min_dim = int(math.ceil(size)) if size < math.inf else None
+        need = (f"need support size >= {min_dim}" if size < math.inf else
+                "the support size needed would exceed the largest double")
         raise TruncationError(
             f"geometric tail mass {tail:.3e} exceeds {LEAKAGE_TOL:.1e} at "
-            f"support size {dim}; need support size >= {min_dim}",
-            min_adequate_dim=min_dim,
-        )
+            f"support size {dim}; {need}", min_adequate_dim=min_dim)
     return w / w.sum()
 
 

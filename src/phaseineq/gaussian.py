@@ -116,23 +116,19 @@ def thermal_isoperimetric_ratio(n: float) -> float:
     return 1.0 / ((n * beta) * ((n + 1.0) * beta))
 
 
-def thermal_j_pm(n: float, z: float = 1.0) -> tuple[float, float]:
-    """Attenuator/amplifier entropy rates (J_-, J_+) of omega_n squeezed by
-    z >= 1, whose quadrature variances are z^2 and 1/z^2 times those of
-    omega_n: with q = ((z - 1)(z + 1)/z)^2/2 and beta = log(1 + 1/n),
-    J_- = (q - 2n) beta and J_+ = (q + 2n + 2) beta.  This is
-    ((z^2 + 1/z^2)/2 -+ kappa) log((kappa + 1)/(kappa - 1)) with
-    kappa = 2n + 1, read in n, which kappa - 1 would round.  At n = 0 it is
-    (0, inf) for z = 1 and (inf, inf) for z > 1."""
+def thermal_j_pm(n: float) -> tuple[float, float]:
+    """Attenuator/amplifier entropy rates (J_-, J_+) of omega_n: with
+    beta = log(1 + 1/n), J_- = -2 n beta and J_+ = 2 (n + 1) beta.  This is
+    (1 -+ kappa) log((kappa + 1)/(kappa - 1)) with kappa = 2n + 1, read in
+    n, which kappa - 1 would round.  The factor 2 comes last, so that 2n
+    cannot overflow: both stay finite, near -+2, up to the largest double.
+    At n = 0 it is (0, inf)."""
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    if not z >= 1.0:
-        raise ValueError(f"z must be >= 1, got {z}")
-    q = ((z - 1.0) * (z + 1.0) / z) ** 2 / 2.0
     if n == 0:
-        return (math.inf if q else 0.0), math.inf
+        return 0.0, math.inf
     beta = _beta(n)
-    return (q - 2.0 * n) * beta, (q + 2.0 * n + 2.0) * beta
+    return -2.0 * (n * beta), 2.0 * ((n + 1.0) * beta)
 
 
 def thermal_mean(n: float, kind: SemigroupKind, t: float) -> float:

@@ -8,11 +8,11 @@ failure.  A record's `asserted` flag and the summary's `reported_failures`
 keep room in the report for a case that only reports a conjecture; no suite
 states one.
 
-Each suite takes, as keyword-only parameters, exactly those of dim, cases,
-seed and tolerance that it reads; run_suite fills them from one table of
-defaults, rejects a parameter the suite does not read (seed excepted: every
-suite accepts it, and the suites without random states ignore it), and
-records in the report's config only the values the suite read.
+Each suite takes, as keyword-only parameters, exactly those of dim, cases
+and seed that it reads; run_suite fills them from one table of defaults,
+rejects a parameter the suite does not read (seed excepted: every suite
+accepts it, and the suites without random states ignore it), and records
+in the report's config only the values the suite read.
 
 Random states follow one draw rule, `_random_states`: random case i holds
 random_state(dim, seed + i, FULL_RANK), but `data-processing` draws rho at
@@ -20,12 +20,14 @@ seed + 101 + i and sigma at seed + 501 + i, `majorization` draws at dim 12
 and `rate-decay-identity` draws the DIAGONAL family at dim 64.
 
 Each suite yields one CaseRecord per case, built by `_case` where the suite
-states the case, with the case's gate in its `tol`.  Only numerical failures
-while `_case` computes a margin become error cases (margin -inf, counted as
-failures): TruncationError and IllConditionedError, both raised in
-`fock_core`.  What can truncate, thermal states included, a suite computes
-in a case's margin thunk, so a truncation never ends a suite; closed forms
-are plain margins.  Any other exception propagates out of run_suite, the
+states the case, with the gate the suite fixes for it in its `tol`: derived
+from the case's error model, or `_TOL` while it has none.  Only numerical
+failures while `_case` computes a margin become error cases (margin -inf,
+counted as failures): TruncationError and IllConditionedError, both raised
+in `fock_core`.  What can truncate at the caller's dim, thermal states
+included, a suite computes in a case's margin thunk, so a truncation never
+ends a suite; closed forms, and `rate-decay-identity` at its fixed dim, are
+plain margins.  Any other exception propagates out of run_suite, the
 flows' trace-drift RuntimeError included: the generators conserve trace
 exactly and both series of `semigroups._series` carry a-priori error
 bounds, so a drift is a bug, not a numerical limit.
@@ -48,10 +50,10 @@ from .fisher import classical_fisher_gaussian, quantum_fisher
 from .fock_core import (
     DensityMatrix, IllConditionedError, StateFamily, TruncationError,
     entropy_power, fock_rearrangement, majorizes, mean_photon, random_state,
-    relative_entropy, state_edge_mass, thermal_state)
+    relative_entropy, state_edge_mass, thermal_state, von_neumann_entropy)
 from .semigroups import (
-    Attenuator, GaussianDensity, Heat, QOU, convolve, entropy_rate, evolve,
-    flow, relent_decay_rate, standard_gaussian)
+    Amplifier, Attenuator, GaussianDensity, Heat, QOU, convolve, entropy_rate,
+    evolve, flow, relent_decay_rate, standard_gaussian)
 
 TWO_PI_E = 2.0 * math.pi * math.e
 FOUR_PI_E = 4.0 * math.pi * math.e
@@ -59,7 +61,11 @@ FOUR_PI_E = 4.0 * math.pi * math.e
 
 # The parameters a suite may read, in report order, with the values used
 # when the caller sets none.
-_DEFAULTS = {"dim": 128, "cases": 5, "seed": 0, "tolerance": 1e-3}
+_DEFAULTS = {"dim": 128, "cases": 5, "seed": 0}
+# The gate of the cases with no error model yet: random states still lack
+# a truncation error bar, and closed forms and Fock identities a gate from
+# their rounding and geometric tail.
+_TOL = 1e-3
 # Mean photon numbers of the thermal cases that several suites share.
 _THERMAL_N = (0.5, 1.0, 2.0)
 # The qOU of log-sobolev, rate-decay-identity and the entropy threshold.
@@ -91,24 +97,19 @@ class VerificationReport:
         return self.summary["failures"] == 0
 
 
-def _case(descriptor: str, params: dict,
-          margin: float | Callable[[], float | tuple[float, dict]],
+def _case(descriptor: str, params: dict, margin: float | Callable[[], float],
           tol: float, state: DensityMatrix | None = None) -> CaseRecord:
     """One case of a suite, evaluated at once.
 
-    `margin` is a closed-form number, or a thunk that returns the margin or
-    (margin, values to merge into params); a TruncationError or
-    IllConditionedError it raises becomes an error case.  The truncation
-    health of `state`, when given, goes into the record.
+    `margin` is a closed-form number, or a thunk that returns it; a
+    TruncationError or IllConditionedError it raises becomes an error case.
+    The truncation health of `state`, when given, goes into the record.
     """
     try:
         margin = margin() if callable(margin) else margin
     except (TruncationError, IllConditionedError) as exc:
         return CaseRecord(descriptor, params, -math.inf, tol, False,
                           error=f"{type(exc).__name__}: {exc}")
-    if isinstance(margin, tuple):
-        margin, extra = margin
-        params = params | extra
     health = None
     if state is not None:
         health = {"edge_mass": state_edge_mass(state.mat),
@@ -137,8 +138,7 @@ def _gaussian_kl(f: GaussianDensity, g: GaussianDensity) -> float:
 # suites
 
 
-def _suite_data_processing(*, dim, cases, seed, tolerance
-                          ) -> Iterator[CaseRecord]:
+def _suite_data_processing(*, dim, cases, seed) -> Iterator[CaseRecord]:
     rng = np.random.default_rng(seed)
     t = 0.1
     for (i, rho), (_, sigma) in zip(_random_states(dim, cases, seed + 101),
@@ -150,10 +150,10 @@ def _suite_data_processing(*, dim, cases, seed, tolerance
             lhs = relative_entropy(convolve(f, rho, t), convolve(g, sigma, t))
             return _gaussian_kl(f, g) + relative_entropy(rho, sigma) - lhs
         yield _case("data-processing", {"case": i, "t": t}, margin,
-                    tolerance, state=rho)
+                    _TOL, state=rho)
 
 
-def _suite_stam(*, dim, cases, seed, tolerance) -> Iterator[CaseRecord]:
+def _suite_stam(*, dim, cases, seed) -> Iterator[CaseRecord]:
     grid = (0.02, 0.05, 0.1)
     f = standard_gaussian()
     j_f = classical_fisher_gaussian(f)
@@ -164,51 +164,50 @@ def _suite_stam(*, dim, cases, seed, tolerance) -> Iterator[CaseRecord]:
         j0 = ga.thermal_fisher_closed(n)
         jt = ga.thermal_fisher_closed(ga.thermal_mean(n, Heat(), t))
         yield _case("stam-thermal-closed", {"n": n, "t": t},
-                    1.0 / jt - 1.0 / j0 - t / j_f, tolerance)
+                    1.0 / jt - 1.0 / j0 - t / j_f, _TOL)
     for i, rho in _random_states(dim, cases, seed):
         j_rho = cache(lambda: quantum_fisher(rho).value)
         for t, conv in zip(grid, flow(f, rho, grid)):
             yield _case("stam-random", {"case": i, "t": t},
                         lambda: (1.0 / quantum_fisher(conv()).value
                                  - 1.0 / j_rho() - t / j_f),
-                        tolerance, state=rho)
+                        _TOL, state=rho)
 
 
-def _suite_de_bruijn(*, dim, cases, seed, tolerance) -> Iterator[CaseRecord]:
+def _suite_de_bruijn(*, dim, cases, seed) -> Iterator[CaseRecord]:
     for n in (0.5, 1.0, 2.0, 4.0):
         closed = ga.thermal_fisher_closed(n)
         def margin():
             rate = entropy_rate(thermal_state(n, dim), Heat())
             return -abs(rate - closed) / closed
-        yield _case("de-bruijn-thermal", {"n": n}, margin, tolerance)
+        yield _case("de-bruijn-thermal", {"n": n}, margin, _TOL)
     for i, rho in _random_states(dim, cases, seed):
         def margin():
             rate = entropy_rate(rho, Heat())
             j = quantum_fisher(rho).value
             return -abs(rate - j) / j
-        yield _case("de-bruijn-random", {"case": i}, margin, tolerance,
+        yield _case("de-bruijn-random", {"case": i}, margin, _TOL,
                     state=rho)
 
 
-def _suite_fisher_isoperimetry(*, dim, cases, seed, tolerance
-                              ) -> Iterator[CaseRecord]:
+def _suite_fisher_isoperimetry(*, dim, cases, seed) -> Iterator[CaseRecord]:
     # Margins are d/dt (2/J) - 1 along the heat flow at omega_n, exactly, and
     # secants of 2/J over [0, h] minus 1 at random states, with no O(h) error:
     # a slope >= 1 integrates to a secant >= 1.
     h = 5e-3
     for n in _THERMAL_N:
         yield _case("fisher-isoperimetry-thermal", {"n": n},
-                    ga.thermal_isoperimetric_ratio(n) - 1.0, tolerance)
+                    ga.thermal_isoperimetric_ratio(n) - 1.0, _TOL)
     for i, rho in _random_states(dim, cases, seed):
         def margin():
             j0 = quantum_fisher(rho).value
             jh = quantum_fisher(evolve(rho, Heat(), h)).value
             return (2.0 / jh - 2.0 / j0) / h - 1.0
         yield _case("fisher-isoperimetry-random", {"case": i}, margin,
-                    tolerance, state=rho)
+                    _TOL, state=rho)
 
 
-def _suite_concavity(*, dim, cases, seed, tolerance) -> Iterator[CaseRecord]:
+def _suite_concavity(*, dim, cases, seed) -> Iterator[CaseRecord]:
     # Thermal cases: -N'' exactly, as S' = J/2 gives N'' = N (J^2/4 + J'/2)
     # = (N J^2/4)(1 - d/dt (2/J)).  Random cases: minus second differences
     # of N over [0, 2h], nonpositive for a concave N: no O(h) error enters.
@@ -217,26 +216,25 @@ def _suite_concavity(*, dim, cases, seed, tolerance) -> Iterator[CaseRecord]:
         j = ga.thermal_fisher_closed(n)
         margin = math.exp(ga.g_entropy(n)) * j * j / 4.0 * (
             ga.thermal_isoperimetric_ratio(n) - 1.0)
-        yield _case("concavity-thermal", {"n": n}, margin, tolerance)
+        yield _case("concavity-thermal", {"n": n}, margin, _TOL)
     for i, rho in _random_states(dim, cases, seed):
         at_h, at_2h = flow(Heat(), rho, (h, 2.0 * h))
         def margin():
             n0 = entropy_power(rho)
             n1 = entropy_power(at_h())
             n2 = entropy_power(at_2h())
-            second = (n2 - 2.0 * n1 + n0) / h**2
-            return -second, {"second_difference": second}
-        yield _case("concavity-random", {"case": i}, margin, tolerance,
+            return -(n2 - 2.0 * n1 + n0) / h**2
+        yield _case("concavity-random", {"case": i}, margin, _TOL,
                     state=rho)
 
 
-def _suite_epi_heat(*, dim, cases, seed, tolerance) -> Iterator[CaseRecord]:
+def _suite_epi_heat(*, dim, cases, seed) -> Iterator[CaseRecord]:
     for n in _THERMAL_N:
         for t in (0.05, 0.1, 0.5):
             n0 = math.exp(ga.g_entropy(n))
             nt = math.exp(ga.g_entropy(ga.thermal_mean(n, Heat(), t)))
             yield _case("epi-heat-thermal-closed", {"n": n, "t": t},
-                        nt - n0 - TWO_PI_E * t, tolerance)
+                        nt - n0 - TWO_PI_E * t, _TOL)
     # Slope N J/2 of N(omega_{n + 2 pi t}) at t = 2, exactly (S' = J/2),
     # which tends to 2 pi e from above: J N >= 4 pi e.
     n, t = 1.0, 2.0
@@ -244,18 +242,17 @@ def _suite_epi_heat(*, dim, cases, seed, tolerance) -> Iterator[CaseRecord]:
     slope = math.exp(ga.g_entropy(n_t)) * ga.thermal_fisher_closed(n_t) / 2.0
     yield _case("epi-heat-asymptotic-slope",
                 {"n": n, "t": t, "slope": slope, "target": TWO_PI_E},
-                slope / TWO_PI_E - 1.0, tolerance)
+                slope / TWO_PI_E - 1.0, _TOL)
     grid = (0.05, 0.1)
     for i, rho in _random_states(dim, cases, seed):
         for t, evolved in zip(grid, flow(Heat(), rho, grid)):
             yield _case("epi-heat-random", {"case": i, "t": t},
                         lambda: (entropy_power(evolved())
                                  - entropy_power(rho) - TWO_PI_E * t),
-                        tolerance, state=rho)
+                        _TOL, state=rho)
 
 
-def _suite_entropy_isoperimetry(*, dim, cases, seed, tolerance
-                                ) -> Iterator[CaseRecord]:
+def _suite_entropy_isoperimetry(*, dim, cases, seed) -> Iterator[CaseRecord]:
     # Tightness sentinel at n = 100 via closed forms (within 1% of 4 pi e).
     n = 100.0
     prod = ga.thermal_fisher_closed(n) * math.exp(ga.g_entropy(n))
@@ -264,11 +261,11 @@ def _suite_entropy_isoperimetry(*, dim, cases, seed, tolerance
     for nth in _THERMAL_N:
         prod = ga.thermal_fisher_closed(nth) * math.exp(ga.g_entropy(nth))
         yield _case("entropy-isoperimetry-thermal", {"n": nth},
-                    prod - FOUR_PI_E, tolerance)
+                    prod - FOUR_PI_E, _TOL)
     for i, rho in _random_states(dim, cases, seed):
         yield _case("entropy-isoperimetry-random", {"case": i},
                     lambda: quantum_fisher(rho).value * entropy_power(rho)
-                    - FOUR_PI_E, tolerance, state=rho)
+                    - FOUR_PI_E, _TOL, state=rho)
 
 
 def _suite_majorization(*, cases, seed) -> Iterator[CaseRecord]:
@@ -294,7 +291,7 @@ def _suite_majorization(*, cases, seed) -> Iterator[CaseRecord]:
                         lambda: -abs(float(margins()[-1])), tol)
 
 
-def _suite_correspondence(*, dim, tolerance) -> Iterator[CaseRecord]:
+def _suite_correspondence(*, dim) -> Iterator[CaseRecord]:
     for n in _THERMAL_N:
         closed = ga.thermal_j_pm(n)[0]
         j_class = cl.death_entropy_rate(cl.geometric_pmf(n, 256))
@@ -303,7 +300,7 @@ def _suite_correspondence(*, dim, tolerance) -> Iterator[CaseRecord]:
         def margin():
             j_fock = entropy_rate(thermal_state(n, dim), Attenuator())
             return -abs(j_fock - j_class) / abs(j_class)
-        yield _case("fock-vs-classical-rate", {"n": n}, margin, tolerance)
+        yield _case("fock-vs-classical-rate", {"n": n}, margin, _TOL)
 
 
 def _suite_geometric_optimality() -> Iterator[CaseRecord]:
@@ -320,26 +317,33 @@ def _suite_geometric_optimality() -> Iterator[CaseRecord]:
                     K * 2.0**-53 * float(np.abs(g).max()))
 
 
-def _suite_rate_decay_identity(*, cases, seed, tolerance
-                              ) -> Iterator[CaseRecord]:
-    # Fixed: on one BLAS thread, in-process, the suite takes 2.1 ms at dim 64
-    # and 7.9 ms at 128, and perfbench's heat-rk4 workload runs it.
+def _suite_rate_decay_identity(*, cases, seed) -> Iterator[CaseRecord]:
+    # Fixed: on one BLAS thread, in-process, the suite takes 3.9 ms at dim 64
+    # and 15 ms at 128, and perfbench's heat-rk4 workload runs it.  Its
+    # states are full rank with a negligible tail there: nothing can fail.
     dim = 64
+    (mu2, lam2), zeta, nu = _QOU.rates, _QOU.zeta, _QOU.nu
     sigma = thermal_state(_QOU.n_fixed, dim)
     states = [("rate-decay-thermal", {"n": 2.0}, thermal_state(2.0, dim))]
     states += [("rate-decay-diagonal", {"case": i}, rho) for i, rho
                in _random_states(dim, cases, seed, StateFamily.DIAGONAL)]
     for descriptor, params, rho in states:
-        def margin():
-            lhs, rhs = relent_decay_rate(rho, _QOU)
-            # The identity reads dD/dt = -zeta D - rhs-assembly; compare
-            # -lhs against rhs + zeta D.  The residual is the truncation's:
-            # a a_dag cannot raise level dim - 1, so lhs - target is
-            # lam^2 dim rho_{dim-1,dim-1} log nu, plus round-off.
-            target = -(_QOU.zeta * relative_entropy(rho, sigma) + rhs)
-            scale = max(abs(lhs), abs(target), 1e-12)
-            return -abs(lhs - target) / scale
-        yield _case(descriptor, params, margin, tolerance, state=rho)
+        # The identity reads dD/dt = -zeta D - rhs-assembly.  a a_dag cannot
+        # raise level dim - 1, so lhs - target is lam^2 dim rho_{dim-1,dim-1}
+        # log nu plus the round-off of seven sums t_i over the dim levels,
+        # at most dim u |t_i| each (Higham's gamma_dim): the gate.
+        lhs, rhs = relent_decay_rate(rho, _QOU)
+        relent = relative_entropy(rho, sigma)
+        target = -(zeta * relent + rhs)
+        terms = (lhs, 0.5 * mu2 * entropy_rate(rho, Attenuator()),
+                 0.5 * lam2 * entropy_rate(rho, Amplifier()),
+                 zeta * von_neumann_entropy(rho), lam2 * math.log(nu),
+                 zeta * math.log(1.0 - nu), zeta * relent)
+        gate = (abs(lam2 * dim * rho.mat[-1, -1].real * math.log(nu))
+                + dim * 2.0**-53 * sum(abs(t) for t in terms))
+        scale = max(abs(lhs), abs(target), 1e-12)
+        yield _case(descriptor, params, -abs(lhs - target) / scale,
+                    float(gate / scale), state=rho)
 
 
 def _suite_log_sobolev() -> Iterator[CaseRecord]:
@@ -428,9 +432,6 @@ def run_suite(suite: str, **params) -> VerificationReport:
         raise ValueError(f"dim must be >= 2, got {config['dim']}")
     if config.get("dim", 2) > 2048:
         raise ValueError(f"dim must be <= 2048, got {config['dim']}")
-    if not 0 < config.get("tolerance", 1.0) < math.inf:
-        raise ValueError(f"tolerance must be > 0 and finite, got "
-                         f"{config['tolerance']}")
     if config.get("cases", 1) < 1:
         raise ValueError(f"cases must be >= 1, got {config['cases']}")
     if params.get("seed", 0) < 0:

@@ -188,6 +188,16 @@ class TestGeometricPMF:
         assert exc.value.min_adequate_dim == pytest.approx(
             math.log(1e9) * 1e17, rel=1e-12)
 
+    @pytest.mark.parametrize("n", [1e307, 1e308, 1.7976931348623157e308])
+    def test_truncation_guard_past_the_largest_double(self, n):
+        # Above a mean of about 8.7e306 the support needed, about 20.7 n,
+        # is no double, so no minimal adequate dim is named.
+        with pytest.raises(TruncationError, match="at support size 65; the "
+                           "support size needed would exceed the largest "
+                           "double") as exc:
+            geometric_pmf(n, 64)
+        assert exc.value.min_adequate_dim is None
+
     @pytest.mark.parametrize("K", [10**6, 10**8])
     def test_support_is_bounded(self, K):
         # Rejection only: nothing of size K is allocated.

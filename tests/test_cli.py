@@ -50,22 +50,23 @@ class TestVerifyCommand:
         assert code == 2
 
     def test_bad_tolerance_exits_two(self, capsys):
-        for tol in ("0", "nan", "inf"):
-            code, out, err = run_cli(capsys, "verify", "correspondence",
-                                     "--tol", tol)
-            assert code == 2 and out == ""
-            assert "tolerance must be > 0 and finite" in err
+        # Each suite fixes its cases' gates, so verify takes no --tol, with
+        # a good value or a bad one.
+        for suite in SUITE_NAMES:
+            for tol in ("1e-3", "0", "nan"):
+                code, out, err = run_cli(capsys, "verify", suite, "--tol", tol)
+                assert code == 2 and out == ""
+                assert f"unrecognized arguments: --tol {tol}" in err
 
     @pytest.mark.parametrize("suite, flags, reads", [
         ("cou", ("--cases", "2"), "reads no parameters"),
         ("majorization", ("--dim", "64"), "reads cases, seed"),
-        ("majorization", ("--tol", "1e-6"), "reads cases, seed"),
+        ("majorization", ("--dim", "12"), "reads cases, seed"),
         ("cou", ("--dim", "16"), "reads no parameters"),
-        ("rate-decay-identity", ("--dim", "128"),
-         "reads cases, seed, tolerance"),
+        ("rate-decay-identity", ("--dim", "128"), "reads cases, seed"),
         ("geometric-optimality", ("--dim", "256"), "reads no parameters"),
-        ("geometric-optimality", ("--tol", "1e-3"), "reads no parameters"),
-        ("log-sobolev", ("--tol", "1e-3"), "reads no parameters"),
+        ("geometric-optimality", ("--cases", "3"), "reads no parameters"),
+        ("log-sobolev", ("--dim", "64"), "reads no parameters"),
     ])
     def test_unread_suite_parameter_exits_two(self, capsys, suite, flags,
                                               reads):
@@ -89,7 +90,7 @@ class TestVerifyCommand:
         code, out, _ = run_cli(capsys, "verify", "correspondence",
                                "--seed", "3")
         assert code == 0
-        assert json.loads(out)["config"] == {"dim": 128, "tolerance": 1e-3}
+        assert json.loads(out)["config"] == {"dim": 128}
 
     @pytest.mark.parametrize("argv", [
         ("verify", "cou", "--format", "csv"),
@@ -171,6 +172,11 @@ class TestVerifyCommand:
          "K must be < 1000000"),
         (("verify", "stam", "--dim", "100000"),
          "dim must be <= 2048, got 100000"),
+        # Above a mean of about 8.7e306 the support the geometric law needs,
+        # about 20.7 n0, passes the largest double.
+        (("death-process", "--n0", "1e308"),
+         "at support size 257; the support size needed would exceed the "
+         "largest double"),
     ], ids=["seed", "dim", "dim-negative", "K", "trajectory-tmax", "n0",
             "mu", "lambda", "death-tmax", "init", "init-text", "init-negative",
             "n0-negative", "n-inf", "n-nan", "n-text",
@@ -179,7 +185,7 @@ class TestVerifyCommand:
             "trajectory-steps-bound", "trajectory-steps-huge",
             "death-steps-bound", "mean-overflow", "power-overflow",
             "mean-infinite", "grid-power-overflow", "death-K-bound",
-            "minimize-K-bound", "dim-bound"])
+            "minimize-K-bound", "dim-bound", "death-n0-support-overflow"])
     def test_out_of_range_value_names_parameter(self, capsys, argv, named):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2
@@ -369,13 +375,14 @@ class TestClosedFormsCommand:
     @pytest.mark.parametrize("table, grid, nulls", [
         ("fisher-tightness", "1e-320:1e-300:3", 1),
         ("fisher-tightness", "1e150:1e200:3", 0),
-        ("gaussian-rates", "1e-320:1e-310:2", 0)])
+        ("gaussian-rates", "1e-320:1e-310:2", 0),
+        ("gaussian-rates", "1e307:1.7e308:3", 0)])
     def test_cells_are_finite_over_the_double_range(self, capsys, table,
                                                     grid, nulls):
         # Below n of about 5.6e-309 1/n overflows; past about 6.7e153
-        # log^2(1 + 1/n) is subnormal and n(n+1) then overflows.  Only the
-        # isoperimetric ratio at 1e-320, about 1.8e314, lies past the
-        # largest double.
+        # log^2(1 + 1/n) is subnormal and n(n+1) then overflows, and past
+        # about 9e307 so does 2n.  Only the isoperimetric ratio at 1e-320,
+        # about 1.8e314, lies past the largest double.
         code, out, _ = run_cli(capsys, "closed-forms", table, "--grid", grid)
         assert code == 0
         rows = json.loads(out)["rows"]
@@ -444,6 +451,14 @@ class TestMinimizeRateCommand:
         g = cl._geometric_gradient(10.0, 64)[1]
         assert code == 0
         assert payload["gap"] <= 64 * 2.0**-53 * float(abs(g).max())
+
+    def test_largest_mean_closed_form_is_finite(self, capsys):
+        # -2n log(1 + 1/n) tends to -2; 2n alone would overflow.
+        code, out, _ = run_cli(capsys, "minimize-rate", "--n", "1e308")
+        payload = json.loads(out)
+        assert code == 0
+        assert payload["closed_form"] == -2.0
+        assert payload["gap"] <= 1e-15
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("K", [161, 256])

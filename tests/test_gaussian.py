@@ -134,20 +134,24 @@ class TestStableClosedForms:
             for value, target in zip(thermal_j_pm(n), exact):
                 assert _rel_err(value, target) <= 1e-14
 
-    @pytest.mark.parametrize("z", [1.0, 1.5])
     @pytest.mark.parametrize("kappa", [2e4 + 1, 2e8 + 1])
-    def test_j_pm_gaussian(self, kappa, z):
+    def test_j_pm_gaussian(self, kappa):
         # The Gaussian form in the symplectic eigenvalue kappa, at
         # n = (kappa - 1)/2: log((kappa+1)/(kappa-1)) cancels at large
         # kappa, and log(1 + 1/n) read in n does not.
         n = (kappa - 1.0) / 2.0
         with mpmath.workdps(50):
             k = 2 * mpmath.mpf(n) + 1
-            half = (mpmath.mpf(z) ** 2 + mpmath.mpf(z) ** -2) / 2
             log_term = mpmath.log((k + 1) / (k - 1))
-            exact = ((half - k) * log_term, (half + k) * log_term)
-            for value, target in zip(thermal_j_pm(n, z), exact):
+            exact = ((1 - k) * log_term, (1 + k) * log_term)
+            for value, target in zip(thermal_j_pm(n), exact):
                 assert _rel_err(value, target) <= 1e-14
+
+    def test_j_pm_finite_up_to_the_largest_double(self):
+        # 2n overflows above about 9e307, so the rates double last.  beta
+        # is subnormal there, a few ulps off.
+        for value, target in zip(thermal_j_pm(1.7e308), (-2.0, 2.0)):
+            assert _rel_err(value, target) <= 1e-15
 
     @pytest.mark.parametrize("s", [700.0, 709.0])
     def test_g_inverse_near_the_largest_double(self, s):
@@ -180,18 +184,10 @@ class TestClosedForms:
 
     def test_j_pm_vacuum(self):
         # The vacuum is the attenuator fixed point (rate 0); the amplifier
-        # rate diverges, as does the attenuator rate once squeezing is added.
+        # rate diverges.
         j_minus, j_plus = thermal_j_pm(0.0)
         assert j_plus == math.inf
         assert j_minus == 0.0
-        assert thermal_j_pm(0.0, z=1.5) == (math.inf, math.inf)
-        assert thermal_j_pm(0.0, z=1.0 + 2.0**-52) == (math.inf, math.inf)
-
-    def test_j_pm_squeezing_raises_both(self):
-        base = thermal_j_pm(1.0)
-        squeezed = thermal_j_pm(1.0, z=1.5)
-        assert squeezed[0] > base[0]
-        assert squeezed[1] > base[1]
 
     def test_half_j_minus_is_half_the_thermal_rate(self):
         # The attenuator keeps omega_n thermal with mean n e^{-t}, so
@@ -209,8 +205,8 @@ class TestClosedForms:
     SWEEP = [0.0] + [float(n) for n in np.geomspace(1e-300, 1e300, 2000)]
 
     def test_unsqueezed_rates_are_the_thermal_form_bit_for_bit(self):
-        # At z = 1, q = 0 and (q - 2n, q + 2n + 2) are -2n and 2(n + 1)
-        # exactly.
+        # Doubling is exact, so doubling after the product rounds as
+        # doubling before it wherever 2n is finite and n beta is normal.
         for n in self.SWEEP:
             expected = (0.0, math.inf)
             if n:
@@ -218,32 +214,13 @@ class TestClosedForms:
                 expected = (-2.0 * n * beta, 2.0 * (n + 1.0) * beta)
             assert thermal_j_pm(n) == expected, n
 
-    @pytest.mark.parametrize("z", [1.0 + 1e-8, 1.001, 1.5, 10.0])
-    def test_squeezed_rates_within_4_ulps(self, z):
-        # J_- crosses zero at q = 2n, so both rates are measured on the
-        # scale of J_+ = (q + 2n + 2) beta.
-        with mpmath.workdps(50):
-            zz = mpmath.mpf(z)
-            q = ((zz - 1) * (zz + 1) / zz) ** 2 / 2
-            for n in np.geomspace(1e-6, 1e6, 49):
-                m = mpmath.mpf(float(n))
-                beta = mpmath.log1p(1 / m)
-                exact = ((q - 2 * m) * beta, (q + 2 * m + 2) * beta)
-                ulp = math.ulp(float(exact[1]))
-                for value, target in zip(thermal_j_pm(float(n), z), exact):
-                    assert abs(value - target) <= 4 * ulp, (n, value)
-
     @pytest.mark.parametrize("call, message", [
         (lambda: thermal_fisher_closed(-1.0), "n must be >= 0"),
         (lambda: thermal_j_pm(-1.0), "n must be >= 0"),
-        (lambda: thermal_j_pm(1.0, z=0.5), "z must be >= 1"),
-        (lambda: thermal_j_pm(1.0, z=1.0 - 2.0**-53), "z must be >= 1"),
-        (lambda: thermal_j_pm(1.0, z=math.nan), "z must be >= 1"),
         (lambda: h_function(0.0, QOU(math.sqrt(2.0), 1.0)), "n must be > 0"),
         (lambda: zeta_optimality_witness(QOU(math.sqrt(2.0), 1.0), -0.5),
          "epsilon must be >= 0"),
-    ], ids=["fisher", "j-pm", "j-pm-squeezing", "j-pm-squeezing-below-one",
-            "j-pm-squeezing-nan", "h", "witness"])
+    ], ids=["fisher", "j-pm", "h", "witness"])
     def test_rejects_arguments_outside_the_domain(self, call, message):
         with pytest.raises(ValueError, match=message):
             call()

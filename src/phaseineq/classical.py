@@ -34,6 +34,8 @@ class ClassicalPMF:
         p = np.asarray(self.probs, dtype=float)
         if p.ndim != 1 or p.size < 2:
             raise ValueError("probs must be a vector of length >= 2")
+        if not np.all(np.isfinite(p)):
+            raise ValueError("probs has a non-finite entry")
         if np.any(p < -1e-12):
             raise ValueError(f"negative probability {p.min():.3e}")
         if abs(p.sum() - 1.0) > 1e-12:
@@ -72,7 +74,7 @@ def death_evolve(p: ClassicalPMF, t: float) -> ClassicalPMF:
     removes the rounding of log m! which the whole law shares (about
     m 1e-16 relative, enough at m = 5000 to break the unit mass).
     """
-    if t < 0:
+    if not t >= 0:
         raise ValueError(f"t must be >= 0, got {t}")
     if t == 0:
         return p
@@ -238,7 +240,7 @@ def min_entropy_rate_constrained(n: float, K: int, starts: int = 8,
     and its rate.  The tests' reference oracle for certified_rate_bound; it
     stays in the package because the benchmark probes time it.
     """
-    if n <= 0:
+    if not n > 0:
         raise ValueError(f"n must be > 0, got {n}")
     rng = np.random.default_rng(seed)
     floor = _INTERIOR_FLOOR

@@ -183,7 +183,7 @@ def weyl_operator(xi, dim: int) -> np.ndarray:
 def geometric_weights(nbar: float, dim: int) -> np.ndarray:
     """Unnormalized geometric populations (1/(nbar+1)) (nbar/(nbar+1))^j;
     at nbar = 0, 0**0 = 1 gives the vacuum."""
-    if nbar < 0:
+    if not nbar >= 0:
         raise ValueError(f"nbar must be >= 0, got {nbar}")
     r = nbar / (nbar + 1.0)
     return (1.0 / (nbar + 1.0)) * r ** np.arange(dim)

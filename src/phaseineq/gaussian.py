@@ -1,12 +1,12 @@
 """Closed-form Gaussian calculus for single-mode states.
 
 Covers the thermal entropy function g and its inverse, thermal Fisher
-information, the attenuator/amplifier entropy rates of a centered Gaussian
-state with the thermal mean photon number n and squeezing z, the mean
-photon number of a thermal state under the four semigroups (which
-keep it thermal), the h-function controlling the Log-Sobolev rate of the
-quantum Ornstein-Uhlenbeck (qOU) semigroup, the classical Ornstein-Uhlenbeck
-channel, and the Carbone et al. Log-Sobolev-2 bracketing bounds.
+information, the attenuator/amplifier entropy rates of the thermal state
+with mean photon number n, the mean photon number of a thermal state under
+the four semigroups (which keep it thermal), the h-function controlling
+the Log-Sobolev rate of the quantum Ornstein-Uhlenbeck (qOU) semigroup,
+the classical Ornstein-Uhlenbeck channel, and the Carbone et al.
+Log-Sobolev-2 bracketing bounds.
 
 One thermal relative entropy D(omega_n || omega_m) serves both qOU closed
 forms: with the fixed point sigma = omega_{n*}, n* = lam^2/zeta, and
@@ -35,7 +35,7 @@ class ClassicalOUParams:
     sigma2: float
 
     def __post_init__(self):
-        if self.theta <= 0 or self.sigma2 <= 0:
+        if not (self.theta > 0 and self.sigma2 > 0):
             raise ValueError("theta and sigma2 must be positive")
 
     @property
@@ -68,7 +68,7 @@ def _beta(n: float) -> float:
 def g_entropy(n: float) -> float:
     """Entropy of the thermal state with mean photon number n (nats), as
     log1p(n) + n log1p(1/n), which does not cancel at large n."""
-    if n < 0:
+    if not n >= 0:
         raise ValueError(f"n must be >= 0, got {n}")
     if n == 0:
         return 0.0
@@ -94,7 +94,7 @@ def g_inverse(s: float) -> float:
 
 def thermal_fisher_closed(n: float) -> float:
     """Fisher information of the thermal state: 4 pi log(1 + 1/n)."""
-    if n < 0:
+    if not n >= 0:
         raise ValueError(f"n must be >= 0, got {n}")
     if n == 0:
         return math.inf
@@ -107,7 +107,7 @@ def thermal_isoperimetric_ratio(n: float) -> float:
     Past n of about 6.7e153, where log^2(1 + 1/n) is subnormal and then
     n(n+1) overflows, it is read as 1/(n log(1 + 1/n) (n+1) log(1 + 1/n)),
     whose two factors tend to 1."""
-    if n <= 0:
+    if not n > 0:
         raise ValueError(f"n must be > 0, got {n}")
     beta = _beta(n)
     square = n * (n + 1.0)
@@ -123,7 +123,7 @@ def thermal_j_pm(n: float) -> tuple[float, float]:
     n, which kappa - 1 would round.  The factor 2 comes last, so that 2n
     cannot overflow: both stay finite, near -+2, up to the largest double.
     At n = 0 it is (0, inf)."""
-    if n < 0:
+    if not n >= 0:
         raise ValueError(f"n must be >= 0, got {n}")
     if n == 0:
         return 0.0, math.inf
@@ -137,9 +137,9 @@ def thermal_mean(n: float, kind: SemigroupKind, t: float) -> float:
     e^{-zeta t} n - expm1(-zeta t) lam^2/zeta, and n + (mu^2 + lam^2) t/2
     at zeta = 0.  Both terms are >= 0 for either sign of zeta, so nothing
     cancels."""
-    if n < 0:
+    if not n >= 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    if t < 0:
+    if not t >= 0:
         raise ValueError(f"t must be >= 0, got {t}")
     mu2, lam2 = kind.rates
     zeta = mu2 - lam2
@@ -162,7 +162,7 @@ def _phi(u: float, one_plus_u: float | None = None) -> float:
     while True:
         term = power / k
         total += term
-        if abs(term) <= 1e-17 * total:
+        if not abs(term) > 1e-17 * total:
             return total
         power *= -u
         k += 1
@@ -220,7 +220,7 @@ def h_function(n: float, kind: QOU) -> float:
     zeta D(sigma || omega_n) >= 0 (module docstring), the relative entropy
     from the fixed point sigma = omega_{n*}: zero only at n = n*, near which
     n* - n is exact (Sterbenz) and h second order in it."""
-    if n <= 0:
+    if not n > 0:
         raise ValueError(f"n must be > 0, got {n}")
     m = kind.n_fixed
     return kind.zeta * _thermal_relent(m, n, m - n)
@@ -234,7 +234,7 @@ def zeta_optimality_witness(kind: QOU, epsilon: float) -> float | None:
     Returns None when no witness exists below n = 1e4 (in particular for
     epsilon = 0, where h >= 0 makes the zeta-rate hold everywhere).
     """
-    if epsilon < 0:
+    if not epsilon >= 0:
         raise ValueError(f"epsilon must be >= 0, got {epsilon}")
     grid = np.geomspace(max(1e-3, 0.01 * kind.n_fixed), 1e4, 4000)
     for n in grid:
@@ -255,9 +255,9 @@ def cou_step(params: ClassicalOUParams, var0: float,
     decay (var0 - v_inf)/v_inf and 1/r - 1 as -(r - 1)/r, not from the
     rounded r, which would lose both as r -> 1.
     """
-    if var0 <= 0:
+    if not var0 > 0:
         raise ValueError(f"var0 must be > 0, got {var0}")
-    if t < 0:
+    if not t >= 0:
         raise ValueError(f"t must be >= 0, got {t}")
     theta = params.theta
     v_inf = params.fixed_variance

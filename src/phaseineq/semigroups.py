@@ -52,8 +52,9 @@ from .fock_core import (
     DensityMatrix,
     _adopt,
     check_edge_mass,
-    geometric_law,
     log_density,
+    relative_entropy,
+    thermal_state,
     von_neumann_entropy,
     weyl_operator,
 )
@@ -543,23 +544,35 @@ def entropy_rate(rho: DensityMatrix, kind: SemigroupKind) -> float:
     return -2.0 * _rate(kind, rho, log_density(rho, "entropy rate"))
 
 
-def relent_decay_rate(rho: DensityMatrix, kind: QOU) -> tuple[float, float]:
-    """(d/dt D(e^{tL}rho || sigma) at 0, assembled decay-identity RHS).
+def _decay_terms(rho: DensityMatrix, kind: QOU) -> tuple[float, ...]:
+    """The seven terms t of the qOU decay identity at rho: (dD/dt,
+    mu^2/2 J_-, lam^2/2 J_+, zeta S, lam^2 log nu, zeta log(1 - nu),
+    zeta D(rho||sigma)), with D(.||sigma) the relative entropy to the fixed
+    point sigma = omega_{n_fixed}.
 
-    The rate is the algebraic derivative tr(L(rho)(log rho - log sigma)).
-    The second element, mu^2/2 J_- + lam^2/2 J_+ + zeta S + lam^2 log nu
-    + zeta log(1 - nu), must equal -zeta D(rho||sigma) - dD/dt; J_- and J_+
-    are the attenuator's and the amplifier's `entropy_rate`, taken on the
-    same log rho.
+    The identity reads dD/dt = -zeta D - (mu^2/2 J_- + lam^2/2 J_+ + zeta S
+    + lam^2 log nu + zeta log(1 - nu)), so sum(t) = 0 on the whole Fock
+    space.  On the truncated space a a_dag cannot raise level dim - 1, so
+    sum(t) is lam^2 dim rho_{dim-1,dim-1} log nu, to within the round-off
+    of the seven sums over the dim levels, at most dim u |t_i| each
+    (Higham's gamma_dim).  dD/dt is the algebraic derivative
+    tr(L(rho)(log rho - log sigma)); J_- and J_+ are the attenuator's and
+    the amplifier's `entropy_rate`, all three taken on one log rho.
     """
-    log_sigma = np.diag(np.log(geometric_law(kind.n_fixed, rho.dim)))
+    sigma = thermal_state(kind.n_fixed, rho.dim)
     log_rho = log_density(rho, "entropy rate")
-    rate = _rate(kind, rho, log_rho - log_sigma)
-
+    rate = _rate(kind, rho, log_rho - np.diag(np.log(sigma.spectrum)))
     j_minus = -2.0 * _rate(Attenuator(), rho, log_rho)
     j_plus = -2.0 * _rate(Amplifier(), rho, log_rho)
     (mu2, lam2), zeta, nu = kind.rates, kind.zeta, kind.nu
-    rhs = (0.5 * mu2 * j_minus + 0.5 * lam2 * j_plus
-           + zeta * von_neumann_entropy(rho)
-           + lam2 * math.log(nu) + zeta * math.log(1.0 - nu))
-    return rate, rhs
+    return (rate, 0.5 * mu2 * j_minus, 0.5 * lam2 * j_plus,
+            zeta * von_neumann_entropy(rho), lam2 * math.log(nu),
+            zeta * math.log(1.0 - nu), zeta * relative_entropy(rho, sigma))
+
+
+def relent_decay_rate(rho: DensityMatrix, kind: QOU) -> tuple[float, float]:
+    """(d/dt D(e^{tL}rho || sigma) at 0, assembled decay-identity RHS): the
+    first term of `_decay_terms` and the sum of the next five, which must
+    equal -zeta D(rho||sigma) - dD/dt."""
+    t = _decay_terms(rho, kind)
+    return t[0], sum(t[1:6])

@@ -50,6 +50,11 @@ class TestClassicalPMF:
         with pytest.raises(ValueError, match="length >= 2"):
             ClassicalPMF(np.array([1.0]))
 
+    @pytest.mark.parametrize("probs", [[math.nan, 0.5], [0.5, math.inf]])
+    def test_rejects_non_finite_entries(self, probs):
+        with pytest.raises(ValueError, match="non-finite entry"):
+            ClassicalPMF(np.array(probs))
+
 
 class TestDeathGenerator:
     def test_absorbing_ground_state(self):
@@ -82,6 +87,10 @@ class TestDeathEvolve:
         p = geometric_pmf(2.0, 128)
         out = death_evolve(p, 0.3)
         assert out.mean() == pytest.approx(2.0 * math.exp(-0.3), rel=1e-8)
+
+    def test_nan_time_rejected(self):
+        with pytest.raises(ValueError, match="t must be >= 0"):
+            death_evolve(geometric_pmf(1.0, 64), math.nan)
 
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
@@ -178,6 +187,12 @@ class TestGeometricPMF:
     def test_rejects_negative_mean(self):
         with pytest.raises(ValueError, match="nbar must be >= 0"):
             geometric_pmf(-0.5, 8)
+
+    def test_rejects_nan_mean(self):
+        # Both checks of geometric_law's input would pass NaN in their
+        # negative form, giving an all-NaN law.
+        with pytest.raises(ValueError, match="nbar must be >= 0"):
+            geometric_pmf(math.nan, 8)
 
     def test_truncation_guard_where_ratio_rounds_to_one(self):
         # n/(n+1) rounds to 1 above 2^53, so log r would be 0; the support
@@ -360,6 +375,10 @@ class TestConstrainedMinimizer:
     def test_rejects_nonpositive_mean(self):
         with pytest.raises(ValueError):
             min_entropy_rate_constrained(0.0, 32)
+
+    def test_rejects_nan_mean(self):
+        with pytest.raises(ValueError, match="n must be > 0"):
+            min_entropy_rate_constrained(math.nan, 32)
 
     def test_repeats_bit_for_bit(self):
         pmf1, rate1 = min_entropy_rate_constrained(0.5, 24, starts=2, seed=3)

@@ -174,6 +174,10 @@ class TestStates:
         with pytest.raises(ValueError, match="nbar must be >= 0"):
             geometric_weights(-0.5, 8)
 
+    def test_geometric_weights_reject_nan_mean(self):
+        with pytest.raises(ValueError, match="nbar must be >= 0"):
+            geometric_weights(math.nan, 8)
+
     def test_thermal_vacuum(self):
         rho = thermal_state(0.0, 16)
         assert np.allclose(rho.mat, number_state(0, 16).mat)

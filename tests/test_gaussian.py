@@ -16,6 +16,7 @@ from phaseineq.fock_core import (
 )
 from phaseineq.gaussian import (
     ClassicalOUParams,
+    _phi,
     carbone_lsi2_bounds,
     cou_step,
     g_entropy,
@@ -220,7 +221,20 @@ class TestClosedForms:
         (lambda: h_function(0.0, QOU(math.sqrt(2.0), 1.0)), "n must be > 0"),
         (lambda: zeta_optimality_witness(QOU(math.sqrt(2.0), 1.0), -0.5),
          "epsilon must be >= 0"),
-    ], ids=["fisher", "j-pm", "h", "witness"])
+        # Each check is written in its positive form, which NaN fails.
+        (lambda: g_entropy(math.nan), "n must be >= 0"),
+        (lambda: thermal_fisher_closed(math.nan), "n must be >= 0"),
+        (lambda: thermal_j_pm(math.nan), "n must be >= 0"),
+        (lambda: thermal_isoperimetric_ratio(math.nan), "n must be > 0"),
+        (lambda: thermal_mean(math.nan, Heat(), 1.0), "n must be >= 0"),
+        (lambda: thermal_mean(1.0, Heat(), math.nan), "t must be >= 0"),
+        (lambda: h_function(math.nan, QOU(math.sqrt(2.0), 1.0)),
+         "n must be > 0"),
+        (lambda: zeta_optimality_witness(QOU(math.sqrt(2.0), 1.0), math.nan),
+         "epsilon must be >= 0"),
+    ], ids=["fisher", "j-pm", "h", "witness", "g-nan", "fisher-nan",
+            "j-pm-nan", "isoperimetric-nan", "mean-n-nan", "mean-t-nan",
+            "h-nan", "witness-nan"])
     def test_rejects_arguments_outside_the_domain(self, call, message):
         with pytest.raises(ValueError, match=message):
             call()
@@ -554,14 +568,21 @@ class TestClassicalOU:
         assert d2 < d1
 
     @pytest.mark.parametrize("theta, sigma2", [(0.0, 1.0), (1.0, 0.0),
-                                               (-1.0, 1.0)])
+                                               (-1.0, 1.0), (math.nan, 1.0),
+                                               (1.0, math.nan)])
     def test_rejects_nonpositive_parameters(self, theta, sigma2):
         with pytest.raises(ValueError, match="must be positive"):
             ClassicalOUParams(theta, sigma2)
 
+    def test_phi_series_ends_on_nan(self):
+        # NaN fails the series' stop test in its negative form, so the loop
+        # would never end.
+        assert math.isnan(_phi(math.nan))
+
     @pytest.mark.parametrize("var0, t, message", [
         (0.0, 0.1, "var0 must be > 0"), (-1.0, 0.1, "var0 must be > 0"),
-        (1.0, -0.1, "t must be >= 0")])
+        (1.0, -0.1, "t must be >= 0"), (math.nan, 0.1, "var0 must be > 0"),
+        (1.0, math.nan, "t must be >= 0")])
     def test_step_rejects_arguments_outside_the_domain(self, var0, t,
                                                        message):
         with pytest.raises(ValueError, match=message):

@@ -9,7 +9,8 @@ import phaseineq.gaussian as ga
 import phaseineq.semigroups as semigroups
 import phaseineq.verify as verify
 from phaseineq.cli import main
-from phaseineq.fock_core import StateFamily, TruncationError, random_state
+from phaseineq.fock_core import (
+    StateFamily, TruncationError, random_state, thermal_state)
 from phaseineq.verify import (
     SUITE_NAMES, entropy_threshold, photon_threshold, run_suite)
 
@@ -237,22 +238,61 @@ class TestEntropyIsoperimetryGate:
 
 
 class TestRateDecayGate:
+    @staticmethod
+    def _truncation_term(rho, kind):
+        # lam^2 dim rho_{dim-1,dim-1} log nu: a a_dag cannot raise the top
+        # level of the truncated space.
+        return (kind.lam**2 * rho.dim * rho.mat[-1, -1].real
+                * math.log(kind.nu))
+
     def test_every_case_passes_at_its_derived_gate(self):
-        # The gate is the truncation's top-level term plus the round-off of
-        # the seven assembled sums, 1e-10 to 4.1e-10 on these states.
+        # The gate is the round-off of the seven summed terms alone, 1.4e-14
+        # to 1.6e-13 on these states; the truncation term is reported.
         report = run_suite("rate-decay-identity", cases=60)
         assert report.summary["cases"] == 61
         assert report.passed
-        assert all(c.tol < 1e-9 for c in report.cases)
+        assert all(c.tol < 1e-12 for c in report.cases)
+        rhos = [thermal_state(2.0, 64)] + [
+            random_state(64, i, StateFamily.DIAGONAL) for i in range(60)]
+        assert [c.params["truncation_term"] for c in report.cases] == [
+            pytest.approx(self._truncation_term(rho, verify._QOU), rel=1e-14)
+            for rho in rhos]
 
     def test_a_relative_error_of_1e_6_fails_every_case(self, monkeypatch):
         def skewed(rho, kind):
-            lhs, rhs = semigroups.relent_decay_rate(rho, kind)
-            return lhs, rhs * (1.0 + 1e-6)
+            rate, *rhs, relent = semigroups._decay_terms(rho, kind)
+            return rate, *(x * (1.0 + 1e-6) for x in rhs), relent
 
-        monkeypatch.setattr(verify, "relent_decay_rate", skewed)
+        monkeypatch.setattr(verify, "_decay_terms", skewed)
         report = run_suite("rate-decay-identity")
         assert [c.passed for c in report.cases] == [False] * 6
+
+    @pytest.mark.parametrize("factor", [1.8, -1.8, 0.01, -0.01])
+    def test_a_shift_of_the_truncation_term_fails_every_case(self, monkeypatch,
+                                                             factor):
+        # The identity's right-hand side -zeta D - (t_1 + ... + t_5) moved by
+        # factor times the truncation term.  The gate holds only round-off,
+        # so a defect of either sign shows, even a hundredth of that term.
+        def shifted(rho, kind):
+            t = list(semigroups._decay_terms(rho, kind))
+            t[5] -= factor * self._truncation_term(rho, kind)
+            return tuple(t)
+
+        monkeypatch.setattr(verify, "_decay_terms", shifted)
+        report = run_suite("rate-decay-identity")
+        assert [c.passed for c in report.cases] == [False] * 6
+
+    def test_the_suite_takes_no_entropy_rate(self, monkeypatch):
+        calls, entropy_rate = [], semigroups.entropy_rate
+
+        def counted(rho, kind):
+            calls.append(kind)
+            return entropy_rate(rho, kind)
+
+        monkeypatch.setattr(verify, "entropy_rate", counted)
+        monkeypatch.setattr(semigroups, "entropy_rate", counted)
+        assert run_suite("rate-decay-identity").passed
+        assert calls == []
 
 
 class TestMajorizationMargins:

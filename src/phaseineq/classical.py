@@ -225,7 +225,8 @@ def certified_rate_bound(n: float, K: int) -> float:
     lo, hi = m <= n, m > n
     m2, g2 = m[hi], g[hi]
     bound = g[lo].min()
-    for m1, g1 in zip(m[lo], g[lo]):
+    # With no level above n (K <= n) the point masses are the only vertices.
+    for m1, g1 in zip(m[lo], g[lo]) if m2.size else ():
         w = (m2 - n) / (m2 - m1)
         bound = min(bound, (w * g1 + (1.0 - w) * g2).min(initial=math.inf))
     return float(bound)

@@ -22,8 +22,6 @@ import math
 import sys
 from dataclasses import dataclass
 
-import numpy as np
-
 from .semigroups import QOU, SemigroupKind
 
 
@@ -35,8 +33,14 @@ class ClassicalOUParams:
     sigma2: float
 
     def __post_init__(self):
-        if not (self.theta > 0 and self.sigma2 > 0):
-            raise ValueError("theta and sigma2 must be positive")
+        # cou_step divides by the fixed variance, as QOU's formulas by its
+        # rates.
+        if not (0 < self.theta < math.inf and 0 < self.sigma2 < math.inf
+                and sys.float_info.min <= self.fixed_variance < math.inf):
+            raise ValueError(
+                f"theta and sigma2 must be positive and finite, with "
+                f"sigma2/(2 theta) finite and >= 2.23e-308; got theta = "
+                f"{self.theta!r}, sigma2 = {self.sigma2!r}")
 
     @property
     def fixed_variance(self) -> float:
@@ -227,21 +231,45 @@ def h_function(n: float, kind: QOU) -> float:
 
 
 def zeta_optimality_witness(kind: QOU, epsilon: float) -> float | None:
-    """Smallest grid n where the rate constant zeta + epsilon fails on a
-    thermal state, i.e. h(n) - epsilon * D(omega_n || sigma) < -1e-9: where
-    zeta D(sigma || omega_n) = h(n) falls below epsilon D(omega_n || sigma).
+    """The first double above n* = lam^2/zeta at which the rate constant
+    zeta + epsilon fails on a thermal state, i.e. h(n) - epsilon D(omega_n
+    || sigma) < -1e-9: where zeta D(sigma || omega_n) = h(n) falls below
+    epsilon D(omega_n || sigma).  None for epsilon = 0, where h >= 0 makes
+    the zeta-rate hold everywhere, or when the rate holds up to the largest
+    double.
 
-    Returns None when no witness exists below n = 1e4 (in particular for
-    epsilon = 0, where h >= 0 makes the zeta-rate hold everywhere).
+    The failures above n* form one interval (n_eps, inf), so `_bisect`
+    finds n_eps, bracketed by doubling from n*.  With F = epsilon D(omega_n
+    || sigma) - zeta D(sigma || omega_n), D(omega_n || omega_m) = n log(n/m)
+    - (n + 1) log((n + 1)/(m + 1)) gives F(n*) = F'(n*) = 0 and
+      F''(n) = Q(n)/(n (n + 1))^2,
+      Q(n) = (epsilon + zeta) n^2 + (epsilon - 2 zeta n*) n - zeta n*.
+    Q(0) < 0 < epsilon + zeta, so Q has one positive root r, and F is
+    concave on (0, r) and convex past r; Q(n*) = (epsilon - zeta) n* (n* + 1).
+    F grows without bound, since D(omega_n || sigma) grows as
+    n log(1 + 1/n*) and D(sigma || omega_n) as log n.
+    For epsilon < zeta, r > n*: F <= 0 on (0, r), below its tangent at n*,
+    and convex past r, so {F > 1e-9} is (n_eps, inf), and n_eps is also the
+    smallest failing n.  For epsilon >= zeta, r <= n*: F is convex and >= 0
+    on (n*, inf), so the failures above n* are again (n_eps, inf), but
+    failures can also lie below n*; the witness is the first above n*.
     """
-    if not epsilon >= 0:
-        raise ValueError(f"epsilon must be >= 0, got {epsilon}")
-    grid = np.geomspace(max(1e-3, 0.01 * kind.n_fixed), 1e4, 4000)
-    for n in grid:
-        d = relent_to_qou_fixed(float(n) - kind.n_fixed, kind)
-        if h_function(float(n), kind) - epsilon * d < -1e-9:
-            return float(n)
-    return None
+    if not 0 <= epsilon < math.inf:
+        raise ValueError(f"epsilon must be >= 0 and finite, got {epsilon}")
+    if epsilon == 0:
+        return None
+    m = kind.n_fixed
+
+    def holds(n):
+        d = relent_to_qou_fixed(n - m, kind)
+        return h_function(n, kind) - epsilon * d >= -1e-9
+
+    hi = 2.0 * m
+    while holds(hi):
+        if hi == sys.float_info.max:
+            return None
+        hi = min(2.0 * hi, sys.float_info.max)
+    return _bisect(holds, m, hi)
 
 
 def cou_step(params: ClassicalOUParams, var0: float,
@@ -255,12 +283,16 @@ def cou_step(params: ClassicalOUParams, var0: float,
     decay (var0 - v_inf)/v_inf and 1/r - 1 as -(r - 1)/r, not from the
     rounded r, which would lose both as r -> 1.
     """
-    if not var0 > 0:
-        raise ValueError(f"var0 must be > 0, got {var0}")
-    if not t >= 0:
-        raise ValueError(f"t must be >= 0, got {t}")
     theta = params.theta
     v_inf = params.fixed_variance
+    # r = decay r_0 + (1 - decay) lies between r_0 and 1, so a finite r_0
+    # and 1/r_0 keep r and 1/r finite at every t.
+    ratio = var0 / v_inf
+    if not (0 < ratio < math.inf and 1.0 / ratio < math.inf):
+        raise ValueError(f"var0 must be > 0, with var0/{v_inf!r} and its "
+                         f"inverse finite, got {var0}")
+    if not t >= 0:
+        raise ValueError(f"t must be >= 0, got {t}")
     decay = math.exp(-2.0 * theta * t)
     var_t = decay * var0 - math.expm1(-2.0 * theta * t) * v_inf
     r = var_t / v_inf

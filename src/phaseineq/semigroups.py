@@ -568,11 +568,3 @@ def _decay_terms(rho: DensityMatrix, kind: QOU) -> tuple[float, ...]:
     return (rate, 0.5 * mu2 * j_minus, 0.5 * lam2 * j_plus,
             zeta * von_neumann_entropy(rho), lam2 * math.log(nu),
             zeta * math.log(1.0 - nu), zeta * relative_entropy(rho, sigma))
-
-
-def relent_decay_rate(rho: DensityMatrix, kind: QOU) -> tuple[float, float]:
-    """(d/dt D(e^{tL}rho || sigma) at 0, assembled decay-identity RHS): the
-    first term of `_decay_terms` and the sum of the next five, which must
-    equal -zeta D(rho||sigma) - dD/dt."""
-    t = _decay_terms(rho, kind)
-    return t[0], sum(t[1:6])

@@ -348,8 +348,9 @@ def _suite_log_sobolev() -> Iterator[CaseRecord]:
     n_star = _QOU.n_fixed
     yield _case("h-minimum-zero", {"n_star": n_star},
                 -abs(ga.h_function(n_star, _QOU)), 1e-12)
-    # The rate zeta + epsilon fails at the witness, where epsilon D - h > 0;
-    # with no witness the case fails at -inf.
+    # The rate zeta + epsilon fails at the witness, the first double above
+    # n* where epsilon D - h > 1e-9 (bisected at a proved single crossing),
+    # so the margin is just past 1e-9; with no witness the case fails at -inf.
     epsilon = 0.5
     witness = ga.zeta_optimality_witness(_QOU, epsilon)
     excess = -math.inf

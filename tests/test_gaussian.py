@@ -1,4 +1,5 @@
 import math
+import re
 from types import SimpleNamespace
 
 import mpmath
@@ -29,6 +30,7 @@ from phaseineq.gaussian import (
     thermal_mean,
     zeta_optimality_witness,
 )
+from phaseineq import gaussian
 from phaseineq.semigroups import Amplifier, Attenuator, Heat, QOU, evolve
 
 
@@ -232,9 +234,11 @@ class TestClosedForms:
          "n must be > 0"),
         (lambda: zeta_optimality_witness(QOU(math.sqrt(2.0), 1.0), math.nan),
          "epsilon must be >= 0"),
+        (lambda: zeta_optimality_witness(QOU(math.sqrt(2.0), 1.0), math.inf),
+         "epsilon must be >= 0 and finite"),
     ], ids=["fisher", "j-pm", "h", "witness", "g-nan", "fisher-nan",
             "j-pm-nan", "isoperimetric-nan", "mean-n-nan", "mean-t-nan",
-            "h-nan", "witness-nan"])
+            "h-nan", "witness-nan", "witness-inf"])
     def test_rejects_arguments_outside_the_domain(self, call, message):
         with pytest.raises(ValueError, match=message):
             call()
@@ -487,14 +491,45 @@ class TestQOURate:
         assert h_function(n, QOU(mu, lam)) >= -1e-12
 
     def test_no_witness_for_zeta_itself(self):
-        assert zeta_optimality_witness(QOU(math.sqrt(2.0), 1.0), 0.0) is None
+        kind = QOU(math.sqrt(2.0), 1.0)
+        assert zeta_optimality_witness(kind, 0.0) is None
+        # At the smallest epsilon the rate holds up to the largest double.
+        assert zeta_optimality_witness(kind, 5e-324) is None
 
     def test_witness_exists_above_zeta(self):
-        kind = QOU(math.sqrt(2.0), 1.0)
-        n = zeta_optimality_witness(kind, 0.5)
-        assert n is not None
-        d = relent_to_qou_fixed(n - 1.0, kind)
-        assert h_function(n, kind) - 0.5 * d < 0
+        # The witness is the first failing double above n*, so the double
+        # below it holds; at epsilon = 1e-3 it lies near 11504, and at
+        # mu = 1 + 2^-52 above n* ~ 2.25e15.
+        root2 = QOU(math.sqrt(2.0), 1.0)
+        cases = [(root2, eps) for eps in (1e-3, 0.5, 0.99, 2.0)]
+        cases += [(QOU(mu, lam), 0.5) for mu, lam in
+                  ((3.0, 0.1), (1e100, 1.0), (1.0 + 2**-52, 1.0))]
+        for kind, eps in cases:
+            n_star = kind.n_fixed
+
+            def slack(n):
+                return (h_function(n, kind)
+                        - eps * relent_to_qou_fixed(n - n_star, kind))
+
+            w = zeta_optimality_witness(kind, eps)
+            assert w is not None and w > n_star, (kind, eps)
+            assert slack(w) < -1e-9 <= slack(np.nextafter(w, n_star))
+            if eps < kind.zeta:
+                # Then the rate holds on all of (0, n*], so w is also the
+                # smallest failing n.
+                scan = np.geomspace(n_star / 100, w, 20000, endpoint=False)
+                assert all(slack(float(n)) >= -1e-9 for n in scan), (kind, eps)
+
+    def test_witness_bisects(self, monkeypatch):
+        calls = []
+
+        def counted(n, kind):
+            calls.append(n)
+            return h_function(n, kind)
+
+        monkeypatch.setattr(gaussian, "h_function", counted)
+        zeta_optimality_witness(QOU(math.sqrt(2.0), 1.0), 0.5)
+        assert len(calls) <= 70
 
 
 class TestClassicalOU:
@@ -573,6 +608,18 @@ class TestClassicalOU:
     def test_rejects_nonpositive_parameters(self, theta, sigma2):
         with pytest.raises(ValueError, match="must be positive"):
             ClassicalOUParams(theta, sigma2)
+
+    # Unchecked, each gives NaN, or ZeroDivisionError at theta = inf: the
+    # fixed variance overflows or is subnormal, or var0 over it, or the
+    # inverse, overflows.
+    @pytest.mark.parametrize("theta, sigma2, var0, named", [
+        (1.0, math.inf, 1.0, "inf"), (1e-308, 1e308, 1.0, "1e+308"),
+        (1.0, 1e-320, 1.0, "1e-320"), (math.inf, 1.0, 1.0, "inf"),
+        (1.0, 1.0, math.inf, "inf"), (1.0, 1.0, 1e308, "1e+308"),
+        (1.0, 1.0, 5e-324, "5e-324")])
+    def test_refuses_what_would_give_nan(self, theta, sigma2, var0, named):
+        with pytest.raises(ValueError, match=re.escape(named)):
+            cou_step(ClassicalOUParams(theta, sigma2), var0, 0.0)
 
     def test_phi_series_ends_on_nan(self):
         # NaN fails the series' stop test in its negative form, so the loop

@@ -4,8 +4,9 @@ The process p_dot_n = -n p_n + (n+1) p_{n+1} is the number-basis diagonal
 restriction of the photon-loss semigroup, evolved in closed form by
 binomial thinning.  Includes the entropy rate
 J_-(p) = -2 sum_n (C p)_n log p_n, the geometric family, the threshold
-function F, a closed-form convex-duality certificate for the constrained
-minimum of J_-, and the projected-gradient minimizer kept as its oracle.
+function F, a weak-LP-duality certificate for the constrained minimum of
+J_- (three vector minima of its linear lower bound, each penalised at one
+energy multiplier), and the projected-gradient minimizer kept as its oracle.
 F's stationary point and the minimizer's energy multiplier are both roots
 of monotone functions, found by `gaussian._bisect`.
 """
@@ -210,26 +211,44 @@ def certified_rate_bound(n: float, K: int) -> float:
     q = geometric(n) on {0, ..., K} and g = grad J_-(q), g.q = J_-(q) and
     J_-(p) >= g.p.  g never reads q, which may underflow: log(q_m/q_{m-1})
     = -beta, beta = log(1 + 1/n), and (Cq)_m/q_m = -m + (m+1) r below K and
-    -K at K, r = n/(n+1), so g_m = -2(r + m(beta - 1 + r)), affine with
-    slope -2(beta - 1/(n+1)) <= 0, and g_K = -2K(beta - 1) lies 2r(K+1)
-    above that line.  The minimum of g.p over the feasible polytope sits at
-    a vertex: a point mass at m <= n, or the mix of m1 <= n < m2 with mean
-    n, taken one m1 at a time so memory grows as K, not as n K.  For
-    n <= K - 1 it is -2n beta = `gaussian.thermal_j_pm(n)[0]` at every K,
-    at the mix of floor(n) and ceil(n).  A vertex rounds by under
-    32 u max|g| (u = 2^-53): K u max|g| bounds that for K >= 32.
+    -K at K, r = n/(n+1), so g_m = -2(r + m a), a = beta - 1 + r >= 0, is
+    affine with slope -lam* = -2a, and g_K = -2K(beta - 1) lies 2r(K+1)
+    above that line.
+
+    Weak duality: for p >= 0 with sum p = 1 and sum m p_m <= n, and any
+    lam >= 0, J_-(p) >= g.p >= g.p + lam (sum m p_m - n) = sum p_m (g_m +
+    lam (m - n)) >= phi(lam) = min_m (g_m + lam (m - n)).  So phi(lam) is a
+    lower bound however lam was chosen; the bound is the largest phi over
+    lam in {0, lam*, g_{K-1} - g_K}, skipping a negative one.  It is the
+    minimum of g.p over those p: for n <= K - 1, g_m + lam*(m - n) =
+    -2n beta = `gaussian.thermal_j_pm(n)[0]` at every m < K and is larger
+    at K, so phi(lam*) is the closed form, which the mix of floor(n) and
+    ceil(n) attains.  For n >= K the cap is slack, and phi(0) = min g.  For
+    K - 1 < n < K the minimum lies on the segment from K - 1 to K, which
+    rises by g_K - g_{K-1} = 2(1 + K r - beta): for K >= 2 (then n > 1 >
+    beta) phi(0) = g_{K-1}; only at K = 1 can it fall (n below about
+    0.385), and then its slope lam = g_0 - g_1 <= lam* makes phi(lam) its
+    value at n.
+
+    Rounding (u = 2^-53, to first order).  beta and r enter g and lam*
+    alike, so in g_m + lam*(m - n) = -2(n beta + (n + 1) r - n) they leave
+    only 2(n + 1)|dr| <= 4un of r's two roundings.  Each other operation
+    rounds by u times its result: at m < K, 2(m beta + m|beta - 1| +
+    (m + 1) r) + |g_m| in g_m; 2(|beta - 1| + a) in lam*, times |m - n|;
+    2a|m - n| in m - n and again in the product; 2n beta <= 2 in the sum.
+    With m, n, |m - n| <= K - 1 the total is under 2u(K - 1)(4 beta +
+    2|beta - 1| + 4r - 1) + u max|g| + 2ur + 6u.  max|g| >= |g_K|, |g_{K-1}|
+    >= 2(K - 1) max(|beta - 1|, a), and with r = e^-beta the bracket over
+    that max peaks at 18.9 near beta = 0.77: under 22 u max|g| for K >= 32.
+    phi(0) and phi at the top segment's multiplier round by fewer terms,
+    plus beta's and r's 2u each in g: under 19 u max|g| for K >= 32.  So
+    K u max|g| bounds the rounding for K >= 32.
     """
     if not 0 < n < math.inf:
         raise ValueError(f"n must be > 0 and finite, got {n}")
     m, g = _geometric_gradient(n, K)
-    lo, hi = m <= n, m > n
-    m2, g2 = m[hi], g[hi]
-    bound = g[lo].min()
-    # With no level above n (K <= n) the point masses are the only vertices.
-    for m1, g1 in zip(m[lo], g[lo]) if m2.size else ():
-        w = (m2 - n) / (m2 - m1)
-        bound = min(bound, (w * g1 + (1.0 - w) * g2).min(initial=math.inf))
-    return float(bound)
+    lams = (0.0, 2.0 * (_beta(n) - 1.0 + n / (n + 1.0)), g[K - 1] - g[K])
+    return max(float((g + lam * (m - n)).min()) for lam in lams if lam >= 0)
 
 
 def min_entropy_rate_constrained(n: float, K: int, starts: int = 8,

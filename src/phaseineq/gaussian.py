@@ -50,15 +50,28 @@ class ClassicalOUParams:
 def _bisect(below, lo: float, hi: float) -> float:
     """The first double in (lo, hi] at which the monotone predicate `below`
     is false, given below(lo) and not below(hi): the bracket halves until
-    its midpoint equals an endpoint, so it ends on two adjacent doubles."""
+    its midpoint equals an endpoint, so it ends on two adjacent doubles.
+    The midpoint is 0.5 lo + 0.5 hi, which is 0.5 (lo + hi) wherever both
+    ends are normal and lo + hi is finite, and stays finite beyond that."""
     while True:
-        mid = 0.5 * (lo + hi)
+        mid = 0.5 * lo + 0.5 * hi
         if mid in (lo, hi):
             return hi
         if below(mid):
             lo = mid
         else:
             hi = mid
+
+
+def _bisect_doubling(below, lo: float, hi: float) -> float | None:
+    """`_bisect` on (lo, hi'], with hi' the first of hi, 2 hi, 4 hi, ...,
+    the last doubling capped at the largest double, at which `below` is
+    false; None when it still holds at the largest double."""
+    while below(hi):
+        if hi == sys.float_info.max:
+            return None
+        hi = min(2.0 * hi, sys.float_info.max)
+    return _bisect(below, lo, hi)
 
 
 def _beta(n: float) -> float:
@@ -83,17 +96,15 @@ def g_inverse(s: float) -> float:
     """Mean photon number of the thermal state with entropy s: the upper of
     the two adjacent doubles around the root of the increasing g(n) - s.
     Raises ValueError when the root lies beyond the largest double, for s
-    above about 710.7 (g(n) = log n + 1 + O(1/n))."""
+    above g(largest double) = 710.78 (g(n) = log n + 1 + O(1/n))."""
     if not 0 <= s < math.inf:
         raise ValueError(f"s must be >= 0 and finite, got {s}")
     if s == 0.0:
         return 0.0
-    hi = 1.0
-    while g_entropy(hi) < s:
-        hi *= 2.0
-        if hi == math.inf:
-            raise ValueError(f"g_inverse({s}) exceeds the largest double")
-    return _bisect(lambda n: g_entropy(n) < s, 0.0, hi)
+    n = _bisect_doubling(lambda n: g_entropy(n) < s, 0.0, 1.0)
+    if n is None:
+        raise ValueError(f"g_inverse({s}) exceeds the largest double")
+    return n
 
 
 def thermal_fisher_closed(n: float) -> float:
@@ -264,12 +275,7 @@ def zeta_optimality_witness(kind: QOU, epsilon: float) -> float | None:
         d = relent_to_qou_fixed(n - m, kind)
         return h_function(n, kind) - epsilon * d >= -1e-9
 
-    hi = 2.0 * m
-    while holds(hi):
-        if hi == sys.float_info.max:
-            return None
-        hi = min(2.0 * hi, sys.float_info.max)
-    return _bisect(holds, m, hi)
+    return _bisect_doubling(holds, m, 2.0 * m)
 
 
 def cou_step(params: ClassicalOUParams, var0: float,

@@ -306,7 +306,9 @@ def _suite_correspondence(*, dim) -> Iterator[CaseRecord]:
 def _suite_geometric_optimality() -> Iterator[CaseRecord]:
     # For n <= K - 1 the certified bound is the closed form up to its
     # rounding (classical.certified_rate_bound), so a bound on either side
-    # of it is a bug.  J_-(geometric) = closed is correspondence's
+    # of it is a bug: the case checks that the line of slope -lam* through
+    # (n, -2n beta) supports every (m, g_m), the weak-duality certificate's
+    # KKT content.  J_-(geometric) = closed is correspondence's
     # death-process-vs-closed.
     K = 64
     for n in _THERMAL_N:

@@ -3,6 +3,7 @@ import math
 import re
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.optimize import brentq
@@ -316,12 +317,14 @@ class TestCertifiedRateBound:
         assert abs(g @ q - death_entropy_rate(ClassicalPMF(q))) <= 1e-14
 
     @pytest.mark.parametrize("n, K", [(0.01, 161), (0.01, 256), (1e-6, 64),
-                                      (10.0, 64)])
+                                      (10.0, 64), (20000.0, 40000),
+                                      (5e5, 999999)])
     def test_underflowing_or_leaking_law_gets_a_bound(self, n, K):
         # The geometric law of mean 0.01 is subnormal from level 154 and 0
         # from 162, that of mean 1e-6 is 0 from 54, and that of mean 10
         # leaks 2e-3 past level 64; the closed-form gradient reads none of
-        # them, so the bound is the closed form up to its rounding.
+        # them, so the bound is the closed form up to its rounding.  The
+        # last two rows take three vector minima over 4e4 and 1e6 levels.
         bound = certified_rate_bound(n, K)
         closed = thermal_j_pm(n)[0]
         assert abs(bound - closed) <= _rounding(n, K)
@@ -338,10 +341,34 @@ class TestCertifiedRateBound:
                 assert bound <= closed + 1e-12 * abs(closed), (n, K)
                 assert closed - bound <= _rounding(float(n), K), (n, K)
 
+    @pytest.mark.parametrize("K", [1, 2, 3, 16, 64])
+    def test_matches_exact_vertex_minimum(self, K):
+        # min g.p over the feasible polytope sits at a vertex: a point mass
+        # at m <= n or the mix of m1 <= n < m2 with mean n.  Enumerated in
+        # 50 digits with g at the exact beta and r, for n tiny, in
+        # (0, K - 1], (K - 1, K) (n = 0.3 at K = 1 takes the falling top
+        # segment) and >= K, it is the bound up to the rounding gate.
+        ns = [1e-300, 1e-6, 0.3, 0.5 * K, K - 1.0, K - 0.7, K - 1e-9, K,
+              K + 0.5, 3.0 * K, 1e300]
+        for n in (n for n in ns if n > 0):
+            with mpmath.workdps(50):
+                x = mpmath.mpf(n)
+                beta, r = mpmath.log1p(1 / x), x / (x + 1)
+                g = [-2 * (r + m * (beta - 1 + r)) for m in range(K + 1)]
+                g[K] = -2 * K * (beta - 1)
+                lo = [m for m in range(K + 1) if m <= n]
+                exact = min(g[m] for m in lo)
+                for m1 in lo:
+                    for m2 in range(lo[-1] + 1, K + 1):
+                        w = (m2 - x) / (m2 - m1)
+                        exact = min(exact, w * g[m1] + (1 - w) * g[m2])
+                err = abs(certified_rate_bound(n, K) - exact)
+            assert err <= max(K, 32) / K * _rounding(n, K), (n, K)
+
     def test_memory_grows_with_k_alone(self):
-        # One (#lo x #hi) matrix of two-point mixes is 201 x 4800 doubles,
-        # 7.7 MB, at (n, K) = (200, 5000); the gate allows fifty vectors
-        # of K + 1 doubles, 2 MB, at once.
+        # The bound takes three vector minima of g + lam (m - n), a few
+        # vectors of K + 1 doubles at a time, at (n, K) = (200, 5000); the
+        # gate allows fifty of them, 2 MB, at once.
         n, K = 200.0, 5000
         tracemalloc.start()
         try:

@@ -1,5 +1,6 @@
 import math
 import re
+import sys
 from types import SimpleNamespace
 
 import mpmath
@@ -156,13 +157,18 @@ class TestStableClosedForms:
         for value, target in zip(thermal_j_pm(1.7e308), (-2.0, 2.0)):
             assert _rel_err(value, target) <= 1e-15
 
-    @pytest.mark.parametrize("s", [700.0, 709.0])
+    @pytest.mark.parametrize("s", [700.0, 709.0, 710.09, 710.5, 710.7,
+                                   g_entropy(sys.float_info.max)])
     def test_g_inverse_near_the_largest_double(self, s):
-        assert math.isfinite(g_inverse(s))
+        # Above g(2^1023) = 710.0896 the doubling bracket is capped at the
+        # largest double, and its midpoints stay finite.
+        n = g_inverse(s)
+        assert g_entropy(n) >= s > g_entropy(math.nextafter(n, 0.0))
 
-    @pytest.mark.parametrize("s", [711.0, 800.0])
+    @pytest.mark.parametrize("s", [710.79, 711.0, 800.0])
     def test_g_inverse_beyond_the_largest_double_raises(self, s):
-        # g(n) = log n + 1 + O(1/n) passes 710.7 only beyond 1.8e308.
+        # g(n) = log n + 1 + O(1/n) passes g(largest double) = 710.7827
+        # only beyond it.
         with pytest.raises(ValueError, match=f"g_inverse\\({s}\\)"):
             g_inverse(s)
 
@@ -498,10 +504,11 @@ class TestQOURate:
 
     def test_witness_exists_above_zeta(self):
         # The witness is the first failing double above n*, so the double
-        # below it holds; at epsilon = 1e-3 it lies near 11504, and at
-        # mu = 1 + 2^-52 above n* ~ 2.25e15.
+        # below it holds; at epsilon = 1e-3 it lies near 11504, at
+        # mu = 1 + 2^-52 above n* ~ 2.25e15, and at epsilon = 1e-305 near
+        # 1e308, where the sum of the bisection's ends overflows.
         root2 = QOU(math.sqrt(2.0), 1.0)
-        cases = [(root2, eps) for eps in (1e-3, 0.5, 0.99, 2.0)]
+        cases = [(root2, eps) for eps in (1e-3, 0.5, 0.99, 2.0, 1e-305)]
         cases += [(QOU(mu, lam), 0.5) for mu, lam in
                   ((3.0, 0.1), (1e100, 1.0), (1.0 + 2**-52, 1.0))]
         for kind, eps in cases:
